@@ -10,10 +10,8 @@ or input-file errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .core import SuperPoly
@@ -56,14 +54,6 @@ from .presfile import load_presentation, parse_presentation, print_presentation
 from .report import Report
 
 
-def _worker_count() -> int:
-    value = os.environ.get("SUPERALG_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def run_gl_suite(m: int, n: int, thetas: int, points: int, seed: int) -> Report:
     report = Report(
         suite="verify-gl",
@@ -72,30 +62,25 @@ def run_gl_suite(m: int, n: int, thetas: int, points: int, seed: int) -> Report:
     sampler = PointSampler(m, n, thetas, seed)
     ident = SuperMatrix.identity(m, n, sampler.alg)
 
-    def check_point(idx: int):
+    def check_point(idx: int) -> str | None:
         point = sampler.sample(idx)
         if not point.is_gl_point():
-            return idx, "sampled matrix is not a point"
+            return "sampled matrix is not a point"
         inverse = point.inv()
         antipode = point.antipode_blocks()
         if antipode != inverse:
-            return idx, "antipode blocks differ from the inverse"
+            return "antipode blocks differ from the inverse"
         if point * inverse != ident or inverse * point != ident:
-            return idx, "inverse fails the group law"
-        return idx, None
+            return "inverse fails the group law"
+        return None
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check_point, range(points)))
-    else:
-        results = [check_point(idx) for idx in range(points)]
-    bad = [(idx, msg) for idx, msg in results if msg]
     witness = ""
-    if bad:
-        idx, msg = bad[0]
-        witness = f"point #{idx}: {msg}: {sampler.sample(idx).to_json()}"
-    report.add_check(f"antipode-equals-inverse[{points} points]", not bad, witness)
+    for idx in range(points):
+        msg = check_point(idx)
+        if msg:
+            witness = f"point #{idx}: {msg}: {sampler.sample(idx).to_json()}"
+            break
+    report.add_check(f"antipode-equals-inverse[{points} points]", not witness, witness)
 
     closure_ok = True
     assoc_ok = True
@@ -407,8 +392,38 @@ def run_decompose_suite(m: int, n: int, thetas: int, points: int, seed: int) -> 
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with code 2 and a one-line message."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
+    """Shape, Grassmann size, point count and seed of the GL(m|n) suites."""
+    size = _int_at_least(0)
+    parser.add_argument("--m", type=size, default=1)
+    parser.add_argument("--n", type=size, default=1)
+    parser.add_argument("--thetas", type=size, default=4)
+    parser.add_argument("--points", type=_int_at_least(1), default=50)
+    parser.add_argument("--seed", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="superalg", description=__doc__)
+    parser = _Parser(prog="superalg", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", choices=["json", "text"], default="text")
     common.add_argument("--out", help="write the JSON report to this path")
@@ -418,11 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="target", required=True)
 
     gl = vsub.add_parser("gl", parents=[common])
-    gl.add_argument("--m", type=int, default=1)
-    gl.add_argument("--n", type=int, default=1)
-    gl.add_argument("--thetas", type=int, default=4)
-    gl.add_argument("--points", type=int, default=50)
-    gl.add_argument("--seed", type=int, required=True)
+    _add_point_arguments(gl)
 
     exterior = vsub.add_parser("exterior", parents=[common])
     exterior.add_argument("--dim", type=int, default=2)
@@ -453,11 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use the abelian pair with these dimensions")
 
     dec = sub.add_parser("decompose", help="decomposition round-trip suite", parents=[common])
-    dec.add_argument("--m", type=int, default=1)
-    dec.add_argument("--n", type=int, default=1)
-    dec.add_argument("--thetas", type=int, default=4)
-    dec.add_argument("--points", type=int, default=50)
-    dec.add_argument("--seed", type=int, required=True)
+    _add_point_arguments(dec)
     return parser
 
 

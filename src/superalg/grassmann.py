@@ -5,6 +5,15 @@ block matrix (X P; Q Y) with X, Y even-entried and P, Q odd-entried, whose
 diagonal blocks have invertible rational body.  Inversion is exact: invert
 the body over the rationals, then run the terminating nilpotent correction
 series on the soul.
+
+Entries are ``SuperPoly`` values at the API boundary, but every matrix
+product and inverse runs on one integer kernel.  There a blade
+t_{i1}...t_{ir} (0-based i1 < ... < ir) is the int bitmask with bits i1..ir
+set, an entry is a dict from bitmask to int numerator, and one positive
+denominator is shared by the whole matrix and reduced by a gcd after each
+product.  Two blades with a common bit multiply to zero; otherwise
+m1 * m2 = (-1)^popcount(m2 & cross(m1)) * (m1 | m2), where cross(m1) is the
+XOR of (1 << i) - 1 over the bits i of m1.  Nothing is sized by 2^k.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .core import (
@@ -22,6 +32,7 @@ from .core import (
     SuperMonomial,
     SuperPoly,
     evaluate_hom,
+    one_monomial,
 )
 
 
@@ -84,21 +95,14 @@ class GrassmannAlgebra:
 def invert_element(r: SuperPoly) -> SuperPoly:
     """Exact inverse of a Grassmann element with nonzero body.
 
-    Computed as body^-1 * sum_i (-soul/body)^i; the series terminates because
-    the soul is nilpotent.
+    Computed as the 1x1 case of the matrix inverse: body^-1 times the
+    terminating series in -soul/body.
     """
-    body = r.body()
-    if not body:
+    if not r.body():
         raise NotInvertible("element has zero body")
-    nilpotent = r.soul().scale(-1 / body)
-    result = SuperPoly.one(r.gens)
-    power = SuperPoly.one(r.gens)
-    while True:
-        power = power * nilpotent
-        if power.is_zero():
-            break
-        result = result + power
-    return result.scale(1 / body)
+    if any(any(m.evens) for m in r.terms):
+        raise ValueError("not a Grassmann element: it has even generators")
+    return _from_ints(_int_inv(_to_ints([[r]])), r.gens)[0][0]
 
 
 def _matrix_body(rows) -> linalg.Matrix:
@@ -111,71 +115,189 @@ def grassmann_matrix_inv(rows, alg: GrassmannAlgebra):
     Requires the rational body matrix to be invertible; the remaining soul
     part is nilpotent, so the Neumann series terminates.
     """
-    n = len(rows)
-    body = _matrix_body(rows)
-    body_inv = linalg.invert(body)
-    if body_inv is None:
-        raise NotAPoint("matrix body is singular")
-    one = alg.one()
-    binv = [[one.scale(body_inv[i][j]) if body_inv[i][j] else alg.zero() for j in range(n)] for i in range(n)]
-    # N = body_inv * soul;  inverse = (sum (-N)^i) * body_inv
-    soul = [[rows[i][j].soul() for j in range(n)] for i in range(n)]
-    nil = _poly_mat_mul(binv, soul, alg)
-    neg = [[-nil[i][j] for j in range(n)] for i in range(n)]
-    total = [[one if i == j else alg.zero() for j in range(n)] for i in range(n)]
-    power = total
-    while True:
-        power = _poly_mat_mul(power, neg, alg)
-        if all(entry.is_zero() for row in power for entry in row):
-            break
-        total = [[total[i][j] + power[i][j] for j in range(n)] for i in range(n)]
-    return _poly_mat_mul(total, binv, alg)
+    return _from_ints(_int_inv(_to_ints(rows)), alg.gens)
 
 
 def _poly_mat_mul(a, b, alg: GrassmannAlgebra):
-    from .core import _MUL_CACHE, mul_monomials
+    """Product of two matrices of Grassmann elements (lists of rows)."""
+    return _from_ints(_int_mul(_to_ints(a), _to_ints(b)), alg.gens)
 
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    gens = alg.gens
-    cache_get = _MUL_CACHE.get
+
+# --- integer bitmask kernel (see the module docstring) ----------------------
+#
+# A matrix is held as ``(rows, den)``: ``rows[i][j]`` maps a blade bitmask to
+# a nonzero int numerator and ``den > 0`` is shared by every entry.
+
+IntMatrix = tuple[list[list[dict[int, int]]], int]
+
+
+def _to_ints(rows) -> IntMatrix:
+    """Integer form of a matrix of Grassmann elements (``SuperPoly`` entries)."""
+    den = lcm(*(c.denominator for row in rows for entry in row for c in entry.terms.values()))
     out = []
-    for i in range(rows):
-        row = []
-        ai = a[i]
-        for j in range(cols):
-            acc: dict = {}
-            get = acc.get
-            for k in range(inner):
-                left = ai[k].terms
-                if not left:
-                    continue
-                right = b[k][j].terms
-                if not right:
-                    continue
-                for m1, c1 in left.items():
-                    for m2, c2 in right.items():
-                        prod = cache_get((m1, m2), _MUL_CACHE)
-                        if prod is _MUL_CACHE:
-                            prod = mul_monomials(m1, m2)
-                        if prod is None:
-                            continue
-                        sign, mono = prod
-                        c = c1 * c2 if sign > 0 else -(c1 * c2)
-                        s = get(mono)
-                        if s is None:
-                            acc[mono] = c
-                        else:
-                            s = s + c
-                            if s:
-                                acc[mono] = s
-                            else:
-                                del acc[mono]
+    for row in rows:
+        out_row = []
+        for entry in row:
+            terms = {}
+            for mono, c in entry.terms.items():
+                mask = 0
+                for i in mono.odds:
+                    mask |= 1 << i
+                terms[mask] = c.numerator * (den // c.denominator)
+            out_row.append(terms)
+        out.append(out_row)
+    return out, den
+
+
+def _from_ints(mat: IntMatrix, gens: GeneratorSet) -> list[list[SuperPoly]]:
+    """``SuperPoly`` entries over ``gens`` from the integer form."""
+    rows, den = mat
+    evens = one_monomial(gens).evens
+    monomials: dict[int, SuperMonomial] = {}
+    out = []
+    for row in rows:
+        out_row = []
+        for terms in row:
+            poly_terms = {}
+            for mask, num in terms.items():
+                mono = monomials.get(mask)
+                if mono is None:
+                    odds = []
+                    bits = mask
+                    while bits:
+                        low = bits & -bits
+                        odds.append(low.bit_length() - 1)
+                        bits ^= low
+                    mono = monomials[mask] = SuperMonomial(evens, tuple(odds))
+                poly_terms[mono] = Fraction(num, den)
             entry = SuperPoly.__new__(SuperPoly)
-            entry.gens, entry.terms = gens, acc
-            row.append(entry)
-        out.append(row)
+            entry.gens, entry.terms = gens, poly_terms
+            out_row.append(entry)
+        out.append(out_row)
     return out
+
+
+def _reduced(rows: list[list[dict[int, int]]], den: int) -> IntMatrix:
+    """Divide the numerators and the shared denominator by their gcd."""
+    g = den
+    for row in rows:
+        for terms in row:
+            if g == 1:
+                return rows, den
+            g = gcd(g, *terms.values())
+    if g == 1:
+        return rows, den
+    return [[{m: c // g for m, c in terms.items()} for terms in row] for row in rows], den // g
+
+
+def _cross(mask: int) -> int:
+    """XOR of (1 << i) - 1 over the bits i of ``mask``.
+
+    blade(m1) * blade(m2) = (-1)^popcount(m2 & cross(m1)) * blade(m1 | m2)
+    when m1 & m2 == 0: each factor t_j of m2 moves left past the factors of
+    m1 above it, and the XOR keeps the parity of that count per bit j.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= low - 1
+        mask ^= low
+    return out
+
+
+def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    arows, aden = a
+    brows, bden = b
+    cols = len(brows[0]) if brows else 0
+    right = [[list(terms.items()) for terms in row] for row in brows]
+    out = []
+    for arow in arows:
+        left = [
+            (k, [(m1, _cross(m1), c1) for m1, c1 in terms.items()])
+            for k, terms in enumerate(arow)
+            if terms
+        ]
+        out_row = []
+        for j in range(cols):
+            acc: dict[int, int] = {}
+            get = acc.get
+            for k, left_terms in left:
+                right_terms = right[k][j]
+                if not right_terms:
+                    continue
+                for m1, x1, c1 in left_terms:
+                    for m2, c2 in right_terms:
+                        if m1 & m2:
+                            continue
+                        m = m1 | m2
+                        if (m2 & x1).bit_count() & 1:
+                            acc[m] = get(m, 0) - c1 * c2
+                        else:
+                            acc[m] = get(m, 0) + c1 * c2
+            out_row.append({m: c for m, c in acc.items() if c})
+        out.append(out_row)
+    return _reduced(out, aden * bden)
+
+
+def _int_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    arows, aden = a
+    brows, bden = b
+    den = lcm(aden, bden)
+    sa, sb = den // aden, den // bden
+    out = []
+    for arow, brow in zip(arows, brows):
+        out_row = []
+        for aterms, bterms in zip(arow, brow):
+            terms = {m: c * sa for m, c in aterms.items()}
+            for m, c in bterms.items():
+                s = terms.get(m, 0) + c * sb
+                if s:
+                    terms[m] = s
+                else:
+                    terms.pop(m, None)
+            out_row.append(terms)
+        out.append(out_row)
+    return _reduced(out, den)
+
+
+def _int_neg(a: IntMatrix) -> IntMatrix:
+    rows, den = a
+    return [[{m: -c for m, c in terms.items()} for terms in row] for row in rows], den
+
+
+def _split(a: IntMatrix, m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """The blocks (X, P, Q, Y) of a matrix whose even rows and columns come first."""
+    rows, den = a
+    top, bottom = rows[:m], rows[m:]
+    return (
+        ([row[:m] for row in top], den),
+        ([row[m:] for row in top], den),
+        ([row[:m] for row in bottom], den),
+        ([row[m:] for row in bottom], den),
+    )
+
+
+def _int_inv(a: IntMatrix) -> IntMatrix:
+    """Inverse of a square integer-form matrix with invertible body B.
+
+    With soul S and N = B^-1 S (nilpotent), A^-1 = sum_i (-N)^i B^-1; each
+    term is the previous one multiplied on the left by -N.
+    """
+    rows, den = a
+    body_inv = linalg.invert([[Fraction(terms.get(0, 0), den) for terms in row] for row in rows])
+    if body_inv is None:
+        raise NotAPoint("matrix body is singular")
+    bden = lcm(*(c.denominator for row in body_inv for c in row))
+    binv = ([[{0: c.numerator * (bden // c.denominator)} if c else {} for c in row]
+             for row in body_inv], bden)
+    neg_soul = ([[{m: -c for m, c in terms.items() if m} for terms in row] for row in rows], den)
+    neg_nil = _int_mul(binv, neg_soul)
+    total = term = binv
+    while True:
+        term = _int_mul(neg_nil, term)
+        if not any(terms for row in term[0] for terms in row):
+            return total
+        total = _int_add(total, term)
 
 
 class SuperMatrix:
@@ -229,7 +351,7 @@ class SuperMatrix:
     def __mul__(self, other: SuperMatrix) -> SuperMatrix:
         if (self.m, self.n) != (other.m, other.n) or self.alg != other.alg:
             raise ValueError("shape or base algebra mismatch")
-        rows = _poly_mat_mul([list(r) for r in self.rows], [list(r) for r in other.rows], self.alg)
+        rows = _poly_mat_mul(self.rows, other.rows, self.alg)
         return SuperMatrix(self.m, self.n, self.alg, rows)
 
     def __eq__(self, other) -> bool:
@@ -276,7 +398,7 @@ class SuperMatrix:
         """Exact two-sided inverse (body inversion plus nilpotent series)."""
         if not self.is_gl_point():
             raise NotAPoint("not a GL(m|n) point")
-        rows = grassmann_matrix_inv([list(r) for r in self.rows], self.alg)
+        rows = grassmann_matrix_inv(self.rows, self.alg)
         return SuperMatrix(self.m, self.n, self.alg, rows)
 
     def antipode_blocks(self) -> SuperMatrix:
@@ -288,33 +410,19 @@ class SuperMatrix:
         """
         if not self.is_gl_point():
             raise NotAPoint("not a GL(m|n) point")
-        alg = self.alg
-        x, p, q, y = self.block_x(), self.block_p(), self.block_q(), self.block_y()
-        x_inv = grassmann_matrix_inv(x, alg) if self.m else []
-        y_inv = grassmann_matrix_inv(y, alg) if self.n else []
-
-        def mm(*mats):
-            out = mats[0]
-            for mat in mats[1:]:
-                out = _poly_mat_mul(out, mat, alg)
-            return out
-
-        def msub(a, b):
-            return [[a[i][j] - b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-        def mneg(a):
-            return [[-e for e in row] for row in a]
-
+        x, p, q, y = _split(_to_ints(self.rows), self.m)
+        x_inv, y_inv = _int_inv(x), _int_inv(y)
         if self.m and self.n:
-            s_x = grassmann_matrix_inv(msub(x, mm(p, y_inv, q)), alg)
-            s_y = grassmann_matrix_inv(msub(y, mm(q, x_inv, p)), alg)
-            s_p = mneg(mm(x_inv, p, s_y))
-            s_q = mneg(mm(y_inv, q, s_x))
+            s_x = _int_inv(_int_add(x, _int_neg(_int_mul(_int_mul(p, y_inv), q))))
+            s_y = _int_inv(_int_add(y, _int_neg(_int_mul(_int_mul(q, x_inv), p))))
+            s_p = _int_neg(_int_mul(_int_mul(x_inv, p), s_y))
+            s_q = _int_neg(_int_mul(_int_mul(y_inv, q), s_x))
         else:
-            s_x, s_y = x_inv, y_inv
-            s_p = [[alg.zero()] * self.n for _ in range(self.m)]
-            s_q = [[alg.zero()] * self.m for _ in range(self.n)]
-        return SuperMatrix.from_blocks(s_x, s_p, s_q, s_y, alg)
+            s_x, s_y, s_p, s_q = x_inv, y_inv, p, q  # p and q have no entries
+        gens = self.alg.gens
+        return SuperMatrix.from_blocks(
+            *(_from_ints(block, gens) for block in (s_x, s_p, s_q, s_y)), self.alg
+        )
 
     def decomposition_coords(self):
         """Split a point into (X, Y, p', q') with p' = X^-1 P and q' = Y^-1 Q.
@@ -324,20 +432,17 @@ class SuperMatrix:
         """
         if not self.is_gl_point():
             raise NotAPoint("not a GL(m|n) point")
-        alg = self.alg
-        x, p, q, y = self.block_x(), self.block_p(), self.block_q(), self.block_y()
-        x_inv = grassmann_matrix_inv(x, alg) if self.m else []
-        y_inv = grassmann_matrix_inv(y, alg) if self.n else []
-        pprime = _poly_mat_mul(x_inv, p, alg) if self.m and self.n else [[alg.zero()] * self.n for _ in range(self.m)]
-        qprime = _poly_mat_mul(y_inv, q, alg) if self.m and self.n else [[alg.zero()] * self.m for _ in range(self.n)]
-        return x, y, pprime, qprime
+        x, p, q, y = _split(_to_ints(self.rows), self.m)
+        gens = self.alg.gens
+        pprime = _from_ints(_int_mul(_int_inv(x), p), gens)
+        qprime = _from_ints(_int_mul(_int_inv(y), q), gens)
+        return self.block_x(), self.block_y(), pprime, qprime
 
     @classmethod
     def from_decomposition(cls, x, y, pprime, qprime, alg: GrassmannAlgebra) -> SuperMatrix:
         """Rebuild the point: P = X p', Q = Y q'."""
-        m, n = len(x), len(y)
-        p = _poly_mat_mul(x, pprime, alg) if m and n else [[alg.zero()] * n for _ in range(m)]
-        q = _poly_mat_mul(y, qprime, alg) if m and n else [[alg.zero()] * m for _ in range(n)]
+        p = _poly_mat_mul(x, pprime, alg)
+        q = _poly_mat_mul(y, qprime, alg)
         return cls.from_blocks(x, p, q, y, alg)
 
     def to_json(self) -> str:

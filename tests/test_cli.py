@@ -114,6 +114,29 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["verify gl", "decompose"])
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--m", "-1", ">= 0"),
+    ("--n", "-1", ">= 0"),
+    ("--thetas", "-1", ">= 0"),
+    ("--points", "-1", ">= 1"),
+    ("--points", "0", ">= 1"),
+])
+def test_out_of_range_point_arguments_exit_2(command, flag, value, bound, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(command.split() + [flag, value, "--seed", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert flag in err and bound in err
+
+
+def test_zero_sizes_are_accepted(tmp_path):
+    code, data = run(["verify", "gl", "--m", "2", "--n", "0", "--thetas", "0",
+                      "--points", "3", "--seed", "1"], tmp_path)
+    assert code == 0 and data["ok"] is True
+
+
 def test_missing_file_is_exit_2(tmp_path):
     code = main(["verify", "exterior", "--file", str(tmp_path / "absent.shp")])
     assert code == 2

@@ -1,15 +1,22 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import coefficients
 from superalg import (
+    GeneratorSet,
     GrassmannAlgebra,
     NotAPoint,
     NotInvertible,
     PointSampler,
     SuperMatrix,
     invert_element,
+    linalg,
 )
+from superalg.core import SuperMonomial, SuperPoly
+from superalg.grassmann import _poly_mat_mul, grassmann_matrix_inv
 
 ALG = GrassmannAlgebra(4)
 
@@ -169,8 +176,6 @@ def test_even_subgroup_closed():
     # blockwise: the even subgroup multiplies like GL_m x GL_n
     g, h = sampler.sample_even(100), sampler.sample_even(101)
     gh = g * h
-    from superalg.grassmann import _poly_mat_mul
-
     assert gh.block_x() == _poly_mat_mul(g.block_x(), h.block_x(), sampler.alg)
     assert gh.block_y() == _poly_mat_mul(g.block_y(), h.block_y(), sampler.alg)
 
@@ -199,3 +204,142 @@ def test_purely_even_shape_degenerates():
     assert y == [] and pp == [[], []] and qp == []
     assert SuperMatrix.from_decomposition(x, y, pp, qp, sampler.alg) == a
     assert a.antipode_blocks() == a.inv()
+
+
+# --- differential tests: the integer bitmask kernel against SuperPoly products
+
+def oracle_mul(a, b, alg):
+    """Each entry as a sum of ``SuperPoly.__mul__`` products (``merge_odds`` signs)."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(b))), alg.zero()) for j in range(cols)]
+        for row in a
+    ]
+
+
+def oracle_identity(size, alg):
+    return [[alg.one() if i == j else alg.zero() for j in range(size)] for i in range(size)]
+
+
+def series_inverse(r):
+    """body^-1 * sum_i (-soul/body)^i, summed with ``SuperPoly`` arithmetic."""
+    body = r.body()
+    nilpotent = r.soul().scale(-1 / body)
+    result = power = SuperPoly.one(r.gens)
+    while True:
+        power = power * nilpotent
+        if power.is_zero():
+            return result.scale(1 / body)
+        result = result + power
+
+
+SHAPES = [(0, 2), (2, 0), (1, 1), (2, 1), (1, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_kernel_matches_oracle_on_seeded_points(k):
+    for m, n in SHAPES:
+        sampler = PointSampler(m, n, k, seed=1000 * k + 10 * m + n)
+        alg = sampler.alg
+        ident = oracle_identity(m + n, alg)
+        for i in range(3):
+            a, b = sampler.sample(2 * i), sampler.sample(2 * i + 1)
+            assert [list(r) for r in (a * b).rows] == oracle_mul(a.rows, b.rows, alg)
+            inverse = a.inv()
+            assert oracle_mul(a.rows, inverse.rows, alg) == ident
+            assert oracle_mul(inverse.rows, a.rows, alg) == ident
+            assert a.antipode_blocks() == inverse
+            # rectangular blocks, with an empty side when m or n is 0
+            x, p, q, y = a.block_x(), a.block_p(), a.block_q(), a.block_y()
+            for left, right in ((x, p), (q, x), (y, q), (p, y)):
+                if right:
+                    assert _poly_mat_mul(left, right, alg) == oracle_mul(left, right, alg)
+            if p and q:
+                assert _poly_mat_mul(p, q, alg) == oracle_mul(p, q, alg)
+                assert _poly_mat_mul(q, p, alg) == oracle_mul(q, p, alg)
+            for entry in (e for row in x + y for e in row):
+                if entry.body():
+                    assert invert_element(entry) == series_inverse(entry)
+
+
+HYP_ALG = GrassmannAlgebra(4)
+
+
+@st.composite
+def grassmann_entries(draw, alg=HYP_ALG, soul_only=False, max_terms=3):
+    blades = st.lists(
+        st.integers(min_value=0, max_value=alg.k - 1), unique=True,
+        min_size=1 if soul_only else 0, max_size=alg.k,
+    ).map(lambda support: SuperMonomial((), tuple(sorted(support))))
+    return SuperPoly(alg.gens, draw(st.dictionaries(blades, coefficients, max_size=max_terms)))
+
+
+@st.composite
+def grassmann_matrices(draw, rows, cols):
+    return [[draw(grassmann_entries()) for _ in range(cols)] for _ in range(rows)]
+
+
+scalars = st.one_of(st.just(Fraction(0)), coefficients)
+
+
+@st.composite
+def invertible_matrices(draw):
+    """Body L * U (unit lower times upper with nonzero diagonal) plus a soul."""
+    size = draw(st.integers(min_value=1, max_value=3))
+    lower, upper = linalg.identity(size), linalg.identity(size)
+    for i in range(size):
+        upper[i][i] = draw(coefficients)
+        for j in range(i):
+            lower[i][j] = draw(scalars)
+            upper[j][i] = draw(scalars)
+    body = linalg.mat_mul(lower, upper)
+    return [
+        [HYP_ALG.scalar(body[i][j]) + draw(grassmann_entries(soul_only=True)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_product_matches_oracle_on_generated_matrices(rows, inner, cols, data):
+    a = data.draw(grassmann_matrices(rows, inner))
+    b = data.draw(grassmann_matrices(inner, cols))
+    assert _poly_mat_mul(a, b, HYP_ALG) == oracle_mul(a, b, HYP_ALG)
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_matrices())
+def test_inverse_is_an_oracle_inverse_on_generated_matrices(a):
+    inverse = grassmann_matrix_inv(a, HYP_ALG)
+    ident = oracle_identity(len(a), HYP_ALG)
+    assert oracle_mul(a, inverse, HYP_ALG) == ident
+    assert oracle_mul(inverse, a, HYP_ALG) == ident
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficients, grassmann_entries(soul_only=True))
+def test_invert_element_matches_series_on_generated_elements(body, soul):
+    element = HYP_ALG.scalar(body) + soul
+    assert invert_element(element) == series_inverse(element)
+
+
+def test_sparse_entries_over_64_generators():
+    # 2^64 blades: the kernel only ever touches the blades that occur
+    alg = GrassmannAlgebra(64)
+    t = alg.theta
+    a = [[alg.one() + t(1) * t(64), t(2) + t(40) * t(41) * t(63)],
+         [t(63).scale(Fraction(1, 3)), alg.scalar(2) + t(3) * t(4)]]
+    b = [[t(64), alg.scalar(Fraction(-1, 2))], [t(5) * t(6), t(1)]]
+    assert _poly_mat_mul(a, b, alg) == oracle_mul(a, b, alg)
+    inverse = grassmann_matrix_inv(a, alg)
+    assert oracle_mul(a, inverse, alg) == oracle_identity(2, alg)
+    assert invert_element(a[0][0]) == alg.one() - t(1) * t(64)
+
+
+def test_singular_body_and_even_generators_are_rejected():
+    with pytest.raises(NotAPoint):
+        grassmann_matrix_inv([[ALG.theta(1), ALG.one()], [ALG.zero(), ALG.one()]], ALG)
+    gens = GeneratorSet(evens=["x"], odds=["t"])
+    with pytest.raises(ValueError):
+        invert_element(SuperPoly.one(gens) + SuperPoly.generator(gens, "x"))
