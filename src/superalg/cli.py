@@ -358,7 +358,7 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
     return report
 
 
-def run_envelope_suite(r: int | None, degree: int, abelian: tuple[int, int] | None) -> Report:
+def run_envelope_suite(r: int, degree: int, abelian: tuple[int, int] | None) -> Report:
     config = {"r": r, "d": degree, "abelian": list(abelian) if abelian else None}
     report = Report(suite="envelope", config=config)
     if abelian:
@@ -366,7 +366,7 @@ def run_envelope_suite(r: int | None, degree: int, abelian: tuple[int, int] | No
 
         pair = abelian_pair(*abelian)
     else:
-        pair = spo_pair(r or 1)
+        pair = spo_pair(r)
     try:
         env = truncated_envelope(pair, degree)
         report.add_check("rewriting-confluent", True)
@@ -423,6 +423,7 @@ def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    size, positive = _int_at_least(0), _int_at_least(1)
     parser = _Parser(prog="superalg", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", choices=["json", "text"], default="text")
@@ -436,31 +437,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_arguments(gl)
 
     exterior = vsub.add_parser("exterior", parents=[common])
-    exterior.add_argument("--dim", type=int, default=2)
+    exterior.add_argument("--dim", type=size, default=2)
     exterior.add_argument("--file", help="presentation file (.shp) to check instead")
-    exterior.add_argument("--max-dual", type=int, default=6)
+    exterior.add_argument("--max-dual", type=size, default=6)
 
     bos = vsub.add_parser("bosonize", parents=[common])
-    bos.add_argument("--dim", type=int, default=2)
+    bos.add_argument("--dim", type=size, default=2)
 
     integrals = vsub.add_parser("integrals", parents=[common])
-    integrals.add_argument("--dim", type=int, default=2)
+    integrals.add_argument("--dim", type=size, default=2)
 
     hy = sub.add_parser("hy", help="truncated hyperalgebra suite", parents=[common])
     hy.add_argument("--target", choices=sorted(_HY_TARGETS), default="gl11")
-    hy.add_argument("--order", type=int, default=4)
+    hy.add_argument("--order", type=positive, default=4)
 
     hc = sub.add_parser("hcpair", help="Harish-Chandra pair suite", parents=[common])
-    hc.add_argument("--r", type=int, default=1)
+    hc.add_argument("--r", type=positive, default=1)
     hc.add_argument("--no-half", action="store_true",
                     help="negative control: drop the 1/2 in the odd bracket")
-    hc.add_argument("--transvections", type=int, default=10)
+    hc.add_argument("--transvections", type=positive, default=10)
     hc.add_argument("--seed", type=int, default=1)
 
     env = sub.add_parser("envelope", help="truncated PBW envelope suite", parents=[common])
-    env.add_argument("--r", type=int, default=1)
-    env.add_argument("--d", type=int, default=2)
-    env.add_argument("--abelian", type=int, nargs=2, metavar=("G0", "V"),
+    env.add_argument("--r", type=positive, default=1)
+    env.add_argument("--d", type=size, default=2)
+    env.add_argument("--abelian", type=size, nargs=2, metavar=("G0", "V"),
                      help="use the abelian pair with these dimensions")
 
     dec = sub.add_parser("decompose", help="decomposition round-trip suite", parents=[common])

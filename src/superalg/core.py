@@ -336,12 +336,6 @@ class SuperPoly:
             return PARITY_ODD
         return PARITY_MIXED
 
-    def homogeneous_components(self) -> dict[int, SuperPoly]:
-        parts: dict[int, dict[SuperMonomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(m.parity, {})[m] = c
-        return {p: SuperPoly(self.gens, t) for p, t in parts.items()}
-
     def body(self) -> Fraction:
         """Coefficient of the empty monomial."""
         return self.terms.get(one_monomial(self.gens), F0)
@@ -353,9 +347,6 @@ class SuperPoly:
 
     def coefficient(self, mono: SuperMonomial) -> Fraction:
         return self.terms.get(mono, F0)
-
-    def max_degree(self) -> int:
-        return max((m.degree(self.gens) for m in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[SuperMonomial, Fraction]]:
         key = monomial_sort_key(self.gens)

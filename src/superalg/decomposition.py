@@ -146,9 +146,11 @@ def decomposition_check(m: int, n: int, k: int, points: int, seed: int) -> Axiom
         if (translated.block_p(), translated.block_q()) != (point.block_p(), point.block_q()):
             naive_failed = True
     report.add("primed-coordinates-left-invariant", primed_ok, witness)
+    # with no odd block or no odd generator P = Q = 0, so nothing can move
+    has_odd_part = m * n * k > 0
     report.add(
         "negative-control-naive-coordinates-not-left-invariant",
-        naive_failed if m * n > 0 else True,
-        "" if naive_failed or m * n == 0 else "naive coordinates unexpectedly invariant",
+        naive_failed or not has_odd_part,
+        "" if naive_failed or not has_odd_part else "naive coordinates unexpectedly invariant",
     )
     return report

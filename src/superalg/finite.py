@@ -15,26 +15,20 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import linalg
-from .core import F0, F1, EVEN, SuperMonomial, SuperPoly
+from .core import F0, F1, EVEN, SuperMonomial, SuperPoly, merge_odds
 from .hopf import AxiomReport, HopfPresentation, PresentationError
+from .table import (
+    add_into,
+    basis_times,
+    first_nonassociative,
+    first_nonunital,
+    image,
+    product,
+    times_basis,
+)
 
 Vec = dict[int, Fraction]
 TensorVec = dict[tuple[int, int], Fraction]
-
-
-def _vadd(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, F0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _vscale(a: Vec, c: Fraction) -> Vec:
-    return {k: c * v for k, v in a.items()} if c else {}
 
 
 @dataclass
@@ -59,43 +53,8 @@ class FiniteDimHopf:
     def dimension(self) -> int:
         return len(self.labels)
 
-    def vec_mul(self, a: Vec, b: Vec) -> Vec:
-        out: Vec = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                table = self.mult.get((i, j))
-                if not table:
-                    continue
-                c = ca * cb
-                for k, ck in table.items():
-                    s = out.get(k, F0) + c * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
-
-    def vec_delta(self, a: Vec) -> TensorVec:
-        out: TensorVec = {}
-        for i, c in a.items():
-            for key, ck in self.delta.get(i, {}).items():
-                s = out.get(key, F0) + c * ck
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
-
     def vec_counit(self, a: Vec) -> Fraction:
         return sum((c * self.counit[i] for i, c in a.items()), F0)
-
-    def vec_antipode(self, a: Vec) -> Vec:
-        if self.antipode is None:
-            raise PresentationError("no antipode table")
-        out: Vec = {}
-        for i, c in a.items():
-            out = _vadd(out, _vscale(self.antipode[i], c))
-        return out
 
     def tensor_mul(self, a: TensorVec, b: TensorVec) -> TensorVec:
         """Product on the tensor square, with Koszul sign when graded."""
@@ -117,71 +76,31 @@ class FiniteDimHopf:
                             out.pop(key, None)
         return out
 
-    def basis_vec(self, i: int) -> Vec:
-        return {i: F1}
-
 
 def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     """Exhaustive table check of all Hopf axioms (signs per ``hopf.graded``)."""
     report = AxiomReport()
     dim = hopf.dimension
-    basis = [hopf.basis_vec(i) for i in range(dim)]
+    labels = hopf.labels
+    mult, delta, counit = hopf.mult, hopf.delta, hopf.counit
+
+    bad = first_nonunital(mult, dim, hopf.unit)
+    report.add("unit", bad is None, "" if bad is None else f"unit law fails at {labels[bad]}")
+
+    triple = first_nonassociative(mult, dim)
+    names = ", ".join(labels[t] for t in triple or ())
+    report.add("associativity", triple is None, f"associativity fails at ({names})" if triple else "")
 
     ok = True
     witness = ""
     for i in range(dim):
-        left = hopf.vec_mul(hopf.unit, basis[i])
-        right = hopf.vec_mul(basis[i], hopf.unit)
-        if left != basis[i] or right != basis[i]:
-            ok, witness = False, f"unit law fails at {hopf.labels[i]}"
-            break
-    report.add("unit", ok, witness)
-
-    ok = True
-    witness = ""
-    mult = hopf.mult
-    empty: Vec = {}
-    for i in range(dim):
-        for j in range(dim):
-            aij = mult.get((i, j), empty)
-            for k in range(dim):
-                lhs: Vec = {}
-                for t, c in aij.items():
-                    for r, cr in mult.get((t, k), empty).items():
-                        s = lhs.get(r, F0) + c * cr
-                        if s:
-                            lhs[r] = s
-                        else:
-                            del lhs[r]
-                rhs: Vec = {}
-                for t, c in mult.get((j, k), empty).items():
-                    for r, cr in mult.get((i, t), empty).items():
-                        s = rhs.get(r, F0) + c * cr
-                        if s:
-                            rhs[r] = s
-                        else:
-                            del rhs[r]
-                if lhs != rhs:
-                    ok = False
-                    witness = f"associativity fails at ({hopf.labels[i]}, {hopf.labels[j]}, {hopf.labels[k]})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("associativity", ok, witness)
-
-    ok = True
-    witness = ""
-    for i in range(dim):
-        image = hopf.delta.get(i, {})
-        lco = {}
-        rco = {}
-        for (j, k), c in image.items():
-            lco = _vadd(lco, _vscale({k: c}, hopf.counit[j]))
-            rco = _vadd(rco, _vscale({j: c}, hopf.counit[k]))
-        if lco != basis[i] or rco != basis[i]:
-            ok, witness = False, f"counit law fails at {hopf.labels[i]}"
+        lco: Vec = {}
+        rco: Vec = {}
+        for (j, k), c in delta.get(i, {}).items():
+            add_into(lco, {k: c}, counit[j])
+            add_into(rco, {j: c}, counit[k])
+        if lco != {i: F1} or rco != {i: F1}:
+            ok, witness = False, f"counit law fails at {labels[i]}"
             break
     report.add("counit", ok, witness)
 
@@ -190,17 +109,11 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     for i in range(dim):
         left: dict[tuple[int, int, int], Fraction] = {}
         right: dict[tuple[int, int, int], Fraction] = {}
-        for (j, k), c in hopf.delta.get(i, {}).items():
-            for (a, b), c2 in hopf.delta.get(j, {}).items():
-                key = (a, b, k)
-                left[key] = left.get(key, F0) + c * c2
-            for (a, b), c2 in hopf.delta.get(k, {}).items():
-                key = (j, a, b)
-                right[key] = right.get(key, F0) + c * c2
-        left = {key: c for key, c in left.items() if c}
-        right = {key: c for key, c in right.items() if c}
+        for (j, k), c in delta.get(i, {}).items():
+            add_into(left, {(a, b, k): c2 for (a, b), c2 in delta.get(j, {}).items()}, c)
+            add_into(right, {(j, a, b): c2 for (a, b), c2 in delta.get(k, {}).items()}, c)
         if left != right:
-            ok, witness = False, f"coassociativity fails at {hopf.labels[i]}"
+            ok, witness = False, f"coassociativity fails at {labels[i]}"
             break
     report.add("coassociativity", ok, witness)
 
@@ -208,11 +121,11 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     witness = ""
     for i in range(dim):
         for j in range(dim):
-            lhs = hopf.vec_delta(hopf.vec_mul(basis[i], basis[j]))
-            rhs = hopf.tensor_mul(hopf.delta.get(i, {}), hopf.delta.get(j, {}))
+            lhs = image(delta, mult.get((i, j), {}))
+            rhs = hopf.tensor_mul(delta.get(i, {}), delta.get(j, {}))
             if lhs != rhs:
                 ok = False
-                witness = f"coproduct is not an algebra map at ({hopf.labels[i]}, {hopf.labels[j]})"
+                witness = f"coproduct is not an algebra map at ({labels[i]}, {labels[j]})"
                 break
         if not ok:
             break
@@ -222,10 +135,10 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     witness = ""
     for i in range(dim):
         for j in range(dim):
-            lhs = hopf.vec_counit(hopf.vec_mul(basis[i], basis[j]))
-            if lhs != hopf.counit[i] * hopf.counit[j]:
+            lhs = hopf.vec_counit(mult.get((i, j), {}))
+            if lhs != counit[i] * counit[j]:
                 ok = False
-                witness = f"counit is not an algebra map at ({hopf.labels[i]}, {hopf.labels[j]})"
+                witness = f"counit is not an algebra map at ({labels[i]}, {labels[j]})"
                 break
         if not ok:
             break
@@ -236,29 +149,25 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     if hopf.antipode is None:
         report.add("antipode", False, "no antipode table")
         return report
+    antipode = hopf.antipode
     ok = True
     witness = ""
     for i in range(dim):
-        target = _vscale(hopf.unit, hopf.counit[i])
+        target: Vec = {}
+        add_into(target, hopf.unit, counit[i])
         conv_l: Vec = {}
         conv_r: Vec = {}
-        for (j, k), c in hopf.delta.get(i, {}).items():
-            conv_l = _vadd(conv_l, _vscale(hopf.vec_mul(hopf.vec_antipode(basis[j]), basis[k]), c))
-            conv_r = _vadd(conv_r, _vscale(hopf.vec_mul(basis[j], hopf.vec_antipode(basis[k])), c))
+        for (j, k), c in delta.get(i, {}).items():
+            add_into(conv_l, times_basis(mult, antipode[j], k), c)
+            add_into(conv_r, basis_times(mult, j, antipode[k]), c)
         if conv_l != target or conv_r != target:
-            ok, witness = False, f"antipode identity fails at {hopf.labels[i]}"
+            ok, witness = False, f"antipode identity fails at {labels[i]}"
             break
     report.add("antipode", ok, witness)
     return report
 
 
 # --- exterior Hopf algebra as tables ------------------------------------------
-
-
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    from .core import merge_odds
-
-    return merge_odds(a, b)
 
 
 def exterior_finite(n: int, label_prefix: str = "v") -> FiniteDimHopf:
@@ -271,7 +180,7 @@ def exterior_finite(n: int, label_prefix: str = "v") -> FiniteDimHopf:
     mult: dict[tuple[int, int], Vec] = {}
     for i, a in enumerate(blades):
         for j, b in enumerate(blades):
-            merged = _merge_sign(a, b)
+            merged = merge_odds(a, b)
             if merged is None:
                 mult[(i, j)] = {}
                 continue
@@ -384,23 +293,16 @@ def exterior_pairing(f: SuperPoly, w: SuperPoly) -> Fraction:
 def dual_hopf(hopf: FiniteDimHopf) -> FiniteDimHopf:
     """The dual Hopf algebra on the dual basis (slotwise pairing, no sign)."""
     dim = hopf.dimension
-    mult: dict[tuple[int, int], Vec] = {}
-    for i in range(dim):
-        for j in range(dim):
-            table: Vec = {}
-            for k in range(dim):
-                c = hopf.delta.get(k, {}).get((i, j), F0)
-                if c:
-                    table[k] = c
-            mult[(i, j)] = table
-    delta: dict[int, TensorVec] = {}
+    mult: dict[tuple[int, int], Vec] = {(i, j): {} for i in range(dim) for j in range(dim)}
     for k in range(dim):
-        image: TensorVec = {}
-        for (i, j), table in hopf.mult.items():
-            c = table.get(k, F0)
+        for key, c in hopf.delta.get(k, {}).items():
             if c:
-                image[(i, j)] = image.get((i, j), F0) + c
-        delta[k] = {key: c for key, c in image.items() if c}
+                mult[key][k] = c
+    delta: dict[int, TensorVec] = {k: {} for k in range(dim)}
+    for key, table in hopf.mult.items():
+        for k, c in table.items():
+            if c:
+                delta[k][key] = c
     unit = {i: hopf.counit[i] for i in range(dim) if hopf.counit[i]}
     counit = [hopf.unit.get(i, F0) for i in range(dim)]
     antipode = None
@@ -437,25 +339,14 @@ def dual_iso_check(n: int) -> tuple[bool, AxiomReport]:
         for j, vJ in enumerate(blades):
             phi[i][j] = pairing_on_sequences(list(fI), list(vJ))
     report.add("pairing-bijective", linalg.invert(phi) is not None)
-
-    def phi_vec(vec: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in vec.items():
-            for j in range(dim):
-                if phi[i][j]:
-                    s = out.get(j, F0) + c * phi[i][j]
-                    if s:
-                        out[j] = s
-                    else:
-                        out.pop(j, None)
-        return out
+    rows = {i: {j: c for j, c in enumerate(row) if c} for i, row in enumerate(phi)}
 
     ok = True
     witness = ""
     for i in range(dim):
         for j in range(dim):
-            lhs = phi_vec(covector.mult[(i, j)])
-            rhs = dual.vec_mul(phi_vec({i: F1}), phi_vec({j: F1}))
+            lhs = image(rows, covector.mult[(i, j)])
+            rhs = product(dual.mult, rows[i], rows[j])
             if lhs != rhs:
                 ok = False
                 witness = f"products differ at ({covector.labels[i]}, {covector.labels[j]})"
@@ -469,30 +360,18 @@ def dual_iso_check(n: int) -> tuple[bool, AxiomReport]:
     for i in range(dim):
         lhs: TensorVec = {}
         for (j, k), c in covector.delta[i].items():
-            for a, ca in phi_vec({j: F1}).items():
-                for b, cb in phi_vec({k: F1}).items():
-                    key = (a, b)
-                    s = lhs.get(key, F0) + c * ca * cb
-                    if s:
-                        lhs[key] = s
-                    else:
-                        lhs.pop(key, None)
-        rhs = dual.vec_delta(phi_vec({i: F1}))
-        if lhs != rhs:
+            add_into(lhs, {(a, b): ca * cb for a, ca in rows[j].items() for b, cb in rows[k].items()}, c)
+        if lhs != image(dual.delta, rows[i]):
             ok, witness = False, f"coproducts differ at {covector.labels[i]}"
             break
     report.add("coalgebra-morphism", ok, witness)
 
-    report.add("unit-preserved", phi_vec(covector.unit) == dual.unit)
-    ok = all(
-        covector.counit[i] == dual.vec_counit(phi_vec({i: F1})) for i in range(dim)
-    )
+    report.add("unit-preserved", image(rows, covector.unit) == dual.unit)
+    ok = all(covector.counit[i] == dual.vec_counit(rows[i]) for i in range(dim))
     report.add("counit-preserved", ok)
-    ok = True
-    for i in range(dim):
-        if phi_vec(covector.antipode[i]) != dual.vec_antipode(phi_vec({i: F1})):
-            ok = False
-            break
+    ok = all(
+        image(rows, covector.antipode[i]) == image(dual.antipode, rows[i]) for i in range(dim)
+    )
     report.add("antipode-preserved", ok)
 
     axioms = check_finite_hopf_axioms(dual)
@@ -537,11 +416,10 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
     delta: dict[int, TensorVec] = {}
     for s in (0, 1):
         for i in range(dim):
-            image: TensorVec = {}
-            for (j, k), c in hopf.delta.get(i, {}).items():
-                key = (idx(s, j), idx((s + hopf.parity[j]) % 2, k))
-                image[key] = image.get(key, F0) + c
-            delta[idx(s, i)] = {key: c for key, c in image.items() if c}
+            delta[idx(s, i)] = {
+                (idx(s, j), idx((s + hopf.parity[j]) % 2, k)): c
+                for (j, k), c in hopf.delta.get(i, {}).items() if c
+            }
     counit = [F0] * size
     for s in (0, 1):
         for i in range(dim):

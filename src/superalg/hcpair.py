@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .core import F0, F1, GeneratorSet, SuperPoly
 from .liealg import StructureError, SuperLieAlgebraData
+from .table import add_into, first_nonassociative, times_basis
 
 Vec = dict[int, Fraction]
 Matrix = list[list[Fraction]]
@@ -163,23 +164,12 @@ def validate_hcpair(pair: HCPair) -> list[str]:
     for a in range(vd):
         for b in range(vd):
             for k in range(gd):
+                # [a <| X_k, b] + [a, b <| X_k] = [[a, b], X_k]
                 lhs: Vec = {}
                 for l in range(vd):
-                    coeff = pair.action[k][a][l]
-                    if coeff:
-                        for t, ct in pair.vbracket.get((l, b), {}).items():
-                            lhs[t] = lhs.get(t, F0) + coeff * ct
-                for l in range(vd):
-                    coeff = pair.action[k][b][l]
-                    if coeff:
-                        for t, ct in pair.vbracket.get((a, l), {}).items():
-                            lhs[t] = lhs.get(t, F0) + coeff * ct
-                rhs: Vec = {}
-                for t, ct in pair.vbracket.get((a, b), {}).items():
-                    for s, cs in pair.g0_bracket.get((t, k), {}).items():
-                        rhs[s] = rhs.get(s, F0) + ct * cs
-                lhs = {t: v for t, v in lhs.items() if v}
-                rhs = {s: v for s, v in rhs.items() if v}
+                    add_into(lhs, pair.vbracket.get((l, b), {}), pair.action[k][a][l])
+                    add_into(lhs, pair.vbracket.get((a, l), {}), pair.action[k][b][l])
+                rhs = times_basis(pair.g0_bracket, pair.vbracket.get((a, b), {}), k)
                 if lhs != rhs:
                     failures.append(
                         f"equivariance fails at ({pair.v_labels[a]}, {pair.v_labels[b]}, {pair.g0_labels[k]})"
@@ -333,27 +323,12 @@ class _Rewriter:
         if a == b:
             # odd square: a a = [a,a] / 2
             for k, c in self.lie.bracket_basis(a, a).items():
-                for w, cw in self.rewrite(head + (k,) + tail).items():
-                    s = result.get(w, F0) + Fraction(c, 2) * cw
-                    if s:
-                        result[w] = s
-                    else:
-                        result.pop(w, None)
+                add_into(result, self.rewrite(head + (k,) + tail), c / 2)
         else:
             sign = -F1 if parity[a] and parity[b] else F1
-            for w, cw in self.rewrite(head + (b, a) + tail).items():
-                s = result.get(w, F0) + sign * cw
-                if s:
-                    result[w] = s
-                else:
-                    result.pop(w, None)
+            add_into(result, self.rewrite(head + (b, a) + tail), sign)
             for k, c in self.lie.bracket_basis(a, b).items():
-                for w, cw in self.rewrite(head + (k,) + tail).items():
-                    s = result.get(w, F0) + c * cw
-                    if s:
-                        result[w] = s
-                    else:
-                        result.pop(w, None)
+                add_into(result, self.rewrite(head + (k,) + tail), c)
         self.cache[word] = result
         return result
 
@@ -389,40 +364,10 @@ def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
             expansion = rewriter.rewrite(w1 + w2)
             product[(i, j)] = {index[w]: c for w, c in expansion.items()}
 
-    def table_mul(u: Vec, v_idx: int) -> Vec | None:
-        out: Vec = {}
-        for wi, c in u.items():
-            cell = product.get((wi, v_idx))
-            if cell is None:
-                return None
-            for k, ck in cell.items():
-                s = out.get(k, F0) + c * ck
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-
-    for i, w1 in enumerate(words):
-        for j, w2 in enumerate(words):
-            for k, w3 in enumerate(words):
-                if len(w1) + len(w2) + len(w3) > degree_bound:
-                    continue
-                left = table_mul(product[(i, j)], k)
-                right_inner = product[(j, k)]
-                right: Vec = {}
-                for t, c in right_inner.items():
-                    cell = product.get((i, t))
-                    for s, cs in cell.items():
-                        val = right.get(s, F0) + c * cs
-                        if val:
-                            right[s] = val
-                        else:
-                            right.pop(s, None)
-                if left != right:
-                    raise StructureError(
-                        f"rewriting is not confluent at words ({labels[i]}, {labels[j]}, {labels[k]})"
-                    )
+    triple = first_nonassociative(product, len(words), [len(w) for w in words], degree_bound)
+    if triple is not None:
+        names = ", ".join(labels[t] for t in triple)
+        raise StructureError(f"rewriting is not confluent at words ({names})")
     return TruncatedEnvelope(
         degree_bound=degree_bound, words=words, labels=labels,
         dims_by_degree=dims, product=product, lie=lie,

@@ -63,6 +63,8 @@ class HopfPresentation:
                 raise PresentationError(f"missing coproduct image for {name}")
             if name not in self.counit:
                 raise PresentationError(f"missing counit image for {name}")
+            if self.antipode is not None and name not in self.antipode:
+                raise PresentationError(f"missing antipode image for {name}")
         for name, image in self.delta.items():
             if image.gens != (self.gens, self.gens):
                 raise PresentationError(f"coproduct image of {name} lives in the wrong tensor square")

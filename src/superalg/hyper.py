@@ -16,6 +16,7 @@ from . import linalg
 from .core import F0, F1, EVEN, ODD, SuperMonomial, mul_monomials
 from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
+from .table import add_into, first_nonassociative, first_nonunital, product
 
 Vec = dict[int, Fraction]
 
@@ -44,37 +45,15 @@ class TruncatedDual:
     def __post_init__(self):
         self._index = {m: i for i, m in enumerate(self.basis)}
 
-    def vec_product(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, ck in self.product.get((i, j), {}).items():
-                    s = out.get(k, F0) + ci * cj * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
-
     def check_associative_unital(self) -> None:
         """Full table check; exact because degrees only add."""
-        dim = self.dimension
-        unit = {self.unit_index: F1}
-        for i in range(dim):
-            if self.vec_product(unit, {i: F1}) != {i: F1}:
-                raise StructureError(f"unit law fails at {self.labels[i]}")
-            if self.vec_product({i: F1}, unit) != {i: F1}:
-                raise StructureError(f"unit law fails at {self.labels[i]}")
-        for i in range(dim):
-            for j in range(dim):
-                ij = self.product.get((i, j), {})
-                for k in range(dim):
-                    lhs = self.vec_product(ij, {k: F1})
-                    rhs = self.vec_product({i: F1}, self.product.get((j, k), {}))
-                    if lhs != rhs:
-                        raise StructureError(
-                            f"associativity fails at ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                        )
+        bad = first_nonunital(self.product, self.dimension, {self.unit_index: F1})
+        if bad is not None:
+            raise StructureError(f"unit law fails at {self.labels[bad]}")
+        triple = first_nonassociative(self.product, self.dimension)
+        if triple is not None:
+            names = ", ".join(self.labels[t] for t in triple)
+            raise StructureError(f"associativity fails at ({names})")
 
     def counit_is_unique_group_like(self) -> bool:
         """Certify that the counit functional is the only group-like element.
@@ -169,19 +148,14 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
     degree = [m.degree(gens) for m in basis]
 
     # product: one pass over each Delta(m); (u * v)(m) = coefficient of u (x) v
-    product: dict[tuple[int, int], Vec] = {}
+    table: dict[tuple[int, int], Vec] = {}
     for target, mono in enumerate(basis):
         image = pres.delta_monomial(mono, leg_degree_bound=order - 1)
         for (m1, m2), coeff in image.terms.items():
             i = index.get(m1)
             j = index.get(m2)
-            if i is None or j is None:
-                continue
-            product.setdefault((i, j), {})[target] = (
-                product.get((i, j), {}).get(target, F0) + coeff
-            )
-    product = {key: {k: c for k, c in vec.items() if c} for key, vec in product.items()}
-    product = {key: vec for key, vec in product.items() if vec}
+            if coeff and i is not None and j is not None:
+                table.setdefault((i, j), {})[target] = coeff
 
     # coproduct: dual of multiplication restricted to the quotient
     coproduct: dict[int, Vec2] = {i: {} for i in range(len(basis))}
@@ -194,19 +168,14 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
             target = index.get(mono)
             if target is None:
                 continue
-            coproduct[target][(i, j)] = coproduct[target].get((i, j), F0) + (
-                F1 if sign > 0 else -F1
-            )
-    coproduct = {
-        i: {key: c for key, c in vec.items() if c} for i, vec in coproduct.items()
-    }
+            coproduct[target][(i, j)] = F1 if sign > 0 else -F1
 
     unit_index = index[basis[0]]
     if not basis[0].is_one():
         raise PresentationError("basis ordering must start at the empty monomial")
     return TruncatedDual(
         order=order, presentation=pres, basis=basis, labels=labels, parity=parity,
-        degree=degree, product=product, coproduct=coproduct, unit_index=unit_index,
+        degree=degree, product=table, coproduct=coproduct, unit_index=unit_index,
     )
 
 
@@ -254,16 +223,9 @@ def primitives(dual: TruncatedDual) -> tuple[SuperLieAlgebraData, list[Vec]]:
     bracket: dict[tuple[int, int], Vec] = {}
     for a, u in enumerate(vectors):
         for b, v in enumerate(vectors):
-            uv = dual.vec_product(u, v)
-            vu = dual.vec_product(v, u)
             sign = -F1 if not (parity[a] and parity[b]) else F1
-            comm: Vec = dict(uv)
-            for k, c in vu.items():
-                s = comm.get(k, F0) + sign * c
-                if s:
-                    comm[k] = s
-                else:
-                    comm.pop(k, None)
+            comm = product(dual.product, u, v)
+            add_into(comm, product(dual.product, v, u), sign)
             coords = linalg.solve(span_matrix, [comm.get(i, F0) for i in range(dim)])
             if coords is None:
                 raise StructureError(

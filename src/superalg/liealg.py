@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import F0, F1
+from .core import F1
+from .table import add_into, times_basis
 
 Vec = dict[int, Fraction]
 
@@ -35,18 +36,6 @@ class SuperLieAlgebraData:
     def bracket_basis(self, i: int, j: int) -> Vec:
         return self.bracket.get((i, j), {})
 
-    def bracket_vec(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, ck in self.bracket_basis(i, j).items():
-                    s = out.get(k, F0) + ci * cj * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
-
     def check_grading(self) -> None:
         for (i, j), vec in self.bracket.items():
             expected = (self.parity[i] + self.parity[j]) & 1
@@ -71,33 +60,14 @@ class SuperLieAlgebraData:
 
     def jacobi_defect(self, i: int, j: int, k: int) -> Vec:
         """[[i,j],k] + braided cyclic terms; zero exactly when Jacobi holds."""
-        p = self.parity
-
-        def term(a: int, b: int, c: int) -> Vec:
-            inner = self.bracket_basis(a, b)
-            out: Vec = {}
-            for m, cm in inner.items():
-                for r, cr in self.bracket_basis(m, c).items():
-                    s = out.get(r, F0) + cm * cr
-                    if s:
-                        out[r] = s
-                    else:
-                        out.pop(r, None)
-            return out
-
-        total: Vec = {}
-        for vec, sign_exp in (
-            (term(i, j, k), 0),
-            (term(j, k, i), p[i] * (p[j] + p[k])),
-            (term(k, i, j), p[k] * (p[i] + p[j])),
+        p, bracket = self.parity, self.bracket
+        total = times_basis(bracket, self.bracket_basis(i, j), k)
+        for (a, b, c), sign_exp in (
+            ((j, k, i), p[i] * (p[j] + p[k])),
+            ((k, i, j), p[k] * (p[i] + p[j])),
         ):
             sign = -F1 if sign_exp & 1 else F1
-            for r, c in vec.items():
-                s = total.get(r, F0) + sign * c
-                if s:
-                    total[r] = s
-                else:
-                    total.pop(r, None)
+            add_into(total, times_basis(bracket, self.bracket_basis(a, b), c), sign)
         return total
 
     def check_jacobi(self) -> None:

@@ -68,10 +68,6 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1])
-
-
 def nullspace(matrix: Matrix) -> list[Vector]:
     """Basis of the right kernel, one vector per free column."""
     if not matrix:

@@ -99,6 +99,8 @@ class _Parser:
             kind2, value2, pos2 = self.take()
             if kind2 != "num":
                 raise ParseError("expected a denominator", pos2)
+            if int(value2) == 0:
+                raise ParseError("zero denominator", pos2)
             return Fraction(num, int(value2))
         return Fraction(num)
 

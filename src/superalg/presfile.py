@@ -47,8 +47,10 @@ def parse_presentation(text: str, name: str = "") -> HopfPresentation:
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
         if head in ("even", "odd"):
-            names = [n.strip() for n in rest.split(",") if n.strip()]
-            (evens if head == "even" else odds).extend(names)
+            for gen in (n.strip() for n in rest.split(",") if n.strip()):
+                if gen in evens or gen in odds:
+                    raise ParseError(f"duplicate generator {gen!r}", 0)
+                (evens if head == "even" else odds).append(gen)
         elif head in ("delta", "eps", "antipode"):
             if head == "antipode" and rest == "pointwise":
                 pointwise = True

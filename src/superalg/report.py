@@ -54,12 +54,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=str)
 
-    def stable_json(self) -> str:
-        """Deterministic serialisation: the timing fields are dropped."""
-        data = self.to_dict()
-        data.pop("timings", None)
-        return json.dumps(data, sort_keys=True, indent=2, default=str)
-
     def summary_lines(self) -> list[str]:
         lines = [f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}"]
         for check in self.checks:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -131,6 +132,35 @@ def test_out_of_range_point_arguments_exit_2(command, flag, value, bound, capsys
     assert flag in err and bound in err
 
 
+@pytest.mark.parametrize("argv, flag, bound", [
+    ("hy --order 0", "--order", ">= 1"),
+    ("verify exterior --dim -1", "--dim", ">= 0"),
+    ("verify exterior --max-dual -1", "--max-dual", ">= 0"),
+    ("verify integrals --dim -1", "--dim", ">= 0"),
+    ("verify bosonize --dim -1", "--dim", ">= 0"),
+    ("envelope --d -1", "--d", ">= 0"),
+    ("envelope --r 0", "--r", ">= 1"),
+    ("envelope --abelian -1 2", "--abelian", ">= 0"),
+    ("hcpair --r 0", "--r", ">= 1"),
+    ("hcpair --transvections 0", "--transvections", ">= 1"),
+])
+def test_out_of_range_size_arguments_exit_2(argv, flag, bound, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert flag in err and bound in err
+
+
+def test_decompose_without_odd_generators_passes(tmp_path):
+    # with no odd generators P = Q = 0, so the naive-coordinate control
+    # cannot move and is not counted as a failure
+    code, data = run(["decompose", "--m", "1", "--n", "1", "--thetas", "0",
+                      "--points", "3", "--seed", "1"], tmp_path)
+    assert code == 0 and data["ok"] is True
+
+
 def test_zero_sizes_are_accepted(tmp_path):
     code, data = run(["verify", "gl", "--m", "2", "--n", "0", "--thetas", "0",
                       "--points", "3", "--seed", "1"], tmp_path)
@@ -146,7 +176,9 @@ def test_missing_file_is_exit_2(tmp_path):
 
 
 def test_golden_exterior_presentation():
-    pres = load_presentation(builtin_presentation_path("exterior_2.shp"))
+    path = builtin_presentation_path("exterior_2.shp")
+    pres = load_presentation(path)
+    assert pres.name == path
     expected = exterior_hopf(2)
     assert pres.gens == expected.gens
     assert pres.delta == expected.delta
@@ -198,6 +230,33 @@ def test_unknown_symbol_has_position():
     assert info.value.position >= 0
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("odd v1, v1;\ndelta v1 = v1 @ 1 + 1 @ v1;\neps v1 = 0;\nantipode v1 = -v1;\n",
+     ParseError, "duplicate generator 'v1'"),
+    ("even x; odd x;\ndelta x = x @ 1 + 1 @ x;\neps x = 0;\nantipode x = -x;\n",
+     ParseError, "duplicate generator 'x'"),
+    ("odd v1;\ndelta v1 = 1/0*v1 @ 1 + 1 @ v1;\neps v1 = 0;\nantipode v1 = -v1;\n",
+     ParseError, "zero denominator"),
+    ("odd v1;\ndelta v1 = v1 @ 1 + 1 @ v1;\neps v1 = 0;\n",
+     PresentationError, "missing antipode image for v1"),
+])
+def test_malformed_file_is_exit_2(text, error, message, tmp_path, capsys):
+    path = tmp_path / "bad.shp"
+    path.write_text(text)
+    assert main(["verify", "exterior", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    with pytest.raises(error):
+        parse_presentation(text)
+
+
+def test_zero_denominator_has_its_position():
+    with pytest.raises(ParseError) as info:
+        parse_presentation("odd v1;\ndelta v1 = 1/0*v1 @ 1 + 1 @ v1;\neps v1 = 0;\nantipode v1 = -v1;")
+    # positions count within the expression "1/0*v1 @ 1 + 1 @ v1"
+    assert info.value.position == 2
+
+
 CORRUPTED = """
 odd v1;
 delta v1 = 1 @ v1;
@@ -221,3 +280,24 @@ def test_corrupted_file_fails_with_witness_and_replays(tmp_path):
     report = check_hopf_axioms(load_presentation(str(path)))
     replayed = {c.name for c in report.failures()}
     assert any(c["name"].split(":")[-1] in replayed for c in failing)
+
+
+# --- golden reports: the JSON report without ``timings`` stays byte-identical
+
+GOLDEN = {
+    "verify exterior --dim 3": "dfe43d51cc08396595afe7e751446a0fd572a09040be8b9241c0e7ea21e5895c",
+    "verify bosonize --dim 2": "54782958c977c08fdb4685a4682156009e81a44c68ed8bc8cbfbc8a6d8bb5515",
+    "verify integrals --dim 3": "cf1037d68cd9ecb88a31e88bbc3cdd3b3eec28d2f696accd79ce5b1b0293bda5",
+    "hy --target gl11 --order 4": "9bfb65827b9599074f4dfa7c298a9420497f0d79b109970040ae33d165d7b712",
+    "hcpair --r 1 --seed 1": "8d5347efb6111f249fa2bcebb542f850d35fe1dd7acd8542a1ec71dcc95b55f2",
+    "envelope --r 1 --d 3": "e837215cf4c4daf3179e0cfeff143d810e8f5e9cb60f8351e368d0ad77054e36",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_report_without_timings_is_golden(argv, tmp_path):
+    code, data = run(argv.split(), tmp_path)
+    assert code == 0
+    data.pop("timings")
+    text = json.dumps(data, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv]

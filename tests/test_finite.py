@@ -38,6 +38,25 @@ def test_exterior_tables_satisfy_super_axioms(n):
     assert check_finite_hopf_axioms(exterior_finite(n)).ok
 
 
+@pytest.mark.parametrize("n, key, cell, failures", [
+    # 1 v1 = 2 v1: the unit law and (1 1) v1 = 2 v1 != 4 v1 = 1 (1 v1)
+    (2, (0, 1), {1: Fraction(2)}, {
+        "unit": "unit law fails at v1",
+        "associativity": "associativity fails at (1, 1, v1)",
+    }),
+    # v1 v2 = 2 v1v2: (v1 v2) v3 = 2 v1v2v3 != v1 (v2 v3)
+    (3, (1, 2), {4: Fraction(2)}, {"associativity": "associativity fails at (v1, v2, v3)"}),
+])
+def test_corrupted_constant_fails_with_first_triple(n, key, cell, failures):
+    hopf = exterior_finite(n)
+    hopf.mult[key] = cell
+    report = check_finite_hopf_axioms(hopf)
+    assert not report.ok
+    witnesses = {c.name: c.witness for c in report.failures()}
+    for name, witness in failures.items():
+        assert witnesses[name] == witness
+
+
 def test_pairing_dual_basis_examples():
     gens = exterior_hopf(2).gens
     f12 = SuperPoly.monomial(gens, SuperMonomial((), (0, 1)))

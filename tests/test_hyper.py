@@ -17,6 +17,8 @@ from superalg import (
     super_pbw_count,
     truncated_dual,
 )
+from superalg.liealg import StructureError
+
 GA11 = additive_presentation(1, 1)
 GL11 = glmn_presentation(1, 1)
 
@@ -118,6 +120,20 @@ def test_primitives_need_order_three():
 @pytest.mark.parametrize("pres", [GA11, GL11])
 def test_product_tables_associative_unital(pres):
     truncated_dual(pres, 4).check_associative_unital()
+
+
+@pytest.mark.parametrize("key, cell, message", [
+    # D[p11] D[y11] = D[p11] + D[y11*p11], with the first constant tripled
+    ((1, 3), {1: Fraction(3), 6: Fraction(1)}, "associativity fails at (D[p11], D[q11], D[p11])"),
+    ((0, 2), {2: Fraction(2)}, "unit law fails at D[q11]"),
+    ((2, 0), {2: Fraction(-1)}, "unit law fails at D[q11]"),
+])
+def test_corrupted_product_raises_with_first_triple(key, cell, message):
+    dual = truncated_dual(GL11, 3)
+    dual.product[key] = cell
+    with pytest.raises(StructureError) as info:
+        dual.check_associative_unital()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("pres", [GA11, GL11])
