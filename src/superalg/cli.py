@@ -23,6 +23,7 @@ from .finite import (
     dual_iso_check,
     exterior_finite,
     exterior_pairing,
+    finite_from_presentation,
     integral_space,
     is_right_integral,
     pairing_on_sequences,
@@ -128,7 +129,8 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
 
     n = len(pres.gens.odds) if path else dim
     if not pres.gens.evens and n <= max_dual:
-        ok, detail = dual_iso_check(n)
+        primal = finite_from_presentation(pres) if path else None
+        ok, detail = dual_iso_check(n, primal)
         report.extend(detail, prefix=f"duality[n={n}]")
         report.add_check("pairing-oracle", _pairing_oracle_agrees(n))
     return report

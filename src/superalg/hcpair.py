@@ -57,17 +57,14 @@ def sp_basis(r: int) -> SymplecticData:
     rows = []
     for a in range(size):
         for b in range(a + 1, size):
-            row = [F0] * (size * size)
-            for k in range(size):
-                row[a * size + k] += J[k][b]
-                row[b * size + k] -= J[k][a]
+            row = {a * size + k: J[k][b] for k in range(size) if J[k][b]}
+            row.update({b * size + k: -J[k][a] for k in range(size) if J[k][a]})
             rows.append(row)
-    basis_vectors = linalg.nullspace(rows)
     basis = []
-    for vec in basis_vectors:
-        lead = next(c for c in vec if c)
-        vec = [c / lead for c in vec]
-        basis.append([[vec[i * size + j] for j in range(size)] for i in range(size)])
+    for vec in linalg.nullspace(rows, size * size):
+        lead = vec[min(vec)]
+        basis.append([[vec.get(i * size + j, F0) / lead for j in range(size)]
+                      for i in range(size)])
     labels = [f"X{i + 1}" for i in range(len(basis))]
     return SymplecticData(r=r, J=J, basis=basis, labels=labels)
 
@@ -78,11 +75,9 @@ def _flatten(matrix: Matrix) -> list[Fraction]:
 
 def _coords_in(basis: list[Matrix], matrix: Matrix) -> Vec | None:
     columns = [_flatten(b) for b in basis]
-    span = [[columns[j][i] for j in range(len(basis))] for i in range(len(columns[0]))]
-    coords = linalg.solve(span, _flatten(matrix))
-    if coords is None:
-        return None
-    return {i: c for i, c in enumerate(coords) if c}
+    span = [{j: col[i] for j, col in enumerate(columns) if col[i]}
+            for i in range(len(columns[0]))]
+    return linalg.solve(span, _flatten(matrix), len(basis))
 
 
 def _commutator(a: Matrix, b: Matrix) -> Matrix:

@@ -446,10 +446,8 @@ def compute_W(pres: HopfPresentation, degree_bound: int | None = None) -> OddCot
             if prod is None:
                 continue
             sign, mono = prod
-            row = [F0] * len(odd_monos)
-            row[index[mono]] = F1 if sign > 0 else -F1
-            rows.append(row)
-    _, pivots = linalg.rref(rows) if rows else ([], [])
+            rows.append({index[mono]: sign})
+    _, pivots = linalg.rref(rows)
     pivot_set = set(pivots)
     basis_monos = [m for i, m in enumerate(odd_monos) if i not in pivot_set]
     names = []

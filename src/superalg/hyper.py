@@ -194,20 +194,16 @@ def primitives(dual: TruncatedDual) -> tuple[SuperLieAlgebraData, list[Vec]]:
     vectors: list[Vec] = []
     for wanted in (EVEN, ODD):
         idxs = [i for i in range(dim) if dual.parity[i] == wanted]
-        cols = {i: c for c, i in enumerate(idxs)}
-        rows: dict[tuple[int, int], list[Fraction]] = {}
-        for i in idxs:
-            for (j, k), c in dual.coproduct.get(i, {}).items():
-                rows.setdefault((j, k), [F0] * len(idxs))[cols[i]] += c
-        # subtract the primitive pattern u (x) eps + eps (x) u
-        for i in idxs:
-            rows.setdefault((i, eps), [F0] * len(idxs))[cols[i]] -= F1
-            rows.setdefault((eps, i), [F0] * len(idxs))[cols[i]] -= F1
-        matrix = [row for row in rows.values()]
-        for vec in linalg.nullspace(matrix):
-            lead = next((c for c in vec if c), None)
-            vec = [c / lead for c in vec]
-            vectors.append({idxs[c]: v for c, v in enumerate(vec) if v})
+        rows: dict[tuple[int, int], Vec] = {}
+        for col, i in enumerate(idxs):
+            for key, c in dual.coproduct.get(i, {}).items():
+                add_into(rows.setdefault(key, {}), {col: c})
+            # subtract the primitive pattern u (x) eps + eps (x) u
+            add_into(rows.setdefault((i, eps), {}), {col: -F1})
+            add_into(rows.setdefault((eps, i), {}), {col: -F1})
+        for vec in linalg.nullspace(list(rows.values()), len(idxs)):
+            lead = vec[min(vec)]
+            vectors.append({idxs[c]: vec[c] / lead for c in sorted(vec)})
 
     # order primitives deterministically by their leading basis index
     vectors.sort(key=lambda v: min(v))
@@ -219,21 +215,21 @@ def primitives(dual: TruncatedDual) -> tuple[SuperLieAlgebraData, list[Vec]]:
         parity.append(dual.parity[lead])
 
     # bracket in the dual, re-expressed in the primitive basis
-    span_matrix = [[vec.get(i, F0) for vec in vectors] for i in range(dim)]
+    span_matrix = [{a: vec[i] for a, vec in enumerate(vectors) if i in vec} for i in range(dim)]
     bracket: dict[tuple[int, int], Vec] = {}
     for a, u in enumerate(vectors):
         for b, v in enumerate(vectors):
             sign = -F1 if not (parity[a] and parity[b]) else F1
             comm = product(dual.product, u, v)
             add_into(comm, product(dual.product, v, u), sign)
-            coords = linalg.solve(span_matrix, [comm.get(i, F0) for i in range(dim)])
+            coords = linalg.solve(span_matrix, [comm.get(i, F0) for i in range(dim)],
+                                  len(vectors))
             if coords is None:
                 raise StructureError(
                     f"bracket [{labels[a]}, {labels[b]}] escapes the primitive subspace"
                 )
-            entry = {k: c for k, c in enumerate(coords) if c}
-            if entry:
-                bracket[(a, b)] = entry
+            if coords:
+                bracket[(a, b)] = coords
     data = SuperLieAlgebraData(labels=labels, parity=parity, bracket=bracket)
     data.validate()
     return data, vectors

@@ -1,11 +1,20 @@
-"""Exact linear algebra over the rationals (dense, list-of-lists)."""
+"""Exact linear algebra over the rationals on sparse rows.
+
+A row is a ``dict`` from column to a nonzero ``int`` or ``Fraction``.
+``rref`` is the one elimination; the reduced row echelon form is unique, so
+``nullspace``, ``solve`` and ``invert`` (dense square matrices, for
+``grassmann`` and ``hcpair``) read exact ``Fraction`` answers off it.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
+from .table import add_into
+
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Row = dict[int, Fraction]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -42,69 +51,66 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [row[:] for row in matrix]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
+def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form: its nonzero rows by pivot, and the pivot columns.
+
+    Each row is reduced by the pivot rows it meets; a nonzero remainder
+    becomes a pivot row on its leftmost column, which is then cleared from
+    the other pivot rows.  That column is not yet a pivot column, so the
+    pivots are those of the reduced row echelon form.  ``rows`` is not
+    modified.
+    """
+    pivot_rows: dict[int, Row] = {}
+    for row in rows:
+        hits = [c for c in row if c in pivot_rows]
+        if hits:
+            row = dict(row)
+            for c in hits:  # pivot rows vanish on each other's pivot columns
+                add_into(row, pivot_rows[c], -row[c])
+        if not row:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = F1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        lead = min(row)
+        inv = F1 / row[lead]
+        row = {k: v * inv for k, v in row.items()}
+        for other in pivot_rows.values():
+            if lead in other:
+                add_into(other, row, -other[lead])
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
 
 
-def nullspace(matrix: Matrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column."""
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [F0] * cols
-        v[fc] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
+def nullspace(rows: list[Row], cols: int) -> list[Row]:
+    """Basis of the right kernel in ``cols`` unknowns, one vector per free column."""
+    reduced, pivots = rref(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc not in pivot_set:
+            vec = {fc: F1}
+            vec.update((pc, -row[fc]) for pc, row in zip(pivots, reduced) if fc in row)
+            basis.append(vec)
     return basis
 
 
+def solve(rows: list[Row], rhs: Sequence[Fraction], cols: int) -> Row | None:
+    """One exact solution of rows . x = rhs in ``cols`` unknowns, or None.
+
+    The solution is sparse and sets every free unknown to zero.
+    """
+    aug = [{**row, cols: b} if b else row for row, b in zip(rows, rhs)]
+    reduced, pivots = rref(aug)
+    if pivots and pivots[-1] == cols:
+        return None
+    return {pc: row[cols] for pc, row in zip(pivots, reduced) if cols in row}
+
+
 def invert(matrix: Matrix) -> Matrix | None:
-    """Exact inverse, or None if singular."""
+    """Exact inverse of a dense square matrix, or None if singular."""
     n = len(matrix)
-    aug = [matrix[i][:] + identity(n)[i] for i in range(n)]
+    aug = [{**{j: c for j, c in enumerate(line) if c}, n + i: F1}
+           for i, line in enumerate(matrix)]
     reduced, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in reduced[:n]]
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if not any(b) else None
-    cols = len(a[0])
-    aug = [a[i][:] + [b[i]] for i in range(len(a))]
-    reduced, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [F0] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][cols]
-    return x
+    return [[row.get(n + j, F0) for j in range(n)] for row in reduced]

@@ -10,6 +10,7 @@ Format, one statement per ``;``, ``#`` starts a line comment:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .core import GeneratorSet, SuperPoly
@@ -24,26 +25,24 @@ from .parsing import (
 )
 
 
-def _strip_comments(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        hash_pos = line.find("#")
-        lines.append(line if hash_pos < 0 else line[:hash_pos])
-    return "\n".join(lines)
+def _statements(text: str) -> list[tuple[int, str]]:
+    """Each nonempty ``;``-separated statement with the position where it starts."""
+    text = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)  # keeps positions
+    return [(m.start(), m.group().rstrip()) for m in re.finditer(r"[^;\s][^;]*", text)]
 
 
 def parse_presentation(text: str, name: str = "") -> HopfPresentation:
     """Parse the documented presentation syntax into a HopfPresentation.
 
     Diagnostics name the offending generator (parity-inconsistent coproduct,
-    nonvanishing odd counit) or carry the position of an unknown symbol.
+    nonvanishing odd counit, a repeated delta, eps or antipode statement) or
+    carry the position of an unknown symbol or of the repeated statement.
     """
-    statements = [s.strip() for s in _strip_comments(text).split(";") if s.strip()]
     evens: list[str] = []
     odds: list[str] = []
-    body: list[tuple[str, str, str]] = []
+    body: list[tuple[str, str, str, int]] = []
     pointwise = False
-    for stmt in statements:
+    for position, stmt in _statements(text):
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
         if head in ("even", "odd"):
@@ -58,7 +57,7 @@ def parse_presentation(text: str, name: str = "") -> HopfPresentation:
             target, eq, expr = rest.partition("=")
             if not eq:
                 raise ParseError(f"malformed {head} statement {stmt!r}", 0)
-            body.append((head, target.strip(), expr.strip()))
+            body.append((head, target.strip(), expr.strip(), position))
         else:
             raise ParseError(f"unknown statement {head!r}", 0)
 
@@ -66,9 +65,12 @@ def parse_presentation(text: str, name: str = "") -> HopfPresentation:
     delta: dict[str, object] = {}
     counit: dict[str, Fraction] = {}
     antipode: dict[str, SuperPoly] = {}
-    for kind, target, expr in body:
+    given = {"delta": delta, "eps": counit, "antipode": antipode}
+    for kind, target, expr, position in body:
         if target not in gens:
             raise ParseError(f"unknown generator {target!r} in {kind} statement", 0)
+        if target in given[kind]:
+            raise ParseError(f"duplicate {kind} for {target!r}", position)
         if kind == "delta":
             delta[target] = parse_tensor(gens, expr, slots=2)
         elif kind == "eps":

@@ -6,14 +6,14 @@ with no zero coefficients.  The Hopf tables (``finite``), the truncated
 hyperalgebra (``hyper``), the PBW envelope (``hcpair``) and the super Lie
 bracket (``liealg``) all hold their products in this form, and their unit,
 associativity and Jacobi checks run on the loops below.  Each loop looks up
-``e_i e_j`` once per pair and accumulates in place.
+``e_i e_j`` once per pair and accumulates in place, starting from the first
+term rather than from a ``Fraction`` zero: ``int`` tables (the +-1 exterior
+tables) stay in ``int`` and ``Fraction`` tables in ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .core import F0, F1
 
 Vec = dict[int, Fraction]
 Table = dict[tuple[int, int], Vec]
@@ -21,12 +21,14 @@ Table = dict[tuple[int, int], Vec]
 _EMPTY: Vec = {}
 
 
-def add_into(out: dict, vec: dict, scale: Fraction = F1) -> None:
+def add_into(out: dict, vec: dict, scale: Fraction | int = 1) -> None:
     """out += scale * vec in place, dropping coefficients that cancel."""
     if not scale:
         return
     for k, c in vec.items():
-        s = out.get(k, F0) + scale * c
+        x = scale * c
+        s = out.get(k)
+        s = x if s is None else s + x
         if s:
             out[k] = s
         else:
@@ -52,7 +54,9 @@ def product(table: Table, u: Vec, v: Vec) -> Vec:
                 continue
             c = ci * cj
             for k, ck in cell.items():
-                s = out.get(k, F0) + c * ck
+                x = c * ck
+                s = out.get(k)
+                s = x if s is None else s + x
                 if s:
                     out[k] = s
                 else:
@@ -62,36 +66,24 @@ def product(table: Table, u: Vec, v: Vec) -> Vec:
 
 def times_basis(table: Table, u: Vec, k: int) -> Vec:
     """u e_k."""
-    get = table.get
     out: Vec = {}
     for i, c in u.items():
-        for r, cr in get((i, k), _EMPTY).items():
-            s = out.get(r, F0) + c * cr
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
+        add_into(out, table.get((i, k), _EMPTY), c)
     return out
 
 
 def basis_times(table: Table, i: int, v: Vec) -> Vec:
     """e_i v."""
-    get = table.get
     out: Vec = {}
     for j, c in v.items():
-        for r, cr in get((i, j), _EMPTY).items():
-            s = out.get(r, F0) + c * cr
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
+        add_into(out, table.get((i, j), _EMPTY), c)
     return out
 
 
 def first_nonunital(table: Table, dim: int, unit: Vec) -> int | None:
     """The first index i with 1 e_i != e_i or e_i 1 != e_i, else None."""
     for i in range(dim):
-        e = {i: F1}
+        e = {i: 1}
         if times_basis(table, unit, i) != e or basis_times(table, i, unit) != e:
             return i
     return None
@@ -124,7 +116,9 @@ def first_nonassociative(
                 lhs: Vec = {}
                 for t, c in ij.items():
                     for r, cr in get((t, k), _EMPTY).items():
-                        s = lhs.get(r, F0) + c * cr
+                        x = c * cr
+                        s = lhs.get(r)
+                        s = x if s is None else s + x
                         if s:
                             lhs[r] = s
                         else:
@@ -132,7 +126,9 @@ def first_nonassociative(
                 rhs: Vec = {}
                 for t, c in get((j, k), _EMPTY).items():
                     for r, cr in get((i, t), _EMPTY).items():
-                        s = rhs.get(r, F0) + c * cr
+                        x = c * cr
+                        s = rhs.get(r)
+                        s = x if s is None else s + x
                         if s:
                             rhs[r] = s
                         else:

@@ -282,6 +282,57 @@ def test_corrupted_file_fails_with_witness_and_replays(tmp_path):
     assert any(c["name"].split(":")[-1] in replayed for c in failing)
 
 
+def test_corrupted_file_fails_its_own_duality_check(tmp_path):
+    # duality is checked on the file's tables, not on the canonical L(1)
+    path = tmp_path / "broken.shp"
+    path.write_text(CORRUPTED)
+    code, data = run(["verify", "exterior", "--file", str(path)], tmp_path)
+    assert code == 1
+    status = {c["name"]: c["status"] for c in data["checks"]}
+    duality = {name: st for name, st in status.items() if name.startswith("duality[n=1]:")}
+    assert duality and "fail" in duality.values()
+    assert status["duality[n=1]:dual-satisfies-super-hopf-axioms"] == "fail"
+
+
+def test_pointwise_antipode_file_has_no_antipode_to_dualize(tmp_path):
+    path = tmp_path / "pointwise.shp"
+    path.write_text("odd v1;\ndelta v1 = v1 @ 1 + 1 @ v1;\neps v1 = 0;\nantipode pointwise;\n")
+    code, data = run(["verify", "exterior", "--file", str(path)], tmp_path)
+    assert code == 1
+    checks = {c["name"]: c for c in data["checks"]}
+    assert checks["duality[n=1]:algebra-morphism"]["status"] == "pass"
+    assert checks["duality[n=1]:antipode-preserved"]["status"] == "fail"
+    assert checks["duality[n=1]:antipode-preserved"]["witness"] == "no antipode table"
+
+
+def test_builtin_file_passes_its_own_duality_check(tmp_path):
+    path = builtin_presentation_path("exterior_2.shp")
+    code, data = run(["verify", "exterior", "--file", path], tmp_path)
+    assert code == 0
+    assert any(c["name"].startswith("duality[n=2]:") for c in data["checks"])
+
+
+REPEATED = {
+    "delta": "delta v1 = v1 @ 1 + 1 @ v1;\n",
+    "eps": "eps v1 = 0;\n",
+    "antipode": "antipode v1 = -v1;\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED))
+def test_repeated_statement_is_exit_2(kind, tmp_path, capsys):
+    text = "odd v1;\n" + "".join(REPEATED.values()) + "# repeated:\n" + REPEATED[kind]
+    path = tmp_path / "repeated.shp"
+    path.write_text(text)
+    assert main(["verify", "exterior", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"duplicate {kind} for 'v1'" in err
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    # the position is that of the second statement, in the file's own text
+    assert info.value.position == text.rindex(kind)
+
+
 # --- golden reports: the JSON report without ``timings`` stays byte-identical
 
 GOLDEN = {

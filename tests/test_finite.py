@@ -172,3 +172,38 @@ def test_integral_dimension_parity_and_antipode(n):
     assert is_left_integral(hopf, space.basis[0])
     composed = compose_with_antipode(hopf, space.basis[0])
     assert is_right_integral(hopf, composed)
+
+
+def _coefficient_types(hopf):
+    found = set()
+    for table in (hopf.mult, hopf.delta, hopf.antipode):
+        for vec in table.values():
+            found.update(type(c) for c in vec.values())
+    return found
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_exterior_dual_and_bosonization_tables_are_int(n):
+    hopf = exterior_finite(n)
+    assert _coefficient_types(hopf) == {int}
+    assert _coefficient_types(dual_hopf(hopf)) == {int}
+    assert _coefficient_types(bosonize(hopf)) == {int}
+
+
+def test_hyperalgebra_and_envelope_tables_stay_fraction():
+    from superalg import glmn_presentation, spo_pair, truncated_dual
+
+    dual = truncated_dual(glmn_presentation(1, 1), 3)
+    assert {type(c) for vec in dual.product.values() for c in vec.values()} == {Fraction}
+    pair = spo_pair(2)
+    for table in (pair.g0_bracket, pair.vbracket):
+        assert {type(c) for vec in table.values() for c in vec.values()} == {Fraction}
+    assert {type(c) for mat in pair.action for row in mat for c in row} == {Fraction}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
+def test_integral_of_int_tables_is_fraction(n):
+    space = integral_space(exterior_finite(n))
+    assert space.basis == [{2 ** n - 1: 1}]
+    for vec in space.basis + space.right_basis:
+        assert all(type(c) is Fraction for c in vec.values())

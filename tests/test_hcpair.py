@@ -206,10 +206,11 @@ def osp_realization(r):
 
 def matrix_coords(basis, matrix):
     flat_basis = [[e for row in b for e in row] for b in basis]
-    span = [[flat_basis[j][i] for j in range(len(basis))] for i in range(len(flat_basis[0]))]
-    coords = la.solve(span, [e for row in matrix for e in row])
+    span = [{j: flat[i] for j, flat in enumerate(flat_basis) if flat[i]}
+            for i in range(len(flat_basis[0]))]
+    coords = la.solve(span, [e for row in matrix for e in row], len(basis))
     assert coords is not None
-    return {i: c for i, c in enumerate(coords) if c}
+    return coords
 
 
 @pytest.mark.parametrize("r", [1, 2])
