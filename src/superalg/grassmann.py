@@ -379,9 +379,6 @@ class SuperMatrix:
                     return False
         return True
 
-    def body_matrix(self) -> linalg.Matrix:
-        return _matrix_body(self.rows)
-
     def is_gl_point(self) -> bool:
         """Parity pattern holds and both diagonal body blocks are invertible."""
         if not self.parity_pattern_ok():
@@ -396,7 +393,7 @@ class SuperMatrix:
 
     def inv(self) -> SuperMatrix:
         """Exact two-sided inverse (body inversion plus nilpotent series)."""
-        if not self.is_gl_point():
+        if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
         rows = grassmann_matrix_inv(self.rows, self.alg)
         return SuperMatrix(self.m, self.n, self.alg, rows)
@@ -408,7 +405,7 @@ class SuperMatrix:
         S(P) = -X^-1 P S(Y),        S(Q) = -Y^-1 Q S(X).
         Must equal ``inv()`` exactly.
         """
-        if not self.is_gl_point():
+        if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
         x, p, q, y = _split(_to_ints(self.rows), self.m)
         x_inv, y_inv = _int_inv(x), _int_inv(y)
@@ -430,7 +427,7 @@ class SuperMatrix:
         All entries of p', q' are odd and the point is recovered exactly via
         P = X p', Q = Y q'; the identity decomposes as (identity, 0, 0).
         """
-        if not self.is_gl_point():
+        if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
         x, p, q, y = _split(_to_ints(self.rows), self.m)
         gens = self.alg.gens

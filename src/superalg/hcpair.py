@@ -69,15 +69,10 @@ def sp_basis(r: int) -> SymplecticData:
     return SymplecticData(r=r, J=J, basis=basis, labels=labels)
 
 
-def _flatten(matrix: Matrix) -> list[Fraction]:
-    return [entry for row in matrix for entry in row]
-
-
-def _coords_in(basis: list[Matrix], matrix: Matrix) -> Vec | None:
-    columns = [_flatten(b) for b in basis]
-    span = [{j: col[i] for j, col in enumerate(columns) if col[i]}
-            for i in range(len(columns[0]))]
-    return linalg.solve(span, _flatten(matrix), len(basis))
+def _entries(matrix: Matrix) -> Vec:
+    """A matrix as a sparse vector in the row-major unknowns of ``sp_basis``."""
+    size = len(matrix)
+    return {i * size + j: c for i, row in enumerate(matrix) for j, c in enumerate(row) if c}
 
 
 def _commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -112,14 +107,6 @@ class HCPair:
     @property
     def g0_dim(self) -> int:
         return len(self.g0_labels)
-
-    def act(self, v: list[Fraction], k: int) -> list[Fraction]:
-        row = [F0] * self.v_dim
-        for a in range(self.v_dim):
-            if v[a]:
-                for b in range(self.v_dim):
-                    row[b] += v[a] * self.action[k][a][b]
-        return row
 
 
 def validate_hcpair(pair: HCPair) -> list[str]:
@@ -181,10 +168,11 @@ def spo_pair(r: int, half: bool = True) -> HCPair:
     """
     data = sp_basis(r)
     size = 2 * r
+    coords_in = linalg.span_coordinates([_entries(b) for b in data.basis])
     g0_bracket: dict[tuple[int, int], Vec] = {}
     for i in range(data.dimension):
         for j in range(data.dimension):
-            coords = _coords_in(data.basis, _commutator(data.basis[i], data.basis[j]))
+            coords = coords_in(_entries(_commutator(data.basis[i], data.basis[j])))
             if coords is None:
                 raise StructureError("sp basis is not closed under commutators")
             if coords:
@@ -198,7 +186,7 @@ def spo_pair(r: int, half: bool = True) -> HCPair:
             for i in range(size):
                 matrix[i][b] += scale * data.J[i][a]
                 matrix[i][a] += scale * data.J[i][b]
-            coords = _coords_in(data.basis, matrix)
+            coords = coords_in(_entries(matrix))
             if coords is None:
                 raise StructureError("odd bracket does not land in sp")
             if coords:

@@ -96,37 +96,18 @@ class HopfPresentation:
 
     # --- morphism extensions -------------------------------------------------
 
-    def delta_monomial(self, mono: SuperMonomial, leg_degree_bound: int | None = None) -> TensorPoly:
-        """Coproduct of a normal monomial, extended multiplicatively.
-
-        ``leg_degree_bound`` drops tensor terms as soon as either leg exceeds
-        the bound; sound because multiplying by further generator images never
-        lowers a leg degree.
-        """
-        cached = self._delta_cache.get(mono) if leg_degree_bound is None else None
-        if cached is not None:
-            return cached
-        result = TensorPoly.unit((self.gens, self.gens))
-        for pos, exp in enumerate(mono.evens):
-            for _ in range(exp):
-                result = result * self.delta[self.gens.evens[pos]]
-                if leg_degree_bound is not None:
-                    result = self._truncate_legs(result, leg_degree_bound)
-        for pos in mono.odds:
-            result = result * self.delta[self.gens.odds[pos]]
-            if leg_degree_bound is not None:
-                result = self._truncate_legs(result, leg_degree_bound)
-        if leg_degree_bound is None:
-            self._delta_cache[mono] = result
-        return result
-
-    def _truncate_legs(self, tensor: TensorPoly, bound: int) -> TensorPoly:
-        terms = {
-            key: c
-            for key, c in tensor.terms.items()
-            if all(m.degree(g) <= bound for m, g in zip(key, tensor.gens))
-        }
-        return TensorPoly(tensor.gens, terms)
+    def delta_monomial(self, mono: SuperMonomial) -> TensorPoly:
+        """Coproduct of a normal monomial, extended multiplicatively (memoised)."""
+        cached = self._delta_cache.get(mono)
+        if cached is None:
+            cached = TensorPoly.unit((self.gens, self.gens))
+            for pos, exp in enumerate(mono.evens):
+                for _ in range(exp):
+                    cached = cached * self.delta[self.gens.evens[pos]]
+            for pos in mono.odds:
+                cached = cached * self.delta[self.gens.odds[pos]]
+            self._delta_cache[mono] = cached
+        return cached
 
     def delta_of(self, poly: SuperPoly) -> TensorPoly:
         out = TensorPoly.zero((self.gens, self.gens))
@@ -145,9 +126,6 @@ class HopfPresentation:
                     return F0
                 value *= base ** exp
         return value
-
-    def counit_of(self, poly: SuperPoly) -> Fraction:
-        return sum((c * self.counit_monomial(m) for m, c in poly.terms.items()), F0)
 
     def antipode_of(self, poly: SuperPoly) -> SuperPoly:
         if self.antipode is None:

@@ -10,12 +10,15 @@ are exact; the chain of truncations represents the union.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+
 from . import linalg
-from .core import F0, F1, EVEN, ODD, SuperMonomial, mul_monomials
+from .core import F1, EVEN, ODD, SuperMonomial, mul_monomials
 from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
+from .parsing import format_monomial
 from .table import add_into, first_nonassociative, first_nonunital, product
 
 Vec = dict[int, Fraction]
@@ -64,7 +67,6 @@ class TruncatedDual:
         over the rationals, and u = counit on all monomials.  The direct
         group-like property of the counit is checked from the tables.
         """
-        eps = {self.unit_index: F1}
         # coproduct of eps must be eps (x) eps, and eps(1) = 1
         image = self.coproduct.get(self.unit_index, {})
         if image != {(self.unit_index, self.unit_index): F1}:
@@ -75,14 +77,9 @@ class TruncatedDual:
                 continue  # odd squares vanish identically, forcing c_g = 0
             exps = [0] * len(gens.evens)
             exps[gens.position(name)] = self.order
-            if self._reduce(SuperMonomial(tuple(exps), ())):
+            if SuperMonomial(tuple(exps), ()) in self._index:
                 return False  # power survives the truncation: no certificate
         return True
-
-    def _reduce(self, mono: SuperMonomial) -> Vec:
-        if mono in self._index:
-            return {self._index[mono]: F1}
-        return {}
 
     def embeds_in(self, larger: TruncatedDual) -> bool:
         """Compatibility of the inclusion into the next-order dual.
@@ -134,41 +131,29 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
         key=lambda m: (m.degree(gens), m.evens, m.odds),
     )
     index = {m: i for i, m in enumerate(basis)}
-    labels = []
-    for m in basis:
-        parts = []
-        for pos, exp in enumerate(m.evens):
-            if exp == 1:
-                parts.append(gens.evens[pos])
-            elif exp > 1:
-                parts.append(f"{gens.evens[pos]}^{exp}")
-        parts.extend(gens.odds[i] for i in m.odds)
-        labels.append("D[" + ("*".join(parts) or "1") + "]")
+    labels = ["D[" + (format_monomial(gens, m) or "1") + "]" for m in basis]
     parity = [m.parity for m in basis]
     degree = [m.degree(gens) for m in basis]
 
     # product: one pass over each Delta(m); (u * v)(m) = coefficient of u (x) v
     table: dict[tuple[int, int], Vec] = {}
     for target, mono in enumerate(basis):
-        image = pres.delta_monomial(mono, leg_degree_bound=order - 1)
-        for (m1, m2), coeff in image.terms.items():
+        for (m1, m2), coeff in pres.delta_monomial(mono).terms.items():
             i = index.get(m1)
             j = index.get(m2)
             if coeff and i is not None and j is not None:
                 table.setdefault((i, j), {})[target] = coeff
 
-    # coproduct: dual of multiplication restricted to the quotient
+    # coproduct: dual of multiplication restricted to the quotient.  Degrees
+    # add and the basis is sorted by degree, so m1 * m2 survives exactly for
+    # m2 in the prefix of degree <= order - 1 - deg(m1), and lands in the basis.
     coproduct: dict[int, Vec2] = {i: {} for i in range(len(basis))}
     for i, m1 in enumerate(basis):
-        for j, m2 in enumerate(basis):
-            prod = mul_monomials(m1, m2)
-            if prod is None:
-                continue
-            sign, mono = prod
-            target = index.get(mono)
-            if target is None:
-                continue
-            coproduct[target][(i, j)] = F1 if sign > 0 else -F1
+        for j in range(bisect_right(degree, order - 1 - degree[i])):
+            prod = mul_monomials(m1, basis[j])
+            if prod is not None:
+                sign, mono = prod
+                coproduct[index[mono]][(i, j)] = F1 if sign > 0 else -F1
 
     unit_index = index[basis[0]]
     if not basis[0].is_one():
@@ -215,15 +200,14 @@ def primitives(dual: TruncatedDual) -> tuple[SuperLieAlgebraData, list[Vec]]:
         parity.append(dual.parity[lead])
 
     # bracket in the dual, re-expressed in the primitive basis
-    span_matrix = [{a: vec[i] for a, vec in enumerate(vectors) if i in vec} for i in range(dim)]
+    coords_in = linalg.span_coordinates(vectors)
     bracket: dict[tuple[int, int], Vec] = {}
     for a, u in enumerate(vectors):
         for b, v in enumerate(vectors):
             sign = -F1 if not (parity[a] and parity[b]) else F1
             comm = product(dual.product, u, v)
             add_into(comm, product(dual.product, v, u), sign)
-            coords = linalg.solve(span_matrix, [comm.get(i, F0) for i in range(dim)],
-                                  len(vectors))
+            coords = coords_in(comm)
             if coords is None:
                 raise StructureError(
                     f"bracket [{labels[a]}, {labels[b]}] escapes the primitive subspace"

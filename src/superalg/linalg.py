@@ -4,11 +4,13 @@ A row is a ``dict`` from column to a nonzero ``int`` or ``Fraction``.
 ``rref`` is the one elimination; the reduced row echelon form is unique, so
 ``nullspace``, ``solve`` and ``invert`` (dense square matrices, for
 ``grassmann`` and ``hcpair``) read exact ``Fraction`` answers off it.
+``span_coordinates`` expresses vectors in a ``nullspace`` basis by lookup.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .table import add_into
@@ -91,6 +93,33 @@ def nullspace(rows: list[Row], cols: int) -> list[Row]:
             vec.update((pc, -row[fc]) for pc, row in zip(pivots, reduced) if fc in row)
             basis.append(vec)
     return basis
+
+
+def span_coordinates(basis: list[Row]) -> Callable[[Row], Row | None]:
+    """Coordinates in the span of ``basis``, or None for a vector outside it.
+
+    Every basis vector must have a column that no other one touches, as a
+    ``nullspace`` basis has in its free column; a coordinate is read there
+    with one division.  The vector is then rebuilt from its coordinates and
+    compared exactly, so nothing outside the span gets coordinates.
+    """
+    touched = Counter(c for vec in basis for c in vec)
+    private = []
+    for vec in basis:
+        col = next((c for c in vec if touched[c] == 1), None)
+        if col is None:
+            raise ValueError("a basis vector has no column of its own")
+        private.append((col, vec[col]))
+
+    def coordinates(vec: Row) -> Row | None:
+        coords = {a: Fraction(vec[col]) / lead
+                  for a, (col, lead) in enumerate(private) if vec.get(col)}
+        rebuilt: Row = {}
+        for a, c in coords.items():
+            add_into(rebuilt, basis[a], c)
+        return coords if rebuilt == {k: c for k, c in vec.items() if c} else None
+
+    return coordinates
 
 
 def solve(rows: list[Row], rhs: Sequence[Fraction], cols: int) -> Row | None:

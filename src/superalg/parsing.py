@@ -199,7 +199,8 @@ def format_generator_set(gens: GeneratorSet) -> str:
     return " ".join(parts)
 
 
-def _format_monomial(gens: GeneratorSet, mono: SuperMonomial) -> str:
+def format_monomial(gens: GeneratorSet, mono: SuperMonomial) -> str:
+    """``x^2*t1*t2`` style; the empty monomial formats as the empty string."""
     factors = []
     for pos, exp in enumerate(mono.evens):
         if exp == 1:
@@ -212,7 +213,7 @@ def _format_monomial(gens: GeneratorSet, mono: SuperMonomial) -> str:
 
 
 def _format_term(gens: GeneratorSet, mono: SuperMonomial, coeff: Fraction) -> str:
-    body = _format_monomial(gens, mono)
+    body = format_monomial(gens, mono)
     if not body:
         return str(coeff)
     if coeff == 1:
@@ -239,7 +240,7 @@ def format_tensor(tensor: TensorPoly) -> str:
     for key, coeff in tensor.sorted_terms():
         legs = []
         for gens, mono in zip(tensor.gens, key):
-            legs.append(_format_monomial(gens, mono) or "1")
+            legs.append(format_monomial(gens, mono) or "1")
         body = " @ ".join(legs)
         if coeff == 1:
             parts.append(body)

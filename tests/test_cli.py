@@ -342,6 +342,8 @@ GOLDEN = {
     "hy --target gl11 --order 4": "9bfb65827b9599074f4dfa7c298a9420497f0d79b109970040ae33d165d7b712",
     "hcpair --r 1 --seed 1": "8d5347efb6111f249fa2bcebb542f850d35fe1dd7acd8542a1ec71dcc95b55f2",
     "envelope --r 1 --d 3": "e837215cf4c4daf3179e0cfeff143d810e8f5e9cb60f8351e368d0ad77054e36",
+    "hy --target gl11 --order 5": "2c68d19d54254445f9867e89ff8bee6c2bfc2acb54c56682829b0c9a386426a6",
+    "hcpair --r 3 --seed 1": "bfd97c2dc483a1935b085ba5e778dd17c3249cc730314482f41de0db26e25ead",
 }
 
 

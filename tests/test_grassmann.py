@@ -108,12 +108,24 @@ def test_group_axioms_all_shapes_up_to_three():
 def test_is_gl_point():
     ident = SuperMatrix.identity(1, 1, ALG)
     assert ident.is_gl_point()
-    bad_parity = point_1_1(ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero())
-    assert not bad_parity.is_gl_point()
-    singular = point_1_1(ALG.zero(), ALG.one(), ALG.zero(), ALG.zero())
-    assert not singular.is_gl_point()
-    with pytest.raises(NotAPoint):
-        singular.inv()
+    t = ALG.theta
+    nilpotent = t(1) * t(2)  # even, with zero body
+    rank_one = [[ALG.one() + t(3) * t(4), ALG.one()], [ALG.one(), ALG.one()]]
+    not_points = [
+        point_1_1(ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero()),  # bad parity
+        point_1_1(ALG.one(), ALG.one(), ALG.scalar(2), ALG.zero()),  # bad parity
+        point_1_1(ALG.zero(), ALG.one(), ALG.zero(), ALG.zero()),  # singular X body
+        point_1_1(nilpotent, ALG.one(), t(3), t(4)),  # singular X body
+        point_1_1(ALG.one(), nilpotent, t(3), t(4)),  # singular Y body
+        point_1_1(ALG.scalar(2), ALG.zero(), ALG.zero(), t(1)),  # singular Y body
+        SuperMatrix.from_blocks(rank_one, [[], []], [], [], ALG),  # singular X, n = 0
+        SuperMatrix.from_blocks([], [], [[], []], rank_one, ALG),  # singular Y, m = 0
+    ]
+    for point in not_points:
+        assert not point.is_gl_point()
+        for method in (point.inv, point.antipode_blocks, point.decomposition_coords):
+            with pytest.raises(NotAPoint):
+                method()
 
 
 def test_antipode_blocks_diagonal_case():

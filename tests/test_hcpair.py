@@ -123,14 +123,15 @@ def test_asymmetric_bracket_is_detected():
     data = sp_basis(1)
     broken = dict(pair.vbracket)
     size = 2
-    from superalg.hcpair import _coords_in
+    from superalg.hcpair import _entries
 
+    coords_in = la.span_coordinates([_entries(m) for m in data.basis])
     for a in range(size):
         for b in range(size):
             matrix = la.zeros(size, size)
             for i in range(size):
                 matrix[i][b] += data.J[i][a]
-            broken[(a, b)] = _coords_in(data.basis, matrix) or {}
+            broken[(a, b)] = coords_in(_entries(matrix)) or {}
     bad = HCPair(
         g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
         v_dim=pair.v_dim, vbracket=broken, g0_matrices=pair.g0_matrices, J=pair.J,

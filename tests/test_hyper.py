@@ -10,6 +10,7 @@ from superalg import (
     TensorPoly,
     additive_presentation,
     check_lie_even,
+    even_quotient,
     exterior_hopf,
     glmn_presentation,
     pbw_dim_check,
@@ -17,6 +18,8 @@ from superalg import (
     super_pbw_count,
     truncated_dual,
 )
+from superalg.core import SuperMonomial, merge_odds, mul_monomials
+from superalg.hopf import _monomials_up_to
 from superalg.liealg import StructureError
 
 GA11 = additive_presentation(1, 1)
@@ -146,6 +149,72 @@ def test_embedding_chain():
         duals = {k: truncated_dual(pres, k) for k in range(1, 5)}
         for k in range(1, 4):
             assert duals[k].embeds_in(duals[k + 1])
+
+
+# --- the graded construction against the all-pairs oracle
+
+
+def all_pairs_tables(pres, order):
+    """The truncated dual's tables the long way: every Delta(m) multiplied out
+    from the generator images, every pair of basis monomials multiplied, and
+    only the terms that land in the basis kept."""
+    gens = pres.gens
+    basis = sorted(_monomials_up_to(gens, order - 1),
+                   key=lambda m: (m.degree(gens), m.evens, m.odds))
+    index = {m: i for i, m in enumerate(basis)}
+    product = {}
+    for target, mono in enumerate(basis):
+        image = TensorPoly.unit((gens, gens))
+        for pos, exp in enumerate(mono.evens):
+            for _ in range(exp):
+                image = image * pres.delta[gens.evens[pos]]
+        for pos in mono.odds:
+            image = image * pres.delta[gens.odds[pos]]
+        for (m1, m2), coeff in image.terms.items():
+            i, j = index.get(m1), index.get(m2)
+            if coeff and i is not None and j is not None:
+                product.setdefault((i, j), {})[target] = coeff
+    coproduct = {i: {} for i in range(len(basis))}
+    for i, m1 in enumerate(basis):
+        for j, m2 in enumerate(basis):
+            merged = merge_odds(m1.odds, m2.odds)
+            if merged is None:
+                continue
+            sign, odds = merged
+            evens = tuple(a + b for a, b in zip(m1.evens, m2.evens))
+            target = index.get(SuperMonomial(evens, odds))
+            if target is not None:
+                coproduct[target][(i, j)] = Fraction(sign)
+    return basis, product, coproduct
+
+
+@pytest.mark.parametrize("pres, top", [
+    (GA11, 5), (GL11, 5), (glmn_presentation(2, 1), 4),
+    (even_quotient(glmn_presentation(2, 1)), 5),
+])
+def test_tables_match_all_pairs_oracle(pres, top):
+    for order in range(1, top + 1):
+        dual = truncated_dual(pres, order)
+        basis, product, coproduct = all_pairs_tables(pres, order)
+        assert dual.basis == basis
+        assert dual.product == product
+        assert dual.coproduct == coproduct
+
+
+def test_coproduct_multiplies_only_pairs_below_the_order(monkeypatch):
+    import superalg.hyper as hyper
+
+    order = 4
+    gens = GL11.gens
+    seen = []
+
+    def recording(m1, m2):
+        seen.append(m1.degree(gens) + m2.degree(gens))
+        return mul_monomials(m1, m2)
+
+    monkeypatch.setattr(hyper, "mul_monomials", recording)
+    truncated_dual(GL11, order)
+    assert seen and max(seen) == order - 1
 
 
 # --- primitives and Lie structure

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from superalg import linalg
+from superalg.table import add_into
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -238,3 +239,56 @@ def test_integer_rows_give_fraction_answers():
     inverse = linalg.invert([[2, 0], [0, 1]])
     assert inverse == [[Fraction(1, 2), F0], [F0, F1]]
     assert all(type(c) is Fraction for row in inverse for c in row)
+
+
+# --- coordinates in a nullspace basis ----------------------------------------------
+
+
+def solve_coordinates(basis, vec, cols):
+    """Coordinates of ``vec`` in ``basis`` by elimination: the oracle."""
+    span = [{a: b[i] for a, b in enumerate(basis) if i in b} for i in range(cols)]
+    return linalg.solve(span, [vec.get(i, F0) for i in range(cols)], len(basis))
+
+
+@st.composite
+def nullspace_probes(draw):
+    matrix, cols, _ = draw(systems())
+    basis = linalg.nullspace(sparse(matrix), cols)
+    # callers rescale their basis vectors (sp_basis and primitives do)
+    scales = [draw(coefficient.filter(bool)) for _ in basis]
+    basis = [{k: c * s for k, c in vec.items()} for vec, s in zip(basis, scales)]
+    inside = {}
+    for vec in basis:
+        add_into(inside, vec, draw(coefficient))
+    anywhere = as_dict([draw(coefficient) for _ in range(cols)])
+    nudged = dict(inside)
+    if cols:
+        add_into(nudged, {draw(st.integers(0, cols - 1)): F1})
+    return basis, cols, [inside, anywhere, nudged]
+
+
+@given(nullspace_probes())
+@settings(max_examples=200, deadline=None)
+def test_span_coordinates_match_solve(probe):
+    basis, cols, vectors = probe
+    coordinates = linalg.span_coordinates(basis)
+    for vec in vectors:
+        coords = coordinates(vec)
+        assert coords == solve_coordinates(basis, vec, cols)
+        if coords is not None:
+            assert_all_fractions([coords])
+    assert coordinates(vectors[0]) is not None
+
+
+def test_span_coordinates_outside_the_span_and_without_private_columns():
+    basis = linalg.nullspace([{0: 1, 1: 1, 2: 1}], 3)  # x + y + z = 0
+    assert basis == [{1: F1, 0: -F1}, {2: F1, 0: -F1}]
+    coordinates = linalg.span_coordinates(basis)
+    assert coordinates({0: -3, 1: 1, 2: 2}) == {0: F1, 1: Fraction(2)}
+    assert coordinates({0: 1, 1: 1, 2: 2}) is None  # right free entries, wrong sum
+    assert coordinates({0: 1}) is None  # no free entries at all, but not zero
+    assert coordinates({}) == {}
+    assert linalg.span_coordinates([])({}) == {}
+    assert linalg.span_coordinates([])({0: 1}) is None
+    with pytest.raises(ValueError):
+        linalg.span_coordinates([{0: 1, 1: 1}, {0: 1, 1: 2}])
