@@ -17,7 +17,6 @@ from .core import (
     SuperPoly,
     UnknownGenerator,
     evaluate_hom,
-    normalize_product,
     parity_preserving,
 )
 from .tensor import TensorPoly, tensor_mul

@@ -48,7 +48,14 @@ from .hopf import (
     exterior_hopf,
     glmn_presentation,
 )
-from .hyper import check_lie_even, primitives, super_pbw_count, truncated_dual
+from .hyper import (
+    check_lie_even,
+    export_structure,
+    primitives,
+    super_pbw_count,
+    truncated_dual,
+    vec_json,
+)
 from .liealg import StructureError
 from .parsing import ParseError
 from .presfile import load_presentation, parse_presentation, print_presentation
@@ -112,6 +119,10 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
     report = Report(suite="verify-exterior", config=config)
     if path:
         pres = load_presentation(path)
+        if pres.gens.evens:
+            raise PresentationError(
+                f"even generator {pres.gens.evens[0]!r}: the exterior suite takes odd ones only"
+            )
         reparsed = parse_presentation(print_presentation(pres), name=pres.name)
         report.add_check("file-round-trip", reparsed == pres)
     else:
@@ -127,8 +138,8 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
         f"got {cotangent.basis}",
     )
 
-    n = len(pres.gens.odds) if path else dim
-    if not pres.gens.evens and n <= max_dual:
+    n = len(pres.gens.odds)
+    if n <= max_dual:
         primal = finite_from_presentation(pres) if path else None
         ok, detail = dual_iso_check(n, primal)
         report.extend(detail, prefix=f"duality[n={n}]")
@@ -305,8 +316,6 @@ def run_hy_suite(target: str, order: int) -> Report:
     chain_ok = all(duals[k].embeds_in(duals[k + 1]) for k in range(1, order))
     report.add_check("embedding-chain", chain_ok)
 
-    from .hyper import export_structure
-
     report.add_check("structure-export", True)
     report.checks[-1]["structure"] = export_structure(duals[min(order, 3)])
     return report
@@ -350,10 +359,7 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
         report.checks[-1]["structure"] = {
             "labels": lie.labels,
             "parity": lie.parity,
-            "bracket": {
-                f"{i},{j}": [[k, [c.numerator, c.denominator]] for k, c in sorted(vec.items())]
-                for (i, j), vec in sorted(lie.bracket.items())
-            },
+            "bracket": {f"{i},{j}": vec_json(vec) for (i, j), vec in sorted(lie.bracket.items())},
         }
     except StructureError:
         pass

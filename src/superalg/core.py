@@ -191,24 +191,103 @@ def monomial_sort_key(gens: GeneratorSet):
     return key
 
 
-class SuperPoly:
-    """Exact-coefficient element of a free super-commutative algebra.
+class _TermMap:
+    """Arithmetic shared by the exact term-map elements.
 
-    ``terms`` maps normal-form monomials to nonzero rational coefficients;
-    equality is term-map equality.  Operations return new values.
+    ``gens`` names the generator context and ``terms`` maps keys to nonzero
+    exact coefficients; equality is term-map equality and operations return
+    new values.  A subclass supplies its constructor, ``_check``, the
+    ``__mul__`` loop and three key hooks: ``_unit_key``, ``_key_parity`` and
+    ``_sort_key``.
     """
 
     __slots__ = ("gens", "terms")
+
+    @classmethod
+    def zero(cls, gens):
+        return cls(gens)
+
+    def _new(self, terms: dict):
+        out = object.__new__(type(self))
+        out.gens, out.terms = self.gens, terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k, F0) + c
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, value):
+        c = Fraction(value)
+        return self._new({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative powers are not defined")
+        result = self._new({self._unit_key(): F1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.gens == other.gens and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.gens, frozenset(self.terms.items())))
+
+    def parity_of(self) -> str:
+        """Return "even", "odd" or "mixed"; the zero element counts as even."""
+        parities = {self._key_parity(k) for k in self.terms}
+        if parities <= {EVEN}:
+            return PARITY_EVEN
+        if parities == {ODD}:
+            return PARITY_ODD
+        return PARITY_MIXED
+
+    def sorted_terms(self) -> list:
+        key = self._sort_key()
+        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class SuperPoly(_TermMap):
+    """Exact-coefficient element of a free super-commutative algebra.
+
+    ``terms`` maps normal-form monomials to nonzero rational coefficients.
+    """
+
+    __slots__ = ()
 
     def __init__(self, gens: GeneratorSet, terms: Mapping[SuperMonomial, Fraction] | None = None):
         self.gens = gens
         self.terms: dict[SuperMonomial, Fraction] = {
             m: c for m, c in (terms or {}).items() if c
         }
-
-    @classmethod
-    def zero(cls, gens: GeneratorSet) -> SuperPoly:
-        return cls(gens)
 
     @classmethod
     def one(cls, gens: GeneratorSet) -> SuperPoly:
@@ -237,40 +316,15 @@ class SuperPoly:
         if self.gens is not other.gens and self.gens != other.gens:
             raise GeneratorSetMismatch(f"{self.gens!r} vs {other.gens!r}")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _unit_key(self) -> SuperMonomial:
+        return one_monomial(self.gens)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    @staticmethod
+    def _key_parity(mono: SuperMonomial) -> int:
+        return mono.parity
 
-    def __add__(self, other: SuperPoly) -> SuperPoly:
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, F0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        out = SuperPoly.__new__(SuperPoly)
-        out.gens, out.terms = self.gens, terms
-        return out
-
-    def __neg__(self) -> SuperPoly:
-        out = SuperPoly.__new__(SuperPoly)
-        out.gens = self.gens
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: SuperPoly) -> SuperPoly:
-        return self + (-other)
-
-    def scale(self, value) -> SuperPoly:
-        c = Fraction(value)
-        out = SuperPoly.__new__(SuperPoly)
-        out.gens = self.gens
-        out.terms = {m: c * v for m, v in self.terms.items()} if c else {}
-        return out
+    def _sort_key(self):
+        return monomial_sort_key(self.gens)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,43 +352,7 @@ class SuperPoly:
                         terms[mono] = s
                     else:
                         del terms[mono]
-        out = SuperPoly.__new__(SuperPoly)
-        out.gens, out.terms = self.gens, terms
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> SuperPoly:
-        if exponent < 0:
-            raise ValueError("negative powers are not defined in the free algebra")
-        result = SuperPoly.one(self.gens)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperPoly)
-            and self.gens == other.gens
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.gens, frozenset(self.terms.items())))
-
-    def parity_of(self) -> str:
-        """Return "even", "odd" or "mixed"; the zero element counts as even."""
-        parities = {m.parity for m in self.terms}
-        if not parities:
-            return PARITY_EVEN
-        if parities == {EVEN}:
-            return PARITY_EVEN
-        if parities == {ODD}:
-            return PARITY_ODD
-        return PARITY_MIXED
+        return self._new(terms)
 
     def body(self) -> Fraction:
         """Coefficient of the empty monomial."""
@@ -348,48 +366,10 @@ class SuperPoly:
     def coefficient(self, mono: SuperMonomial) -> Fraction:
         return self.terms.get(mono, F0)
 
-    def sorted_terms(self) -> list[tuple[SuperMonomial, Fraction]]:
-        key = monomial_sort_key(self.gens)
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
-
     def __str__(self) -> str:
         from .parsing import format_poly
 
         return format_poly(self)
-
-    def __repr__(self) -> str:
-        return f"SuperPoly({self})"
-
-
-def normalize_product(
-    gens: GeneratorSet, factors: Iterable[str]
-) -> tuple[Fraction, SuperMonomial | None]:
-    """Reorder a product of generator symbols into normal form.
-
-    Returns ``(sign, monomial)`` with sign in {+1, -1, 0}; the sign is the
-    parity of the permutation restricted to the odd factors, and 0 signals a
-    repeated odd generator (odd squares vanish).
-    """
-    exps = [0] * len(gens.evens)
-    odd_positions: list[int] = []
-    inversions = 0
-    for symbol in factors:
-        parity, pos = gens._info.get(symbol, (None, None))
-        if parity is None:
-            raise UnknownGenerator(symbol)
-        if parity == EVEN:
-            exps[pos] += 1
-            continue
-        # insertion into the increasing support, counting crossed odd factors
-        insert_at = len(odd_positions)
-        while insert_at > 0 and odd_positions[insert_at - 1] > pos:
-            insert_at -= 1
-        if insert_at > 0 and odd_positions[insert_at - 1] == pos:
-            return F0, None
-        inversions += len(odd_positions) - insert_at
-        odd_positions.insert(insert_at, pos)
-    sign = -F1 if inversions & 1 else F1
-    return sign, SuperMonomial(tuple(exps), tuple(odd_positions))
 
 
 T = TypeVar("T")
@@ -416,7 +396,7 @@ def evaluate_hom(
                 raise ParityViolation(f"image of {name} has wrong parity")
     result = None
     for mono, coeff in poly.terms.items():
-        value = one
+        value = coeff * one
         for pos, exp in enumerate(mono.evens):
             if exp:
                 img = images[poly.gens.evens[pos]]
@@ -424,7 +404,6 @@ def evaluate_hom(
                     value = value * img
         for pos in mono.odds:
             value = value * images[poly.gens.odds[pos]]
-        value = coeff * value
         result = value if result is None else result + value
     if result is None:
         return 0 * one

@@ -15,8 +15,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import linalg
-from .core import F0, F1, SuperMonomial, SuperPoly, merge_odds
+from .core import F0, F1, SuperPoly, merge_odds
 from .hopf import AxiomReport, HopfPresentation, PresentationError
+from .hyper import truncated_dual
 from .table import (
     add_into,
     basis_times,
@@ -25,6 +26,7 @@ from .table import (
     image,
     product,
     times_basis,
+    transpose,
 )
 
 Vec = dict[int, Fraction]
@@ -186,22 +188,11 @@ def exterior_finite(n: int, label_prefix: str = "v") -> FiniteDimHopf:
     for i, a in enumerate(blades):
         for j, b in enumerate(blades):
             merged = merge_odds(a, b)
-            if merged is None:
-                mult[(i, j)] = {}
-                continue
-            sign, mono = merged
-            mult[(i, j)] = {index[mono]: sign}
-    delta: dict[int, TensorVec] = {}
-    for i, blade in enumerate(blades):
-        image: TensorVec = {}
-        for size in range(len(blade) + 1):
-            for left in combinations(blade, size):
-                right = tuple(x for x in blade if x not in left)
-                # unshuffle sign: count pairs (s in left, t in right) with t < s
-                inversions = sum(1 for s in left for t in right if t < s)
-                key = (index[left], index[right])
-                image[key] = -1 if inversions & 1 else 1
-        delta[i] = image
+            if merged is not None:
+                sign, mono = merged
+                mult[(i, j)] = {index[mono]: sign}
+    # Λ(V) is self-dual: the unshuffle coproduct is the transposed product
+    delta = transpose(mult, range(len(blades)))
     counit = [0 if blade else 1 for blade in blades]
     antipode: dict[int, Vec] = {}
     for i, blade in enumerate(blades):
@@ -215,43 +206,28 @@ def exterior_finite(n: int, label_prefix: str = "v") -> FiniteDimHopf:
 
 
 def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
-    """Tables of a presentation whose generators are all odd (hence 2^n-dim)."""
+    """Tables of a presentation whose generators are all odd (hence 2^n-dim).
+
+    The truncated dual of order (sum of degrees) + 1 has every blade in its
+    basis, so its coproduct and product transpose to the blade product and
+    coproduct.
+    """
     if pres.gens.evens:
         raise PresentationError("only purely odd presentations are finite-dimensional")
-    n = len(pres.gens.odds)
-    blades = [s for size in range(n + 1) for s in combinations(range(n), size)]
-    monos = [SuperMonomial((), s) for s in blades]
-    index = {m: i for i, m in enumerate(monos)}
-    labels = ["1" if not s else "".join(pres.gens.odds[i] for i in s) for s in blades]
-    parity = [len(s) & 1 for s in blades]
-    unit = {index[SuperMonomial((), ())]: F1}
-    mult: dict[tuple[int, int], Vec] = {}
-    from .core import mul_monomials
-
-    for i, a in enumerate(monos):
-        for j, b in enumerate(monos):
-            prod = mul_monomials(a, b)
-            if prod is None:
-                mult[(i, j)] = {}
-            else:
-                sign, mono = prod
-                mult[(i, j)] = {index[mono]: F1 if sign > 0 else -F1}
-    delta: dict[int, TensorVec] = {}
-    for i, mono in enumerate(monos):
-        image: TensorVec = {}
-        for (m1, m2), c in pres.delta_monomial(mono).terms.items():
-            image[(index[m1], index[m2])] = c
-        delta[i] = image
-    counit = [pres.counit_monomial(m) for m in monos]
+    gens = pres.gens
+    dual = truncated_dual(pres, sum(gens.degrees.values()) + 1)
     antipode = None
     if pres.has_symbolic_antipode:
         antipode = {}
-        for i, mono in enumerate(monos):
-            image = pres.antipode_of(SuperPoly.monomial(pres.gens, mono))
-            antipode[i] = {index[m]: c for m, c in image.terms.items()}
+        for i, mono in enumerate(dual.basis):
+            image = pres.antipode_of(SuperPoly.monomial(gens, mono))
+            antipode[i] = {dual.index_of(m): c for m, c in image.terms.items()}
     return FiniteDimHopf(
-        labels=labels, parity=parity, unit=unit, mult=mult, delta=delta,
-        counit=counit, antipode=antipode, graded=True, name=pres.name,
+        labels=["".join(gens.odds[i] for i in m.odds) or "1" for m in dual.basis],
+        parity=dual.parity, unit={dual.unit_index: F1},
+        mult=transpose(dual.coproduct), delta=transpose(dual.product, range(dual.dimension)),
+        counit=[pres.counit_monomial(m) for m in dual.basis], antipode=antipode,
+        graded=True, name=pres.name,
     )
 
 
@@ -297,29 +273,14 @@ def exterior_pairing(f: SuperPoly, w: SuperPoly) -> Fraction:
 
 def dual_hopf(hopf: FiniteDimHopf) -> FiniteDimHopf:
     """The dual Hopf algebra on the dual basis (slotwise pairing, no sign)."""
-    dim = hopf.dimension
-    mult: dict[tuple[int, int], Vec] = {(i, j): {} for i in range(dim) for j in range(dim)}
-    for k in range(dim):
-        for key, c in hopf.delta.get(k, {}).items():
-            if c:
-                mult[key][k] = c
-    delta: dict[int, TensorVec] = {k: {} for k in range(dim)}
-    for key, table in hopf.mult.items():
-        for k, c in table.items():
-            if c:
-                delta[k][key] = c
-    unit = {i: hopf.counit[i] for i in range(dim) if hopf.counit[i]}
-    counit = [hopf.unit.get(i, 0) for i in range(dim)]
-    antipode = None
-    if hopf.antipode is not None:
-        antipode = {i: {} for i in range(dim)}
-        for j in range(dim):
-            for i, c in hopf.antipode[j].items():
-                antipode[i][j] = c
+    dim = range(hopf.dimension)
+    antipode = None if hopf.antipode is None else transpose(hopf.antipode, dim)
     return FiniteDimHopf(
         labels=[f"{lbl}*" for lbl in hopf.labels],
         parity=list(hopf.parity),
-        unit=unit, mult=mult, delta=delta, counit=counit, antipode=antipode,
+        unit={i: c for i, c in enumerate(hopf.counit) if c},
+        mult=transpose(hopf.delta), delta=transpose(hopf.mult, dim),
+        counit=[hopf.unit.get(i, 0) for i in dim], antipode=antipode,
         graded=hopf.graded, name=f"{hopf.name}*",
     )
 
@@ -351,7 +312,7 @@ def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, A
     witness = ""
     for i in range(dim):
         for j in range(dim):
-            lhs = image(rows, covector.mult[(i, j)])
+            lhs = image(rows, covector.mult.get((i, j), {}))
             rhs = product(dual.mult, rows[i], rows[j])
             if lhs != rhs:
                 ok = False

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .core import F0, F1, GeneratorSet, SuperPoly
+from .hyper import super_pbw_count
 from .liealg import StructureError, SuperLieAlgebraData
 from .table import add_into, first_nonassociative, times_basis
 
@@ -358,22 +359,9 @@ def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
 
 
 def envelope_pbw_count(g0_dim: int, v_dim: int, degree_bound: int) -> int:
-    """Sum over degrees of (multisets over g_0 basis) x (subsets of V basis)."""
-    total = 0
-    for degree in range(degree_bound + 1):
-        for odd_size in range(min(v_dim, degree) + 1):
-            choose = 1
-            for i in range(odd_size):
-                choose = choose * (v_dim - i) // (i + 1)
-            even_size = degree - odd_size
-            multi = 1
-            if even_size:
-                if g0_dim == 0:
-                    continue
-                for i in range(even_size):
-                    multi = multi * (g0_dim + even_size - 1 - i) // (i + 1)
-            total += choose * multi
-    return total
+    """PBW monomials of degree <= degree_bound: multisets over the g_0 basis
+    times subsets of the V basis."""
+    return super_pbw_count(g0_dim, v_dim, degree_bound + 1)
 
 
 # --- group-level symplectic checks ------------------------------------------------

@@ -23,6 +23,7 @@ from .core import (
     GeneratorSet,
     SuperMonomial,
     SuperPoly,
+    evaluate_hom,
 )
 from .tensor import TensorPoly
 
@@ -100,12 +101,10 @@ class HopfPresentation:
         """Coproduct of a normal monomial, extended multiplicatively (memoised)."""
         cached = self._delta_cache.get(mono)
         if cached is None:
-            cached = TensorPoly.unit((self.gens, self.gens))
-            for pos, exp in enumerate(mono.evens):
-                for _ in range(exp):
-                    cached = cached * self.delta[self.gens.evens[pos]]
-            for pos in mono.odds:
-                cached = cached * self.delta[self.gens.odds[pos]]
+            cached = evaluate_hom(
+                SuperPoly.monomial(self.gens, mono), self.delta,
+                TensorPoly.unit((self.gens, self.gens)),
+            )
             self._delta_cache[mono] = cached
         return cached
 
@@ -130,16 +129,7 @@ class HopfPresentation:
     def antipode_of(self, poly: SuperPoly) -> SuperPoly:
         if self.antipode is None:
             raise PresentationError("antipode is pointwise-only for this presentation")
-        out = SuperPoly.zero(self.gens)
-        for mono, coeff in poly.terms.items():
-            value = SuperPoly.one(self.gens)
-            for pos, exp in enumerate(mono.evens):
-                for _ in range(exp):
-                    value = value * self.antipode[self.gens.evens[pos]]
-            for pos in mono.odds:
-                value = value * self.antipode[self.gens.odds[pos]]
-            out = out + value.scale(coeff)
-        return out
+        return evaluate_hom(poly, self.antipode, SuperPoly.one(self.gens))
 
     def generator_poly(self, name: str) -> SuperPoly:
         return SuperPoly.generator(self.gens, name)
@@ -301,7 +291,6 @@ def check_hopf_axioms(pres: HopfPresentation, sampler=None, points: int = 0) -> 
     """
     report = AxiomReport()
     gens = pres.gens
-    triple = (gens, gens, gens)
     for g in gens.names:
         image = pres.delta[g]
         left = image.expand_slot(0, lambda m: pres.delta_monomial(m), (gens, gens))

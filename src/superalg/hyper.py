@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .core import F1, EVEN, ODD, SuperMonomial, mul_monomials
@@ -242,24 +243,12 @@ def check_lie_even(pres: HopfPresentation, order: int = 3) -> bool:
 
 def super_pbw_count(even_dim: int, odd_dim: int, order: int) -> int:
     """Monomials of total degree < order in even_dim commuting and odd_dim
-    anticommuting variables."""
-    total = 0
-    for odd_size in range(min(odd_dim, order) + 1):
-        choose = 1
-        for i in range(odd_size):
-            choose = choose * (odd_dim - i) // (i + 1)
-        remaining = order - 1 - odd_size
-        if remaining < 0:
-            continue
-        # weak compositions of degree <= remaining into even_dim parts
-        count = 1
-        if even_dim:
-            # sum_{d=0}^{remaining} C(d + even_dim - 1, even_dim - 1) = C(remaining + even_dim, even_dim)
-            count = 1
-            for i in range(even_dim):
-                count = count * (remaining + even_dim - i) // (i + 1)
-        total += choose * count
-    return total
+    anticommuting variables: sum over odd supports b of C(odd_dim, b) times
+    the C(order - 1 - b + even_dim, even_dim) even monomials of degree <= order - 1 - b."""
+    return sum(
+        comb(odd_dim, b) * comb(order - 1 - b + even_dim, even_dim)
+        for b in range(min(odd_dim, order - 1) + 1)
+    )
 
 
 def pbw_dim_check(pres: HopfPresentation, order: int) -> bool:
@@ -271,21 +260,20 @@ def pbw_dim_check(pres: HopfPresentation, order: int) -> bool:
     return dual.dimension == super_pbw_count(even_dim, odd_dim, order)
 
 
+def vec_json(vec: Vec) -> list:
+    """A sparse vector as ``[index, [numerator, denominator]]`` pairs by index
+    (a tuple index serialises as a JSON list)."""
+    return [[k, [c.numerator, c.denominator]] for k, c in sorted(vec.items())]
+
+
 def export_structure(dual: TruncatedDual) -> dict:
     """JSON-ready structure constants (basis labels, parity, tables)."""
-
-    def vec_out(vec: Vec) -> list:
-        return [[k, [c.numerator, c.denominator]] for k, c in sorted(vec.items())]
-
     return {
         "order": dual.order,
         "labels": dual.labels,
         "parity": dual.parity,
         "product": {
-            f"{i},{j}": vec_out(vec) for (i, j), vec in sorted(dual.product.items())
+            f"{i},{j}": vec_json(vec) for (i, j), vec in sorted(dual.product.items())
         },
-        "coproduct": {
-            str(i): [[list(key), [c.numerator, c.denominator]] for key, c in sorted(vec.items())]
-            for i, vec in sorted(dual.coproduct.items())
-        },
+        "coproduct": {str(i): vec_json(vec) for i, vec in sorted(dual.coproduct.items())},
     }

@@ -23,38 +23,33 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()@,;=]))"
-)
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()@,;=])")
+_SPACE = re.compile(r"\s*")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
+def tokenize(text: str, offset: int = 0) -> list[tuple[str, str, int]]:
+    """``(kind, value, position)`` triples; positions are ``offset`` + index in ``text``."""
     tokens: list[tuple[str, str, int]] = []
-    pos = 0
+    pos = _SPACE.match(text).end()
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:pos + 1]!r}", pos)
-        if match.lastgroup == "num":
-            tokens.append(("num", match.group("num"), match.start("num")))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name"), match.start("name")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
-        pos = match.end()
+            raise ParseError(f"unexpected character {text[pos]!r}", offset + pos)
+        tokens.append((match.lastgroup, match.group(), offset + pos))
+        pos = _SPACE.match(text, match.end()).end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, gens: GeneratorSet, tokens: list[tuple[str, str, int]]):
+    def __init__(self, gens: GeneratorSet, text: str, offset: int):
         self.gens = gens
-        self.tokens = tokens
+        self.tokens = tokenize(text, offset)
+        self.end = offset + len(text)  # the position reported at the end of input
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
 
     def take(self):
         tok = self.peek()
@@ -142,6 +137,7 @@ class _Parser:
                 return poly
 
     def parse_tensor_term(self, slots: int) -> TensorPoly:
+        start = self.peek()[2]
         legs = [self.parse_poly_term()]
         while True:
             kind, value, _ = self.peek()
@@ -151,42 +147,56 @@ class _Parser:
             else:
                 break
         if len(legs) != slots:
-            raise ParseError(f"expected {slots} tensor legs, got {len(legs)}", self.peek()[2])
+            raise ParseError(f"expected {slots} tensor legs, got {len(legs)}", start)
         return TensorPoly.of(*legs)
 
 
-def parse_poly(gens: GeneratorSet, text: str) -> SuperPoly:
-    parser = _Parser(gens, tokenize(text))
+def parse_poly(gens: GeneratorSet, text: str, offset: int = 0) -> SuperPoly:
+    parser = _Parser(gens, text, offset)
     poly = parser.parse_sum(parser.parse_poly_term)
     if not parser.at_end():
         raise ParseError("trailing input", parser.peek()[2])
     return poly
 
 
-def parse_tensor(gens: GeneratorSet, text: str, slots: int = 2) -> TensorPoly:
-    parser = _Parser(gens, tokenize(text))
+def parse_tensor(gens: GeneratorSet, text: str, slots: int = 2, offset: int = 0) -> TensorPoly:
+    parser = _Parser(gens, text, offset)
     tensor = parser.parse_sum(lambda: parser.parse_tensor_term(slots))
     if not parser.at_end():
         raise ParseError("trailing input", parser.peek()[2])
     return tensor
 
 
+def statements(text: str) -> list[tuple[int, str, str]]:
+    """Each nonempty ``;``-separated statement as (start position, keyword, rest).
+
+    The keyword ends at the first whitespace; ``#`` starts a comment that
+    runs to the end of its line.
+    """
+    text = re.sub(r"#[^\r\n]*", lambda m: " " * len(m.group()), text)  # keeps positions
+    return [(m.start(), m.group(1), m.group(2)) for m in re.finditer(r"([^;\s]+)([^;]*)", text)]
+
+
+def declare(evens: list[str], odds: list[str], head: str, rest: str, position: int) -> bool:
+    """Append the names of an ``even``/``odd`` statement; False for any other statement."""
+    if head not in ("even", "odd"):
+        return False
+    for name in (n.strip() for n in rest.split(",") if n.strip()):
+        if not _NAME.fullmatch(name):
+            raise ParseError(f"bad generator name {name!r}", position)
+        if name in evens or name in odds:
+            raise ParseError(f"duplicate generator {name!r}", position)
+        (evens if head == "even" else odds).append(name)
+    return True
+
+
 def parse_generator_set(text: str) -> GeneratorSet:
     """Parse declarations like ``even x, y; odd t1, t2;``."""
     evens: list[str] = []
     odds: list[str] = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        head, _, rest = chunk.partition(" ")
-        if head not in ("even", "odd"):
-            raise ParseError(f"expected 'even' or 'odd', got {head!r}", 0)
-        names = [n.strip() for n in rest.split(",") if n.strip()]
-        for name in names:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-                raise ParseError(f"bad generator name {name!r}", 0)
-        (evens if head == "even" else odds).extend(names)
+    for position, head, rest in statements(text):
+        if not declare(evens, odds, head, rest, position):
+            raise ParseError(f"expected 'even' or 'odd', got {head!r}", position)
     return GeneratorSet(evens, odds)
 
 
@@ -235,7 +245,7 @@ def format_poly(poly: SuperPoly) -> str:
 
 def format_tensor(tensor: TensorPoly) -> str:
     if not tensor.terms:
-        return "0"
+        return " @ ".join("0" for _ in tensor.gens)  # parses back as a k-leg term
     parts = []
     for key, coeff in tensor.sorted_terms():
         legs = []

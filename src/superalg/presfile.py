@@ -10,76 +10,67 @@ Format, one statement per ``;``, ``#`` starts a line comment:
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .core import GeneratorSet, SuperPoly
 from .hopf import HopfPresentation, PresentationError
 from .parsing import (
     ParseError,
+    declare,
     format_generator_set,
     format_poly,
     format_tensor,
     parse_poly,
     parse_tensor,
+    statements,
 )
-
-
-def _statements(text: str) -> list[tuple[int, str]]:
-    """Each nonempty ``;``-separated statement with the position where it starts."""
-    text = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)  # keeps positions
-    return [(m.start(), m.group().rstrip()) for m in re.finditer(r"[^;\s][^;]*", text)]
 
 
 def parse_presentation(text: str, name: str = "") -> HopfPresentation:
     """Parse the documented presentation syntax into a HopfPresentation.
 
     Diagnostics name the offending generator (parity-inconsistent coproduct,
-    nonvanishing odd counit, a repeated delta, eps or antipode statement) or
-    carry the position of an unknown symbol or of the repeated statement.
+    nonvanishing odd counit, a repeated delta, eps or antipode statement).
+    Every ParseError carries a position in ``text``: that of the offending
+    token inside an expression, else the start of the offending statement.
     """
     evens: list[str] = []
     odds: list[str] = []
-    body: list[tuple[str, str, str, int]] = []
+    body: list[tuple[str, str, int, int, str]] = []
     pointwise = False
-    for position, stmt in _statements(text):
-        head, _, rest = stmt.partition(" ")
-        rest = rest.strip()
-        if head in ("even", "odd"):
-            for gen in (n.strip() for n in rest.split(",") if n.strip()):
-                if gen in evens or gen in odds:
-                    raise ParseError(f"duplicate generator {gen!r}", 0)
-                (evens if head == "even" else odds).append(gen)
-        elif head in ("delta", "eps", "antipode"):
-            if head == "antipode" and rest == "pointwise":
-                pointwise = True
-                continue
-            target, eq, expr = rest.partition("=")
-            if not eq:
-                raise ParseError(f"malformed {head} statement {stmt!r}", 0)
-            body.append((head, target.strip(), expr.strip(), position))
-        else:
-            raise ParseError(f"unknown statement {head!r}", 0)
+    for position, head, rest in statements(text):
+        if declare(evens, odds, head, rest, position):
+            continue
+        if head not in ("delta", "eps", "antipode"):
+            raise ParseError(f"unknown statement {head!r}", position)
+        if head == "antipode" and rest.strip() == "pointwise":
+            pointwise = True
+            continue
+        eq = rest.find("=")
+        if eq < 0:
+            raise ParseError(f"malformed {head} statement {(head + rest).rstrip()!r}", position)
+        start = position + len(head) + eq + 1  # where the expression starts
+        body.append((head, rest[:eq].strip(), position, start, rest[eq + 1:]))
 
     gens = GeneratorSet(evens, odds)
     delta: dict[str, object] = {}
     counit: dict[str, Fraction] = {}
     antipode: dict[str, SuperPoly] = {}
     given = {"delta": delta, "eps": counit, "antipode": antipode}
-    for kind, target, expr, position in body:
+    for kind, target, position, start, expr in body:
         if target not in gens:
-            raise ParseError(f"unknown generator {target!r} in {kind} statement", 0)
+            raise ParseError(f"unknown generator {target!r} in {kind} statement", position)
         if target in given[kind]:
             raise ParseError(f"duplicate {kind} for {target!r}", position)
         if kind == "delta":
-            delta[target] = parse_tensor(gens, expr, slots=2)
+            delta[target] = parse_tensor(gens, expr, slots=2, offset=start)
         elif kind == "eps":
-            value = parse_poly(gens, expr)
+            value = parse_poly(gens, expr, offset=start)
             if value.soul():
                 raise PresentationError(f"counit of {target} must be a scalar")
             counit[target] = value.body()
         else:
-            antipode[target] = parse_poly(gens, expr)
+            antipode[target] = parse_poly(gens, expr, offset=start)
 
     if pointwise and antipode:
         raise PresentationError("antipode is marked pointwise but images were given")
@@ -94,8 +85,12 @@ def parse_presentation(text: str, name: str = "") -> HopfPresentation:
 
 
 def load_presentation(path: str) -> HopfPresentation:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", exc.start) from None
     return parse_presentation(text, name=path)
 
 

@@ -35,6 +35,20 @@ def add_into(out: dict, vec: dict, scale: Fraction | int = 1) -> None:
             out.pop(k, None)
 
 
+def transpose(rows: dict, keys=()) -> dict:
+    """``{a: {b: c}}`` as ``{b: {a: c}}``, with a row (maybe empty) for each of ``keys``.
+
+    The dual of a finite table is its transpose: a product table transposes
+    to the dual coproduct, a coproduct to the dual product, and a linear map
+    to its dual map.
+    """
+    out: dict = {b: {} for b in keys}
+    for a, row in rows.items():
+        for b, c in row.items():
+            out.setdefault(b, {})[a] = c
+    return out
+
+
 def image(rows: dict, vec: Vec) -> dict:
     """The linear map sending e_i to ``rows[i]``, applied to ``vec``."""
     out: dict = {}

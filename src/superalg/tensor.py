@@ -14,14 +14,11 @@ from typing import Callable, Mapping, Sequence
 from .core import (
     F0,
     F1,
-    EVEN,
-    PARITY_EVEN,
-    PARITY_MIXED,
-    PARITY_ODD,
     GeneratorSet,
     GeneratorSetMismatch,
     SuperMonomial,
     SuperPoly,
+    _TermMap,
     monomial_sort_key,
     mul_monomials,
     one_monomial,
@@ -30,10 +27,10 @@ from .core import (
 TensorKey = tuple[SuperMonomial, ...]
 
 
-class TensorPoly:
+class TensorPoly(_TermMap):
     """Element of a k-fold super tensor product, in slotwise normal form."""
 
-    __slots__ = ("gens", "terms")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -44,13 +41,8 @@ class TensorPoly:
         self.terms: dict[TensorKey, Fraction] = {k: c for k, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls, gens: Sequence[GeneratorSet]) -> TensorPoly:
-        return cls(gens)
-
-    @classmethod
     def unit(cls, gens: Sequence[GeneratorSet]) -> TensorPoly:
-        key = tuple(one_monomial(g) for g in gens)
-        return cls(gens, {key: F1})
+        return cls(gens) ** 0
 
     @classmethod
     def of(cls, *factors: SuperPoly) -> TensorPoly:
@@ -72,31 +64,16 @@ class TensorPoly:
         if self.gens != other.gens:
             raise GeneratorSetMismatch("tensor slot algebras differ")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _unit_key(self) -> TensorKey:
+        return tuple(one_monomial(g) for g in self.gens)
 
-    def __add__(self, other: TensorPoly) -> TensorPoly:
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, F0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return TensorPoly(self.gens, terms)
+    @staticmethod
+    def _key_parity(key: TensorKey) -> int:
+        return sum(m.parity for m in key) & 1
 
-    def __neg__(self) -> TensorPoly:
-        return TensorPoly(self.gens, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: TensorPoly) -> TensorPoly:
-        return self + (-other)
-
-    def scale(self, value) -> TensorPoly:
-        c = Fraction(value)
-        if not c:
-            return TensorPoly(self.gens)
-        return TensorPoly(self.gens, {k: c * v for k, v in self.terms.items()})
+    def _sort_key(self):
+        keys = [monomial_sort_key(g) for g in self.gens]
+        return lambda key: tuple(k(m) for k, m in zip(keys, key))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -136,40 +113,7 @@ class TensorPoly:
                     terms[key] = s2
                 else:
                     terms.pop(key, None)
-        return TensorPoly(self.gens, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> TensorPoly:
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = TensorPoly.unit(self.gens)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorPoly)
-            and self.gens == other.gens
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.gens, frozenset(self.terms.items())))
-
-    def parity_of(self) -> str:
-        parities = {sum(m.parity for m in k) & 1 for k in self.terms}
-        if not parities:
-            return PARITY_EVEN
-        if parities == {EVEN}:
-            return PARITY_EVEN
-        if len(parities) == 1:
-            return PARITY_ODD
-        return PARITY_MIXED
+        return self._new(terms)
 
     def flip(self) -> TensorPoly:
         """The super symmetry ``a⊗b -> (-1)^{|a||b|} b⊗a`` (two slots)."""
@@ -262,21 +206,10 @@ class TensorPoly:
             raise ValueError("not a one-slot tensor")
         return SuperPoly(self.gens[0], {k[0]: c for k, c in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[TensorKey, Fraction]]:
-        keys = [monomial_sort_key(g) for g in self.gens]
-
-        def order(key: TensorKey):
-            return tuple(k(m) for k, m in zip(keys, key))
-
-        return sorted(self.terms.items(), key=lambda item: order(item[0]))
-
     def __str__(self) -> str:
         from .parsing import format_tensor
 
         return format_tensor(self)
-
-    def __repr__(self) -> str:
-        return f"TensorPoly({self})"
 
 
 def tensor_mul(left: TensorPoly, right: TensorPoly) -> TensorPoly:

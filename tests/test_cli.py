@@ -251,10 +251,71 @@ def test_malformed_file_is_exit_2(text, error, message, tmp_path, capsys):
 
 
 def test_zero_denominator_has_its_position():
+    text = "odd v1;\ndelta v1 = 1/0*v1 @ 1 + 1 @ v1;\neps v1 = 0;\nantipode v1 = -v1;"
     with pytest.raises(ParseError) as info:
-        parse_presentation("odd v1;\ndelta v1 = 1/0*v1 @ 1 + 1 @ v1;\neps v1 = 0;\nantipode v1 = -v1;")
-    # positions count within the expression "1/0*v1 @ 1 + 1 @ v1"
-    assert info.value.position == 2
+        parse_presentation(text)
+    # positions count within the file's own text
+    assert info.value.position == text.index("1/0") + 2
+
+
+VALID = "odd v;\ndelta v = v @ 1 + 1 @ v;\neps v = 0;\nantipode v = -v;\n"
+
+
+@pytest.mark.parametrize("text, at", [
+    # expression errors: the offending token, counted from the start of the file
+    (VALID.replace("-v;", "-w;"), "w;"),
+    (VALID.replace("delta v = v @ 1 + 1 @ v", "delta v = v"), "v;\neps"),
+    (VALID.replace("eps v = 0", "eps v = "), ";\nantipode"),
+    (VALID.replace("eps v = 0", "eps v = $"), "$;"),
+    (VALID.replace("eps v = 0", "eps v = 0 0"), "0;\nantipode"),
+    (VALID.replace("1 + 1", "1/0 + 1"), "0 + 1"),
+    # statement errors: the start of the statement
+    ("# comment\n" + VALID + "foo v;\n", "foo v;"),
+    (VALID + "eps = 0;\n", "eps = 0;"),
+    (VALID.replace("antipode v = -v", "antipode v -v"), "antipode v -v"),
+    (VALID + "eps w = 0;\n", "eps w = 0;"),
+    ("odd v;\n" + VALID, "odd v;\ndelta"),
+    ("even x;\nodd 1v;\n" + VALID, "odd 1v;"),
+])
+def test_parse_errors_carry_file_offsets(text, at):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert text[info.value.position:].startswith(at), (info.value, text[info.value.position:])
+
+
+def test_keyword_ends_at_any_whitespace():
+    text = "odd\tv;\ndelta\n  v = v @ 1 + 1 @ v;\neps\tv = 0;\nantipode\nv = -v;\n"
+    assert parse_presentation(text) == parse_presentation(VALID)
+
+
+def test_generator_declarations_share_one_rule():
+    from superalg.parsing import parse_generator_set
+
+    with pytest.raises(ParseError, match="duplicate generator 'a'"):
+        parse_generator_set("odd a, a;")
+    with pytest.raises(ParseError, match="bad generator name '1v'"):
+        parse_generator_set("even x; odd 1v;")
+
+
+def test_non_utf8_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "binary.shp"
+    path.write_bytes(b"\xff\xfe" + VALID.encode("utf-16-le"))
+    assert main(["verify", "exterior", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "UTF-8" in err
+    with pytest.raises(ParseError) as info:
+        load_presentation(str(path))
+    assert info.value.position == 0
+
+
+def test_even_generator_file_is_exit_2(tmp_path, capsys):
+    from superalg import additive_presentation
+
+    path = tmp_path / "additive.shp"
+    path.write_text(print_presentation(additive_presentation(1, 1)))
+    assert main(["verify", "exterior", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "even generator 't1'" in err
 
 
 CORRUPTED = """
@@ -354,3 +415,26 @@ def test_report_without_timings_is_golden(argv, tmp_path):
     data.pop("timings")
     text = json.dumps(data, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv]
+
+
+# digests taken before the exterior tables were rebuilt as transposes: the
+# report of a larger exterior algebra, and the checks of the shipped file
+# (``config.file`` depends on where the package is installed)
+def test_exterior_dim_5_report_is_golden(tmp_path):
+    code, data = run(["verify", "exterior", "--dim", "5"], tmp_path)
+    assert code == 0
+    data.pop("timings")
+    text = json.dumps(data, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4b66c40157fb9da47acaaae5c6aedbc141ab0b2d62fac67350b0e18cd3e55086"
+    )
+
+
+def test_builtin_file_checks_are_golden(tmp_path):
+    path = builtin_presentation_path("exterior_2.shp")
+    code, data = run(["verify", "exterior", "--file", path], tmp_path)
+    assert code == 0
+    text = json.dumps(data["checks"], sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3393efc774db6f4ceff81fc4402bb73d836324cc5ef3b349e7a3be250465a8d9"
+    )

@@ -9,7 +9,6 @@ from superalg import (
     SuperPoly,
     UnknownGenerator,
     evaluate_hom,
-    normalize_product,
     parity_preserving,
     parse_poly,
 )
@@ -41,24 +40,27 @@ def bubble_sort_sign(gens, factors):
     return sign
 
 
-def test_normalize_product_examples():
-    sign, mono = normalize_product(GENS, ["t2", "t1"])
-    assert sign == -1 and mono == SuperMonomial((0, 0), (0, 1))
-    sign, mono = normalize_product(GENS, ["x", "t1"])
-    assert sign == 1 and mono == SuperMonomial((1, 0), (0,))
-    sign, mono = normalize_product(GENS, ["t1", "t1"])
-    assert sign == 0 and mono is None
+def product_of_generators(gens, factors):
+    product = SuperPoly.one(gens)
+    for name in factors:
+        product = product * SuperPoly.generator(gens, name)
+    return product
 
 
-def test_normalize_product_unknown_symbol():
+def test_generator_product_examples():
+    assert product_of_generators(GENS, ["t2", "t1"]) == -(T1 * T2)
+    assert product_of_generators(GENS, ["x", "t1"]).terms == {SuperMonomial((1, 0), (0,)): 1}
+    assert product_of_generators(GENS, ["t1", "t1"]).is_zero()
     with pytest.raises(UnknownGenerator):
-        normalize_product(GENS, ["nope"])
+        product_of_generators(GENS, ["nope"])
 
 
 @given(st.lists(st.sampled_from(["x", "y", "t1", "t2", "t3"]), max_size=7))
-def test_normalize_sign_matches_bubble_sort_oracle(factors):
-    sign, _ = normalize_product(GENS, factors)
-    assert sign == bubble_sort_sign(GENS, factors)
+def test_generator_product_sign_matches_bubble_sort_oracle(factors):
+    product = product_of_generators(GENS, factors)
+    sign = bubble_sort_sign(GENS, factors)
+    assert len(product.terms) == abs(sign)
+    assert all(c == sign for c in product.terms.values())
 
 
 def test_add_examples():

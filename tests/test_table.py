@@ -108,3 +108,26 @@ def test_products_and_scans_match_dense_oracle(seed):
     degree = [bin(i).count("1") for i in range(dim)]  # any nonnegative grading
     bad = brute_force_bad_triples(tab, dim, degree, 4)
     assert table.first_nonassociative(tab, dim, degree, 4) == (bad[0] if bad else None)
+
+
+def test_transpose_swaps_keys_and_adds_requested_rows():
+    rows = {0: {1: 2, 2: -1}, 1: {2: Fraction(3, 2)}}
+    assert table.transpose(rows) == {1: {0: 2}, 2: {0: -1, 1: Fraction(3, 2)}}
+    assert table.transpose(rows, range(4)) == {
+        0: {}, 1: {0: 2}, 2: {0: -1, 1: Fraction(3, 2)}, 3: {},
+    }
+    assert table.transpose(table.transpose(rows)) == rows
+    assert table.transpose({}, range(2)) == {0: {}, 1: {}}
+
+
+def test_transpose_of_a_product_is_its_dual_coproduct():
+    # k[x]/(x^3): Delta(e_k) = sum over i + j = k of e_i (x) e_j, all coefficients kept as given
+    tab = truncated_polynomials()
+    delta = table.transpose(tab, range(3))
+    assert delta == {
+        0: {(0, 0): F1},
+        1: {(0, 1): F1, (1, 0): F1},
+        2: {(0, 2): F1, (1, 1): F1, (2, 0): F1},
+    }
+    assert all(type(c) is Fraction for row in delta.values() for c in row.values())
+    assert table.transpose(delta) == tab

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -57,3 +58,41 @@ def test_multiply_slots_is_plain_multiplication():
     t1 = SuperPoly.generator(GENS, "t1")
     t2 = SuperPoly.generator(GENS, "t2")
     assert TensorPoly.of(t2, t1).multiply_slots() == t2 * t1
+
+
+ONE_A, ONE_B = SuperPoly.one(A), SuperPoly.one(B)
+X, T = SuperPoly.generator(A, "x"), SuperPoly.generator(A, "t")
+Y, S = SuperPoly.generator(B, "y"), SuperPoly.generator(B, "s")
+
+
+def test_zero_tensor_is_falsy():
+    assert not TensorPoly.zero((A, B))
+    assert not TensorPoly.of(T, S) - TensorPoly.of(T, S)
+    assert TensorPoly.unit((A, B))
+
+
+def test_tensor_parity_of():
+    assert TensorPoly.zero((A, B)).parity_of() == "even"
+    assert TensorPoly.of(T, S).parity_of() == "even"
+    assert (TensorPoly.of(T, ONE_B) + TensorPoly.of(X, S)).parity_of() == "odd"
+    assert (TensorPoly.of(T, ONE_B) + TensorPoly.of(X, ONE_B)).parity_of() == "mixed"
+
+
+def test_tensor_sorted_terms_order_slot_by_slot():
+    tensor = TensorPoly.of(X + ONE_A, S + ONE_B)
+    keys = [key for key, _ in tensor.sorted_terms()]
+    one_a, one_b = next(iter(ONE_A.terms)), next(iter(ONE_B.terms))
+    x, s = next(iter(X.terms)), next(iter(S.terms))
+    assert keys == [(one_a, one_b), (one_a, s), (x, one_b), (x, s)]
+    assert str(tensor) == "1 @ 1 + 1 @ s + x @ 1 + x @ s"
+    assert repr(tensor) == f"TensorPoly({tensor})"
+
+
+def test_tensor_powers():
+    xt = TensorPoly.of(X, ONE_B)
+    unit = TensorPoly.unit((A, B))
+    assert (xt + unit) ** 2 == TensorPoly.of(X * X, ONE_B) + xt.scale(2) + unit
+    assert xt ** 0 == unit
+    assert not TensorPoly.of(ONE_A, S) ** 2
+    with pytest.raises(ValueError):
+        xt ** -1
