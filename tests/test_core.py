@@ -47,10 +47,15 @@ def product_of_generators(gens, factors):
     return product
 
 
-def test_generator_product_examples():
+def test_normalize_product_examples():
+    """A product of generators normalizes to one sorted monomial with its Koszul sign."""
+    assert product_of_generators(GENS, ["t2", "t1"]).terms == {SuperMonomial((0, 0), (0, 1)): -1}
     assert product_of_generators(GENS, ["t2", "t1"]) == -(T1 * T2)
     assert product_of_generators(GENS, ["x", "t1"]).terms == {SuperMonomial((1, 0), (0,)): 1}
     assert product_of_generators(GENS, ["t1", "t1"]).is_zero()
+
+
+def test_normalize_product_unknown_symbol():
     with pytest.raises(UnknownGenerator):
         product_of_generators(GENS, ["nope"])
 
