@@ -13,8 +13,9 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
-from .core import SuperPoly
+from .core import SuperMonomial, SuperPoly
 from .decomposition import decomposition_check
 from .finite import (
     bosonize,
@@ -140,19 +141,14 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
 
     n = len(pres.gens.odds)
     if n <= max_dual:
-        primal = finite_from_presentation(pres) if path else None
-        ok, detail = dual_iso_check(n, primal)
+        ok, detail = dual_iso_check(n, finite_from_presentation(pres))
         report.extend(detail, prefix=f"duality[n={n}]")
         report.add_check("pairing-oracle", _pairing_oracle_agrees(n))
     return report
 
 
 def _pairing_oracle_agrees(n: int) -> bool:
-    from itertools import combinations
-
     gens = exterior_hopf(n).gens
-    from .core import SuperMonomial
-
     for size in range(min(n, 3) + 1):
         for left in combinations(range(n), size):
             for right in combinations(range(n), size):

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 from . import linalg
 from .core import F0, F1, SuperPoly, merge_odds
-from .hopf import AxiomReport, HopfPresentation, PresentationError
+from .hopf import AxiomReport, HopfPresentation, PresentationError, exterior_hopf
 from .hyper import truncated_dual
 from .table import (
     add_into,
@@ -218,17 +218,23 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
     dual = truncated_dual(pres, sum(gens.degrees.values()) + 1)
     antipode = None
     if pres.has_symbolic_antipode:
-        antipode = {}
-        for i, mono in enumerate(dual.basis):
-            image = pres.antipode_of(SuperPoly.monomial(gens, mono))
-            antipode[i] = {dual.index_of(m): c for m, c in image.terms.items()}
+        images = (pres.antipode_of(SuperPoly.monomial(gens, mono)) for mono in dual.basis)
+        antipode = _whole_as_int({i: {dual.index_of(m): c for m, c in image.terms.items()}
+                                  for i, image in enumerate(images)})
     return FiniteDimHopf(
         labels=["".join(gens.odds[i] for i in m.odds) or "1" for m in dual.basis],
-        parity=dual.parity, unit={dual.unit_index: F1},
-        mult=transpose(dual.coproduct), delta=transpose(dual.product, range(dual.dimension)),
-        counit=[pres.counit_monomial(m) for m in dual.basis], antipode=antipode,
-        graded=True, name=pres.name,
+        parity=dual.parity, unit={dual.unit_index: 1},
+        mult=_whole_as_int(transpose(dual.coproduct)),
+        delta=_whole_as_int(transpose(dual.product, range(dual.dimension))),
+        counit=[pres.counit_monomial(m) for m in dual.basis],
+        antipode=antipode, graded=True, name=pres.name,
     )
+
+
+def _whole_as_int(rows: dict) -> dict:
+    """``rows`` with each whole coefficient as an ``int``, so +-1 tables multiply in ``int``."""
+    return {a: {b: c.numerator if c.denominator == 1 else c for b, c in row.items()}
+            for a, row in rows.items()}
 
 
 # --- exterior duality ----------------------------------------------------------
@@ -288,15 +294,15 @@ def dual_hopf(hopf: FiniteDimHopf) -> FiniteDimHopf:
 def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, AxiomReport]:
     """Verify L(V*) = primal* as super Hopf algebras via the exterior pairing.
 
-    ``primal`` defaults to L(V) = ``exterior_finite(n)``; any other table on
-    the same 2^n blades (one read from a file, say) is checked as given.
+    ``primal`` defaults to L(V) built from its presentation, independently of
+    the blade tables of L(V*); any other table on the same 2^n blades is checked as given.
     The pairing-induced map must be bijective, an algebra morphism onto the
     convolution-dual algebra, and must intertwine coproducts, counits, units
     and antipodes; the dual itself must pass all super Hopf axioms.
     """
     report = AxiomReport()
     if primal is None:
-        primal = exterior_finite(n, label_prefix="v")
+        primal = finite_from_presentation(exterior_hopf(n))
     covector = exterior_finite(n, label_prefix="f")
     dual = dual_hopf(primal)
     dim = primal.dimension
@@ -363,10 +369,7 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
     def idx(s: int, i: int) -> int:
         return s * dim + i
 
-    labels = []
-    for s in (0, 1):
-        for lbl in hopf.labels:
-            labels.append(lbl if s == 0 else (f"g" if lbl == "1" else f"g.{lbl}"))
+    labels = hopf.labels + ["g" if lbl == "1" else f"g.{lbl}" for lbl in hopf.labels]
     size = 2 * dim
     unit = {idx(0, i): c for i, c in hopf.unit.items()}
     mult: dict[tuple[int, int], Vec] = {}

@@ -90,7 +90,8 @@ def load_presentation(path: str) -> HopfPresentation:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", exc.start) from None
+        at = len(data[:exc.start].decode("utf-8"))  # characters before the bad byte
+        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", at) from None
     return parse_presentation(text, name=path)
 
 

@@ -308,6 +308,15 @@ def test_non_utf8_file_is_exit_2(tmp_path, capsys):
     assert info.value.position == 0
 
 
+def test_non_utf8_offset_counts_characters(tmp_path):
+    # "é" is two bytes: the bad byte is byte 6 but comes after 5 characters
+    path = tmp_path / "latin.shp"
+    path.write_bytes("odd é".encode("utf-8") + b"\xff;\n")
+    with pytest.raises(ParseError, match="byte 0xff") as info:
+        load_presentation(str(path))
+    assert info.value.position == 5
+
+
 def test_even_generator_file_is_exit_2(tmp_path, capsys):
     from superalg import additive_presentation
 
