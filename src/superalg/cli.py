@@ -13,9 +13,8 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
 
-from .core import SuperMonomial, SuperPoly
+from .core import SuperMonomial, SuperPoly, blades, odd_positions
 from .decomposition import decomposition_check
 from .finite import (
     bosonize,
@@ -149,13 +148,17 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
 
 def _pairing_oracle_agrees(n: int) -> bool:
     gens = exterior_hopf(n).gens
-    for size in range(min(n, 3) + 1):
-        for left in combinations(range(n), size):
-            for right in combinations(range(n), size):
-                f = SuperPoly.monomial(gens, SuperMonomial((), left))
-                w = SuperPoly.monomial(gens, SuperMonomial((), right))
-                if exterior_pairing(f, w) != pairing_on_sequences(list(left), list(right)):
-                    return False
+    masks = [mask for mask in blades(n) if mask.bit_count() <= 3]
+    for left in masks:
+        for right in masks:
+            if left.bit_count() != right.bit_count():
+                continue
+            f = SuperPoly.monomial(gens, SuperMonomial((), left))
+            w = SuperPoly.monomial(gens, SuperMonomial((), right))
+            if exterior_pairing(f, w) != pairing_on_sequences(
+                list(odd_positions(left)), list(odd_positions(right))
+            ):
+                return False
     return True
 
 
@@ -497,14 +500,13 @@ def main(argv: list[str] | None = None) -> int:
         else:  # pragma: no cover
             parser.error("unknown command")
             return 2
+        report.timings["seconds"] = round(time.perf_counter() - started, 6)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(report.to_json() + "\n")
     except (ParseError, PresentationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.timings["seconds"] = round(time.perf_counter() - started, 6)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json() + "\n")
     if args.emit == "json":
         print(report.to_json())
     else:

@@ -1,8 +1,11 @@
 """Free super-commutative algebras over exact rationals.
 
 Elements are kept in Koszul normal form: even generators carry exponent
-vectors, odd generators appear as a strictly increasing support list, and
-every reordering sign is materialised into the coefficient.  All arithmetic
+vectors, the odd support is an ``int`` bitmask (bit i is ``gens.odds[i]``),
+and every reordering sign is materialised into the coefficient.  The one
+sign rule of the engine is :func:`cross`: blade products in ``SuperPoly``,
+``TensorPoly``, the Grassmann matrix kernel and the exterior tables all
+take their Koszul signs from it.  All arithmetic
 is exact (`fractions.Fraction`); values are immutable after construction and
 safe to share.
 """
@@ -71,7 +74,7 @@ class GeneratorSet:
         for i, name in enumerate(self.odds):
             self._info[name] = (ODD, i)
         self._key = (self.evens, self.odds, tuple(self.degrees.items()))
-        self._one = SuperMonomial((0,) * len(self.evens), ())
+        self._one = SuperMonomial((0,) * len(self.evens), 0)
 
     def parity(self, name: str) -> int:
         try:
@@ -106,21 +109,21 @@ class GeneratorSet:
 
 
 class SuperMonomial(NamedTuple):
-    """Normal-form monomial: even exponents plus increasing odd support."""
+    """Normal-form monomial: even exponents plus the odd support as a bitmask."""
 
     evens: tuple[int, ...]
-    odds: tuple[int, ...]
+    odds: int
 
     @property
     def parity(self) -> int:
-        return len(self.odds) & 1
+        return self.odds.bit_count() & 1
 
     def degree(self, gens: GeneratorSet) -> int:
         total = 0
         for e, name in zip(self.evens, gens.evens):
             if e:
                 total += e * gens.degrees[name]
-        for i in self.odds:
+        for i in odd_positions(self.odds):
             total += gens.degrees[gens.odds[i]]
         return total
 
@@ -132,30 +135,34 @@ def one_monomial(gens: GeneratorSet) -> SuperMonomial:
     return gens._one
 
 
-def merge_odds(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Merge two increasing odd supports; sign counts crossings, None on a repeat."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    merged: list[int] = []
-    inversions = 0
-    i = j = 0
-    la = len(a)
-    while i < la and j < len(b):
-        x, y = a[i], b[j]
-        if x == y:
-            return None
-        if x < y:
-            merged.append(x)
-            i += 1
-        else:
-            merged.append(y)
-            inversions += la - i
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return (-1 if inversions & 1 else 1), tuple(merged)
+def odd_positions(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask`` in increasing order (the odd factors, left to right)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def blades(n: int) -> list[int]:
+    """The 2^n odd supports on n generators, by size and then lexicographically."""
+    return sorted(range(1 << n), key=lambda mask: (mask.bit_count(), odd_positions(mask)))
+
+
+def cross(mask: int) -> int:
+    """XOR of (1 << i) - 1 over the bits i of ``mask``.
+
+    blade(m1) * blade(m2) = (-1)^popcount(m2 & cross(m1)) * blade(m1 | m2)
+    when m1 & m2 == 0: each factor t_j of m2 moves left past the factors of
+    m1 above it, and the XOR keeps the parity of that count per bit j.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= low - 1
+        mask ^= low
+    return out
 
 
 _MUL_CACHE: dict[tuple[SuperMonomial, SuperMonomial], tuple[int, SuperMonomial] | None] = {}
@@ -168,16 +175,15 @@ def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[int, SuperMonom
     cached = _MUL_CACHE.get(key, _MUL_CACHE)
     if cached is not _MUL_CACHE:
         return cached
-    odds = merge_odds(m1.odds, m2.odds)
-    if odds is None:
+    a, b = m1.odds, m2.odds
+    if a & b:
         result = None
     else:
-        sign, merged = odds
         if any(m1.evens):
-            evens = tuple(a + b for a, b in zip(m1.evens, m2.evens)) if any(m2.evens) else m1.evens
+            evens = tuple(x + y for x, y in zip(m1.evens, m2.evens)) if any(m2.evens) else m1.evens
         else:
             evens = m2.evens
-        result = (sign, SuperMonomial(evens, merged))
+        result = (-1 if (b & cross(a)).bit_count() & 1 else 1, SuperMonomial(evens, a | b))
     if len(_MUL_CACHE) > 1_000_000:
         _MUL_CACHE.clear()
     _MUL_CACHE[key] = result
@@ -186,7 +192,7 @@ def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[int, SuperMonom
 
 def monomial_sort_key(gens: GeneratorSet):
     def key(m: SuperMonomial):
-        return (m.degree(gens), m.odds, m.evens)
+        return (m.degree(gens), odd_positions(m.odds), m.evens)
 
     return key
 
@@ -196,9 +202,9 @@ class _TermMap:
 
     ``gens`` names the generator context and ``terms`` maps keys to nonzero
     exact coefficients; equality is term-map equality and operations return
-    new values.  A subclass supplies its constructor, ``_check``, the
-    ``__mul__`` loop and three key hooks: ``_unit_key``, ``_key_parity`` and
-    ``_sort_key``.
+    new values.  A subclass supplies its constructor, ``_check``, a
+    ``__mul__`` that calls ``_product`` with its key product, and three key
+    hooks: ``_unit_key``, ``_key_parity`` and ``_sort_key``.
     """
 
     __slots__ = ("gens", "terms")
@@ -227,6 +233,32 @@ class _TermMap:
                 terms[k] = s
             else:
                 terms.pop(k, None)
+        return self._new(terms)
+
+    def _product(self, other, key_product):
+        """Sum over term pairs of c1 * c2 * key_product(k1, k2).
+
+        ``key_product`` returns ``(sign, key)``, or None for a zero product.
+        """
+        terms: dict = {}
+        get = terms.get
+        other_items = list(other.terms.items())
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other_items:
+                prod = key_product(k1, k2)
+                if prod is None:
+                    continue
+                sign, key = prod
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                s = get(key)
+                if s is None:
+                    terms[key] = c
+                else:
+                    s = s + c
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
         return self._new(terms)
 
     def __neg__(self):
@@ -303,9 +335,9 @@ class SuperPoly(_TermMap):
         if parity == EVEN:
             exps = [0] * len(gens.evens)
             exps[pos] = 1
-            mono = SuperMonomial(tuple(exps), ())
+            mono = SuperMonomial(tuple(exps), 0)
         else:
-            mono = SuperMonomial((0,) * len(gens.evens), (pos,))
+            mono = SuperMonomial((0,) * len(gens.evens), 1 << pos)
         return cls(gens, {mono: F1})
 
     @classmethod
@@ -330,29 +362,7 @@ class SuperPoly(_TermMap):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        terms: dict[SuperMonomial, Fraction] = {}
-        get = terms.get
-        cache_get = _MUL_CACHE.get
-        other_items = list(other.terms.items())
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other_items:
-                prod = cache_get((m1, m2), _MUL_CACHE)
-                if prod is _MUL_CACHE:
-                    prod = mul_monomials(m1, m2)
-                if prod is None:
-                    continue
-                sign, mono = prod
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                s = get(mono)
-                if s is None:
-                    terms[mono] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[mono] = s
-                    else:
-                        del terms[mono]
-        return self._new(terms)
+        return self._product(other, mul_monomials)
 
     def body(self) -> Fraction:
         """Coefficient of the empty monomial."""
@@ -402,7 +412,7 @@ def evaluate_hom(
                 img = images[poly.gens.evens[pos]]
                 for _ in range(exp):
                     value = value * img
-        for pos in mono.odds:
+        for pos in odd_positions(mono.odds):
             value = value * images[poly.gens.odds[pos]]
         result = value if result is None else result + value
     if result is None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 from . import linalg
-from .core import F0, F1, SuperPoly, merge_odds
+from .core import F0, F1, SuperPoly, blades, cross, odd_positions
 from .hopf import AxiomReport, HopfPresentation, PresentationError, exterior_hopf
 from .hyper import truncated_dual
 from .table import (
@@ -179,26 +179,23 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
 
 def exterior_finite(n: int, label_prefix: str = "v") -> FiniteDimHopf:
     """The 2^n-dimensional exterior Hopf algebra by blade combinatorics (+-1, as int)."""
-    blades = [s for size in range(n + 1) for s in combinations(range(n), size)]
-    index = {s: i for i, s in enumerate(blades)}
-    labels = ["1" if not s else "".join(f"{label_prefix}{i + 1}" for i in s) for s in blades]
-    parity = [len(s) & 1 for s in blades]
-    unit = {index[()]: 1}
+    masks = blades(n)
+    index = {s: i for i, s in enumerate(masks)}
+    labels = ["".join(f"{label_prefix}{i + 1}" for i in odd_positions(s)) or "1" for s in masks]
+    parity = [s.bit_count() & 1 for s in masks]
+    unit = {index[0]: 1}
     mult: dict[tuple[int, int], Vec] = {}
-    for i, a in enumerate(blades):
-        for j, b in enumerate(blades):
-            merged = merge_odds(a, b)
-            if merged is not None:
-                sign, mono = merged
-                mult[(i, j)] = {index[mono]: sign}
+    for i, a in enumerate(masks):
+        x = cross(a)
+        for j, b in enumerate(masks):
+            if not a & b:
+                mult[(i, j)] = {index[a | b]: -1 if (b & x).bit_count() & 1 else 1}
     # Λ(V) is self-dual: the unshuffle coproduct is the transposed product
-    delta = transpose(mult, range(len(blades)))
-    counit = [0 if blade else 1 for blade in blades]
-    antipode: dict[int, Vec] = {}
-    for i, blade in enumerate(blades):
-        # S extends as an algebra morphism over a super-commutative algebra,
-        # so S(v_I) = (-1)^{|I|} v_I
-        antipode[i] = {i: -1 if len(blade) & 1 else 1}
+    delta = transpose(mult, range(len(masks)))
+    counit = [0 if s else 1 for s in masks]
+    # S extends as an algebra morphism over a super-commutative algebra, so
+    # S(v_I) = (-1)^{|I|} v_I
+    antipode = {i: {i: -1 if p else 1} for i, p in enumerate(parity)}
     return FiniteDimHopf(
         labels=labels, parity=parity, unit=unit, mult=mult, delta=delta,
         counit=counit, antipode=antipode, graded=True, name=f"Lambda({n})",
@@ -222,7 +219,7 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
         antipode = _whole_as_int({i: {dual.index_of(m): c for m, c in image.terms.items()}
                                   for i, image in enumerate(images)})
     return FiniteDimHopf(
-        labels=["".join(gens.odds[i] for i in m.odds) or "1" for m in dual.basis],
+        labels=["".join(gens.odds[i] for i in odd_positions(m.odds)) or "1" for m in dual.basis],
         parity=dual.parity, unit={dual.unit_index: 1},
         mult=_whole_as_int(transpose(dual.coproduct)),
         delta=_whole_as_int(transpose(dual.product, range(dual.dimension))),
@@ -307,11 +304,11 @@ def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, A
     dual = dual_hopf(primal)
     dim = primal.dimension
 
-    blades = [s for size in range(n + 1) for s in combinations(range(n), size)]
+    masks = blades(n)
     # phi(f_I) = sum_J <f_I, v_J> (v_J)*; on normal blades with dual bases the
     # determinant <f_I, v_J> is 1 when the supports agree and 0 otherwise
-    rows = {i: {j: F1 for j, vJ in enumerate(blades) if vJ == fI}
-            for i, fI in enumerate(blades)}
+    rows = {i: {j: F1 for j, vJ in enumerate(masks) if vJ == fI}
+            for i, fI in enumerate(masks)}
     report.add("pairing-bijective", len(linalg.rref(list(rows.values()))[1]) == dim)
 
     ok = True

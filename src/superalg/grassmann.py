@@ -11,9 +11,10 @@ product and inverse runs on one integer kernel.  There a blade
 t_{i1}...t_{ir} (0-based i1 < ... < ir) is the int bitmask with bits i1..ir
 set, an entry is a dict from bitmask to int numerator, and one positive
 denominator is shared by the whole matrix and reduced by a gcd after each
-product.  Two blades with a common bit multiply to zero; otherwise
-m1 * m2 = (-1)^popcount(m2 & cross(m1)) * (m1 | m2), where cross(m1) is the
-XOR of (1 << i) - 1 over the bits i of m1.  Nothing is sized by 2^k.
+product.  The bitmask is the ``odds`` field of ``SuperMonomial`` itself, so
+entries cross the boundary without re-encoding.  Two blades with a common
+bit multiply to zero; otherwise m1 * m2 = (-1)^popcount(m2 & cross(m1)) *
+(m1 | m2), the sign rule of ``core.cross``.  Nothing is sized by 2^k.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from .core import (
     PARITY_ODD,
     SuperMonomial,
     SuperPoly,
+    blades,
+    cross,
     evaluate_hom,
+    odd_positions,
     one_monomial,
 )
 
@@ -73,14 +77,11 @@ class GrassmannAlgebra:
 
     def blade(self, support: tuple[int, ...], coeff=F1) -> SuperPoly:
         """Monomial with the given increasing 0-based support."""
-        return SuperPoly.monomial(self.gens, SuperMonomial((), tuple(support)), coeff)
+        return SuperPoly.monomial(self.gens, SuperMonomial((), _mask(support)), coeff)
 
     def basis(self):
-        from itertools import combinations
-
-        for size in range(self.k + 1):
-            for support in combinations(range(self.k), size):
-                yield SuperMonomial((), support)
+        for mask in blades(self.k):
+            yield SuperMonomial((), mask)
 
     def __eq__(self, other):
         return isinstance(other, GrassmannAlgebra) and self.gens == other.gens
@@ -103,6 +104,11 @@ def invert_element(r: SuperPoly) -> SuperPoly:
     if any(any(m.evens) for m in r.terms):
         raise ValueError("not a Grassmann element: it has even generators")
     return _from_ints(_int_inv(_to_ints([[r]])), r.gens)[0][0]
+
+
+def _mask(support) -> int:
+    """The blade bitmask of distinct 0-based generator positions."""
+    return sum(1 << i for i in support)
 
 
 def _matrix_body(rows) -> linalg.Matrix:
@@ -134,44 +140,24 @@ IntMatrix = tuple[list[list[dict[int, int]]], int]
 def _to_ints(rows) -> IntMatrix:
     """Integer form of a matrix of Grassmann elements (``SuperPoly`` entries)."""
     den = lcm(*(c.denominator for row in rows for entry in row for c in entry.terms.values()))
-    out = []
-    for row in rows:
-        out_row = []
-        for entry in row:
-            terms = {}
-            for mono, c in entry.terms.items():
-                mask = 0
-                for i in mono.odds:
-                    mask |= 1 << i
-                terms[mask] = c.numerator * (den // c.denominator)
-            out_row.append(terms)
-        out.append(out_row)
-    return out, den
+    return [
+        [{mono.odds: c.numerator * (den // c.denominator) for mono, c in entry.terms.items()}
+         for entry in row]
+        for row in rows
+    ], den
 
 
 def _from_ints(mat: IntMatrix, gens: GeneratorSet) -> list[list[SuperPoly]]:
     """``SuperPoly`` entries over ``gens`` from the integer form."""
     rows, den = mat
     evens = one_monomial(gens).evens
-    monomials: dict[int, SuperMonomial] = {}
     out = []
     for row in rows:
         out_row = []
         for terms in row:
-            poly_terms = {}
-            for mask, num in terms.items():
-                mono = monomials.get(mask)
-                if mono is None:
-                    odds = []
-                    bits = mask
-                    while bits:
-                        low = bits & -bits
-                        odds.append(low.bit_length() - 1)
-                        bits ^= low
-                    mono = monomials[mask] = SuperMonomial(evens, tuple(odds))
-                poly_terms[mono] = Fraction(num, den)
             entry = SuperPoly.__new__(SuperPoly)
-            entry.gens, entry.terms = gens, poly_terms
+            entry.gens = gens
+            entry.terms = {SuperMonomial(evens, mask): Fraction(num, den) for mask, num in terms.items()}
             out_row.append(entry)
         out.append(out_row)
     return out
@@ -190,21 +176,6 @@ def _reduced(rows: list[list[dict[int, int]]], den: int) -> IntMatrix:
     return [[{m: c // g for m, c in terms.items()} for terms in row] for row in rows], den // g
 
 
-def _cross(mask: int) -> int:
-    """XOR of (1 << i) - 1 over the bits i of ``mask``.
-
-    blade(m1) * blade(m2) = (-1)^popcount(m2 & cross(m1)) * blade(m1 | m2)
-    when m1 & m2 == 0: each factor t_j of m2 moves left past the factors of
-    m1 above it, and the XOR keeps the parity of that count per bit j.
-    """
-    out = 0
-    while mask:
-        low = mask & -mask
-        out ^= low - 1
-        mask ^= low
-    return out
-
-
 def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     arows, aden = a
     brows, bden = b
@@ -213,7 +184,7 @@ def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     out = []
     for arow in arows:
         left = [
-            (k, [(m1, _cross(m1), c1) for m1, c1 in terms.items()])
+            (k, [(m1, cross(m1), c1) for m1, c1 in terms.items()])
             for k, terms in enumerate(arow)
             if terms
         ]
@@ -448,10 +419,8 @@ class SuperMatrix:
         for row in self.rows:
             out_row = []
             for entry in row:
-                items = sorted(entry.terms.items(), key=lambda kv: kv[0].odds)
-                out_row.append(
-                    [[list(m.odds), [c.numerator, c.denominator]] for m, c in items]
-                )
+                items = sorted((odd_positions(m.odds), c) for m, c in entry.terms.items())
+                out_row.append([[list(support), [c.numerator, c.denominator]] for support, c in items])
             entries.append(out_row)
         return json.dumps(
             {"shape": [self.m, self.n, self.alg.k], "entries": entries},
@@ -469,7 +438,7 @@ class SuperMatrix:
             out_row = []
             for entry in row:
                 terms = {
-                    SuperMonomial((), tuple(support)): Fraction(num, den)
+                    SuperMonomial((), _mask(support)): Fraction(num, den)
                     for support, (num, den) in entry
                 }
                 out_row.append(SuperPoly(alg.gens, terms))
@@ -498,8 +467,8 @@ class PointSampler:
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def _support(self, rng: random.Random, size: int) -> tuple[int, ...]:
-        return tuple(sorted(rng.sample(range(self.alg.k), size)))
+    def _support(self, rng: random.Random, size: int) -> int:
+        return _mask(rng.sample(range(self.alg.k), size))
 
     def _even_soul(self, rng: random.Random) -> SuperPoly:
         terms = {}

@@ -23,8 +23,12 @@ from .core import (
     GeneratorSet,
     SuperMonomial,
     SuperPoly,
+    blades,
     evaluate_hom,
+    mul_monomials,
+    odd_positions,
 )
+from .table import add_into
 from .tensor import TensorPoly
 
 
@@ -225,16 +229,14 @@ def even_quotient(pres: HopfPresentation) -> HopfPresentation:
         for mono, coeff in poly.terms.items():
             if mono.odds:
                 continue
-            terms[SuperMonomial(mono.evens, ())] = coeff
+            terms[SuperMonomial(mono.evens, 0)] = coeff
         return SuperPoly(gens, terms)
 
     def remap_tensor(tensor: TensorPoly) -> TensorPoly:
-        terms = {}
+        terms: dict = {}
         for (m1, m2), coeff in tensor.terms.items():
-            if m1.odds or m2.odds:
-                continue
-            key = (SuperMonomial(m1.evens, ()), SuperMonomial(m2.evens, ()))
-            terms[key] = terms.get(key, F0) + coeff
+            if not (m1.odds or m2.odds):
+                add_into(terms, {(SuperMonomial(m1.evens, 0), SuperMonomial(m2.evens, 0)): coeff})
         return TensorPoly((gens, gens), terms)
 
     delta = {g: remap_tensor(pres.delta[g]) for g in gens.names}
@@ -361,9 +363,6 @@ class OddCotangent:
 
 
 def _monomials_up_to(gens: GeneratorSet, bound: int) -> list[SuperMonomial]:
-    from itertools import combinations
-
-    evens: list[tuple[int, ...]] = [()]
     out: list[SuperMonomial] = []
     n_even = len(gens.evens)
 
@@ -376,13 +375,12 @@ def _monomials_up_to(gens: GeneratorSet, bound: int) -> list[SuperMonomial]:
             yield from even_vectors(prefix + [e], pos + 1, remaining - e * step)
 
     odd_degrees = [gens.degrees[name] for name in gens.odds]
-    for size in range(len(gens.odds) + 1):
-        for support in combinations(range(len(gens.odds)), size):
-            odd_deg = sum(odd_degrees[i] for i in support)
-            if odd_deg > bound:
-                continue
-            for vec in even_vectors([], 0, bound - odd_deg):
-                out.append(SuperMonomial(vec, support))
+    for support in blades(len(gens.odds)):
+        odd_deg = sum(odd_degrees[i] for i in odd_positions(support))
+        if odd_deg > bound:
+            continue
+        for vec in even_vectors([], 0, bound - odd_deg):
+            out.append(SuperMonomial(vec, support))
     return out
 
 
@@ -400,9 +398,6 @@ def compute_W(pres: HopfPresentation, degree_bound: int | None = None) -> OddCot
     odd_monos = [m for m in monos if m.parity == ODD]
     index = {m: i for i, m in enumerate(odd_monos)}
     even_nonconstant = [m for m in monos if m.parity == EVEN and not m.is_one()]
-
-    from .core import mul_monomials
-
     rows = []
     for u in even_nonconstant:
         du = u.degree(gens)
@@ -419,7 +414,7 @@ def compute_W(pres: HopfPresentation, degree_bound: int | None = None) -> OddCot
     basis_monos = [m for i, m in enumerate(odd_monos) if i not in pivot_set]
     names = []
     for mono in basis_monos:
-        if any(mono.evens) or len(mono.odds) != 1:
+        if any(mono.evens) or mono.odds.bit_count() != 1:
             raise PresentationError(f"unexpected odd cotangent representative {mono}")
-        names.append(gens.odds[mono.odds[0]])
+        names.append(gens.odds[mono.odds.bit_length() - 1])
     return OddCotangent(basis=names, degree_bound=degree_bound, checked_dimension=len(odd_monos))

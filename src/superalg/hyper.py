@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .core import F1, EVEN, ODD, SuperMonomial, mul_monomials
+from .core import F1, EVEN, ODD, SuperMonomial, mul_monomials, odd_positions
 from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
 from .parsing import format_monomial
@@ -78,7 +78,7 @@ class TruncatedDual:
                 continue  # odd squares vanish identically, forcing c_g = 0
             exps = [0] * len(gens.evens)
             exps[gens.position(name)] = self.order
-            if SuperMonomial(tuple(exps), ()) in self._index:
+            if SuperMonomial(tuple(exps), 0) in self._index:
                 return False  # power survives the truncation: no certificate
         return True
 
@@ -129,7 +129,7 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
             )
     basis = sorted(
         (m for m in _monomials_up_to(gens, order - 1)),
-        key=lambda m: (m.degree(gens), m.evens, m.odds),
+        key=lambda m: (m.degree(gens), m.evens, odd_positions(m.odds)),
     )
     index = {m: i for i, m in enumerate(basis)}
     labels = ["D[" + (format_monomial(gens, m) or "1") + "]" for m in basis]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import GeneratorSet, SuperMonomial, SuperPoly
+from .core import GeneratorSet, SuperMonomial, SuperPoly, odd_positions
 from .tensor import TensorPoly
 
 
@@ -217,7 +217,7 @@ def format_monomial(gens: GeneratorSet, mono: SuperMonomial) -> str:
             factors.append(gens.evens[pos])
         elif exp > 1:
             factors.append(f"{gens.evens[pos]}^{exp}")
-    for pos in mono.odds:
+    for pos in odd_positions(mono.odds):
         factors.append(gens.odds[pos])
     return "*".join(factors)
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .core import (
-    F0,
     F1,
     GeneratorSet,
     GeneratorSetMismatch,
@@ -23,8 +22,30 @@ from .core import (
     mul_monomials,
     one_monomial,
 )
+from .table import add_into
 
 TensorKey = tuple[SuperMonomial, ...]
+
+
+def _key_product(key1: TensorKey, key2: TensorKey) -> tuple[int, TensorKey] | None:
+    """Slotwise product of two keys with its sign, or None if a slot vanishes.
+
+    Besides each slot's own sign, every odd factor of ``key1`` picks up a
+    Koszul sign from the odd factors of ``key2`` in earlier slots, which the
+    product moves past it.
+    """
+    sign = 1
+    moved = 0  # parity of the odd factors of key2 in the slots so far
+    monos = []
+    for m1, m2 in zip(key1, key2):
+        prod = mul_monomials(m1, m2)
+        if prod is None:
+            return None
+        s, mono = prod
+        sign = -sign * s if moved and m1.parity else sign * s
+        moved ^= m2.parity
+        monos.append(mono)
+    return sign, tuple(monos)
 
 
 class TensorPoly(_TermMap):
@@ -47,18 +68,13 @@ class TensorPoly(_TermMap):
     @classmethod
     def of(cls, *factors: SuperPoly) -> TensorPoly:
         """The elementary tensor ``p_1 ⊗ ... ⊗ p_k`` (multilinear expansion)."""
-        gens = tuple(p.gens for p in factors)
-        terms: dict[TensorKey, Fraction] = {}
-        keys: list[tuple[TensorKey, Fraction]] = [((), F1)]
+        terms: dict[TensorKey, Fraction] = {(): F1}
         for p in factors:
-            keys = [
-                (key + (m,), c * pc)
-                for key, c in keys
-                for m, pc in p.terms.items()
-            ]
-        for key, c in keys:
-            terms[key] = terms.get(key, F0) + c
-        return cls(gens, terms)
+            extended: dict[TensorKey, Fraction] = {}
+            for key, c in terms.items():
+                add_into(extended, {key + (m,): pc for m, pc in p.terms.items()}, c)
+            terms = extended
+        return cls(tuple(p.gens for p in factors), terms)
 
     def _check(self, other: TensorPoly) -> None:
         if self.gens != other.gens:
@@ -79,54 +95,15 @@ class TensorPoly(_TermMap):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        k = len(self.gens)
-        terms: dict[TensorKey, Fraction] = {}
-        for key1, c1 in self.terms.items():
-            right_par = [m.parity for m in key1]
-            # suffix_odd[i] = number of odd factors of key1 strictly right of slot i
-            suffix = [0] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + right_par[i]
-            for key2, c2 in other.terms.items():
-                sign = 1
-                crossings = 0
-                for i in range(k):
-                    if key2[i].parity:
-                        crossings += suffix[i + 1]
-                if crossings & 1:
-                    sign = -sign
-                monos = []
-                for m1, m2 in zip(key1, key2):
-                    prod = mul_monomials(m1, m2)
-                    if prod is None:
-                        monos = None
-                        break
-                    s, mono = prod
-                    sign *= s
-                    monos.append(mono)
-                if monos is None:
-                    continue
-                key = tuple(monos)
-                c = c1 * c2 if sign > 0 else -c1 * c2
-                s2 = terms.get(key, F0) + c
-                if s2:
-                    terms[key] = s2
-                else:
-                    terms.pop(key, None)
-        return self._new(terms)
+        return self._product(other, _key_product)
 
     def flip(self) -> TensorPoly:
         """The super symmetry ``a⊗b -> (-1)^{|a||b|} b⊗a`` (two slots)."""
         if len(self.gens) != 2:
             raise ValueError("flip is defined on two-slot tensors")
-        gens = (self.gens[1], self.gens[0])
-        terms: dict[TensorKey, Fraction] = {}
-        for (m1, m2), c in self.terms.items():
-            if m1.parity and m2.parity:
-                c = -c
-            key = (m2, m1)
-            terms[key] = terms.get(key, F0) + c
-        return TensorPoly(gens, terms)
+        return TensorPoly((self.gens[1], self.gens[0]), {
+            (m2, m1): -c if m1.parity and m2.parity else c for (m1, m2), c in self.terms.items()
+        })
 
     def expand_slot(
         self,
@@ -148,13 +125,7 @@ class TensorPoly(_TermMap):
                 items = [((m,), ic) for m, ic in image.terms.items()]
             else:
                 items = list(image.terms.items())
-            for mid, ic in items:
-                nk = key[:slot] + tuple(mid) + key[slot + 1 :]
-                s = terms.get(nk, F0) + c * ic
-                if s:
-                    terms[nk] = s
-                else:
-                    terms.pop(nk, None)
+            add_into(terms, {key[:slot] + tuple(mid) + key[slot + 1 :]: ic for mid, ic in items}, c)
         return TensorPoly(gens, terms)
 
     def contract_slot(self, slot: int, functional: Callable[[SuperMonomial], Fraction]) -> TensorPoly:
@@ -162,15 +133,7 @@ class TensorPoly(_TermMap):
         gens = self.gens[:slot] + self.gens[slot + 1 :]
         terms: dict[TensorKey, Fraction] = {}
         for key, c in self.terms.items():
-            v = functional(key[slot])
-            if not v:
-                continue
-            nk = key[:slot] + key[slot + 1 :]
-            s = terms.get(nk, F0) + c * v
-            if s:
-                terms[nk] = s
-            else:
-                terms.pop(nk, None)
+            add_into(terms, {key[:slot] + key[slot + 1 :]: functional(key[slot])}, c)
         return TensorPoly(gens, terms)
 
     def multiply_slots(self) -> SuperPoly:
@@ -190,14 +153,8 @@ class TensorPoly(_TermMap):
                     break
                 s, mono = prod
                 sign *= s
-            if mono is None:
-                continue
-            cc = c if sign > 0 else -c
-            s2 = out.get(mono, F0) + cc
-            if s2:
-                out[mono] = s2
-            else:
-                out.pop(mono, None)
+            if mono is not None:
+                add_into(out, {mono: c}, sign)
         return SuperPoly(target, out)
 
     def to_single(self) -> SuperPoly:

@@ -172,6 +172,14 @@ def test_missing_file_is_exit_2(tmp_path):
     assert code == 2
 
 
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "absent" / "r.json"
+    assert main(["verify", "exterior", "--dim", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert not captured.out
+
+
 # --- presentation files
 
 

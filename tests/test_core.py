@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from superalg import (
@@ -12,9 +12,9 @@ from superalg import (
     parity_preserving,
     parse_poly,
 )
-from superalg.core import SuperMonomial
+from superalg.core import SuperMonomial, mul_monomials
 
-from conftest import GENS, homogeneous_polys, polys
+from conftest import GENS, homogeneous_polys, monomials, oracle_mul_monomials, polys
 
 X = SuperPoly.generator(GENS, "x")
 T1 = SuperPoly.generator(GENS, "t1")
@@ -49,9 +49,9 @@ def product_of_generators(gens, factors):
 
 def test_normalize_product_examples():
     """A product of generators normalizes to one sorted monomial with its Koszul sign."""
-    assert product_of_generators(GENS, ["t2", "t1"]).terms == {SuperMonomial((0, 0), (0, 1)): -1}
+    assert product_of_generators(GENS, ["t2", "t1"]).terms == {SuperMonomial((0, 0), 0b11): -1}
     assert product_of_generators(GENS, ["t2", "t1"]) == -(T1 * T2)
-    assert product_of_generators(GENS, ["x", "t1"]).terms == {SuperMonomial((1, 0), (0,)): 1}
+    assert product_of_generators(GENS, ["x", "t1"]).terms == {SuperMonomial((1, 0), 0b1): 1}
     assert product_of_generators(GENS, ["t1", "t1"]).is_zero()
 
 
@@ -66,6 +66,16 @@ def test_generator_product_sign_matches_bubble_sort_oracle(factors):
     sign = bubble_sort_sign(GENS, factors)
     assert len(product.terms) == abs(sign)
     assert all(c == sign for c in product.terms.values())
+
+
+@given(monomials(), monomials())
+@example(SuperMonomial((0, 0), 0), SuperMonomial((0, 0), 0))
+@example(SuperMonomial((0, 0), 0), SuperMonomial((1, 0), 0b101))
+@example(SuperMonomial((0, 2), 0b110), SuperMonomial((0, 0), 0))
+@example(SuperMonomial((0, 0), 0b110), SuperMonomial((0, 0), 0b001))
+@example(SuperMonomial((0, 0), 0b010), SuperMonomial((0, 0), 0b011))
+def test_mul_monomials_matches_tuple_merge_oracle(m1, m2):
+    assert mul_monomials(m1, m2) == oracle_mul_monomials(m1, m2)
 
 
 def test_add_examples():

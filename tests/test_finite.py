@@ -17,6 +17,8 @@ from superalg import (
     pairing_on_sequences,
 )
 from superalg.core import SuperMonomial
+
+from conftest import mask_of
 from superalg.finite import compose_with_antipode, is_left_integral, is_right_integral
 
 
@@ -59,10 +61,10 @@ def test_corrupted_constant_fails_with_first_triple(n, key, cell, failures):
 
 def test_pairing_dual_basis_examples():
     gens = exterior_hopf(2).gens
-    f12 = SuperPoly.monomial(gens, SuperMonomial((), (0, 1)))
-    v12 = SuperPoly.monomial(gens, SuperMonomial((), (0, 1)))
-    f1 = SuperPoly.monomial(gens, SuperMonomial((), (0,)))
-    v2 = SuperPoly.monomial(gens, SuperMonomial((), (1,)))
+    f12 = SuperPoly.monomial(gens, SuperMonomial((), 0b11))
+    v12 = SuperPoly.monomial(gens, SuperMonomial((), 0b11))
+    f1 = SuperPoly.monomial(gens, SuperMonomial((), 0b01))
+    v2 = SuperPoly.monomial(gens, SuperMonomial((), 0b10))
     assert exterior_pairing(f12, v12) == 1
     assert exterior_pairing(f1, v2) == 0
 
@@ -76,7 +78,7 @@ def test_pairing_odd_permutation_sign():
     gens = exterior_hopf(2).gens
     v1 = SuperPoly.generator(gens, "v1")
     v2 = SuperPoly.generator(gens, "v2")
-    f12 = SuperPoly.monomial(gens, SuperMonomial((), (0, 1)))
+    f12 = SuperPoly.monomial(gens, SuperMonomial((), 0b11))
     assert exterior_pairing(f12, v2 * v1) == -1
 
 
@@ -86,8 +88,8 @@ def test_pairing_agrees_with_permutation_oracle(n):
     for size in range(n + 1):
         for left in combinations(range(n), size):
             for right in combinations(range(n), size):
-                f = SuperPoly.monomial(gens, SuperMonomial((), left))
-                w = SuperPoly.monomial(gens, SuperMonomial((), right))
+                f = SuperPoly.monomial(gens, SuperMonomial((), mask_of(left)))
+                w = SuperPoly.monomial(gens, SuperMonomial((), mask_of(right)))
                 assert exterior_pairing(f, w) == pairing_on_sequences(list(left), list(right))
 
 

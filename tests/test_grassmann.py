@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import coefficients
+from conftest import coefficients, mask_of, oracle_product
 from superalg import (
     GeneratorSet,
     GrassmannAlgebra,
@@ -221,10 +221,11 @@ def test_purely_even_shape_degenerates():
 # --- differential tests: the integer bitmask kernel against SuperPoly products
 
 def oracle_mul(a, b, alg):
-    """Each entry as a sum of ``SuperPoly.__mul__`` products (``merge_odds`` signs)."""
+    """Each entry as a sum of ``oracle_product`` terms (``merge_odds`` signs)."""
     cols = len(b[0]) if b else 0
     return [
-        [sum((row[k] * b[k][j] for k in range(len(b))), alg.zero()) for j in range(cols)]
+        [sum((oracle_product(row[k], b[k][j]) for k in range(len(b))), alg.zero())
+         for j in range(cols)]
         for row in a
     ]
 
@@ -234,12 +235,12 @@ def oracle_identity(size, alg):
 
 
 def series_inverse(r):
-    """body^-1 * sum_i (-soul/body)^i, summed with ``SuperPoly`` arithmetic."""
+    """body^-1 * sum_i (-soul/body)^i, multiplied with ``oracle_product``."""
     body = r.body()
     nilpotent = r.soul().scale(-1 / body)
     result = power = SuperPoly.one(r.gens)
     while True:
-        power = power * nilpotent
+        power = oracle_product(power, nilpotent)
         if power.is_zero():
             return result.scale(1 / body)
         result = result + power
@@ -282,7 +283,7 @@ def grassmann_entries(draw, alg=HYP_ALG, soul_only=False, max_terms=3):
     blades = st.lists(
         st.integers(min_value=0, max_value=alg.k - 1), unique=True,
         min_size=1 if soul_only else 0, max_size=alg.k,
-    ).map(lambda support: SuperMonomial((), tuple(sorted(support))))
+    ).map(lambda support: SuperMonomial((), mask_of(support)))
     return SuperPoly(alg.gens, draw(st.dictionaries(blades, coefficients, max_size=max_terms)))
 
 

@@ -18,9 +18,11 @@ from superalg import (
     super_pbw_count,
     truncated_dual,
 )
-from superalg.core import SuperMonomial, merge_odds, mul_monomials
+from superalg.core import mul_monomials
 from superalg.hopf import _monomials_up_to
 from superalg.liealg import StructureError
+
+from conftest import oracle_mul_monomials, support_of
 
 GA11 = additive_presentation(1, 1)
 GL11 = glmn_presentation(1, 1)
@@ -160,7 +162,7 @@ def all_pairs_tables(pres, order):
     only the terms that land in the basis kept."""
     gens = pres.gens
     basis = sorted(_monomials_up_to(gens, order - 1),
-                   key=lambda m: (m.degree(gens), m.evens, m.odds))
+                   key=lambda m: (m.degree(gens), m.evens, support_of(m.odds)))
     index = {m: i for i, m in enumerate(basis)}
     product = {}
     for target, mono in enumerate(basis):
@@ -168,7 +170,7 @@ def all_pairs_tables(pres, order):
         for pos, exp in enumerate(mono.evens):
             for _ in range(exp):
                 image = image * pres.delta[gens.evens[pos]]
-        for pos in mono.odds:
+        for pos in support_of(mono.odds):
             image = image * pres.delta[gens.odds[pos]]
         for (m1, m2), coeff in image.terms.items():
             i, j = index.get(m1), index.get(m2)
@@ -177,12 +179,11 @@ def all_pairs_tables(pres, order):
     coproduct = {i: {} for i in range(len(basis))}
     for i, m1 in enumerate(basis):
         for j, m2 in enumerate(basis):
-            merged = merge_odds(m1.odds, m2.odds)
-            if merged is None:
+            prod = oracle_mul_monomials(m1, m2)
+            if prod is None:
                 continue
-            sign, odds = merged
-            evens = tuple(a + b for a, b in zip(m1.evens, m2.evens))
-            target = index.get(SuperMonomial(evens, odds))
+            sign, mono = prod
+            target = index.get(mono)
             if target is not None:
                 coproduct[target][(i, j)] = Fraction(sign)
     return basis, product, coproduct

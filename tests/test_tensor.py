@@ -3,8 +3,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from superalg import GeneratorSet, SuperPoly, TensorPoly, tensor_mul
+from superalg.tensor import _key_product
 
-from conftest import GENS, homogeneous_polys, polys
+from conftest import GENS, homogeneous_polys, monomials, oracle_mul_monomials, polys
 
 A = GeneratorSet(evens=["x"], odds=["t"])
 B = GeneratorSet(evens=["y"], odds=["s"])
@@ -96,3 +97,31 @@ def test_tensor_powers():
     assert not TensorPoly.of(ONE_A, S) ** 2
     with pytest.raises(ValueError):
         xt ** -1
+
+
+def crossing_count_product(key1, key2):
+    """The slotwise key product the long way: for each odd factor of key2,
+    count the odd factors of key1 in the slots to its right."""
+    k = len(key1)
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + key1[i].parity
+    crossings = sum(suffix[i + 1] for i in range(k) if key2[i].parity)
+    sign = -1 if crossings & 1 else 1
+    monos = []
+    for m1, m2 in zip(key1, key2):
+        prod = oracle_mul_monomials(m1, m2)
+        if prod is None:
+            return None
+        s, mono = prod
+        sign *= s
+        monos.append(mono)
+    return sign, tuple(monos)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.tuples(st.lists(monomials(), min_size=k, max_size=k),
+                        st.lists(monomials(), min_size=k, max_size=k))))
+def test_key_product_matches_crossing_count(keys):
+    key1, key2 = tuple(keys[0]), tuple(keys[1])
+    assert _key_product(key1, key2) == crossing_count_product(key1, key2)
