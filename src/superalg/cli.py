@@ -315,8 +315,7 @@ def run_hy_suite(target: str, order: int) -> Report:
     chain_ok = all(duals[k].embeds_in(duals[k + 1]) for k in range(1, order))
     report.add_check("embedding-chain", chain_ok)
 
-    report.add_check("structure-export", True)
-    report.checks[-1]["structure"] = export_structure(duals[min(order, 3)])
+    report.data["structure"] = export_structure(duals[min(order, 3)])
     return report
 
 
@@ -352,16 +351,12 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
     report.add_check("group-membership", membership_ok, witness)
     report.add_check("group-bracket-equivariance", equivariance_ok, witness)
 
-    try:
-        lie = build_super_lie(pair, check=False)
-        report.add_check("structure-export", True)
-        report.checks[-1]["structure"] = {
-            "labels": lie.labels,
-            "parity": lie.parity,
-            "bracket": {f"{i},{j}": vec_json(vec) for (i, j), vec in sorted(lie.bracket.items())},
-        }
-    except StructureError:
-        pass
+    lie = build_super_lie(pair, check=False)
+    report.data["structure"] = {
+        "labels": lie.labels,
+        "parity": lie.parity,
+        "bracket": {f"{i},{j}": vec_json(vec) for (i, j), vec in sorted(lie.bracket.items())},
+    }
     return report
 
 
@@ -385,8 +380,7 @@ def run_envelope_suite(r: int, degree: int, abelian: tuple[int, int] | None) -> 
         "pbw-dimension", env.dimension == expected,
         f"got {env.dimension}, expected {expected}",
     )
-    report.add_check("degreewise-dims", True, "")
-    report.checks[-1]["dims_by_degree"] = env.dims_by_degree
+    report.data["dims_by_degree"] = env.dims_by_degree
     return report
 
 

@@ -12,16 +12,19 @@ ENGINE_VERSION = "0.1.0"
 
 @dataclass
 class Report:
-    """Suite outcome: config echo, per-check status, witnesses, timings.
+    """Suite outcome: config echo, per-check status, witnesses, data, timings.
 
     Identical config and seed produce identical reports apart from the
-    ``timings`` block; every failure carries a serialised witness.
+    ``timings`` block; every failure carries a serialised witness.  ``data``
+    holds computed results that are not checks (exported structures,
+    dimensions) and is emitted only when non-empty.
     """
 
     suite: str
     config: dict
     checks: list[dict] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)
     engine_version: str = ENGINE_VERSION
 
     @property
@@ -42,7 +45,7 @@ class Report:
             self.checks.append(entry)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "suite": self.suite,
             "engine_version": self.engine_version,
             "config": self.config,
@@ -50,6 +53,9 @@ class Report:
             "checks": self.checks,
             "timings": self.timings,
         }
+        if self.data:
+            out["data"] = self.data
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=str)
