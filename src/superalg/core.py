@@ -5,9 +5,9 @@ vectors, the odd support is an ``int`` bitmask (bit i is ``gens.odds[i]``),
 and every reordering sign is materialised into the coefficient.  The one
 sign rule of the engine is :func:`cross`: blade products in ``SuperPoly``,
 ``TensorPoly``, the Grassmann matrix kernel and the exterior tables all
-take their Koszul signs from it.  All arithmetic
-is exact (`fractions.Fraction`); values are immutable after construction and
-safe to share.
+take their Koszul signs from it.  All arithmetic is exact
+(`fractions.Fraction`); values are immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .core import (
     mul_monomials,
     odd_positions,
 )
-from .table import add_into
 from .tensor import TensorPoly
 
 
@@ -224,20 +223,15 @@ def even_quotient(pres: HopfPresentation) -> HopfPresentation:
     """Quotient by the ideal generated by the odd part: all odd generators -> 0."""
     gens = GeneratorSet(pres.gens.evens, ())
 
+    # a monomial without odd factors is the same key over the even generators,
+    # so the quotient map drops the terms with odd factors and keeps the rest
     def remap_poly(poly: SuperPoly) -> SuperPoly:
-        terms = {}
-        for mono, coeff in poly.terms.items():
-            if mono.odds:
-                continue
-            terms[SuperMonomial(mono.evens, 0)] = coeff
-        return SuperPoly(gens, terms)
+        return SuperPoly(gens, {m: c for m, c in poly.terms.items() if not m.odds})
 
     def remap_tensor(tensor: TensorPoly) -> TensorPoly:
-        terms: dict = {}
-        for (m1, m2), coeff in tensor.terms.items():
-            if not (m1.odds or m2.odds):
-                add_into(terms, {(SuperMonomial(m1.evens, 0), SuperMonomial(m2.evens, 0)): coeff})
-        return TensorPoly((gens, gens), terms)
+        return TensorPoly((gens, gens), {
+            (m1, m2): c for (m1, m2), c in tensor.terms.items() if not (m1.odds or m2.odds)
+        })
 
     delta = {g: remap_tensor(pres.delta[g]) for g in gens.names}
     counit = {g: pres.counit[g] for g in gens.names}

@@ -69,11 +69,8 @@ class TensorPoly(_TermMap):
     def of(cls, *factors: SuperPoly) -> TensorPoly:
         """The elementary tensor ``p_1 ⊗ ... ⊗ p_k`` (multilinear expansion)."""
         terms: dict[TensorKey, Fraction] = {(): F1}
-        for p in factors:
-            extended: dict[TensorKey, Fraction] = {}
-            for key, c in terms.items():
-                add_into(extended, {key + (m,): pc for m, pc in p.terms.items()}, c)
-            terms = extended
+        for p in factors:  # distinct (key, m) give distinct keys: nothing to accumulate
+            terms = {key + (m,): c * pc for key, c in terms.items() for m, pc in p.terms.items()}
         return cls(tuple(p.gens for p in factors), terms)
 
     def _check(self, other: TensorPoly) -> None:
