@@ -77,7 +77,7 @@ class GrassmannAlgebra:
 
     def blade(self, support: tuple[int, ...], coeff=F1) -> SuperPoly:
         """Monomial with the given increasing 0-based support."""
-        return SuperPoly.monomial(self.gens, SuperMonomial((), _mask(support)), coeff)
+        return SuperPoly.monomial(self.gens, SuperMonomial((), _mask(support, self.k)), coeff)
 
     def basis(self):
         for mask in blades(self.k):
@@ -106,9 +106,14 @@ def invert_element(r: SuperPoly) -> SuperPoly:
     return _from_ints(_int_inv(_to_ints([[r]])), r.gens)[0][0]
 
 
-def _mask(support) -> int:
-    """The blade bitmask of distinct 0-based generator positions."""
-    return sum(1 << i for i in support)
+def _mask(support, k: int) -> int:
+    """The blade bitmask of strictly increasing 0-based positions of k generators."""
+    mask = 0
+    for i in support:
+        if not 0 <= i < k or mask >> i:
+            raise ValueError(f"blade support {list(support)} is not increasing positions below {k}")
+        mask |= 1 << i
+    return mask
 
 
 def _matrix_body(rows) -> linalg.Matrix:
@@ -438,7 +443,7 @@ class SuperMatrix:
             out_row = []
             for entry in row:
                 terms = {
-                    SuperMonomial((), _mask(support)): Fraction(num, den)
+                    SuperMonomial((), _mask(support, k)): Fraction(num, den)
                     for support, (num, den) in entry
                 }
                 out_row.append(SuperPoly(alg.gens, terms))
@@ -468,7 +473,7 @@ class PointSampler:
         self._rng = random.Random(seed)
 
     def _support(self, rng: random.Random, size: int) -> int:
-        return _mask(rng.sample(range(self.alg.k), size))
+        return _mask(sorted(rng.sample(range(self.alg.k), size)), self.alg.k)
 
     def _even_soul(self, rng: random.Random) -> SuperPoly:
         terms = {}

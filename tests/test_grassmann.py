@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -199,6 +200,15 @@ def test_json_round_trip_and_determinism():
     assert a == b
     assert a.to_json() == b.to_json()
     assert SuperMatrix.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("support", [[0, 0], [1, 0], [4], [-1]])
+def test_blade_support_must_be_increasing_positions(support):
+    with pytest.raises(ValueError, match="blade support"):
+        ALG.blade(tuple(support))
+    text = json.dumps({"shape": [1, 0, 4], "entries": [[[[support, [1, 1]]]]]})
+    with pytest.raises(ValueError, match="blade support"):
+        SuperMatrix.from_json(text)
 
 
 def test_shape_mismatch_rejected():
