@@ -28,6 +28,7 @@ from .core import (
     mul_monomials,
     odd_positions,
 )
+from .table import add_into
 from .tensor import TensorPoly
 
 
@@ -112,10 +113,10 @@ class HopfPresentation:
         return cached
 
     def delta_of(self, poly: SuperPoly) -> TensorPoly:
-        out = TensorPoly.zero((self.gens, self.gens))
+        terms: dict = {}
         for mono, coeff in poly.terms.items():
-            out = out + self.delta_monomial(mono).scale(coeff)
-        return out
+            add_into(terms, self.delta_monomial(mono).terms, coeff)
+        return TensorPoly((self.gens, self.gens), terms)
 
     def counit_monomial(self, mono: SuperMonomial) -> Fraction:
         if mono.odds:

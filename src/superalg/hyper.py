@@ -6,6 +6,12 @@ normal monomials of total degree < n as a basis, and the dual carries the
 convolution product (truncated back to the basis) and the coproduct dual to
 multiplication.  Products of functionals whose degrees sum below the order
 are exact; the chain of truncations represents the union.
+
+The product table is built in basis-index space: Delta(m) of each basis
+monomial comes from the coproduct of an earlier one and of one generator,
+with ``int`` coefficients when the generator coproducts are whole.  The
+multiplicative extension ``HopfPresentation.delta_monomial`` on
+``TensorPoly`` products is the independent oracle the tests compare with.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .core import F1, EVEN, ODD, SuperMonomial, mul_monomials, odd_positions
 from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
 from .parsing import format_monomial
-from .table import add_into, first_nonassociative, first_nonunital, product
+from .table import add_into, first_nonassociative, first_nonunital, product, transpose
 
 Vec = dict[int, Fraction]
 
@@ -114,7 +120,7 @@ class TruncatedDual:
         return True
 
 
-Vec2 = dict[tuple[int, int], Fraction]
+Vec2 = dict[tuple[int, int], Fraction | int]
 
 
 def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
@@ -131,19 +137,12 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
         (m for m in _monomials_up_to(gens, order - 1)),
         key=lambda m: (m.degree(gens), m.evens, odd_positions(m.odds)),
     )
+    if not basis[0].is_one():
+        raise PresentationError("basis ordering must start at the empty monomial")
     index = {m: i for i, m in enumerate(basis)}
     labels = ["D[" + (format_monomial(gens, m) or "1") + "]" for m in basis]
     parity = [m.parity for m in basis]
     degree = [m.degree(gens) for m in basis]
-
-    # product: one pass over each Delta(m); (u * v)(m) = coefficient of u (x) v
-    table: dict[tuple[int, int], Vec] = {}
-    for target, mono in enumerate(basis):
-        for (m1, m2), coeff in pres.delta_monomial(mono).terms.items():
-            i = index.get(m1)
-            j = index.get(m2)
-            if coeff and i is not None and j is not None:
-                table.setdefault((i, j), {})[target] = coeff
 
     # coproduct: dual of multiplication restricted to the quotient.  Degrees
     # add and the basis is sorted by degree, so m1 * m2 survives exactly for
@@ -154,14 +153,62 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
             prod = mul_monomials(m1, basis[j])
             if prod is not None:
                 sign, mono = prod
-                coproduct[index[mono]][(i, j)] = F1 if sign > 0 else -F1
+                coproduct[index[mono]][(i, j)] = sign
 
-    unit_index = index[basis[0]]
-    if not basis[0].is_one():
-        raise PresentationError("basis ordering must start at the empty monomial")
+    # product: (u * v)(m) is the coefficient of u (x) v in Delta(m), and
+    # Delta(m) = Delta(p) Delta(g) for the last factor g of m in normal order
+    # (m = p g with sign +1, and p comes earlier in the basis).  Terms with a
+    # slot outside the basis never come back into it, since degrees only add.
+    gen_terms: dict[str, list[tuple[int, int, Fraction | int]]] = {}
+    for name in gens.names:
+        terms = gen_terms[name] = []
+        for (m1, m2), c in pres.delta[name].terms.items():
+            i, j = index.get(m1), index.get(m2)
+            if i is not None and j is not None:
+                terms.append((i, j, c.numerator if c.denominator == 1 else c))
+    # right[k][i]: basis[i] * basis[k] as (sign, index) for i in the degree
+    # prefix where the product stays in the basis, None elsewhere
+    right: dict[int, list[tuple[int, int] | None]] = {}
+    for k in {k for terms in gen_terms.values() for i, j, _ in terms for k in (i, j)}:
+        row = right[k] = [None] * len(basis)
+        for i in range(bisect_right(degree, order - 1 - degree[k])):
+            prod = mul_monomials(basis[i], basis[k])
+            if prod is not None:
+                row[i] = (prod[0], index[prod[1]])
+    deltas: list[Vec2] = [{(0, 0): 1}]
+    for mono in basis[1:]:
+        if mono.odds:
+            top = mono.odds.bit_length() - 1
+            name = gens.odds[top]
+            head = SuperMonomial(mono.evens, mono.odds ^ (1 << top))
+        else:
+            pos = max(p for p, e in enumerate(mono.evens) if e)
+            name = gens.evens[pos]
+            head = SuperMonomial(mono.evens[:pos] + (mono.evens[pos] - 1,) + mono.evens[pos + 1:], 0)
+        head_delta = deltas[index[head]].items()
+        out: Vec2 = {}
+        # (i (x) j)(k (x) l) = (-1)^{|j||k|} ik (x) jl
+        for k, l, d in gen_terms[name]:
+            rk, rl, odd_k = right[k], right[l], parity[k]
+            for (i, j), c in head_delta:
+                a, b = rk[i], rl[j]
+                if a is None or b is None:
+                    continue
+                sign = -a[0] * b[0] if odd_k and parity[j] else a[0] * b[0]
+                x = c * d if sign > 0 else -(c * d)
+                key = (a[1], b[1])
+                s = out.get(key)
+                s = x if s is None else s + x
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        deltas.append(out)
+    table = transpose(dict(enumerate(deltas)))
+
     return TruncatedDual(
         order=order, presentation=pres, basis=basis, labels=labels, parity=parity,
-        degree=degree, product=table, coproduct=coproduct, unit_index=unit_index,
+        degree=degree, product=table, coproduct=coproduct, unit_index=0,
     )
 
 

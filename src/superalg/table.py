@@ -8,7 +8,9 @@ bracket (``liealg``) all hold their products in this form, and their unit,
 associativity and Jacobi checks run on the loops below.  Each loop looks up
 ``e_i e_j`` once per pair and accumulates in place, starting from the first
 term rather than from a ``Fraction`` zero: ``int`` tables (the +-1 exterior
-tables) stay in ``int`` and ``Fraction`` tables in ``Fraction``.
+tables, and the truncated hyperalgebra of a presentation with whole
+coproduct coefficients) stay in ``int`` and ``Fraction`` tables in
+``Fraction``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from superalg import (
     GeneratorSet,
@@ -21,8 +23,9 @@ from superalg import (
 from superalg.core import mul_monomials
 from superalg.hopf import _monomials_up_to
 from superalg.liealg import StructureError
+from superalg.presfile import builtin_presentation_path, load_presentation
 
-from conftest import oracle_mul_monomials, support_of
+from conftest import coefficients, oracle_mul_monomials, support_of
 
 GA11 = additive_presentation(1, 1)
 GL11 = glmn_presentation(1, 1)
@@ -189,17 +192,73 @@ def all_pairs_tables(pres, order):
     return basis, product, coproduct
 
 
+def assert_tables_match_oracle(pres, order):
+    dual = truncated_dual(pres, order)
+    basis, product, coproduct = all_pairs_tables(pres, order)
+    assert dual.basis == basis
+    assert dual.product == product
+    assert dual.coproduct == coproduct
+
+
 @pytest.mark.parametrize("pres, top", [
-    (GA11, 5), (GL11, 5), (glmn_presentation(2, 1), 4),
-    (even_quotient(glmn_presentation(2, 1)), 5),
+    (GA11, 5), (GL11, 5), (glmn_presentation(2, 1), 4), (glmn_presentation(1, 2), 4),
+    (even_quotient(glmn_presentation(2, 1)), 5), (exterior_hopf(3), 4),
+    (load_presentation(builtin_presentation_path("gl_1_1.shp")), 4),
+    (load_presentation(builtin_presentation_path("exterior_2.shp")), 3),
 ])
 def test_tables_match_all_pairs_oracle(pres, top):
     for order in range(1, top + 1):
-        dual = truncated_dual(pres, order)
-        basis, product, coproduct = all_pairs_tables(pres, order)
-        assert dual.basis == basis
-        assert dual.product == product
-        assert dual.coproduct == coproduct
+        assert_tables_match_oracle(pres, order)
+
+
+@st.composite
+def shifted_presentations(draw):
+    """Identity-shifted presentations on 0-2 even and 0-3 odd generators of
+    degree 1 or 2.  Each generator g maps to g (x) 1 + 1 (x) g plus up to three
+    extra terms of g's parity: their slot monomials have degree <= 2, the unit
+    included, and their coefficients need not be whole."""
+    evens = [f"x{i}" for i in range(1, draw(st.integers(0, 2)) + 1)]
+    odds = [f"t{i}" for i in range(1, draw(st.integers(0, 3)) + 1)]
+    gens = GeneratorSet(evens, odds, {g: draw(st.integers(1, 2)) for g in evens + odds})
+    slots = _monomials_up_to(gens, 2)
+    one = SuperPoly.one(gens)
+    delta = {}
+    for g in gens.names:
+        gp = SuperPoly.generator(gens, g)
+        terms = dict((TensorPoly.of(gp, one) + TensorPoly.of(one, gp)).terms)
+        for _ in range(draw(st.integers(0, 3))):
+            m1 = draw(st.sampled_from(slots))
+            fits = [m for m in slots if (m1.parity + m.parity) & 1 == gens.parity(g)]
+            m2 = draw(st.sampled_from(fits))
+            terms[(m1, m2)] = terms.get((m1, m2), 0) + draw(coefficients)
+        delta[g] = TensorPoly((gens, gens), terms)
+    return HopfPresentation(gens, delta, {g: 0 for g in gens.names}, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_presentations(), st.integers(1, 4))
+def test_random_presentation_tables_match_all_pairs_oracle(pres, order):
+    assert_tables_match_oracle(pres, order)
+
+
+def test_truncated_dual_expands_no_monomial_coproduct(monkeypatch):
+    pres = glmn_presentation(2, 1)
+    calls = []
+
+    def counting(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(HopfPresentation, "delta_monomial",
+                        counting("delta_monomial", HopfPresentation.delta_monomial))
+    monkeypatch.setattr(TensorPoly, "__mul__", counting("mul", TensorPoly.__mul__))
+    truncated_dual(pres, 4)
+    assert calls == []
+    # the counters do see the oracle path
+    pres.delta_of(SuperPoly.generator(pres.gens, "x11") ** 2)
+    assert {"delta_monomial", "mul"} <= set(calls)
 
 
 def test_coproduct_multiplies_only_pairs_below_the_order(monkeypatch):
