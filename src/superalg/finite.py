@@ -221,7 +221,7 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
     return FiniteDimHopf(
         labels=["".join(gens.odds[i] for i in odd_positions(m.odds)) or "1" for m in dual.basis],
         parity=dual.parity, unit={dual.unit_index: 1},
-        mult=_whole_as_int(transpose(dual.coproduct)),
+        mult=transpose(dual.coproduct),
         delta=_whole_as_int(transpose(dual.product, range(dual.dimension))),
         counit=[pres.counit_monomial(m) for m in dual.basis],
         antipode=antipode, graded=True, name=pres.name,

@@ -184,7 +184,9 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
         else:
             pos = max(p for p, e in enumerate(mono.evens) if e)
             name = gens.evens[pos]
-            head = SuperMonomial(mono.evens[:pos] + (mono.evens[pos] - 1,) + mono.evens[pos + 1:], 0)
+            evens = list(mono.evens)
+            evens[pos] -= 1
+            head = SuperMonomial(tuple(evens), 0)
         head_delta = deltas[index[head]].items()
         out: Vec2 = {}
         # (i (x) j)(k (x) l) = (-1)^{|j||k|} ik (x) jl

@@ -201,8 +201,8 @@ def assert_tables_match_oracle(pres, order):
 
 
 @pytest.mark.parametrize("pres, top", [
-    (GA11, 5), (GL11, 5), (glmn_presentation(2, 1), 4), (glmn_presentation(1, 2), 4),
-    (even_quotient(glmn_presentation(2, 1)), 5), (exterior_hopf(3), 4),
+    (GA11, 5), (GL11, 5), (glmn_presentation(2, 1), 4),
+    (even_quotient(glmn_presentation(2, 1)), 5), (glmn_presentation(1, 2), 4), (exterior_hopf(3), 4),
     (load_presentation(builtin_presentation_path("gl_1_1.shp")), 4),
     (load_presentation(builtin_presentation_path("exterior_2.shp")), 3),
 ])
