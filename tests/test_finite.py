@@ -99,6 +99,67 @@ def test_dual_iso(n):
     assert ok, [c.name for c in report.failures()]
 
 
+def _negate_delta_cell(p):
+    p.delta[3][(2, 1)] = -p.delta[3][(2, 1)]
+
+
+def _double_mult_cell(p):
+    p.mult[(1, 2)] = {3: 2}
+
+
+def _halve_counit_of_one(p):
+    p.counit[0] = Fraction(1, 2)
+
+
+def _extra_unit_term(p):
+    p.unit = {0: 1, 1: 1}
+
+
+def _wrong_antipode_row(p):
+    p.antipode[1] = {1: 1}
+
+
+def _no_antipode(p):
+    p.antipode = None
+
+
+@pytest.mark.parametrize("corrupt, failures", [
+    (_negate_delta_cell, {
+        "algebra-morphism": "products differ at (f2, f1)",
+        "dual-satisfies-super-hopf-axioms": "coproduct-multiplicative; antipode",
+    }),
+    (_double_mult_cell, {
+        "coalgebra-morphism": "coproducts differ at f1f2",
+        "dual-satisfies-super-hopf-axioms": "coproduct-multiplicative; antipode",
+    }),
+    (_halve_counit_of_one, {
+        "unit-preserved": "",
+        "dual-satisfies-super-hopf-axioms": "unit; counit-multiplicative; antipode",
+    }),
+    (_extra_unit_term, {
+        "counit-preserved": "",
+        "dual-satisfies-super-hopf-axioms": "counit; counit-multiplicative; antipode",
+    }),
+    (_wrong_antipode_row, {
+        "antipode-preserved": "",
+        "dual-satisfies-super-hopf-axioms": "antipode",
+    }),
+    (_no_antipode, {
+        "antipode-preserved": "no antipode table",
+        "dual-satisfies-super-hopf-axioms": "antipode",
+    }),
+])
+def test_corrupted_primal_fails_its_morphism_check(corrupt, failures):
+    # the primal Lambda(2) has blades 1, v1, v2, v1v2; each corruption breaks
+    # exactly one morphism check of the pairing, with this witness
+    primal = finite_from_presentation(exterior_hopf(2))
+    assert primal.labels == ["1", "v1", "v2", "v1v2"]
+    corrupt(primal)
+    ok, report = dual_iso_check(2, primal)
+    assert not ok
+    assert {c.name: c.witness for c in report.failures()} == failures
+
+
 def test_dual_of_dual_tables_are_consistent():
     hopf = exterior_finite(2)
     double = dual_hopf(dual_hopf(hopf))
@@ -124,6 +185,13 @@ def test_bosonize_smash_coproduct_on_primitive():
     assert result.delta[v] == expected
     assert result.labels[base.dimension + unit] == "g"
     assert result.delta[v][(v, g)] == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_bosonization_is_purely_even(n):
+    # an ordinary Hopf algebra: its tensor square multiplies with no sign
+    result = bosonize(exterior_finite(n))
+    assert result.parity == [0] * result.dimension
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

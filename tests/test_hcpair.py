@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,3 +244,71 @@ def test_group_translation_preserves_bracket(r):
     pair = spo_pair(r)
     for g in sample_transvections(r, 6, seed=9):
         assert group_bracket_equivariance(pair, g)
+
+
+def oracle_group_bracket_equivariance(pair, g):
+    """The bracket of two row vectors expanded from scratch for every pair (a, b)."""
+    size = pair.v_dim
+    ginv = la.invert(g)
+    if ginv is None:
+        return False
+    basis = [[F(1) if i == j else F(0) for j in range(size)] for i in range(size)]
+    mats = pair.g0_matrices
+
+    def bracket_of(u, v):
+        out = la.zeros(size, size)
+        for a in range(size):
+            for b in range(size):
+                cc = u[a] * v[b]
+                if not cc:
+                    continue
+                for k, ck in pair.vbracket.get((a, b), {}).items():
+                    for i in range(size):
+                        for j in range(size):
+                            out[i][j] += cc * ck * mats[k][i][j]
+        return out
+
+    for a in range(size):
+        for b in range(size):
+            lhs = bracket_of(g[a], g[b])
+            rhs = la.mat_mul(la.mat_mul(ginv, bracket_of(basis[a], basis[b])), g)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def with_vbracket(pair, vbracket):
+    return HCPair(
+        g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
+        v_dim=pair.v_dim, vbracket=vbracket, g0_matrices=pair.g0_matrices, J=pair.J,
+    )
+
+
+def scaled_cells(pair, seed):
+    """The pair with one or two seeded odd-bracket cells scaled by 2 or -1."""
+    rng = random.Random(seed)
+    vbracket = dict(pair.vbracket)
+    for key in rng.sample(sorted(vbracket), min(2, len(vbracket))):
+        scale = rng.choice([F(2), F(-1)])
+        vbracket[key] = {k: scale * c for k, c in vbracket[key].items()}
+    return with_vbracket(pair, vbracket)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_group_bracket_equivariance_matches_oracle(r):
+    pair = spo_pair(r)
+    pairs = [pair] + [scaled_cells(pair, seed) for seed in range(3)]
+    for seed in (1, 9):
+        for g in sample_transvections(r, 3, seed=seed):
+            for p in pairs:
+                assert group_bracket_equivariance(p, g) == oracle_group_bracket_equivariance(p, g)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_doubled_odd_bracket_cell_breaks_group_equivariance(r):
+    pair = spo_pair(r)
+    vbracket = dict(pair.vbracket)
+    vbracket[(0, 0)] = {k: 2 * c for k, c in vbracket[(0, 0)].items()}
+    bad = with_vbracket(pair, vbracket)
+    for g in sample_transvections(r, 6, seed=9):
+        assert not group_bracket_equivariance(bad, g)

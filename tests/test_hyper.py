@@ -149,6 +149,20 @@ def test_unique_group_like(pres):
     assert truncated_dual(pres, 4).counit_is_unique_group_like()
 
 
+@pytest.mark.parametrize("image", [
+    {},
+    {(0, 0): Fraction(2)},
+    {(0, 0): Fraction(1), (1, 0): Fraction(1)},
+])
+@pytest.mark.parametrize("pres", [GA11, GL11])
+def test_counit_not_group_like_fails_the_certificate(pres, image):
+    # a coproduct of the counit other than eps (x) eps is no certificate
+    dual = truncated_dual(pres, 4)
+    assert dual.unit_index == 0
+    dual.coproduct[dual.unit_index] = image
+    assert not dual.counit_is_unique_group_like()
+
+
 def test_embedding_chain():
     for pres in (GA11, GL11):
         duals = {k: truncated_dual(pres, k) for k in range(1, 5)}
