@@ -35,7 +35,6 @@ from .hcpair import (
     group_bracket_equivariance,
     is_symplectic,
     sample_transvections,
-    sp_basis,
     spo_pair,
     truncated_envelope,
     validate_hcpair,
@@ -324,14 +323,13 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
         suite="hcpair",
         config={"r": r, "no_half": no_half, "transvections": transvections, "seed": seed},
     )
-    data = sp_basis(r)
-    report.add_check("sp-dimension", data.dimension == r * (2 * r + 1),
-                     f"got {data.dimension}")
     pair = spo_pair(r, half=not no_half)
+    report.add_check("sp-dimension", pair.g0_dim == r * (2 * r + 1), f"got {pair.g0_dim}")
     failures = validate_hcpair(pair)
     report.add_check("pair-axioms", not failures, "; ".join(failures[:3]))
+    lie = None
     try:
-        build_super_lie(pair)
+        lie = build_super_lie(pair)
         report.add_check("super-jacobi", True)
     except StructureError as exc:
         report.add_check("super-jacobi", False, str(exc))
@@ -351,12 +349,12 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
     report.add_check("group-membership", membership_ok, witness)
     report.add_check("group-bracket-equivariance", equivariance_ok, witness)
 
-    lie = build_super_lie(pair, check=False)
-    report.data["structure"] = {
-        "labels": lie.labels,
-        "parity": lie.parity,
-        "bracket": {f"{i},{j}": vec_json(vec) for (i, j), vec in sorted(lie.bracket.items())},
-    }
+    if lie is not None:
+        report.data["structure"] = {
+            "labels": lie.labels,
+            "parity": lie.parity,
+            "bracket": {f"{i},{j}": vec_json(vec) for (i, j), vec in sorted(lie.bracket.items())},
+        }
     return report
 
 

@@ -165,29 +165,19 @@ def cross(mask: int) -> int:
     return out
 
 
-_MUL_CACHE: dict[tuple[SuperMonomial, SuperMonomial], tuple[int, SuperMonomial] | None] = {}
+# Always empty: ``bench/worker.py`` reports its size as ``core.mul_cache.entries``.
+_MUL_CACHE: dict = {}
 
 
 def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[int, SuperMonomial] | None:
-    # products recur constantly inside matrix arithmetic; the result depends
-    # only on the two normal forms, so it is safe to cache globally
-    key = (m1, m2)
-    cached = _MUL_CACHE.get(key, _MUL_CACHE)
-    if cached is not _MUL_CACHE:
-        return cached
     a, b = m1.odds, m2.odds
     if a & b:
-        result = None
+        return None
+    if any(m1.evens):
+        evens = tuple(x + y for x, y in zip(m1.evens, m2.evens)) if any(m2.evens) else m1.evens
     else:
-        if any(m1.evens):
-            evens = tuple(x + y for x, y in zip(m1.evens, m2.evens)) if any(m2.evens) else m1.evens
-        else:
-            evens = m2.evens
-        result = (-1 if (b & cross(a)).bit_count() & 1 else 1, SuperMonomial(evens, a | b))
-    if len(_MUL_CACHE) > 1_000_000:
-        _MUL_CACHE.clear()
-    _MUL_CACHE[key] = result
-    return result
+        evens = m2.evens
+    return (-1 if (b & cross(a)).bit_count() & 1 else 1, SuperMonomial(evens, a | b))
 
 
 def monomial_sort_key(gens: GeneratorSet):

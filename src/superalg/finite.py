@@ -24,7 +24,6 @@ from .table import (
     first_nonassociative,
     first_nonunital,
     image,
-    product,
     times_basis,
     transpose,
 )
@@ -37,8 +36,8 @@ TensorVec = dict[tuple[int, int], Fraction]
 class FiniteDimHopf:
     """Basis-indexed structure tables of a finite-dimensional Hopf algebra.
 
-    ``graded`` records whether the tensor square multiplies with Koszul signs
-    (a super Hopf algebra) or plainly (an ordinary one, e.g. a bosonization).
+    The tensor square multiplies with Koszul signs from ``parity``; an
+    ordinary Hopf algebra (e.g. a bosonization) is one with all parities 0.
     """
 
     labels: list[str]
@@ -48,7 +47,6 @@ class FiniteDimHopf:
     delta: dict[int, TensorVec]
     counit: list[Fraction]
     antipode: dict[int, Vec] | None
-    graded: bool = True
     name: str = ""
 
     @property
@@ -59,10 +57,10 @@ class FiniteDimHopf:
         return sum(c * self.counit[i] for i, c in a.items())
 
     def tensor_mul(self, a: TensorVec, b: TensorVec) -> TensorVec:
-        """Product on the tensor square, with Koszul sign when graded."""
+        """Product on the tensor square, with Koszul sign."""
         out: TensorVec = {}
         get = self.mult.get
-        odd = self.parity if self.graded else [0] * self.dimension
+        odd = self.parity
         for (i1, j1), c1 in a.items():
             for (i2, j2), c2 in b.items():
                 left = get((i1, i2))
@@ -85,7 +83,7 @@ class FiniteDimHopf:
 
 
 def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
-    """Exhaustive table check of all Hopf axioms (signs per ``hopf.graded``)."""
+    """Exhaustive table check of all Hopf axioms (signs per ``hopf.parity``)."""
     report = AxiomReport()
     dim = hopf.dimension
     labels = hopf.labels
@@ -198,7 +196,7 @@ def exterior_finite(n: int, label_prefix: str = "v") -> FiniteDimHopf:
     antipode = {i: {i: -1 if p else 1} for i, p in enumerate(parity)}
     return FiniteDimHopf(
         labels=labels, parity=parity, unit=unit, mult=mult, delta=delta,
-        counit=counit, antipode=antipode, graded=True, name=f"Lambda({n})",
+        counit=counit, antipode=antipode, name=f"Lambda({n})",
     )
 
 
@@ -224,7 +222,7 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
         mult=transpose(dual.coproduct),
         delta=_whole_as_int(transpose(dual.product, range(dual.dimension))),
         counit=[pres.counit_monomial(m) for m in dual.basis],
-        antipode=antipode, graded=True, name=pres.name,
+        antipode=antipode, name=pres.name,
     )
 
 
@@ -283,8 +281,7 @@ def dual_hopf(hopf: FiniteDimHopf) -> FiniteDimHopf:
         parity=list(hopf.parity),
         unit={i: c for i, c in enumerate(hopf.counit) if c},
         mult=transpose(hopf.delta), delta=transpose(hopf.mult, dim),
-        counit=[hopf.unit.get(i, 0) for i in dim], antipode=antipode,
-        graded=hopf.graded, name=f"{hopf.name}*",
+        counit=[hopf.unit.get(i, 0) for i in dim], antipode=antipode, name=f"{hopf.name}*",
     )
 
 
@@ -307,17 +304,16 @@ def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, A
     masks = blades(n)
     # phi(f_I) = sum_J <f_I, v_J> (v_J)*; on normal blades with dual bases the
     # determinant <f_I, v_J> is 1 when the supports agree and 0 otherwise
-    rows = {i: {j: F1 for j, vJ in enumerate(masks) if vJ == fI}
-            for i, fI in enumerate(masks)}
-    report.add("pairing-bijective", len(linalg.rref(list(rows.values()))[1]) == dim)
+    rows = [{j: F1 for j, vJ in enumerate(masks) if vJ == fI} for fI in masks]
+    report.add("pairing-bijective", len(linalg.rref(rows)[1]) == dim)
+    # both tables list the blades in blades(n) order, so phi sends f_I to
+    # (v_I)* index for index and each morphism check compares table entries
 
     ok = True
     witness = ""
     for i in range(dim):
         for j in range(dim):
-            lhs = image(rows, covector.mult.get((i, j), {}))
-            rhs = product(dual.mult, rows[i], rows[j])
-            if lhs != rhs:
+            if covector.mult.get((i, j), {}) != dual.mult.get((i, j), {}):
                 ok = False
                 witness = f"products differ at ({covector.labels[i]}, {covector.labels[j]})"
                 break
@@ -328,19 +324,15 @@ def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, A
     ok = True
     witness = ""
     for i in range(dim):
-        lhs: TensorVec = {}
-        for (j, k), c in covector.delta[i].items():
-            add_into(lhs, {(a, b): ca * cb for a, ca in rows[j].items() for b, cb in rows[k].items()}, c)
-        if lhs != image(dual.delta, rows[i]):
+        if covector.delta[i] != dual.delta.get(i, {}):
             ok, witness = False, f"coproducts differ at {covector.labels[i]}"
             break
     report.add("coalgebra-morphism", ok, witness)
 
-    report.add("unit-preserved", image(rows, covector.unit) == dual.unit)
-    ok = all(covector.counit[i] == dual.vec_counit(rows[i]) for i in range(dim))
-    report.add("counit-preserved", ok)
+    report.add("unit-preserved", covector.unit == dual.unit)
+    report.add("counit-preserved", all(covector.counit[i] == dual.counit[i] for i in range(dim)))
     ok = dual.antipode is not None and all(
-        image(rows, covector.antipode[i]) == image(dual.antipode, rows[i]) for i in range(dim)
+        covector.antipode[i] == dual.antipode.get(i, {}) for i in range(dim)
     )
     report.add("antipode-preserved", ok, "" if dual.antipode is not None else "no antipode table")
 
@@ -391,7 +383,7 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
 
     result = FiniteDimHopf(
         labels=labels, parity=[0] * size, unit=unit, mult=mult, delta=delta,
-        counit=counit, antipode=None, graded=False, name=f"Z2x{hopf.name}",
+        counit=counit, antipode=None, name=f"Z2x{hopf.name}",
     )
     result.antipode = _solve_antipode(result)
     return result

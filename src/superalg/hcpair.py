@@ -214,12 +214,12 @@ def abelian_pair(g0_dim: int, v_dim: int) -> HCPair:
     )
 
 
-def build_super_lie(pair: HCPair, check: bool = True) -> SuperLieAlgebraData:
+def build_super_lie(pair: HCPair) -> SuperLieAlgebraData:
     """Assemble g = g_0 (+) V with the pair's bracket and verify all axioms.
 
     Brackets: even-even from the g_0 structure constants, [v, X] = v <| X,
-    [X, v] = -v <| X, and odd-odd from the pair.  ``check`` runs grading,
-    super antisymmetry and the exhaustive super Jacobi scan, raising
+    [X, v] = -v <| X, and odd-odd from the pair.  Grading, super
+    antisymmetry and the exhaustive super Jacobi scan are checked, raising
     StructureError with the offending tuple on failure.
     """
     gd, vd = pair.g0_dim, pair.v_dim
@@ -238,8 +238,7 @@ def build_super_lie(pair: HCPair, check: bool = True) -> SuperLieAlgebraData:
         if vec:
             bracket[(gd + a, gd + b)] = dict(vec)
     data = SuperLieAlgebraData(labels=labels, parity=parity, bracket=bracket)
-    if check:
-        data.validate()
+    data.validate()
     return data
 
 
@@ -327,7 +326,7 @@ def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    lie = build_super_lie(pair, check=True)
+    lie = build_super_lie(pair)
     gd, vd = pair.g0_dim, pair.v_dim
     words = _normal_words(gd, vd, degree_bound)
     index = {w: i for i, w in enumerate(words)}

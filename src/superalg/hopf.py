@@ -59,7 +59,6 @@ class HopfPresentation:
         self.antipode = dict(antipode) if antipode is not None else None
         self.name = name
         self.shape = shape
-        self._delta_cache: dict[SuperMonomial, TensorPoly] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -102,15 +101,11 @@ class HopfPresentation:
     # --- morphism extensions -------------------------------------------------
 
     def delta_monomial(self, mono: SuperMonomial) -> TensorPoly:
-        """Coproduct of a normal monomial, extended multiplicatively (memoised)."""
-        cached = self._delta_cache.get(mono)
-        if cached is None:
-            cached = evaluate_hom(
-                SuperPoly.monomial(self.gens, mono), self.delta,
-                TensorPoly.unit((self.gens, self.gens)),
-            )
-            self._delta_cache[mono] = cached
-        return cached
+        """Coproduct of a normal monomial, extended multiplicatively."""
+        return evaluate_hom(
+            SuperPoly.monomial(self.gens, mono), self.delta,
+            TensorPoly.unit((self.gens, self.gens)),
+        )
 
     def delta_of(self, poly: SuperPoly) -> TensorPoly:
         terms: dict = {}
