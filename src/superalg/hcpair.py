@@ -397,33 +397,32 @@ def group_bracket_equivariance(pair: HCPair, g: Matrix) -> bool:
     ginv = linalg.invert(g)
     if ginv is None:
         return False
-    basis = [[F1 if i == j else F0 for j in range(size)] for i in range(size)]
     mats = pair.g0_matrices
     if mats is None:
         raise ValueError("pair carries no matrix realisation")
-
-    def bracket_matrix(u: list[Fraction], v: list[Fraction]) -> Matrix:
+    # [e_a, e_b] as a matrix, and its nonzero entries
+    brackets: dict[tuple[int, int], Matrix] = {}
+    for key, vec in pair.vbracket.items():
         out = linalg.zeros(size, size)
-        for a in range(size):
-            for b in range(size):
-                cc = u[a] * v[b]
-                if not cc:
-                    continue
-                vec = pair.vbracket.get((a, b), {})
-                for k, ck in vec.items():
-                    m = mats[k]
-                    for i in range(size):
-                        for j in range(size):
-                            if m[i][j]:
-                                out[i][j] += cc * ck * m[i][j]
-        return out
-
+        for k, ck in vec.items():
+            for i, row in enumerate(mats[k]):
+                for j, m in enumerate(row):
+                    if m:
+                        out[i][j] += ck * m
+        brackets[key] = out
+    entries = {key: [(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
+               for key, m in brackets.items()}
+    zero = linalg.zeros(size, size)
     for a in range(size):
         for b in range(size):
-            ua = [g[a][j] for j in range(size)]  # e_a . g is row a of g
-            vb = [g[b][j] for j in range(size)]
-            lhs = bracket_matrix(ua, vb)
-            rhs = linalg.mat_mul(linalg.mat_mul(ginv, bracket_matrix(basis[a], basis[b])), g)
+            # e_a g is row a of g, so [e_a g, e_b g] = sum g[a][a'] g[b][b'] [e_a', e_b']
+            lhs = linalg.zeros(size, size)
+            for (a2, b2), nonzero in entries.items():
+                cc = g[a][a2] * g[b][b2]
+                if cc:
+                    for i, j, c in nonzero:
+                        lhs[i][j] += cc * c
+            rhs = linalg.mat_mul(linalg.mat_mul(ginv, brackets.get((a, b), zero)), g)
             if lhs != rhs:
                 return False
     return True
