@@ -425,6 +425,10 @@ GOLDEN = {
     "envelope --r 1 --d 3": "6aedfcf39837c7b40e8d9a15969561e7dc629aaaa9d7b370a984b7cae2bc0621",
     "hy --target gl11 --order 5": "766f3e37f3b49bed5a0ad6c007aac0a6a0ba2b87333ad15fc03a853ad14a017c",
     "hcpair --r 3 --seed 1": "dae6d446d3ab8dfd6146694738e8b7c26b0689f81d9a7662a56a83830cf0f22b",
+    "verify gl --m 2 --n 1 --thetas 4 --points 30 --seed 7":
+        "c6bf22ea61674c943d1674c1e5c52138fd2517338d8fe337a069e0433afe60de",
+    "decompose --m 2 --n 1 --thetas 4 --points 30 --seed 11":
+        "cac230cebd344dd7538971ea7f5e6aa290d108fab7712dec0ec5478addb52217",
 }
 
 
