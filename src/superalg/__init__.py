@@ -30,7 +30,6 @@ from .grassmann import (
     invert_element,
 )
 from .hopf import (
-    AxiomReport,
     HopfPresentation,
     OddCotangent,
     PresentationError,
@@ -77,6 +76,6 @@ from .hcpair import (
 )
 from .decomposition import decomposition_check
 from .presfile import load_presentation, parse_presentation, print_presentation
-from .report import Report
+from .report import AxiomReport, Report
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 from .core import SuperMonomial, SuperPoly, blades, odd_positions
 from .decomposition import decomposition_check
@@ -81,31 +82,25 @@ def run_gl_suite(m: int, n: int, thetas: int, points: int, seed: int) -> Report:
             return "inverse fails the group law"
         return None
 
-    witness = ""
-    for idx in range(points):
-        msg = check_point(idx)
-        if msg:
-            witness = f"point #{idx}: {msg}: {sampler.sample(idx).to_json()}"
-            break
-    report.add_check(f"antipode-equals-inverse[{points} points]", not witness, witness)
+    report.first(f"antipode-equals-inverse[{points} points]", (
+        f"point #{idx}: {msg}: {sampler.sample(idx).to_json()}"
+        for idx, msg in enumerate(map(check_point, range(points))) if msg
+    ))
 
-    closure_ok = True
-    assoc_ok = True
-    witness = ""
+    # each triple (a, b, c) and its product a * b, shared by both scans
+    triples = []
     for idx in range(0, min(points, 30), 3):
         a, b, c = (sampler.sample(idx + d) for d in range(3))
-        ab = a * b
-        if not ab.is_gl_point():
-            closure_ok = False
-            witness = f"product of points #{idx}, #{idx + 1} is not a point"
-            break
-        if (ab * c) != (a * (b * c)):
-            assoc_ok = False
-            witness = f"associativity fails at points #{idx}..#{idx + 2}"
-            break
-    report.add_check("closure-under-product", closure_ok, witness)
-    report.add_check("associativity", assoc_ok, witness)
-    report.add_check(
+        triples.append((idx, a, b, c, a * b))
+    report.first("closure-under-product", (
+        f"product of points #{idx}, #{idx + 1} is not a point"
+        for idx, _, _, _, ab in triples if not ab.is_gl_point()
+    ))
+    report.first("associativity", (
+        f"associativity fails at points #{idx}..#{idx + 2}"
+        for idx, a, b, c, ab in triples if ab * c != a * (b * c)
+    ))
+    report.add(
         "identity-laws",
         ident * sampler.sample(0) == sampler.sample(0)
         and sampler.sample(0) * ident == sampler.sample(0),
@@ -123,15 +118,15 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
                 f"even generator {pres.gens.evens[0]!r}: the exterior suite takes odd ones only"
             )
         reparsed = parse_presentation(print_presentation(pres), name=pres.name)
-        report.add_check("file-round-trip", reparsed == pres)
+        report.add("file-round-trip", reparsed == pres)
     else:
         pres = exterior_hopf(dim)
         text = print_presentation(pres)
-        report.add_check("print-parse-round-trip", parse_presentation(text) == pres)
+        report.add("print-parse-round-trip", parse_presentation(text) == pres)
     report.extend(check_hopf_axioms(pres), prefix="axioms")
 
     cotangent = compute_W(pres)
-    report.add_check(
+    report.add(
         "odd-cotangent-basis",
         cotangent.basis == list(pres.gens.odds),
         f"got {cotangent.basis}",
@@ -141,7 +136,7 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
     if n <= max_dual:
         ok, detail = dual_iso_check(n, finite_from_presentation(pres))
         report.extend(detail, prefix=f"duality[n={n}]")
-        report.add_check("pairing-oracle", _pairing_oracle_agrees(n))
+        report.add("pairing-oracle", _pairing_oracle_agrees(n))
     return report
 
 
@@ -165,24 +160,21 @@ def run_bosonize_suite(dim: int) -> Report:
     report = Report(suite="verify-bosonize", config={"dim": dim})
     base = exterior_finite(dim)
     result = bosonize(base)
-    report.add_check("dimension", result.dimension == 2 * base.dimension)
-    report.add_check("antipode-solvable", result.antipode is not None)
+    report.add("dimension", result.dimension == 2 * base.dimension)
+    report.add("antipode-solvable", result.antipode is not None)
     report.extend(check_finite_hopf_axioms(result), prefix="ordinary-axioms")
 
     # smash coproduct on primitives: D(1 x v) = (1 x v)(x)(g x 1) + (1 x 1)(x)(1 x v)
-    ok = True
-    witness = ""
-    for i in range(dim):
+    one = base.labels.index("1")
+
+    def smash_fails(i: int) -> bool:
         blade = base.labels.index(f"v{i + 1}")
-        got = result.delta[blade]
-        expected = {
-            (blade, base.dimension + base.labels.index("1")): 1,
-            (base.labels.index("1"), blade): 1,
-        }
-        if {k: int(v) for k, v in got.items()} != expected:
-            ok, witness = False, f"primitive v{i + 1}"
-            break
-    report.add_check("smash-coproduct-on-primitives", ok, witness)
+        expected = {(blade, base.dimension + one): 1, (one, blade): 1}
+        return {k: int(v) for k, v in result.delta[blade].items()} != expected
+
+    report.first("smash-coproduct-on-primitives", (
+        f"primitive v{i + 1}" for i in range(dim) if smash_fails(i)
+    ))
     return report
 
 
@@ -190,20 +182,20 @@ def run_integrals_suite(dim: int) -> Report:
     report = Report(suite="verify-integrals", config={"dim": dim})
     hopf = exterior_finite(dim)
     space = integral_space(hopf)
-    report.add_check("dimension-at-most-1", space.dimension <= 1)
-    report.add_check("dimension-equals-1", space.dimension == 1)
-    report.add_check("parity-is-dim-mod-2", space.parity == dim % 2,
-                     f"got parity {space.parity}")
+    report.add("dimension-at-most-1", space.dimension <= 1)
+    report.add("dimension-equals-1", space.dimension == 1)
+    report.add("parity-is-dim-mod-2", space.parity == dim % 2,
+               f"got parity {space.parity}")
     if space.dimension == 1:
         top = hopf.dimension - 1
-        report.add_check("integral-is-top-blade-dual", space.basis[0] == {top: 1}
-                         if dim > 0 else space.basis[0] == {0: 1})
+        report.add("integral-is-top-blade-dual", space.basis[0] == {top: 1}
+                   if dim > 0 else space.basis[0] == {0: 1})
         composed = compose_with_antipode(hopf, space.basis[0])
-        report.add_check("antipode-maps-left-to-right", is_right_integral(hopf, composed))
-    report.add_check("right-space-dimension", len(space.right_basis) == 1)
+        report.add("antipode-maps-left-to-right", is_right_integral(hopf, composed))
+    report.add("right-space-dimension", len(space.right_basis) == 1)
     if dim == 0:
-        report.add_check("trivial-group-integral-of-1-nonzero",
-                         space.basis[0].get(0, 0) != 0)
+        report.add("trivial-group-integral-of-1-nonzero",
+                   space.basis[0].get(0, 0) != 0)
     return report
 
 
@@ -251,17 +243,17 @@ def run_hy_suite(target: str, order: int) -> Report:
 
     try:
         dual.check_associative_unital()
-        report.add_check("product-associative-unital", True)
+        report.add("product-associative-unital", True)
     except StructureError as exc:
-        report.add_check("product-associative-unital", False, str(exc))
+        report.add("product-associative-unital", False, str(exc))
 
-    report.add_check("unique-group-like-counit", dual.counit_is_unique_group_like())
+    report.add("unique-group-like-counit", dual.counit_is_unique_group_like())
 
     try:
         lie, _ = primitives(duals[max(order, 3)] if order >= 3 else truncated_dual(pres, 3))
-        report.add_check("primitive-lie-axioms", True)
+        report.add("primitive-lie-axioms", True)
     except StructureError as exc:
-        report.add_check("primitive-lie-axioms", False, str(exc))
+        report.add("primitive-lie-axioms", False, str(exc))
         lie = None
 
     if lie is not None:
@@ -271,15 +263,14 @@ def run_hy_suite(target: str, order: int) -> Report:
                 and len(lie.odd_indices()) == 1
                 and not lie.bracket
             )
-            report.add_check("oracle-abelian-(1|1)", ok)
+            report.add("oracle-abelian-(1|1)", ok)
         else:
             m, n = pres.shape
             names, oracle = _matrix_oracle_brackets(m, n)
             label_for = {f"D[{name}]": pos for pos, name in names.items()}
-            ok = True
-            witness = ""
-            for i in range(lie.dimension):
-                for j in range(lie.dimension):
+
+            def bracket_mismatches():
+                for i, j in product(range(lie.dimension), repeat=2):
                     got = {
                         lie.labels[k]: c for k, c in lie.bracket_basis(i, j).items()
                     }
@@ -290,29 +281,23 @@ def run_hy_suite(target: str, order: int) -> Report:
                     if {k: v for k, v in got.items() if v} != {
                         k: Fraction(v) for k, v in want.items() if v
                     }:
-                        ok = False
-                        witness = f"[{lie.labels[i]}, {lie.labels[j]}] = {got}, oracle {want}"
-                        break
-                if not ok:
-                    break
-            report.add_check("oracle-matrix-super-bracket", ok, witness)
+                        yield f"[{lie.labels[i]}, {lie.labels[j]}] = {got}, oracle {want}"
+
+            report.first("oracle-matrix-super-bracket", bracket_mismatches())
 
     if target in ("gl11", "gl21"):
-        report.add_check("lie-even-matches-even-quotient", check_lie_even(pres))
+        report.add("lie-even-matches-even-quotient", check_lie_even(pres))
 
-    pbw_ok = True
-    witness = ""
-    if lie is not None:
-        for k in range(1, order + 1):
+    def pbw_mismatches():
+        for k in range(1, order + 1) if lie is not None else ():
             expected = super_pbw_count(len(lie.even_indices()), len(lie.odd_indices()), k)
             if duals[k].dimension != expected:
-                pbw_ok = False
-                witness = f"order {k}: dim {duals[k].dimension} vs count {expected}"
-                break
-    report.add_check("pbw-dimension-counts", pbw_ok, witness)
+                yield f"order {k}: dim {duals[k].dimension} vs count {expected}"
+
+    report.first("pbw-dimension-counts", pbw_mismatches())
 
     chain_ok = all(duals[k].embeds_in(duals[k + 1]) for k in range(1, order))
-    report.add_check("embedding-chain", chain_ok)
+    report.add("embedding-chain", chain_ok)
 
     report.data["structure"] = export_structure(duals[min(order, 3)])
     return report
@@ -324,30 +309,24 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
         config={"r": r, "no_half": no_half, "transvections": transvections, "seed": seed},
     )
     pair = spo_pair(r, half=not no_half)
-    report.add_check("sp-dimension", pair.g0_dim == r * (2 * r + 1), f"got {pair.g0_dim}")
+    report.add("sp-dimension", pair.g0_dim == r * (2 * r + 1), f"got {pair.g0_dim}")
     failures = validate_hcpair(pair)
-    report.add_check("pair-axioms", not failures, "; ".join(failures[:3]))
+    report.add("pair-axioms", not failures, "; ".join(failures[:3]))
     lie = None
     try:
         lie = build_super_lie(pair)
-        report.add_check("super-jacobi", True)
+        report.add("super-jacobi", True)
     except StructureError as exc:
-        report.add_check("super-jacobi", False, str(exc))
+        report.add("super-jacobi", False, str(exc))
 
-    membership_ok = True
-    equivariance_ok = True
-    witness = ""
-    for g in sample_transvections(r, transvections, seed):
-        if not is_symplectic(g, pair.J):
-            membership_ok = False
-            witness = "transvection failed g J tg = J"
-            break
-        if not group_bracket_equivariance(pair, g):
-            equivariance_ok = False
-            witness = "bracket not equivariant under group translation"
-            break
-    report.add_check("group-membership", membership_ok, witness)
-    report.add_check("group-bracket-equivariance", equivariance_ok, witness)
+    group = sample_transvections(r, transvections, seed)
+    report.first("group-membership", (
+        "transvection failed g J tg = J" for g in group if not is_symplectic(g, pair.J)
+    ))
+    report.first("group-bracket-equivariance", (
+        "bracket not equivariant under group translation"
+        for g in group if not group_bracket_equivariance(pair, g)
+    ))
 
     if lie is not None:
         report.data["structure"] = {
@@ -369,12 +348,12 @@ def run_envelope_suite(r: int, degree: int, abelian: tuple[int, int] | None) -> 
         pair = spo_pair(r)
     try:
         env = truncated_envelope(pair, degree)
-        report.add_check("rewriting-confluent", True)
+        report.add("rewriting-confluent", True)
     except StructureError as exc:
-        report.add_check("rewriting-confluent", False, str(exc))
+        report.add("rewriting-confluent", False, str(exc))
         return report
     expected = envelope_pbw_count(pair.g0_dim, pair.v_dim, degree)
-    report.add_check(
+    report.add(
         "pbw-dimension", env.dimension == expected,
         f"got {env.dimension}, expected {expected}",
     )

@@ -11,7 +11,7 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -28,6 +28,7 @@ from .core import (
     mul_monomials,
     odd_positions,
 )
+from .report import AxiomReport
 from .table import add_into
 from .tensor import TensorPoly
 
@@ -244,34 +245,6 @@ def even_quotient(pres: HopfPresentation) -> HopfPresentation:
 # --- axiom checking ----------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    witness: str = ""
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "status": "pass" if self.passed else "fail"}
-        if self.witness:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass
-class AxiomReport:
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, witness: str = "") -> None:
-        self.checks.append(CheckResult(name, passed, witness if not passed else ""))
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
 def check_hopf_axioms(pres: HopfPresentation, sampler=None, points: int = 0) -> AxiomReport:
     """Verify coassociativity, the counit laws and the antipode identity.
 
@@ -317,20 +290,16 @@ def check_hopf_axioms(pres: HopfPresentation, sampler=None, points: int = 0) -> 
     elif sampler is not None and points > 0:
         from .grassmann import SuperMatrix
 
-        failures = 0
-        witness = ""
-        for idx in range(points):
-            point = sampler.sample(idx)
+        def antipode_fails(point: SuperMatrix) -> bool:
             ident = SuperMatrix.identity(point.m, point.n, point.alg)
             s_matrix = point.antipode_blocks()
-            if s_matrix * point != ident or point * s_matrix != ident or s_matrix != point.inv():
-                failures += 1
-                if not witness:
-                    witness = f"point #{idx}: {point.to_json()}"
-        report.add(
-            f"antipode-pointwise[{points} points]", failures == 0,
-            witness if failures else "",
-        )
+            return s_matrix * point != ident or point * s_matrix != ident or s_matrix != point.inv()
+
+        samples = (sampler.sample(idx) for idx in range(points))
+        report.first(f"antipode-pointwise[{points} points]", (
+            f"point #{idx}: {point.to_json()}"
+            for idx, point in enumerate(samples) if antipode_fails(point)
+        ))
     else:
         report.add("antipode", False, "no symbolic antipode and no point sampler provided")
     return report

@@ -1,17 +1,52 @@
-"""Machine-readable verification reports."""
+"""The check ledger and machine-readable verification reports.
+
+Every check is one ``{"name", "status"[, "witness"]}`` entry, exactly as it
+is written to JSON; a ``witness`` is kept only on a failing entry.  A check
+that scans cases is recorded by ``first``: it fails with the first witness
+of its scan, computing no later case, and passes when the scan yields none.
+"""
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-
-from .hopf import AxiomReport
 
 ENGINE_VERSION = "0.1.0"
 
 
 @dataclass
-class Report:
+class AxiomReport:
+    """An ordered list of named checks with their status and witness."""
+
+    checks: list[dict] = field(default_factory=list)
+
+    def add(self, name: str, passed: bool, witness: str = "") -> None:
+        entry = {"name": name, "status": "pass" if passed else "fail"}
+        if witness and not passed:
+            entry["witness"] = witness
+        self.checks.append(entry)
+
+    def first(self, name: str, witnesses: Iterable[str]) -> None:
+        """Fail ``name`` with the first witness ``witnesses`` yields; pass it if none."""
+        witness = next(iter(witnesses), None)
+        self.add(name, witness is None, witness or "")
+
+    @property
+    def ok(self) -> bool:
+        return all(c["status"] == "pass" for c in self.checks)
+
+    def failures(self) -> list[dict]:
+        return [c for c in self.checks if c["status"] == "fail"]
+
+    def extend(self, other: AxiomReport, prefix: str = "") -> None:
+        """Append ``other``'s checks, each name prefixed by ``prefix:``."""
+        for check in other.checks:
+            self.checks.append({**check, "name": f"{prefix}:{check['name']}"} if prefix else check)
+
+
+@dataclass(kw_only=True)
+class Report(AxiomReport):
     """Suite outcome: config echo, per-check status, witnesses, data, timings.
 
     Identical config and seed produce identical reports apart from the
@@ -22,27 +57,9 @@ class Report:
 
     suite: str
     config: dict
-    checks: list[dict] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
     engine_version: str = ENGINE_VERSION
-
-    @property
-    def ok(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
-
-    def add_check(self, name: str, passed: bool, witness: str = "") -> None:
-        entry = {"name": name, "status": "pass" if passed else "fail"}
-        if witness and not passed:
-            entry["witness"] = witness
-        self.checks.append(entry)
-
-    def extend(self, axioms: AxiomReport, prefix: str = "") -> None:
-        for check in axioms.checks:
-            entry = check.as_dict()
-            if prefix:
-                entry["name"] = f"{prefix}:{entry['name']}"
-            self.checks.append(entry)
 
     def to_dict(self) -> dict:
         out = {

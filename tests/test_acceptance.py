@@ -76,7 +76,7 @@ def test_criterion_3_exterior_duality():
     started = time.perf_counter()
     for n in range(7):
         ok, detail = dual_iso_check(n)
-        assert ok, [c.name for c in detail.failures()]
+        assert ok, [c["name"] for c in detail.failures()]
     elapsed = time.perf_counter() - started
     report(3, "Lambda(V*) = Lambda(V)* for n <= 6", elapsed, 5)
     assert elapsed < 5

@@ -356,7 +356,7 @@ def test_corrupted_file_fails_with_witness_and_replays(tmp_path):
     from superalg import check_hopf_axioms
 
     report = check_hopf_axioms(load_presentation(str(path)))
-    replayed = {c.name for c in report.failures()}
+    replayed = {c["name"] for c in report.failures()}
     assert any(c["name"].split(":")[-1] in replayed for c in failing)
 
 
@@ -414,10 +414,12 @@ def test_repeated_statement_is_exit_2(kind, tmp_path, capsys):
 # --- golden reports: the JSON report without ``timings`` stays byte-identical
 # (the hy, hcpair and envelope digests were re-taken when their exported
 # structure and per-degree dimensions moved from always-passing checks into
-# the report's ``data`` block, payloads unchanged)
+# the report's ``data`` block, payloads unchanged; the exterior digests were
+# re-taken when ``duality[n=...]:pairing-bijective``, which cannot fail, was
+# removed, each report otherwise unchanged)
 
 GOLDEN = {
-    "verify exterior --dim 3": "dfe43d51cc08396595afe7e751446a0fd572a09040be8b9241c0e7ea21e5895c",
+    "verify exterior --dim 3": "3a60e6a76cc70c6ae13ec2e262998df421594577cf5964077a089220c0378819",
     "verify bosonize --dim 2": "54782958c977c08fdb4685a4682156009e81a44c68ed8bc8cbfbc8a6d8bb5515",
     "verify integrals --dim 3": "cf1037d68cd9ecb88a31e88bbc3cdd3b3eec28d2f696accd79ce5b1b0293bda5",
     "hy --target gl11 --order 4": "58540e3937c272cc32667c56dfba97bcc42ed2a4e86f9a4c0dd3acaecf930d2a",
@@ -450,7 +452,7 @@ def test_exterior_dim_5_report_is_golden(tmp_path):
     data.pop("timings")
     text = json.dumps(data, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4b66c40157fb9da47acaaae5c6aedbc141ab0b2d62fac67350b0e18cd3e55086"
+        "d098edc37ffcb84d2c7c162d53a570f82ea66ed7d9460b3d50806dc7acf089b6"
     )
 
 
@@ -460,5 +462,88 @@ def test_builtin_file_checks_are_golden(tmp_path):
     assert code == 0
     text = json.dumps(data["checks"], sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3393efc774db6f4ceff81fc4402bb73d836324cc5ef3b349e7a3be250465a8d9"
+        "07028edebea3e2b4946f7e2666256a62bbde60fb8bbcb390f189c66eacb746a3"
     )
+
+
+# --- the check ledger
+
+
+SMALL_RUNS = [
+    "verify gl --m 1 --n 1 --thetas 3 --points 6 --seed 2",
+    "verify exterior --dim 2",
+    "verify bosonize --dim 1",
+    "verify integrals --dim 2",
+    "hy --target gl11 --order 3",
+    "hcpair --r 1 --transvections 3 --seed 2",
+    "envelope --r 1 --d 1",
+    "decompose --m 1 --n 1 --thetas 3 --points 4 --seed 2",
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS + ["corrupted exterior file"])
+def test_check_names_are_unique_and_only_failures_carry_witnesses(argv, tmp_path):
+    if argv == "corrupted exterior file":
+        path = tmp_path / "broken.shp"
+        path.write_text(CORRUPTED)
+        argv = f"verify exterior --file {path}"
+    _, data = run(argv.split(), tmp_path)
+    names = [c["name"] for c in data["checks"]]
+    assert len(names) == len(set(names))
+    for check in data["checks"]:
+        assert check["status"] in ("pass", "fail")
+        assert "witness" not in check or check["status"] == "fail", check
+
+
+def test_hcpair_group_checks_fail_independently(tmp_path, monkeypatch):
+    # a failing membership scan must not stop the equivariance scan
+    from superalg import cli
+
+    monkeypatch.setattr(cli, "is_symplectic", lambda g, J: False)
+    monkeypatch.setattr(cli, "group_bracket_equivariance", lambda pair, g: False)
+    code, data = run(["hcpair", "--r", "1", "--transvections", "2", "--seed", "3"], tmp_path)
+    assert code == 1
+    status = {c["name"]: c["status"] for c in data["checks"]}
+    assert status["group-membership"] == "fail"
+    assert status["group-bracket-equivariance"] == "fail"
+
+
+def _primed_scan(monkeypatch, translate):
+    """The decompose checks with each left translation chosen by ``translate``."""
+    from superalg.decomposition import decomposition_check
+    from superalg.grassmann import PointSampler
+
+    monkeypatch.setattr(PointSampler, "sample_even",
+                        lambda self, index=None: translate(self, index))
+    checks = decomposition_check(1, 1, 4, 4, 9).checks
+    return {c["name"]: c for c in checks}
+
+
+def test_primed_coordinates_witness_is_the_first_failing_point(monkeypatch):
+    from superalg.grassmann import PointSampler
+
+    # translating by general (not even) points moves the primed coordinates
+    sampler = PointSampler(1, 1, 4, 9)
+    failing = [idx for idx in range(4)
+               if (sampler.sample(4 + idx) * sampler.sample(idx)).decomposition_coords()[2:]
+               != sampler.sample(idx).decomposition_coords()[2:]]
+    assert len(failing) >= 2
+    checks = _primed_scan(monkeypatch, PointSampler.sample)
+    primed = checks["primed-coordinates-left-invariant"]
+    assert primed["status"] == "fail" and primed["witness"] == f"point #{failing[0]}"
+
+
+def test_naive_control_sees_every_sampled_point(monkeypatch):
+    from superalg.grassmann import PointSampler, SuperMatrix
+
+    even = PointSampler.sample_even
+
+    # only the last of the four translations (index points + 3) is not the identity
+    def translate(self, index):
+        if index == 4 + 3:
+            return even(self, index)
+        return SuperMatrix.identity(self.m, self.n, self.alg)
+
+    checks = _primed_scan(monkeypatch, translate)
+    assert checks["primed-coordinates-left-invariant"]["status"] == "pass"
+    assert checks["negative-control-naive-coordinates-not-left-invariant"]["status"] == "pass"

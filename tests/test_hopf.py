@@ -61,7 +61,7 @@ def test_corrupted_coproduct_reports_counit_failure():
     corrupted = HopfPresentation(pres.gens, bad_delta, pres.counit, pres.antipode)
     report = check_hopf_axioms(corrupted)
     assert not report.ok
-    assert any("v1" in c.name and "counit" in c.name for c in report.failures())
+    assert any("v1" in c["name"] and "counit" in c["name"] for c in report.failures())
 
 
 def test_glmn_counit_vanishes_on_shifted_generators():
