@@ -4,13 +4,15 @@ A pair consists of an even Lie algebra with a right module of odd vectors
 and a symmetric bracket from pairs of odd vectors back into the even part.
 The flagship instance takes the symplectic Lie algebra (matrices X with XJ
 symmetric) acting on row vectors, with bracket J(tv w + tw v)/2.  The
-assembled super Lie algebra and the truncated PBW envelope are verified
-exhaustively and exactly.
+assembled super Lie algebra is verified exhaustively and exactly; the
+truncated PBW envelope is certified associative exactly from its one-letter
+words (the lemma of ``superalg.table``).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from . import linalg
 from .core import F0, F1, GeneratorSet, SuperPoly
 from .hyper import super_pbw_count
 from .liealg import StructureError, SuperLieAlgebraData
-from .table import add_into, first_nonassociative, times_basis
+from .table import add_into, certify_associative, first_nonassociative, times_basis
 
 Vec = dict[int, Fraction]
 Matrix = list[list[Fraction]]
@@ -320,9 +322,11 @@ def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
     """Rewrite the tensor algebra on g_0 (+) V modulo the PBW relations.
 
     Products of normal words are rewritten to the ordered normal form; the
-    resulting table is checked associative on every triple whose degrees fit
-    inside the bound (non-confluence would surface here and raises with the
-    witness triple).
+    resulting table is associative on every triple whose degrees fit inside
+    the bound, certified from the one-letter words by the degree-bounded
+    lemma of ``superalg.table`` (each normal word is a letter times a
+    shorter one).  Non-confluence would surface there and raises with the
+    first failing triple of the dense scan.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -340,14 +344,19 @@ def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
 
     rewriter = _Rewriter(lie)
     product: dict[tuple[int, int], Vec] = {}
+    lengths = [len(w) for w in words]
     for i, w1 in enumerate(words):
-        for j, w2 in enumerate(words):
-            if len(w1) + len(w2) > degree_bound:
-                continue
-            expansion = rewriter.rewrite(w1 + w2)
-            product[(i, j)] = {index[w]: c for w, c in expansion.items()}
+        # words are sorted by length, so the w2 with |w1| + |w2| <= bound are a prefix
+        for j in range(bisect_right(lengths, degree_bound - lengths[i])):
+            expansion = rewriter.rewrite(w1 + words[j])
+            # whole coefficients as int, so the associativity check multiplies ints
+            product[(i, j)] = {index[w]: c.numerator if c.denominator == 1 else c
+                               for w, c in expansion.items()}
 
-    triple = first_nonassociative(product, len(words), [len(w) for w in words], degree_bound)
+    letters = [i for i, w in enumerate(words) if len(w) == 1]
+    triple = None
+    if not certify_associative(product, len(words), {0: F1}, letters, lengths, degree_bound):
+        triple = first_nonassociative(product, len(words), lengths, degree_bound)
     if triple is not None:
         names = ", ".join(labels[t] for t in triple)
         raise StructureError(f"rewriting is not confluent at words ({names})")

@@ -11,6 +11,26 @@ term rather than from a ``Fraction`` zero: ``int`` tables (the +-1 exterior
 tables, and the truncated hyperalgebra of a presentation with whole
 coproduct coefficients) stay in ``int`` and ``Fraction`` tables in
 ``Fraction``.
+
+Associativity is certified from generators rather than scanned on every
+triple (``certify_associative``).  *Lemma.*  Let the table have a left unit
+1 and let G be a set of basis indices such that the span of the closure of
+1 under left multiplication by G is the whole algebra.  If
+(g e_b) e_k = g (e_b e_k) for every g in G and all b, k, the table is
+associative.  *Proof.*  Let S be the set of x with (xy)z = x(yz) for all y
+and z.  S is a subspace, it holds 1, and for x in S and g in G,
+((gx)y)z = (g(xy))z = g((xy)z) = g(x(yz)) = (gx)(yz), so gx is in S; hence
+S is everything.  For a table truncated by a degree bound (exact only on
+the triples whose degrees sum to at most the bound) the same induction runs
+on the pieces of degree <= d, provided the table is filtered: every cell
+(i, j) inside the bound has output degrees <= deg i + deg j, the unit has
+degree 0, and every step of the closure reaches an index of degree
+deg g + deg b.  The same induction shows that once the algebra is
+associative, a coproduct that is multiplicative on the pairs (g, b) with g
+in G or g = 1 is multiplicative everywhere, when the product respects
+parity so that the Koszul-signed tensor square is associative.  The dense
+scan ``first_nonassociative`` stays as the fallback, the witness finder and
+the test oracle.
 """
 
 from __future__ import annotations
@@ -119,13 +139,21 @@ def first_nonassociative(
     """
     if degree is None or bound is None:
         degree, bound = [0] * dim, 0
+    return next(_failing_triples(table, range(dim), dim, degree, bound), None)
+
+
+def _failing_triples(table: Table, lefts, dim: int, degree: list[int], bound: int):
+    """The triples (i, j, k) with i in ``lefts`` and (e_i e_j) e_k != e_i (e_j e_k),
+    in lexicographic order, among those whose degrees sum to at most ``bound``."""
     if bound < 0:
-        return None
+        return
     # fits[r]: the indices of degree <= r, in increasing order
     fits = [[x for x in range(dim) if degree[x] <= r] for r in range(bound + 1)]
     get = table.get
-    for i in fits[bound]:
+    for i in lefts:
         left_budget = bound - degree[i]
+        if left_budget < 0:
+            continue
         for j in fits[left_budget]:
             ij = get((i, j), _EMPTY)
             for k in fits[left_budget - degree[j]]:
@@ -150,5 +178,61 @@ def first_nonassociative(
                         else:
                             rhs.pop(r, None)
                 if lhs != rhs:
-                    return i, j, k
-    return None
+                    yield i, j, k
+
+
+def certify_associative(
+    table: Table,
+    dim: int,
+    unit: Vec,
+    gens,
+    degree: list[int] | None = None,
+    bound: int | None = None,
+) -> bool:
+    """True when the lemma above proves ``table`` associative from ``gens``.
+
+    With ``degree`` and ``bound`` it proves the degree-bounded form, that
+    ``first_nonassociative(table, dim, degree, bound)`` is None.  False says
+    only that the certificate does not apply (``unit`` is not one basis
+    index with coefficient 1 and degree 0, the left unit law fails, the
+    table is not filtered, or the closure of 1 under ``gens`` misses an
+    index) or that a generator triple fails: the dense scan then decides.
+    """
+    bounded = degree is not None and bound is not None
+    if not bounded:
+        degree, bound = [0] * dim, 0
+    if len(unit) != 1:
+        return False
+    ((one, c),) = unit.items()
+    if c != 1 or degree[one] != 0:
+        return False
+    get = table.get
+    if any(get((one, y)) != {y: 1} for y in range(dim) if degree[y] <= bound):
+        return False
+    if bounded and any(
+        degree[k] > degree[i] + degree[j]
+        for (i, j), cell in table.items() if degree[i] + degree[j] <= bound for k in cell
+    ):
+        return False
+    # triangular closure: e_x is reached when some g e_b, with b reached, has
+    # x as its only unreached index, of degree deg g + deg b
+    reached = [False] * dim
+    reached[one] = True
+    stuck = [(g, one) for g in gens]
+    progress = True
+    while progress:
+        progress = False
+        queue, stuck = stuck, []
+        while queue:
+            g, b = queue.pop()
+            if degree[g] + degree[b] > bound:
+                continue
+            new = [k for k in get((g, b), _EMPTY) if not reached[k]]
+            if len(new) > 1:
+                stuck.append((g, b))
+            elif new and degree[new[0]] >= degree[g] + degree[b]:
+                reached[new[0]] = progress = True
+                queue.extend((h, new[0]) for h in gens)
+    if not all(reached):
+        return False
+    return next(_failing_triples(table, gens, dim, degree, bound), None) is None

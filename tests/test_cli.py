@@ -98,15 +98,14 @@ def test_same_seed_gives_identical_reports(tmp_path):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_worker_pool_is_deterministic(tmp_path, monkeypatch):
+def test_verify_gl_same_seed_gives_identical_reports(tmp_path):
     argv = ["verify", "gl", "--m", "1", "--n", "1", "--thetas", "3",
             "--points", "8", "--seed", "33"]
-    _, sequential = run(argv, tmp_path, "seq.json")
-    monkeypatch.setenv("SUPERALG_WORKERS", "3")
-    _, pooled = run(argv, tmp_path, "pool.json")
-    sequential.pop("timings")
-    pooled.pop("timings")
-    assert sequential == pooled
+    _, first = run(argv, tmp_path, "first.json")
+    _, second = run(argv, tmp_path, "second.json")
+    first.pop("timings")
+    second.pop("timings")
+    assert first == second
 
 
 def test_usage_error_exit_code():
@@ -431,6 +430,10 @@ GOLDEN = {
         "c6bf22ea61674c943d1674c1e5c52138fd2517338d8fe337a069e0433afe60de",
     "decompose --m 2 --n 1 --thetas 4 --points 30 --seed 11":
         "cac230cebd344dd7538971ea7f5e6aa290d108fab7712dec0ec5478addb52217",
+    # taken before associativity and coproduct multiplicativity were
+    # certified from generators, so these two pin the certified reports
+    "verify exterior --dim 6": "5c81e3c6e1bd7d3e850eb53dfbe875a8d1d7d606217839173e094c1f98c01d80",
+    "envelope --r 1 --d 4": "88f22ef564d12f9dd030c38f3620b5cd2aac346c35199d29054e0b38beec679c",
 }
 
 
@@ -506,6 +509,22 @@ def test_hcpair_group_checks_fail_independently(tmp_path, monkeypatch):
     status = {c["name"]: c["status"] for c in data["checks"]}
     assert status["group-membership"] == "fail"
     assert status["group-bracket-equivariance"] == "fail"
+
+
+def test_hy_reports_no_dimension_count_without_primitives(tmp_path, monkeypatch):
+    # with no primitive Lie algebra there is nothing to count against
+    from superalg import cli
+    from superalg.liealg import StructureError
+
+    def no_primitives(dual):
+        raise StructureError("bracket escapes the primitive subspace")
+
+    monkeypatch.setattr(cli, "primitives", no_primitives)
+    code, data = run(["hy", "--target", "gl11", "--order", "3"], tmp_path)
+    assert code == 1
+    status = {c["name"]: c["status"] for c in data["checks"]}
+    assert status["primitive-lie-axioms"] == "fail"
+    assert "pbw-dimension-counts" not in status
 
 
 def _primed_scan(monkeypatch, translate):

@@ -1,11 +1,20 @@
+import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as cartesian
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from superalg import exterior_finite, table
+from superalg import exterior_finite, finite, hyper, table
 from superalg.core import F1
+from superalg.finite import FiniteDimHopf, check_finite_hopf_axioms, dual_hopf, finite_from_presentation
+from superalg.hcpair import spo_pair, truncated_envelope
+from superalg.hopf import exterior_hopf, glmn_presentation
+from superalg.hyper import truncated_dual
+from superalg.liealg import StructureError
 
 # k[x]/(x^3) on 1, x, x^2: e_i e_j = e_{i+j}, zero past degree 2
 DEGREE = [0, 1, 2]
@@ -131,3 +140,209 @@ def test_transpose_of_a_product_is_its_dual_coproduct():
     }
     assert all(type(c) is Fraction for row in delta.values() for c in row.values())
     assert table.transpose(delta) == tab
+
+
+# --- the generator certificate against the dense scans
+
+
+def primitive_indices(hopf):
+    (one,) = hopf.unit
+    return [i for i in range(hopf.dimension)
+            if i != one and hopf.delta.get(i) == {(i, one): 1, (one, i): 1}]
+
+
+def hopf_case(hopf):
+    return {"tab": hopf.mult, "dim": hopf.dimension, "unit": hopf.unit,
+            "gens": primitive_indices(hopf), "degree": None, "bound": None, "hopf": hopf}
+
+
+def dual_case(dual):
+    return {"tab": dual.product, "dim": dual.dimension, "unit": {dual.unit_index: F1},
+            "gens": [i for i, d in enumerate(dual.degree) if d == 1],
+            "degree": None, "bound": None, "dual": dual}
+
+
+def envelope_case(env):
+    return {"tab": env.product, "dim": env.dimension, "unit": {0: F1},
+            "gens": [i for i, w in enumerate(env.words) if len(w) == 1],
+            "degree": [len(w) for w in env.words], "bound": env.degree_bound}
+
+
+@functools.cache
+def certificate_case(name):
+    builders = {
+        "Lambda(3)": lambda: hopf_case(exterior_finite(3)),
+        "Lambda(4)": lambda: hopf_case(exterior_finite(4)),
+        "Lambda(5)": lambda: hopf_case(exterior_finite(5)),
+        "Lambda(5)*": lambda: hopf_case(dual_hopf(finite_from_presentation(exterior_hopf(5)))),
+        "hy gl(1|1) order 4": lambda: dual_case(truncated_dual(glmn_presentation(1, 1), 4)),
+        "envelope spo(1) d 3": lambda: envelope_case(truncated_envelope(spo_pair(1), 3)),
+    }
+    return builders[name]()
+
+
+CASE_NAMES = ["Lambda(3)", "Lambda(4)", "Lambda(5)", "Lambda(5)*",
+              "hy gl(1|1) order 4", "envelope spo(1) d 3"]
+KINDS = ["doubled", "negated", "extra term"]
+
+
+def corrupted(case, kind, rng):
+    """A copy of the case's table with one cell doubled, negated, or given an extra term."""
+    tab = {key: dict(cell) for key, cell in case["tab"].items() if cell}
+    dim, degree, bound = case["dim"], case["degree"], case["bound"]
+    if kind == "extra term":
+        inside = [(i, j) for i in range(dim) for j in range(dim)
+                  if degree is None or degree[i] + degree[j] <= bound]
+        key = rng.choice(inside)
+        cell = tab.setdefault(key, {})
+        k = rng.randrange(dim)
+        cell[k] = cell.get(k, 0) + rng.choice([1, -1, Fraction(1, 2)])
+        if not cell[k]:
+            del cell[k]
+    else:
+        key = rng.choice(sorted(tab))
+        tab[key] = {k: 2 * c if kind == "doubled" else -c for k, c in tab[key].items()}
+    return tab
+
+
+def certified_first(tab, case, **overrides):
+    """What the callers compute: None when certified, else the dense scan's first triple."""
+    args = {**{k: case[k] for k in ("dim", "unit", "gens", "degree", "bound")}, **overrides}
+    if table.certify_associative(tab, **args):
+        return None
+    return table.first_nonassociative(tab, args["dim"], args["degree"], args["bound"])
+
+
+def dense_first(tab, case):
+    return table.first_nonassociative(tab, case["dim"], case["degree"], case["bound"])
+
+
+def dense_path(module, monkeypatch):
+    """Force ``module``'s callers onto the dense scans."""
+    monkeypatch.setattr(module, "certify_associative", lambda *args: False)
+
+
+def associativity_outcome(dual):
+    try:
+        dual.check_associative_unital()
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_uncorrupted_tables_are_certified(name):
+    case = certificate_case(name)
+    assert case["gens"]
+    assert table.certify_associative(case["tab"], case["dim"], case["unit"], case["gens"],
+                                     case["degree"], case["bound"])
+
+
+@pytest.mark.parametrize("name", ["Lambda(4)", "Lambda(5)*"])
+def test_certified_coproduct_check_compares_only_generator_pairs(name, monkeypatch):
+    case = certificate_case(name)
+    hopf = case["hopf"]
+    calls = []
+    tensor_mul = FiniteDimHopf.tensor_mul
+    monkeypatch.setattr(FiniteDimHopf, "tensor_mul",
+                        lambda self, a, b: calls.append(1) or tensor_mul(self, a, b))
+    assert check_finite_hopf_axioms(hopf).ok
+    assert len(calls) == (len(case["gens"]) + 1) * case["dim"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_certified_path_matches_dense_scans_on_corrupted_cells(name, kind, monkeypatch):
+    case = certificate_case(name)
+    for seed in range(5):
+        tab = corrupted(case, kind, random.Random(f"{name}/{kind}/{seed}"))
+        assert certified_first(tab, case) == dense_first(tab, case)
+        if "hopf" in case:
+            mutant = replace(case["hopf"], mult=tab)
+            certified = check_finite_hopf_axioms(mutant).checks
+            with monkeypatch.context() as patch:
+                dense_path(finite, patch)
+                assert check_finite_hopf_axioms(mutant).checks == certified
+        if "dual" in case:
+            mutant = replace(case["dual"], product=tab)
+            certified = associativity_outcome(mutant)
+            with monkeypatch.context() as patch:
+                dense_path(hyper, patch)
+                assert associativity_outcome(mutant) == certified
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CASE_NAMES), st.sampled_from(KINDS), st.randoms(use_true_random=False))
+def test_certificate_is_sound_on_generated_corruptions(name, kind, rng):
+    case = certificate_case(name)
+    tab = corrupted(case, kind, rng)
+    assert certified_first(tab, case) == dense_first(tab, case)
+
+
+def test_generators_that_do_not_span_fall_back():
+    case = certificate_case("Lambda(4)")
+    fewer = case["gens"][:-1]
+    assert not table.certify_associative(case["tab"], case["dim"], case["unit"], fewer)
+    for seed in range(5):
+        tab = corrupted(case, "negated", random.Random(seed))
+        assert certified_first(tab, case, gens=fewer) == dense_first(tab, case)
+
+
+@pytest.mark.parametrize("unit", [{1: F1}, {0: Fraction(2)}, {0: F1, 1: F1}, {}])
+def test_a_unit_that_is_not_one_basis_index_falls_back(unit):
+    case = certificate_case("Lambda(5)*")
+    assert not table.certify_associative(case["tab"], case["dim"], unit, case["gens"])
+    tab = corrupted(case, "doubled", random.Random(3))
+    assert certified_first(tab, case, unit=unit) == dense_first(tab, case)
+
+
+def test_a_cell_above_its_degree_falls_back():
+    case = certificate_case("envelope spo(1) d 3")
+    degree, bound = case["degree"], case["bound"]
+    top = degree.index(bound)
+    tab = {key: dict(cell) for key, cell in case["tab"].items()}
+    tab[(0, 1)] = {**tab[(0, 1)], top: F1}  # 1 e_1 gains a term of degree 3 > 0 + 1
+    assert not table.certify_associative(tab, case["dim"], case["unit"], case["gens"], degree, bound)
+    assert certified_first(tab, case) == dense_first(tab, case) is not None
+
+
+def test_degree_bounded_certificate_ignores_cells_past_the_bound():
+    tab = truncated_polynomials()
+    tab[(1, 2)] = {2: F1}  # x x^2 = x^2 lies past the bound 2
+    assert table.certify_associative(tab, 3, {0: F1}, [1], DEGREE, 2)
+    assert not table.certify_associative(tab, 3, {0: F1}, [1], DEGREE, 3)
+    assert table.first_nonassociative(tab, 3, DEGREE, 3) == (1, 1, 1)
+
+
+def test_closure_returns_to_a_cell_once_its_other_terms_are_reached():
+    # k[x]/(x^4) on 1, x, x^2 + x^3, x^3, with G = {x^3, x}: x x = e_2 - e_3
+    # has two unreached terms until x^3 = x^3 1 is reached
+    basis = [{0: 1}, {1: 1}, {2: 1, 3: 1}, {3: 1}]
+    coords = {0: {0: 1}, 1: {1: 1}, 2: {2: 1, 3: -1}, 3: {3: 1}}  # x^p in the basis
+    tab = {}
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            cell = {}
+            for p, a in u.items():
+                for q, b in v.items():
+                    if p + q < 4:
+                        table.add_into(cell, coords[p + q], a * b)
+            if cell:
+                tab[(i, j)] = cell
+    assert tab[(1, 1)] == {2: 1, 3: -1}
+    assert table.first_nonassociative(tab, 4) is None
+    assert table.certify_associative(tab, 4, {0: 1}, [3, 1])
+    assert not table.certify_associative(tab, 4, {0: 1}, [1])
+
+
+def test_closure_steps_that_lower_degree_do_not_count():
+    # k[x]/(x^4) on 1, x, x^2, x^3 graded 0, 1, 1, 2 under bound 3: x x = x^2
+    # has degree 1 < 1 + 1, so x^2 is proved only for triples up to degree
+    # 2 + 1 and (x^2, x, x^2), where x^2 x^3 is corrupted, stays unchecked
+    degree = [0, 1, 1, 2]
+    tab = {(i, j): {i + j: F1} for i in range(4) for j in range(4)
+           if i + j < 4 and degree[i] + degree[j] <= 3}
+    assert table.first_nonassociative(tab, 4, degree, 3) is None
+    tab[(2, 3)] = {3: F1}
+    assert table.first_nonassociative(tab, 4, degree, 3) == (2, 1, 2)
+    assert not table.certify_associative(tab, 4, {0: F1}, [1], degree, 3)
