@@ -354,9 +354,8 @@ def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
                                for w, c in expansion.items()}
 
     letters = [i for i, w in enumerate(words) if len(w) == 1]
-    triple = None
-    if not certify_associative(product, len(words), {0: F1}, letters, lengths, degree_bound):
-        triple = first_nonassociative(product, len(words), lengths, degree_bound)
+    certified = certify_associative(product, len(words), {0: F1}, letters, lengths, degree_bound)
+    triple = None if certified else first_nonassociative(product, len(words), lengths, degree_bound)
     if triple is not None:
         names = ", ".join(labels[t] for t in triple)
         raise StructureError(f"rewriting is not confluent at words ({names})")

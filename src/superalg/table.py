@@ -35,6 +35,7 @@ the test oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 Vec = dict[int, Fraction]
@@ -142,7 +143,7 @@ def first_nonassociative(
     return next(_failing_triples(table, range(dim), dim, degree, bound), None)
 
 
-def _failing_triples(table: Table, lefts, dim: int, degree: list[int], bound: int):
+def _failing_triples(table: Table, lefts: Iterable[int], dim: int, degree: list[int], bound: int):
     """The triples (i, j, k) with i in ``lefts`` and (e_i e_j) e_k != e_i (e_j e_k),
     in lexicographic order, among those whose degrees sum to at most ``bound``."""
     if bound < 0:
@@ -185,7 +186,7 @@ def certify_associative(
     table: Table,
     dim: int,
     unit: Vec,
-    gens,
+    gens: list[int],
     degree: list[int] | None = None,
     bound: int | None = None,
 ) -> bool:
