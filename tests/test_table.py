@@ -170,7 +170,7 @@ def envelope_case(env):
 
 @functools.cache
 def certificate_case(name):
-    builders = {
+    constructions = {
         "Lambda(3)": lambda: hopf_case(exterior_finite(3)),
         "Lambda(4)": lambda: hopf_case(exterior_finite(4)),
         "Lambda(5)": lambda: hopf_case(exterior_finite(5)),
@@ -178,7 +178,7 @@ def certificate_case(name):
         "hy gl(1|1) order 4": lambda: dual_case(truncated_dual(glmn_presentation(1, 1), 4)),
         "envelope spo(1) d 3": lambda: envelope_case(truncated_envelope(spo_pair(1), 3)),
     }
-    return builders[name]()
+    return constructions[name]()
 
 
 CASE_NAMES = ["Lambda(3)", "Lambda(4)", "Lambda(5)", "Lambda(5)*",
