@@ -349,7 +349,7 @@ def run_envelope_suite(r: int, degree: int, abelian: tuple[int, int] | None) -> 
     else:
         pair = spo_pair(r)
     try:
-        env = truncated_envelope(pair, degree)
+        env = truncated_envelope(build_super_lie(pair), degree)
         report.add("rewriting-confluent", True)
     except StructureError as exc:
         report.add("rewriting-confluent", False, str(exc))

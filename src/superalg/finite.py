@@ -28,6 +28,7 @@ from .table import (
     image,
     times_basis,
     transpose,
+    whole_as_int,
 )
 
 Vec = dict[int, Fraction]
@@ -214,25 +215,20 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
         raise PresentationError("only purely odd presentations are finite-dimensional")
     gens = pres.gens
     dual = truncated_dual(pres, sum(gens.degrees.values()) + 1)
+    delta = transpose(dual.product, range(dual.dimension))
     antipode = None
     if pres.has_symbolic_antipode:
         images = (pres.antipode_of(SuperPoly.monomial(gens, mono)) for mono in dual.basis)
-        antipode = _whole_as_int({i: {dual.index_of(m): c for m, c in image.terms.items()}
-                                  for i, image in enumerate(images)})
+        antipode = {i: whole_as_int({dual.index_of(m): c for m, c in image.terms.items()})
+                    for i, image in enumerate(images)}
     return FiniteDimHopf(
         labels=["".join(gens.odds[i] for i in odd_positions(m.odds)) or "1" for m in dual.basis],
         parity=dual.parity, unit={dual.unit_index: 1},
         mult=transpose(dual.coproduct),
-        delta=_whole_as_int(transpose(dual.product, range(dual.dimension))),
+        delta={a: whole_as_int(row) for a, row in delta.items()},
         counit=[pres.counit_monomial(m) for m in dual.basis],
         antipode=antipode, name=pres.name,
     )
-
-
-def _whole_as_int(rows: dict) -> dict:
-    """``rows`` with each whole coefficient as an ``int``, so +-1 tables multiply in ``int``."""
-    return {a: {b: c.numerator if c.denominator == 1 else c for b, c in row.items()}
-            for a, row in rows.items()}
 
 
 # --- exterior duality ----------------------------------------------------------

@@ -4,9 +4,11 @@ A pair consists of an even Lie algebra with a right module of odd vectors
 and a symmetric bracket from pairs of odd vectors back into the even part.
 The flagship instance takes the symplectic Lie algebra (matrices X with XJ
 symmetric) acting on row vectors, with bracket J(tv w + tw v)/2.  The
-assembled super Lie algebra is verified exhaustively and exactly; the
-truncated PBW envelope is certified associative exactly from its one-letter
-words (the lemma of ``superalg.table``).
+assembled super Lie algebra is verified exhaustively and exactly.  The
+truncated PBW envelope of a super Lie algebra is built on its ordered normal
+words from the rows of left multiplication by one letter (the PBW theorem
+makes these words a basis), and is certified associative exactly from its
+one-letter words (the lemma of ``superalg.table``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from . import linalg
 from .core import F0, F1, GeneratorSet, SuperPoly
 from .hyper import super_pbw_count
 from .liealg import StructureError, SuperLieAlgebraData
-from .table import add_into, certify_associative, first_nonassociative, times_basis
+from .table import (
+    add_into, certify_associative, first_nonassociative, image, times_basis, whole_as_int,
+)
 
 Vec = dict[int, Fraction]
 Matrix = list[list[Fraction]]
@@ -249,109 +253,94 @@ def build_super_lie(pair: HCPair) -> SuperLieAlgebraData:
 
 @dataclass
 class TruncatedEnvelope:
-    """Degree-bounded piece of the smash envelope modulo the pair's relations."""
+    """Degree-bounded piece of U(g) on its ordered normal words.
+
+    ``product[(i, j)]`` expands ``words[i] * words[j]`` in the normal words,
+    for every pair whose lengths sum to at most ``degree_bound``.
+    """
 
     degree_bound: int
     words: list[tuple[int, ...]]
     labels: list[str]
     dims_by_degree: list[int]
     product: dict[tuple[int, int], Vec]
-    lie: SuperLieAlgebraData
 
     @property
     def dimension(self) -> int:
         return len(self.words)
 
 
-def _normal_words(g0_dim: int, v_dim: int, degree: int) -> list[tuple[int, ...]]:
-    """Non-decreasing words, odd letters (>= g0_dim) strictly increasing."""
+def _normal_words(parity: list[int], degree: int) -> list[tuple[int, ...]]:
+    """Non-decreasing words of length <= degree in which no odd letter repeats."""
     out: list[tuple[int, ...]] = []
 
     def extend(word: tuple[int, ...], last: int, remaining: int):
         out.append(word)
         if remaining == 0:
             return
-        for letter in range(last, g0_dim + v_dim):
-            if letter >= g0_dim and word and word[-1] == letter:
-                continue  # odd squares rewrite away
+        for letter in range(last, len(parity)):
+            if parity[letter] and word and word[-1] == letter:
+                continue  # a·a = [a,a]/2 for odd a
             extend(word + (letter,), letter, remaining - 1)
 
     extend((), 0, degree)
-    return sorted(set(out), key=lambda w: (len(w), w))
+    return sorted(out, key=lambda w: (len(w), w))
 
 
-class _Rewriter:
-    """Leftmost rewriting to the ordered PBW normal form, with memoisation."""
+def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> TruncatedEnvelope:
+    """The product table of U(lie) on the normal words of length <= degree_bound.
 
-    def __init__(self, lie: SuperLieAlgebraData):
-        self.lie = lie
-        self.cache: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-
-    def rewrite(self, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        cached = self.cache.get(word)
-        if cached is not None:
-            return cached
-        parity = self.lie.parity
-        spot = None
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if a > b or (a == b and parity[a]):
-                spot = i
-                break
-        if spot is None:
-            result = {word: F1}
-            self.cache[word] = result
-            return result
-        a, b = word[spot], word[spot + 1]
-        head, tail = word[:spot], word[spot + 2 :]
-        result: dict[tuple[int, ...], Fraction] = {}
-        if a == b:
-            # odd square: a a = [a,a] / 2
-            for k, c in self.lie.bracket_basis(a, a).items():
-                add_into(result, self.rewrite(head + (k,) + tail), c / 2)
-        else:
-            sign = -F1 if parity[a] and parity[b] else F1
-            add_into(result, self.rewrite(head + (b, a) + tail), sign)
-            for k, c in self.lie.bracket_basis(a, b).items():
-                add_into(result, self.rewrite(head + (k,) + tail), c)
-        self.cache[word] = result
-        return result
-
-
-def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
-    """Rewrite the tensor algebra on g_0 (+) V modulo the PBW relations.
-
-    Products of normal words are rewritten to the ordered normal form; the
-    resulting table is associative on every triple whose degrees fit inside
-    the bound, certified from the one-letter words by the degree-bounded
-    lemma of ``superalg.table`` (each normal word is a letter times a
-    shorter one).  Non-confluence would surface there and raises with the
+    ``lie`` must satisfy the super Lie axioms (``build_super_lie`` and
+    ``primitives`` check them).  By the PBW theorem the ordered normal words
+    are a basis of U(lie), so the table is fixed by the letter rows
+    ``left[a][x] = e_a e_x`` for the normal words x with |x| < bound, built in
+    order of |x| and then of a, each from rows already built:
+    e_a e_(b y) is the normal word (a, b, *y) when a < b or a = b is even,
+    [a,a]/2 e_y when a = b is odd, and +-e_b (e_a e_y) + [a,b] e_y when b < a.
+    Every other cell is e_(a w) e_v = e_a (e_w e_v).  The table is certified
+    associative inside the bound from the one-letter words by the
+    degree-bounded lemma of ``superalg.table``; a failure raises with the
     first failing triple of the dense scan.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    lie = build_super_lie(pair)
-    gd, vd = pair.g0_dim, pair.v_dim
-    words = _normal_words(gd, vd, degree_bound)
+    parity, bracket = lie.parity, lie.bracket_basis
+    words = _normal_words(parity, degree_bound)
     index = {w: i for i, w in enumerate(words)}
-    labels = []
-    all_labels = lie.labels
-    for w in words:
-        labels.append("1" if not w else "*".join(all_labels[letter] for letter in w))
-    dims = [0] * (degree_bound + 1)
-    for w in words:
-        dims[len(w)] += 1
-
-    rewriter = _Rewriter(lie)
-    product: dict[tuple[int, int], Vec] = {}
+    labels = ["*".join(lie.labels[a] for a in w) or "1" for w in words]
     lengths = [len(w) for w in words]
-    for i, w1 in enumerate(words):
-        # words are sorted by length, so the w2 with |w1| + |w2| <= bound are a prefix
-        for j in range(bisect_right(lengths, degree_bound - lengths[i])):
-            expansion = rewriter.rewrite(w1 + words[j])
-            # whole coefficients as int, so the associativity check multiplies ints
-            product[(i, j)] = {index[w]: c.numerator if c.denominator == 1 else c
-                               for w, c in expansion.items()}
+    dims = [lengths.count(d) for d in range(degree_bound + 1)]
+
+    left: list[dict[int, Vec]] = [{} for _ in parity]
+    for length in range(degree_bound):
+        of_length = [x for x, w in enumerate(words) if len(w) == length]
+        for a, row in enumerate(left):
+            for x in of_length:
+                word = words[x]
+                if not word or a < word[0] or (a == word[0] and not parity[a]):
+                    row[x] = {index[(a,) + word]: 1}
+                    continue
+                b, y = word[0], index[word[1:]]
+                out: Vec = {}
+                if a == b:
+                    for k, c in bracket(a, a).items():
+                        add_into(out, left[k][y], Fraction(c, 2))
+                else:
+                    add_into(out, image(left[b], left[a][y]), -1 if parity[a] and parity[b] else 1)
+                    for k, c in bracket(a, b).items():
+                        add_into(out, left[k][y], c)
+                row[x] = whole_as_int(out)
+
+    product: dict[tuple[int, int], Vec] = {}
+    for i, word in enumerate(words):
+        # words are sorted by length, so the v with |word| + |v| <= bound are a prefix
+        fits = range(bisect_right(lengths, degree_bound - lengths[i]))
+        if not word:
+            product.update(((i, j), {j: 1}) for j in fits)
+            continue
+        row, w = left[word[0]], index[word[1:]]
+        for j in fits:
+            product[(i, j)] = whole_as_int(image(row, product[(w, j)]))
 
     letters = [i for i, w in enumerate(words) if len(w) == 1]
     certified = certify_associative(product, len(words), {0: F1}, letters, lengths, degree_bound)
@@ -361,7 +350,7 @@ def truncated_envelope(pair: HCPair, degree_bound: int) -> TruncatedEnvelope:
         raise StructureError(f"rewriting is not confluent at words ({names})")
     return TruncatedEnvelope(
         degree_bound=degree_bound, words=words, labels=labels,
-        dims_by_degree=dims, product=product, lie=lie,
+        dims_by_degree=dims, product=product,
     )
 
 

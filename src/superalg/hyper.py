@@ -95,28 +95,21 @@ class TruncatedDual:
     def embeds_in(self, larger: TruncatedDual) -> bool:
         """Compatibility of the inclusion into the next-order dual.
 
-        Coproducts agree exactly on the common basis; products agree exactly
-        when the degrees sum below this order, and after truncation otherwise
-        (the union carries the full product).
+        The basis must be a prefix of the larger one (both are sorted by
+        degree first).  Coproducts agree exactly on the common basis; products
+        agree exactly when the degrees sum below this order, and after
+        truncation otherwise (the union carries the full product).
         """
-        if larger.order < self.order:
+        dim = self.dimension
+        if larger.order < self.order or larger.basis[:dim] != self.basis:
             return False
-        mapping = {i: larger.index_of(m) for i, m in enumerate(self.basis)}
-        for i in range(self.dimension):
-            img = {
-                (mapping[j], mapping[k]): c
-                for (j, k), c in self.coproduct.get(i, {}).items()
-            }
-            if img != larger.coproduct.get(mapping[i], {}):
-                return False
-        for i in range(self.dimension):
-            for j in range(self.dimension):
-                small = {mapping[k]: c for k, c in self.product.get((i, j), {}).items()}
-                big = larger.product.get((mapping[i], mapping[j]), {})
-                truncated = {
-                    k: c for k, c in big.items()
-                    if larger.degree[k] < self.order
-                }
+        if any(self.coproduct.get(i, {}) != larger.coproduct.get(i, {}) for i in range(dim)):
+            return False
+        for i in range(dim):
+            for j in range(dim):
+                small = self.product.get((i, j), {})
+                big = larger.product.get((i, j), {})
+                truncated = {k: c for k, c in big.items() if larger.degree[k] < self.order}
                 if small != truncated:
                     return False
                 if self.degree[i] + self.degree[j] < self.order and small != big:

@@ -58,6 +58,11 @@ def add_into(out: dict, vec: dict, scale: Fraction | int = 1) -> None:
             out.pop(k, None)
 
 
+def whole_as_int(vec: dict) -> dict:
+    """``vec`` with each whole coefficient as an ``int``, so whole tables multiply in ``int``."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in vec.items()}
+
+
 def transpose(rows: dict, keys=()) -> dict:
     """``{a: {b: c}}`` as ``{b: {a: c}}``, with a row (maybe empty) for each of ``keys``.
 

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 from superalg import GeneratorSet, SuperPoly
 from superalg.core import SuperMonomial
+from superalg.table import add_into
 
 GENS = GeneratorSet(evens=["x", "y"], odds=["t1", "t2", "t3"])
 
@@ -89,3 +90,67 @@ def homogeneous_polys(draw, gens=GENS, max_terms=3):
         coefficients, min_size=1, max_size=max_terms,
     ))
     return SuperPoly(gens, terms)
+
+
+# --- the PBW envelope by leftmost rewriting of each concatenated pair of
+# normal words from scratch, independent of the letter rows that
+# ``hcpair.truncated_envelope`` builds
+
+
+class Rewriter:
+    """Leftmost rewriting to the ordered PBW normal form, with memoisation."""
+
+    def __init__(self, lie):
+        self.lie = lie
+        self.cache: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+
+    def rewrite(self, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        cached = self.cache.get(word)
+        if cached is not None:
+            return cached
+        parity = self.lie.parity
+        spot = None
+        for i in range(len(word) - 1):
+            a, b = word[i], word[i + 1]
+            if a > b or (a == b and parity[a]):
+                spot = i
+                break
+        if spot is None:
+            result = {word: 1}
+            self.cache[word] = result
+            return result
+        a, b = word[spot], word[spot + 1]
+        head, tail = word[:spot], word[spot + 2 :]
+        result: dict[tuple[int, ...], Fraction] = {}
+        if a == b:
+            # odd square: a a = [a,a] / 2
+            for k, c in self.lie.bracket_basis(a, a).items():
+                add_into(result, self.rewrite(head + (k,) + tail), Fraction(c, 2))
+        else:
+            sign = -1 if parity[a] and parity[b] else 1
+            add_into(result, self.rewrite(head + (b, a) + tail), sign)
+            for k, c in self.lie.bracket_basis(a, b).items():
+                add_into(result, self.rewrite(head + (k,) + tail), c)
+        self.cache[word] = result
+        return result
+
+
+def oracle_envelope_product(lie, words, bound):
+    """The table of U(lie) on ``words``: each cell w1 w2 with |w1| + |w2| <= bound
+    rewritten from scratch, whole coefficients as ``int``.  Raises when a word
+    is not in normal form or a product leaves ``words``."""
+    rewriter = Rewriter(lie)
+    index = {w: i for i, w in enumerate(words)}
+    assert all(rewriter.rewrite(w) == {w: 1} for w in words)
+    return {
+        (i, j): {index[w]: c.numerator if c.denominator == 1 else c
+                 for w, c in rewriter.rewrite(w1 + w2).items()}
+        for i, w1 in enumerate(words) for j, w2 in enumerate(words)
+        if len(w1) + len(w2) <= bound
+    }
+
+
+def typed(table):
+    """``table`` with each coefficient paired with its type, so ``==`` also
+    tells ``int`` from ``Fraction``."""
+    return {key: {k: (c, type(c)) for k, c in cell.items()} for key, cell in table.items()}

@@ -158,9 +158,9 @@ def test_criterion_7_harish_chandra():
     for r in (1, 2, 3):
         build_super_lie(spo_pair(r))  # exhaustive super Jacobi inside
     for d in range(5):
-        env = truncated_envelope(spo_pair(1), d)
+        env = truncated_envelope(build_super_lie(spo_pair(1)), d)
         assert env.dimension == envelope_pbw_count(3, 2, d)
-    assert truncated_envelope(spo_pair(1), 2).dimension == 19
+    assert truncated_envelope(build_super_lie(spo_pair(1)), 2).dimension == 19
     elapsed = time.perf_counter() - started
     report(7, "Harish-Chandra: spo axioms, Jacobi, PBW envelope", elapsed, 60)
     assert elapsed < 60

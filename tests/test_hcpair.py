@@ -1,19 +1,29 @@
+import functools
+import hashlib
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from superalg import (
     HCPair,
     StructureError,
+    SuperLieAlgebraData,
     abelian_pair,
+    additive_presentation,
     build_super_lie,
     envelope_pbw_count,
+    glmn_presentation,
+    primitives,
     sp_basis,
     spo_pair,
+    truncated_dual,
     truncated_envelope,
     validate_hcpair,
 )
+from superalg.cli import run_envelope_suite
 from superalg.hcpair import (
     group_bracket_equivariance,
     is_symplectic,
@@ -21,6 +31,9 @@ from superalg.hcpair import (
     standard_J,
 )
 import superalg.linalg as la
+from superalg.table import whole_as_int
+
+from conftest import oracle_envelope_product, typed
 
 F = Fraction
 
@@ -101,7 +114,7 @@ def test_zero_bracket_pair_is_semidirect_sum():
 
 
 def test_abelian_pair_envelope_dimension_five():
-    env = truncated_envelope(abelian_pair(1, 1), 2)
+    env = truncated_envelope(build_super_lie(abelian_pair(1, 1)), 2)
     assert env.dimension == 5
     assert set(env.labels) == {"1", "X1", "e1", "X1*X1", "X1*e1"}
 
@@ -158,19 +171,19 @@ def test_scaled_g0_bracket_fails_jacobi():
 
 @pytest.mark.parametrize("d,dim", [(0, 1), (1, 6), (2, 19), (3, 44), (4, 85)])
 def test_envelope_dimensions_spo1(d, dim):
-    env = truncated_envelope(spo_pair(1), d)
+    env = truncated_envelope(build_super_lie(spo_pair(1)), d)
     assert env.dimension == dim
     assert env.dimension == envelope_pbw_count(3, 2, d)
 
 
 def test_envelope_degree_split_at_two():
-    env = truncated_envelope(spo_pair(1), 2)
+    env = truncated_envelope(build_super_lie(spo_pair(1)), 2)
     assert env.dims_by_degree == [1, 5, 13]
 
 
 def test_envelope_degree_bound_validation():
     with pytest.raises(ValueError):
-        truncated_envelope(spo_pair(1), -1)
+        truncated_envelope(build_super_lie(spo_pair(1)), -1)
 
 
 def osp_realization(r):
@@ -312,3 +325,105 @@ def test_doubled_odd_bracket_cell_breaks_group_equivariance(r):
     bad = with_vbracket(pair, vbracket)
     for g in sample_transvections(r, 6, seed=9):
         assert not group_bracket_equivariance(bad, g)
+
+
+# --- the envelope's letter rows against rewriting every cell from scratch
+
+ENVELOPE_ALGEBRAS = {
+    "spo(1)": lambda: build_super_lie(spo_pair(1)),
+    "spo(2)": lambda: build_super_lie(spo_pair(2)),
+    "abelian(2|3)": lambda: build_super_lie(abelian_pair(2, 3)),
+    "ga(1|1)": lambda: primitives(truncated_dual(additive_presentation(1, 1), 3))[0],
+    "gl(1|1)": lambda: primitives(truncated_dual(glmn_presentation(1, 1), 3))[0],
+    "gl(2|1)": lambda: primitives(truncated_dual(glmn_presentation(2, 1), 3))[0],
+}
+
+
+@functools.cache
+def envelope_algebra(name):
+    return ENVELOPE_ALGEBRAS[name]()
+
+
+def assert_matches_rewriting(lie, d):
+    env = truncated_envelope(lie, d)
+    evens = lie.parity.count(0)
+    assert env.dimension == envelope_pbw_count(evens, lie.dimension - evens, d)
+    assert typed(env.product) == typed(oracle_envelope_product(lie, env.words, d))
+
+
+@pytest.mark.parametrize("name,d", [
+    *(("spo(1)", d) for d in range(6)),
+    *(("spo(2)", d) for d in range(4)),
+    *(("abelian(2|3)", d) for d in range(5)),
+    *((name, d) for name in ("ga(1|1)", "gl(1|1)", "gl(2|1)") for d in range(4)),
+])
+def test_envelope_matches_rewriting_oracle(name, d):
+    # the primitives of a truncated dual come odd-first or interleaved, so
+    # these also cover bases that are not sorted by parity
+    assert_matches_rewriting(envelope_algebra(name), d)
+
+
+def permuted(lie, perm):
+    """``lie`` on the basis whose i-th element is the old ``perm[i]``."""
+    new = {old: i for i, old in enumerate(perm)}
+    return SuperLieAlgebraData(
+        labels=[lie.labels[p] for p in perm],
+        parity=[lie.parity[p] for p in perm],
+        bracket={(new[i], new[j]): {new[k]: c for k, c in vec.items()}
+                 for (i, j), vec in lie.bracket.items()},
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(ENVELOPE_ALGEBRAS)), st.integers(0, 3), st.randoms())
+def test_envelope_on_permuted_bases_matches_rewriting_oracle(name, d, rng):
+    lie = envelope_algebra(name)
+    perm = list(range(lie.dimension))
+    rng.shuffle(perm)
+    assert_matches_rewriting(permuted(lie, perm), d)
+
+
+# sha256 of the canonical table (cells sorted by key, terms by index; the
+# repr tells int from Fraction), taken from the rewriting construction
+ENVELOPE_TABLE_DIGESTS = {
+    (1, 4): "7977f531363bc00a141831e62443586678cb7a4616d0e208e77c4fe77db1cd05",
+    (2, 3): "e24f9ead24b12818aca07c3d803af740bc63ce9ae0173a16a1f995c37a331da9",
+}
+
+
+@pytest.mark.parametrize("r,d", sorted(ENVELOPE_TABLE_DIGESTS))
+def test_envelope_table_digest(r, d):
+    env = truncated_envelope(build_super_lie(spo_pair(r)), d)
+    canonical = [(key, sorted(cell.items())) for key, cell in sorted(env.product.items())]
+    assert hashlib.sha256(repr(canonical).encode()).hexdigest() == ENVELOPE_TABLE_DIGESTS[(r, d)]
+
+
+def test_envelope_halves_int_brackets_exactly():
+    lie = build_super_lie(spo_pair(1))
+    whole = SuperLieAlgebraData(lie.labels, lie.parity,
+                                {key: whole_as_int(vec) for key, vec in lie.bracket.items()})
+    assert any(type(c) is int for vec in whole.bracket.values() for c in vec.values())
+    assert typed(truncated_envelope(whole, 3).product) == typed(truncated_envelope(lie, 3).product)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_envelope_of_a_non_lie_bracket_is_not_confluent(d):
+    # doubling every [X_i, X_j] breaks super Jacobi on each triple that mixes
+    # even and odd letters; the data skips build_super_lie's validation, so
+    # the envelope's certificate and dense scan must catch it
+    lie = build_super_lie(spo_pair(1))
+    bracket = {(i, j): ({k: 2 * c for k, c in vec.items()}
+                        if not lie.parity[i] and not lie.parity[j] else vec)
+               for (i, j), vec in lie.bracket.items()}
+    bad = SuperLieAlgebraData(lie.labels, lie.parity, bracket)
+    with pytest.raises(StructureError, match=r"rewriting is not confluent at words \("):
+        truncated_envelope(bad, d)
+
+
+def test_envelope_suite_checks_jacobi_once(monkeypatch):
+    calls = []
+    check_jacobi = SuperLieAlgebraData.check_jacobi
+    monkeypatch.setattr(SuperLieAlgebraData, "check_jacobi",
+                        lambda self: calls.append(1) or check_jacobi(self))
+    assert run_envelope_suite(1, 3, None).ok
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -168,6 +169,34 @@ def test_embedding_chain():
         duals = {k: truncated_dual(pres, k) for k in range(1, 5)}
         for k in range(1, 4):
             assert duals[k].embeds_in(duals[k + 1])
+
+
+def test_embedding_into_another_group_is_refused():
+    # the order-3 ga(1|1) basis is not an extension of the order-2 gl(1|1) one
+    assert not truncated_dual(GL11, 2).embeds_in(truncated_dual(GA11, 3))
+
+
+def test_embedding_needs_the_basis_as_a_prefix():
+    small, large = truncated_dual(GL11, 2), truncated_dual(GL11, 3)
+    basis = list(large.basis)
+    basis[1], basis[2] = basis[2], basis[1]
+    assert not small.embeds_in(replace(large, basis=basis))
+
+
+def test_embedding_detects_a_corrupted_product_cell():
+    small, large = truncated_dual(GL11, 2), truncated_dual(GL11, 3)
+    product = {key: dict(cell) for key, cell in large.product.items()}
+    # e_1 e_1 has degree 2, so the cell is above the order-2 truncation and
+    # must still agree with the smaller dual once truncated
+    product[(1, 1)] = {**product.get((1, 1), {}), 0: 1}
+    assert not small.embeds_in(replace(large, product=product))
+
+
+def test_embedding_detects_a_corrupted_coproduct_cell():
+    small, large = truncated_dual(GL11, 2), truncated_dual(GL11, 3)
+    coproduct = {i: dict(cell) for i, cell in large.coproduct.items()}
+    coproduct[1] = {**coproduct[1], (0, 1): 2}
+    assert not small.embeds_in(replace(large, coproduct=coproduct))
 
 
 # --- the graded construction against the all-pairs oracle

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from superalg import exterior_finite, finite, hyper, table
 from superalg.core import F1
 from superalg.finite import FiniteDimHopf, check_finite_hopf_axioms, dual_hopf, finite_from_presentation
-from superalg.hcpair import spo_pair, truncated_envelope
+from superalg.hcpair import build_super_lie, spo_pair, truncated_envelope
 from superalg.hopf import exterior_hopf, glmn_presentation
 from superalg.hyper import truncated_dual
 from superalg.liealg import StructureError
@@ -176,7 +176,7 @@ def certificate_case(name):
         "Lambda(5)": lambda: hopf_case(exterior_finite(5)),
         "Lambda(5)*": lambda: hopf_case(dual_hopf(finite_from_presentation(exterior_hopf(5)))),
         "hy gl(1|1) order 4": lambda: dual_case(truncated_dual(glmn_presentation(1, 1), 4)),
-        "envelope spo(1) d 3": lambda: envelope_case(truncated_envelope(spo_pair(1), 3)),
+        "envelope spo(1) d 3": lambda: envelope_case(truncated_envelope(build_super_lie(spo_pair(1)), 3)),
     }
     return constructions[name]()
 
