@@ -415,21 +415,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     gl = vsub.add_parser("gl", parents=[common])
     _add_point_arguments(gl)
+    gl.set_defaults(run=lambda a: run_gl_suite(a.m, a.n, a.thetas, a.points, a.seed))
 
     exterior = vsub.add_parser("exterior", parents=[common])
     exterior.add_argument("--dim", type=size, default=2)
     exterior.add_argument("--file", help="presentation file (.shp) to check instead")
     exterior.add_argument("--max-dual", type=size, default=6)
+    exterior.set_defaults(run=lambda a: run_exterior_suite(a.dim, a.file, a.max_dual))
 
     bos = vsub.add_parser("bosonize", parents=[common])
     bos.add_argument("--dim", type=size, default=2)
+    bos.set_defaults(run=lambda a: run_bosonize_suite(a.dim))
 
     integrals = vsub.add_parser("integrals", parents=[common])
     integrals.add_argument("--dim", type=size, default=2)
+    integrals.set_defaults(run=lambda a: run_integrals_suite(a.dim))
 
     hy = sub.add_parser("hy", help="truncated hyperalgebra suite", parents=[common])
     hy.add_argument("--target", choices=sorted(_HY_TARGETS), default="gl11")
     hy.add_argument("--order", type=positive, default=4)
+    hy.set_defaults(run=lambda a: run_hy_suite(a.target, a.order))
 
     hc = sub.add_parser("hcpair", help="Harish-Chandra pair suite", parents=[common])
     hc.add_argument("--r", type=positive, default=1)
@@ -437,42 +442,27 @@ def build_parser() -> argparse.ArgumentParser:
                     help="negative control: drop the 1/2 in the odd bracket")
     hc.add_argument("--transvections", type=positive, default=10)
     hc.add_argument("--seed", type=int, default=1)
+    hc.set_defaults(run=lambda a: run_hcpair_suite(a.r, a.no_half, a.transvections, a.seed))
 
     env = sub.add_parser("envelope", help="truncated PBW envelope suite", parents=[common])
     env.add_argument("--r", type=positive, default=1)
     env.add_argument("--d", type=size, default=2)
     env.add_argument("--abelian", type=size, nargs=2, metavar=("G0", "V"),
                      help="use the abelian pair with these dimensions")
+    env.set_defaults(run=lambda a: run_envelope_suite(
+        a.r, a.d, tuple(a.abelian) if a.abelian else None))
 
     dec = sub.add_parser("decompose", help="decomposition round-trip suite", parents=[common])
     _add_point_arguments(dec)
+    dec.set_defaults(run=lambda a: run_decompose_suite(a.m, a.n, a.thetas, a.points, a.seed))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "verify" and args.target == "gl":
-            report = run_gl_suite(args.m, args.n, args.thetas, args.points, args.seed)
-        elif args.command == "verify" and args.target == "exterior":
-            report = run_exterior_suite(args.dim, args.file, args.max_dual)
-        elif args.command == "verify" and args.target == "bosonize":
-            report = run_bosonize_suite(args.dim)
-        elif args.command == "verify" and args.target == "integrals":
-            report = run_integrals_suite(args.dim)
-        elif args.command == "hy":
-            report = run_hy_suite(args.target, args.order)
-        elif args.command == "hcpair":
-            report = run_hcpair_suite(args.r, args.no_half, args.transvections, args.seed)
-        elif args.command == "envelope":
-            report = run_envelope_suite(args.r, args.d, tuple(args.abelian) if args.abelian else None)
-        elif args.command == "decompose":
-            report = run_decompose_suite(args.m, args.n, args.thetas, args.points, args.seed)
-        else:  # pragma: no cover
-            parser.error("unknown command")
-            return 2
+        report = args.run(args)
         report.timings["seconds"] = round(time.perf_counter() - started, 6)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -44,36 +44,24 @@ class GeneratorSet:
     """Ordered even and odd generator names, fixed for the algebra's lifetime.
 
     Generator order is part of the identity of the algebra: normal forms,
-    printing and serialisation all refer to it.  An optional N-degree may be
-    attached per generator (defaults to 1).
+    printing and serialisation all refer to it.  Every generator has degree
+    1, so the degree of a monomial is its word length.
     """
 
-    __slots__ = ("evens", "odds", "degrees", "_info", "_key", "_one")
+    __slots__ = ("evens", "odds", "_info", "_key", "_one")
 
-    def __init__(
-        self,
-        evens: Iterable[str] = (),
-        odds: Iterable[str] = (),
-        degrees: Mapping[str, int] | None = None,
-    ):
+    def __init__(self, evens: Iterable[str] = (), odds: Iterable[str] = ()):
         self.evens = tuple(evens)
         self.odds = tuple(odds)
         names = self.evens + self.odds
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        deg = dict(degrees or {})
-        for name, d in deg.items():
-            if name not in names:
-                raise UnknownGenerator(name)
-            if d < 1:
-                raise ValueError(f"degree of {name} must be positive")
-        self.degrees = {name: deg.get(name, 1) for name in names}
         self._info: dict[str, tuple[int, int]] = {}
         for i, name in enumerate(self.evens):
             self._info[name] = (EVEN, i)
         for i, name in enumerate(self.odds):
             self._info[name] = (ODD, i)
-        self._key = (self.evens, self.odds, tuple(self.degrees.items()))
+        self._key = (self.evens, self.odds)
         self._one = SuperMonomial((0,) * len(self.evens), 0)
 
     def parity(self, name: str) -> int:
@@ -87,9 +75,6 @@ class GeneratorSet:
             return self._info[name][1]
         except KeyError:
             raise UnknownGenerator(name) from None
-
-    def degree(self, name: str) -> int:
-        return self.degrees[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._info
@@ -118,14 +103,9 @@ class SuperMonomial(NamedTuple):
     def parity(self) -> int:
         return self.odds.bit_count() & 1
 
-    def degree(self, gens: GeneratorSet) -> int:
-        total = 0
-        for e, name in zip(self.evens, gens.evens):
-            if e:
-                total += e * gens.degrees[name]
-        for i in odd_positions(self.odds):
-            total += gens.degrees[gens.odds[i]]
-        return total
+    def degree(self) -> int:
+        """The word length: even exponents plus odd factors."""
+        return sum(self.evens) + self.odds.bit_count()
 
     def is_one(self) -> bool:
         return not self.odds and not any(self.evens)
@@ -180,11 +160,8 @@ def mul_monomials(m1: SuperMonomial, m2: SuperMonomial) -> tuple[int, SuperMonom
     return (-1 if (b & cross(a)).bit_count() & 1 else 1, SuperMonomial(evens, a | b))
 
 
-def monomial_sort_key(gens: GeneratorSet):
-    def key(m: SuperMonomial):
-        return (m.degree(gens), odd_positions(m.odds), m.evens)
-
-    return key
+def monomial_sort_key(m: SuperMonomial):
+    return (m.degree(), odd_positions(m.odds), m.evens)
 
 
 class _TermMap:
@@ -290,8 +267,7 @@ class _TermMap:
         return PARITY_MIXED
 
     def sorted_terms(self) -> list:
-        key = self._sort_key()
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+        return sorted(self.terms.items(), key=lambda item: self._sort_key(item[0]))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -345,8 +321,7 @@ class SuperPoly(_TermMap):
     def _key_parity(mono: SuperMonomial) -> int:
         return mono.parity
 
-    def _sort_key(self):
-        return monomial_sort_key(self.gens)
+    _sort_key = staticmethod(monomial_sort_key)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

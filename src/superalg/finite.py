@@ -50,7 +50,6 @@ class FiniteDimHopf:
     delta: dict[int, TensorVec]
     counit: list[Fraction]
     antipode: dict[int, Vec] | None
-    name: str = ""
 
     @property
     def dimension(self) -> int:
@@ -200,21 +199,21 @@ def exterior_finite(n: int, label_prefix: str = "v") -> FiniteDimHopf:
     antipode = {i: {i: -1 if p else 1} for i, p in enumerate(parity)}
     return FiniteDimHopf(
         labels=labels, parity=parity, unit=unit, mult=mult, delta=delta,
-        counit=counit, antipode=antipode, name=f"Lambda({n})",
+        counit=counit, antipode=antipode,
     )
 
 
 def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
     """Tables of a presentation whose generators are all odd (hence 2^n-dim).
 
-    The truncated dual of order (sum of degrees) + 1 has every blade in its
-    basis, so its coproduct and product transpose to the blade product and
-    coproduct.
+    The truncated dual of order (number of odd generators) + 1 has every
+    blade in its basis, so its coproduct and product transpose to the blade
+    product and coproduct.
     """
     if pres.gens.evens:
         raise PresentationError("only purely odd presentations are finite-dimensional")
     gens = pres.gens
-    dual = truncated_dual(pres, sum(gens.degrees.values()) + 1)
+    dual = truncated_dual(pres, len(gens.odds) + 1)
     delta = transpose(dual.product, range(dual.dimension))
     antipode = None
     if pres.has_symbolic_antipode:
@@ -227,7 +226,7 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
         mult=transpose(dual.coproduct),
         delta={a: whole_as_int(row) for a, row in delta.items()},
         counit=[pres.counit_monomial(m) for m in dual.basis],
-        antipode=antipode, name=pres.name,
+        antipode=antipode,
     )
 
 
@@ -280,7 +279,7 @@ def dual_hopf(hopf: FiniteDimHopf) -> FiniteDimHopf:
         parity=list(hopf.parity),
         unit={i: c for i, c in enumerate(hopf.counit) if c},
         mult=transpose(hopf.delta), delta=transpose(hopf.mult, dim),
-        counit=[hopf.unit.get(i, 0) for i in dim], antipode=antipode, name=f"{hopf.name}*",
+        counit=[hopf.unit.get(i, 0) for i in dim], antipode=antipode,
     )
 
 
@@ -371,7 +370,7 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
 
     result = FiniteDimHopf(
         labels=labels, parity=[0] * size, unit=unit, mult=mult, delta=delta,
-        counit=counit, antipode=None, name=f"Z2x{hopf.name}",
+        counit=counit, antipode=None,
     )
     result.antipode = _solve_antipode(result)
     return result
@@ -400,8 +399,8 @@ def _solve_antipode(hopf: FiniteDimHopf) -> dict[int, Vec] | None:
         return None
     antipode: dict[int, Vec] = {j: {} for j in range(dim)}
     for x, c in solution.items():  # in increasing x
-        antipode[x // dim][x % dim] = c.numerator if c.denominator == 1 else c
-    return antipode
+        antipode[x // dim][x % dim] = c
+    return {j: whole_as_int(row) for j, row in antipode.items()}
 
 
 # --- integrals -------------------------------------------------------------------

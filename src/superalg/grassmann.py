@@ -32,7 +32,6 @@ from .core import (
     PARITY_ODD,
     SuperMonomial,
     SuperPoly,
-    blades,
     cross,
     evaluate_hom,
     odd_positions,
@@ -51,12 +50,11 @@ class NotAPoint(ValueError):
 class GrassmannAlgebra:
     """The exterior algebra on k odd generators t1..tk (dimension 2^k)."""
 
-    def __init__(self, k: int, prefix: str = "t"):
+    def __init__(self, k: int):
         if k < 0:
             raise ValueError("need k >= 0")
         self.k = k
-        self.prefix = prefix
-        self.gens = GeneratorSet(odds=[f"{prefix}{i}" for i in range(1, k + 1)])
+        self.gens = GeneratorSet(odds=[f"t{i}" for i in range(1, k + 1)])
 
     @property
     def dimension(self) -> int:
@@ -73,15 +71,11 @@ class GrassmannAlgebra:
 
     def theta(self, i: int) -> SuperPoly:
         """The i-th odd generator (1-based)."""
-        return SuperPoly.generator(self.gens, f"{self.prefix}{i}")
+        return SuperPoly.generator(self.gens, f"t{i}")
 
     def blade(self, support: tuple[int, ...], coeff=F1) -> SuperPoly:
         """Monomial with the given increasing 0-based support."""
         return SuperPoly.monomial(self.gens, SuperMonomial((), _mask(support, self.k)), coeff)
-
-    def basis(self):
-        for mask in blades(self.k):
-            yield SuperMonomial((), mask)
 
     def __eq__(self, other):
         return isinstance(other, GrassmannAlgebra) and self.gens == other.gens
@@ -470,7 +464,6 @@ class PointSampler:
         self.n = n
         self.alg = GrassmannAlgebra(k)
         self.seed = seed
-        self._rng = random.Random(seed)
 
     def _support(self, rng: random.Random, size: int) -> int:
         return _mask(sorted(rng.sample(range(self.alg.k), size)), self.alg.k)
@@ -505,9 +498,9 @@ class PointSampler:
             diag[i][i] = rng.choice(self._BODY_POOL)
         return linalg.mat_mul(linalg.mat_mul(lower, diag), upper)
 
-    def sample(self, index: int | None = None) -> SuperMatrix:
-        """One point; with ``index`` given, drawn from a derived per-case seed."""
-        rng = self._rng if index is None else random.Random(self.seed * 1_000_003 + index)
+    def sample(self, index: int) -> SuperMatrix:
+        """The ``index``-th point, drawn from a seed derived from ``seed`` and ``index``."""
+        rng = random.Random(self.seed * 1_000_003 + index)
         m, n, alg = self.m, self.n, self.alg
         xb = self._invertible_body(rng, m)
         yb = self._invertible_body(rng, n)
@@ -517,7 +510,7 @@ class PointSampler:
         q = [[self._odd_entry(rng) for _ in range(m)] for _ in range(n)]
         return SuperMatrix.from_blocks(x, p, q, y, alg)
 
-    def sample_even(self, index: int | None = None) -> SuperMatrix:
+    def sample_even(self, index: int) -> SuperMatrix:
         """A point of the even subgroup: P = Q = 0, entries in the even part."""
         point = self.sample(index)
         zero = self.alg.zero()
@@ -529,12 +522,8 @@ class PointSampler:
 
 def truncate_map(source: GrassmannAlgebra, target: GrassmannAlgebra):
     """Algebra map Λ(t1..tk) -> Λ(t1..tk') sending surplus generators to 0."""
-    images = {}
-    for i in range(1, source.k + 1):
-        if i <= target.k:
-            images[f"{source.prefix}{i}"] = target.theta(i)
-        else:
-            images[f"{source.prefix}{i}"] = target.zero()
+    images = {f"t{i}": target.theta(i) if i <= target.k else target.zero()
+              for i in range(1, source.k + 1)}
 
     def apply(p: SuperPoly) -> SuperPoly:
         return evaluate_hom(p, images, target.one())

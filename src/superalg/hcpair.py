@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -34,7 +34,6 @@ Matrix = list[list[Fraction]]
 class SymplecticData:
     """Basis of the symplectic Lie algebra for a fixed antisymmetric J."""
 
-    r: int
     J: Matrix
     basis: list[Matrix]
     labels: list[str]
@@ -73,7 +72,7 @@ def sp_basis(r: int) -> SymplecticData:
         basis.append([[vec.get(i * size + j, F0) / lead for j in range(size)]
                       for i in range(size)])
     labels = [f"X{i + 1}" for i in range(len(basis))]
-    return SymplecticData(r=r, J=J, basis=basis, labels=labels)
+    return SymplecticData(J=J, basis=basis, labels=labels)
 
 
 def _entries(matrix: Matrix) -> Vec:
@@ -103,13 +102,12 @@ class HCPair:
     action: list[Matrix]
     v_dim: int
     vbracket: dict[tuple[int, int], Vec]
-    v_labels: list[str] = field(default_factory=list)
     g0_matrices: list[Matrix] | None = None
     J: Matrix | None = None
 
-    def __post_init__(self):
-        if not self.v_labels:
-            self.v_labels = [f"e{i + 1}" for i in range(self.v_dim)]
+    @property
+    def v_labels(self) -> list[str]:
+        return [f"e{i + 1}" for i in range(self.v_dim)]
 
     @property
     def g0_dim(self) -> int:

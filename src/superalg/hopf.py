@@ -26,7 +26,6 @@ from .core import (
     blades,
     evaluate_hom,
     mul_monomials,
-    odd_positions,
 )
 from .report import AxiomReport
 from .table import add_into
@@ -310,11 +309,9 @@ def check_hopf_axioms(pres: HopfPresentation, sampler=None, points: int = 0) -> 
 
 @dataclass
 class OddCotangent:
-    """Basis of the odd cotangent space at the identity, with its certificate."""
+    """Basis of the odd cotangent space at the identity."""
 
     basis: list[str]
-    degree_bound: int
-    checked_dimension: int
 
     @property
     def dimension(self) -> int:
@@ -322,6 +319,7 @@ class OddCotangent:
 
 
 def _monomials_up_to(gens: GeneratorSet, bound: int) -> list[SuperMonomial]:
+    """The normal monomials of degree <= bound, by odd support, then even exponents."""
     out: list[SuperMonomial] = []
     n_even = len(gens.evens)
 
@@ -329,13 +327,11 @@ def _monomials_up_to(gens: GeneratorSet, bound: int) -> list[SuperMonomial]:
         if pos == n_even:
             yield tuple(prefix)
             return
-        step = gens.degrees[gens.evens[pos]]
-        for e in range(remaining // step + 1):
-            yield from even_vectors(prefix + [e], pos + 1, remaining - e * step)
+        for e in range(remaining + 1):
+            yield from even_vectors(prefix + [e], pos + 1, remaining - e)
 
-    odd_degrees = [gens.degrees[name] for name in gens.odds]
     for support in blades(len(gens.odds)):
-        odd_deg = sum(odd_degrees[i] for i in odd_positions(support))
+        odd_deg = support.bit_count()
         if odd_deg > bound:
             continue
         for vec in even_vectors([], 0, bound - odd_deg):
@@ -343,25 +339,26 @@ def _monomials_up_to(gens: GeneratorSet, bound: int) -> list[SuperMonomial]:
     return out
 
 
-def compute_W(pres: HopfPresentation, degree_bound: int | None = None) -> OddCotangent:
+def compute_W(pres: HopfPresentation) -> OddCotangent:
     """Basis of A_1 / A_0^+ A_1, certified by truncated row reduction.
 
     For a free presentation the products of a nonconstant even-parity
     monomial with an odd-parity monomial span everything except the single
-    odd generators, and the row reduction certifies exactly that.
+    odd generators, and the row reduction certifies exactly that on the odd
+    monomials of degree <= 3, the least degree holding both kinds of
+    product, x * tau and (tau1 tau2) * tau3.
     """
     gens = pres.gens
-    if degree_bound is None:
-        degree_bound = max((gens.degrees[g] for g in gens.names), default=1) + 2
+    degree_bound = 3
     monos = _monomials_up_to(gens, degree_bound)
     odd_monos = [m for m in monos if m.parity == ODD]
     index = {m: i for i, m in enumerate(odd_monos)}
     even_nonconstant = [m for m in monos if m.parity == EVEN and not m.is_one()]
     rows = []
     for u in even_nonconstant:
-        du = u.degree(gens)
+        du = u.degree()
         for w in odd_monos:
-            if du + w.degree(gens) > degree_bound:
+            if du + w.degree() > degree_bound:
                 continue
             prod = mul_monomials(u, w)
             if prod is None:
@@ -376,4 +373,4 @@ def compute_W(pres: HopfPresentation, degree_bound: int | None = None) -> OddCot
         if any(mono.evens) or mono.odds.bit_count() != 1:
             raise PresentationError(f"unexpected odd cotangent representative {mono}")
         names.append(gens.odds[mono.odds.bit_length() - 1])
-    return OddCotangent(basis=names, degree_bound=degree_bound, checked_dimension=len(odd_monos))
+    return OddCotangent(basis=names)

@@ -2,10 +2,12 @@
 
 The hyperalgebra of a supergroup is materialised to finite order: for a
 presentation in identity-shifted coordinates the quotient A/(A+)^n has the
-normal monomials of total degree < n as a basis, and the dual carries the
-convolution product (truncated back to the basis) and the coproduct dual to
-multiplication.  Products of functionals whose degrees sum below the order
-are exact; the chain of truncations represents the union.
+normal monomials of total degree < n as a basis (every generator lies in A+
+and has degree 1, so the total degree of a monomial is its word length), and
+the dual carries the convolution product (truncated back to the basis) and
+the coproduct dual to multiplication.  Products of functionals whose
+degrees sum below the order are exact; the chain of truncations represents
+the union.
 
 The product table is built in basis-index space: Delta(m) of each basis
 monomial comes from the coproduct of an earlier one and of one generator,
@@ -33,6 +35,7 @@ from .table import (
     first_nonunital,
     product,
     transpose,
+    whole_as_int,
 )
 
 Vec = dict[int, Fraction]
@@ -43,7 +46,6 @@ class TruncatedDual:
     """The finite-dimensional algebra/coalgebra (A/(A+)^n)* on dual monomials."""
 
     order: int
-    presentation: HopfPresentation
     basis: list[SuperMonomial]
     labels: list[str]
     parity: list[int]
@@ -132,14 +134,14 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
             )
     basis = sorted(
         (m for m in _monomials_up_to(gens, order - 1)),
-        key=lambda m: (m.degree(gens), m.evens, odd_positions(m.odds)),
+        key=lambda m: (m.degree(), m.evens, odd_positions(m.odds)),
     )
     if not basis[0].is_one():
         raise PresentationError("basis ordering must start at the empty monomial")
     index = {m: i for i, m in enumerate(basis)}
     labels = ["D[" + (format_monomial(gens, m) or "1") + "]" for m in basis]
     parity = [m.parity for m in basis]
-    degree = [m.degree(gens) for m in basis]
+    degree = [m.degree() for m in basis]
 
     # coproduct: dual of multiplication restricted to the quotient.  Degrees
     # add and the basis is sorted by degree, so m1 * m2 survives exactly for
@@ -159,10 +161,10 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
     gen_terms: dict[str, list[tuple[int, int, Fraction | int]]] = {}
     for name in gens.names:
         terms = gen_terms[name] = []
-        for (m1, m2), c in pres.delta[name].terms.items():
+        for (m1, m2), c in whole_as_int(pres.delta[name].terms).items():
             i, j = index.get(m1), index.get(m2)
             if i is not None and j is not None:
-                terms.append((i, j, c.numerator if c.denominator == 1 else c))
+                terms.append((i, j, c))
     # right[k][i]: basis[i] * basis[k] as (sign, index) for i in the degree
     # prefix where the product stays in the basis, None elsewhere
     right: dict[int, list[tuple[int, int] | None]] = {}
@@ -206,7 +208,7 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
     table = transpose(dict(enumerate(deltas)))
 
     return TruncatedDual(
-        order=order, presentation=pres, basis=basis, labels=labels, parity=parity,
+        order=order, basis=basis, labels=labels, parity=parity,
         degree=degree, product=table, coproduct=coproduct, unit_index=0,
     )
 
@@ -266,12 +268,13 @@ def primitives(dual: TruncatedDual) -> tuple[SuperLieAlgebraData, list[Vec]]:
     return data, vectors
 
 
-def check_lie_even(pres: HopfPresentation, order: int = 3) -> bool:
-    """Lie(G)_0 = Lie(G_ev): equal structure constants on even generator duals."""
+def check_lie_even(pres: HopfPresentation) -> bool:
+    """Lie(G)_0 = Lie(G_ev): equal structure constants on even generator duals,
+    read at order 3, the least order whose brackets are faithful."""
     from .hopf import even_quotient
 
-    full, _ = primitives(truncated_dual(pres, order))
-    even, _ = primitives(truncated_dual(even_quotient(pres), order))
+    full, _ = primitives(truncated_dual(pres, 3))
+    even, _ = primitives(truncated_dual(even_quotient(pres), 3))
 
     even_idx = full.even_indices()
     if [full.labels[i] for i in even_idx] != even.labels:

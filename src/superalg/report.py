@@ -59,12 +59,11 @@ class Report(AxiomReport):
     config: dict
     timings: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
-    engine_version: str = ENGINE_VERSION
 
     def to_dict(self) -> dict:
         out = {
             "suite": self.suite,
-            "engine_version": self.engine_version,
+            "engine_version": ENGINE_VERSION,
             "config": self.config,
             "ok": self.ok,
             "checks": self.checks,

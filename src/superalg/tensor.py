@@ -84,9 +84,9 @@ class TensorPoly(_TermMap):
     def _key_parity(key: TensorKey) -> int:
         return sum(m.parity for m in key) & 1
 
-    def _sort_key(self):
-        keys = [monomial_sort_key(g) for g in self.gens]
-        return lambda key: tuple(k(m) for k, m in zip(keys, key))
+    @staticmethod
+    def _sort_key(key: TensorKey) -> tuple:
+        return tuple(map(monomial_sort_key, key))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -260,7 +260,7 @@ def test_exterior_dual_and_bosonization_tables_are_int(n):
     assert _coefficient_types(bosonize(hopf)) == {int}
 
 
-def test_hyperalgebra_and_envelope_tables_stay_fraction():
+def test_truncated_dual_product_is_int_and_spo_pair_data_is_fraction():
     from superalg import glmn_presentation, spo_pair, truncated_dual
 
     dual = truncated_dual(glmn_presentation(1, 1), 3)

@@ -208,7 +208,7 @@ def all_pairs_tables(pres, order):
     only the terms that land in the basis kept."""
     gens = pres.gens
     basis = sorted(_monomials_up_to(gens, order - 1),
-                   key=lambda m: (m.degree(gens), m.evens, support_of(m.odds)))
+                   key=lambda m: (m.degree(), m.evens, support_of(m.odds)))
     index = {m: i for i, m in enumerate(basis)}
     product = {}
     for target, mono in enumerate(basis):
@@ -256,13 +256,13 @@ def test_tables_match_all_pairs_oracle(pres, top):
 
 @st.composite
 def shifted_presentations(draw):
-    """Identity-shifted presentations on 0-2 even and 0-3 odd generators of
-    degree 1 or 2.  Each generator g maps to g (x) 1 + 1 (x) g plus up to three
-    extra terms of g's parity: their slot monomials have degree <= 2, the unit
-    included, and their coefficients need not be whole."""
+    """Identity-shifted presentations on 0-2 even and 0-3 odd generators.  Each
+    generator g maps to g (x) 1 + 1 (x) g plus up to three extra terms of g's
+    parity: their slot monomials have degree <= 2, the unit included, and their
+    coefficients need not be whole."""
     evens = [f"x{i}" for i in range(1, draw(st.integers(0, 2)) + 1)]
     odds = [f"t{i}" for i in range(1, draw(st.integers(0, 3)) + 1)]
-    gens = GeneratorSet(evens, odds, {g: draw(st.integers(1, 2)) for g in evens + odds})
+    gens = GeneratorSet(evens, odds)
     slots = _monomials_up_to(gens, 2)
     one = SuperPoly.one(gens)
     delta = {}
@@ -308,11 +308,10 @@ def test_coproduct_multiplies_only_pairs_below_the_order(monkeypatch):
     import superalg.hyper as hyper
 
     order = 4
-    gens = GL11.gens
     seen = []
 
     def recording(m1, m2):
-        seen.append(m1.degree(gens) + m2.degree(gens))
+        seen.append(m1.degree() + m2.degree())
         return mul_monomials(m1, m2)
 
     monkeypatch.setattr(hyper, "mul_monomials", recording)
