@@ -11,13 +11,11 @@ from .core import (
     ODD,
     GeneratorSet,
     GeneratorSetMismatch,
-    ParityViolation,
     Scalar,
     SuperMonomial,
     SuperPoly,
     UnknownGenerator,
     evaluate_hom,
-    parity_preserving,
 )
 from .tensor import TensorPoly, tensor_mul
 from .parsing import ParseError, format_poly, parse_generator_set, parse_poly
@@ -64,7 +62,6 @@ from .hyper import (
 from .liealg import StructureError, SuperLieAlgebraData
 from .hcpair import (
     HCPair,
-    SymplecticData,
     TruncatedEnvelope,
     abelian_pair,
     build_super_lie,

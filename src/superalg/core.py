@@ -13,7 +13,7 @@ share.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 Scalar = Fraction
 
@@ -34,10 +34,6 @@ class GeneratorSetMismatch(ValueError):
 
 class UnknownGenerator(KeyError):
     """Raised for a symbol that does not belong to the generator set."""
-
-
-class ParityViolation(ValueError):
-    """Raised when a map sends a generator to an element of the wrong parity."""
 
 
 class GeneratorSet:
@@ -338,9 +334,6 @@ class SuperPoly(_TermMap):
         unit = one_monomial(self.gens)
         return SuperPoly(self.gens, {m: c for m, c in self.terms.items() if m != unit})
 
-    def coefficient(self, mono: SuperMonomial) -> Fraction:
-        return self.terms.get(mono, F0)
-
     def __str__(self) -> str:
         from .parsing import format_poly
 
@@ -350,25 +343,16 @@ class SuperPoly(_TermMap):
 T = TypeVar("T")
 
 
-def evaluate_hom(
-    poly: SuperPoly,
-    images: Mapping[str, T],
-    one: T,
-    parity_check: Callable[[str, T], bool] | None = None,
-) -> T:
+def evaluate_hom(poly: SuperPoly, images: Mapping[str, T], one: T) -> T:
     """Apply the super-algebra morphism sending each generator to its image.
 
     ``one`` is the unit of the target; images must support ``+`` and ``*`` and
-    scalar multiplication by Fraction.  If ``parity_check`` is given it is
-    called per generator and must confirm the image has the right parity.
+    scalar multiplication by Fraction.  The images' parities are the caller's
+    to check (``HopfPresentation`` checks those of its input).
     """
     for name in poly.gens.names:
         if name not in images:
             raise UnknownGenerator(name)
-    if parity_check is not None:
-        for name, image in images.items():
-            if name in poly.gens and not parity_check(name, image):
-                raise ParityViolation(f"image of {name} has wrong parity")
     result = None
     for mono, coeff in poly.terms.items():
         value = coeff * one
@@ -383,16 +367,3 @@ def evaluate_hom(
     if result is None:
         return 0 * one
     return result
-
-
-def parity_preserving(gens: GeneratorSet):
-    """Parity check for targets with a ``parity_of`` method (zero always passes)."""
-
-    def check(name: str, image) -> bool:
-        p = image.parity_of()
-        if p == PARITY_MIXED:
-            return False
-        expected = PARITY_EVEN if gens.parity(name) == EVEN else PARITY_ODD
-        return p == expected or image.is_zero()
-
-    return check

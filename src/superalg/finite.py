@@ -20,6 +20,7 @@ from .hopf import HopfPresentation, PresentationError, exterior_hopf
 from .hyper import truncated_dual
 from .report import AxiomReport
 from .table import (
+    Vec,
     add_into,
     basis_times,
     certify_associative,
@@ -31,7 +32,6 @@ from .table import (
     whole_as_int,
 )
 
-Vec = dict[int, Fraction]
 TensorVec = dict[tuple[int, int], Fraction]
 
 
@@ -217,8 +217,9 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
     delta = transpose(dual.product, range(dual.dimension))
     antipode = None
     if pres.has_symbolic_antipode:
+        index = {m: i for i, m in enumerate(dual.basis)}
         images = (pres.antipode_of(SuperPoly.monomial(gens, mono)) for mono in dual.basis)
-        antipode = {i: whole_as_int({dual.index_of(m): c for m, c in image.terms.items()})
+        antipode = {i: whole_as_int({index[m]: c for m, c in image.terms.items()})
                     for i, image in enumerate(images)}
     return FiniteDimHopf(
         labels=["".join(gens.odds[i] for i in odd_positions(m.odds)) or "1" for m in dual.basis],

@@ -17,30 +17,17 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 from . import linalg
-from .core import F0, F1, GeneratorSet, SuperPoly
+from .core import F0, F1
 from .hyper import super_pbw_count
 from .liealg import StructureError, SuperLieAlgebraData
 from .table import (
-    add_into, certify_associative, first_nonassociative, image, times_basis, whole_as_int,
+    Vec, add_into, certify_associative, first_nonassociative, image, times_basis, whole_as_int,
 )
 
-Vec = dict[int, Fraction]
 Matrix = list[list[Fraction]]
-
-
-@dataclass
-class SymplecticData:
-    """Basis of the symplectic Lie algebra for a fixed antisymmetric J."""
-
-    J: Matrix
-    basis: list[Matrix]
-    labels: list[str]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 def standard_J(r: int) -> Matrix:
@@ -53,8 +40,11 @@ def standard_J(r: int) -> Matrix:
     return J
 
 
-def sp_basis(r: int) -> SymplecticData:
-    """Solve the linear condition 'XJ symmetric' for a basis of sp_2r."""
+def sp_basis(r: int) -> list[Matrix]:
+    """A basis of sp_2r: the solutions X of 'X J symmetric' for J = ``standard_J(r)``.
+
+    Each basis matrix is scaled so that its first nonzero row-major entry is 1.
+    """
     if r < 1:
         raise ValueError("need r >= 1")
     size = 2 * r
@@ -71,8 +61,7 @@ def sp_basis(r: int) -> SymplecticData:
         lead = vec[min(vec)]
         basis.append([[vec.get(i * size + j, F0) / lead for j in range(size)]
                       for i in range(size)])
-    labels = [f"X{i + 1}" for i in range(len(basis))]
-    return SymplecticData(J=J, basis=basis, labels=labels)
+    return basis
 
 
 def _entries(matrix: Matrix) -> Vec:
@@ -102,7 +91,6 @@ class HCPair:
     action: list[Matrix]
     v_dim: int
     vbracket: dict[tuple[int, int], Vec]
-    g0_matrices: list[Matrix] | None = None
     J: Matrix | None = None
 
     @property
@@ -115,11 +103,14 @@ class HCPair:
 
 
 def validate_hcpair(pair: HCPair) -> list[str]:
-    """Check symmetry, v <| [v,v] = 0, and equivariance; returns failures.
+    """Check the three pair axioms on structure constants; returns failures.
 
-    Symmetry and equivariance are multilinear, so basis tuples suffice; the
-    cubic condition v <| [v,v] = 0 is checked symbolically in polynomial
-    coordinates, which covers every vector at once.
+    The axioms are: the bracket is symmetric, it is equivariant
+    ([u <| X, w] + [u, w <| X] = [[u, w], X]), and v <| [v,v] = 0.  The first
+    two are multilinear, so basis tuples suffice.  For v = sum c_i e_i the
+    third is a cubic form in commuting c_i; it vanishes identically when each
+    coefficient does, and the coefficient of c_i c_j c_a is the sum of
+    e_a <| [e_i, e_j] over the distinct orderings of (i, j, a).
     """
     failures: list[str] = []
     vd, gd = pair.v_dim, pair.g0_dim
@@ -129,24 +120,14 @@ def validate_hcpair(pair: HCPair) -> list[str]:
             if pair.vbracket.get((i, j), {}) != pair.vbracket.get((j, i), {}):
                 failures.append(f"symmetry fails at ({pair.v_labels[i]}, {pair.v_labels[j]})")
 
-    # v <| [v,v] with v = sum c_i e_i, c_i commuting indeterminates
-    coords = GeneratorSet(evens=[f"c{i + 1}" for i in range(vd)])
-    c = [SuperPoly.generator(coords, f"c{i + 1}") for i in range(vd)]
-    zero = SuperPoly.zero(coords)
-    # entries of the even matrix [v,v] as polynomials
-    acted = [zero for _ in range(vd)]
-    for i in range(vd):
-        for j in range(vd):
-            coeff_poly = c[i] * c[j]
+    for triple in combinations_with_replacement(range(vd), 3):
+        coefficient: Vec = {}
+        for i, j, a in set(permutations(triple)):
             for k, ck in pair.vbracket.get((i, j), {}).items():
-                mat = pair.action[k]
-                # contribution of c_i c_j ck * (v . M_k)
-                for a in range(vd):
-                    for b in range(vd):
-                        if mat[a][b]:
-                            acted[b] = acted[b] + coeff_poly * c[a] * (ck * mat[a][b])
-    if any(not entry.is_zero() for entry in acted):
-        failures.append("v <| [v,v] does not vanish identically")
+                add_into(coefficient, dict(enumerate(pair.action[k][a])), ck)
+        if coefficient:
+            failures.append("v <| [v,v] does not vanish identically")
+            break
 
     for a in range(vd):
         for b in range(vd):
@@ -171,13 +152,13 @@ def spo_pair(r: int, half: bool = True) -> HCPair:
     the bracket is J(tv w + tw v)/2.  Passing ``half=False`` drops the 1/2
     normalisation (a negative-control variant).
     """
-    data = sp_basis(r)
+    basis, J = sp_basis(r), standard_J(r)
     size = 2 * r
-    coords_in = linalg.span_coordinates([_entries(b) for b in data.basis])
+    coords_in = linalg.span_coordinates([_entries(b) for b in basis])
     g0_bracket: dict[tuple[int, int], Vec] = {}
-    for i in range(data.dimension):
-        for j in range(data.dimension):
-            coords = coords_in(_entries(_commutator(data.basis[i], data.basis[j])))
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            coords = coords_in(_entries(_commutator(x, y)))
             if coords is None:
                 raise StructureError("sp basis is not closed under commutators")
             if coords:
@@ -189,21 +170,20 @@ def spo_pair(r: int, half: bool = True) -> HCPair:
             # J (t e_a e_b + t e_b e_a): entry (i, j) = J[i][a] [b==j] + J[i][b] [a==j]
             matrix = linalg.zeros(size, size)
             for i in range(size):
-                matrix[i][b] += scale * data.J[i][a]
-                matrix[i][a] += scale * data.J[i][b]
+                matrix[i][b] += scale * J[i][a]
+                matrix[i][a] += scale * J[i][b]
             coords = coords_in(_entries(matrix))
             if coords is None:
                 raise StructureError("odd bracket does not land in sp")
             if coords:
                 vbracket[(a, b)] = coords
     return HCPair(
-        g0_labels=list(data.labels),
+        g0_labels=[f"X{i + 1}" for i in range(len(basis))],
         g0_bracket=g0_bracket,
-        action=list(data.basis),
+        action=basis,
         v_dim=size,
         vbracket=vbracket,
-        g0_matrices=data.basis,
-        J=data.J,
+        J=J,
     )
 
 
@@ -387,14 +367,17 @@ def sample_transvections(r: int, count: int, seed: int) -> list[Matrix]:
 
 
 def group_bracket_equivariance(pair: HCPair, g: Matrix) -> bool:
-    """[u g, v g] = g^-1 [u, v] g for the pair's bracket, exactly."""
+    """[u g, v g] = g^-1 [u, v] g for the pair's bracket, exactly.
+
+    The bracket lands in g_0 and is read as a matrix through ``pair.action``,
+    which for ``spo_pair`` is the defining representation: the action
+    matrices are the sp basis matrices themselves.  False when g is singular.
+    """
     size = pair.v_dim
     ginv = linalg.invert(g)
     if ginv is None:
         return False
-    mats = pair.g0_matrices
-    if mats is None:
-        raise ValueError("pair carries no matrix realisation")
+    mats = pair.action
     # [e_a, e_b] as a matrix, and its nonzero entries
     brackets: dict[tuple[int, int], Matrix] = {}
     for key, vec in pair.vbracket.items():

@@ -29,6 +29,7 @@ from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
 from .parsing import format_monomial
 from .table import (
+    Vec,
     add_into,
     certify_associative,
     first_nonassociative,
@@ -37,8 +38,6 @@ from .table import (
     transpose,
     whole_as_int,
 )
-
-Vec = dict[int, Fraction]
 
 
 @dataclass
@@ -57,12 +56,6 @@ class TruncatedDual:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def index_of(self, mono: SuperMonomial) -> int:
-        return self._index[mono]
-
-    def __post_init__(self):
-        self._index = {m: i for i, m in enumerate(self.basis)}
 
     def check_associative_unital(self) -> None:
         """Unit scan, and associativity certified from the degree-1 duals by the

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import F1
-from .table import add_into, times_basis
-
-Vec = dict[int, Fraction]
+from .table import Vec, add_into, times_basis
 
 
 class StructureError(ValueError):

@@ -13,13 +13,11 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
+from .core import F0, F1
 from .table import add_into
 
 Matrix = list[list[Fraction]]
 Row = dict[int, Fraction]
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -154,3 +154,25 @@ def typed(table):
     """``table`` with each coefficient paired with its type, so ``==`` also
     tells ``int`` from ``Fraction``."""
     return {key: {k: (c, type(c)) for k, c in cell.items()} for key, cell in table.items()}
+
+
+# --- the cubic pair axiom v <| [v,v] = 0 expanded symbolically, independent
+# of the coefficient rule that ``hcpair.validate_hcpair`` uses
+
+
+def oracle_cubic_vanishes(pair) -> bool:
+    """Whether v <| [v,v] is zero as a polynomial in the commuting coordinates
+    c_i of v = sum c_i e_i."""
+    vd = pair.v_dim
+    coords = GeneratorSet(evens=[f"c{i + 1}" for i in range(vd)])
+    c = [SuperPoly.generator(coords, f"c{i + 1}") for i in range(vd)]
+    acted = [SuperPoly.zero(coords) for _ in range(vd)]
+    for i in range(vd):
+        for j in range(vd):
+            for k, ck in pair.vbracket.get((i, j), {}).items():
+                mat = pair.action[k]
+                for a in range(vd):
+                    for b in range(vd):
+                        if mat[a][b]:
+                            acted[b] = acted[b] + c[i] * c[j] * c[a] * (ck * mat[a][b])
+    return all(entry.is_zero() for entry in acted)

@@ -1,9 +1,11 @@
 """The names the benchmark reaches into still resolve in the package.
 
-``bench/tracer.py`` wraps each ``BOUNDARIES`` entry, and ``bench/workloads.py``
-swaps ``cli.<capture>`` for a recorder; a renamed or deleted name would fail
-only there, with an ``AttributeError`` in a traced run.  Both files are read,
-not run.
+``bench/tracer.py`` wraps each ``BOUNDARIES`` entry, ``bench/workloads.py``
+swaps ``cli.<capture>`` for a recorder, and the ``bench/*.py`` files import
+names from ``superalg`` and read attributes off its modules (``cli.run_*_suite``,
+``hyper.truncated_dual``, ``core._MUL_CACHE``); a renamed or deleted name would
+fail only there, with an ``ImportError`` or ``AttributeError`` in a bench run.
+The files are read, not run.
 """
 
 from __future__ import annotations
@@ -34,6 +36,26 @@ def _captured_cli_names() -> list[str]:
     })
 
 
+def _superalg_uses() -> list[tuple[str, str]]:
+    """(module, name) for each name a ``bench/*.py`` file imports from ``superalg``,
+    and for each attribute it reads off a ``superalg`` module imported by name."""
+    uses = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "superalg":
+                for alias in node.names:
+                    uses.add((node.module, alias.name))
+                    if node.module == "superalg" and importlib.util.find_spec(f"superalg.{alias.name}"):
+                        modules[alias.asname or alias.name] = f"superalg.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                uses.add((modules[node.value.id], node.attr))
+    return sorted(uses)
+
+
 @pytest.mark.parametrize("label,modname,attr", _load_tracer().BOUNDARIES)
 def test_traced_boundary_resolves(label, modname, attr):
     module = importlib.import_module(modname)
@@ -52,3 +74,16 @@ def test_captured_cli_names_resolve():
     assert {"compute_W", "integral_space", "bosonize"} <= set(names)
     for name in names:
         assert callable(getattr(cli, name)), name
+
+
+def test_bench_reads_the_suites_the_dual_and_the_cache():
+    uses = set(_superalg_uses())
+    assert {("superalg.cli", "run_hcpair_suite"), ("superalg.hyper", "truncated_dual"),
+            ("superalg.core", "_MUL_CACHE")} <= uses
+
+
+@pytest.mark.parametrize("modname,name", _superalg_uses())
+def test_bench_superalg_name_resolves(modname, name):
+    module = importlib.import_module(modname)
+    if not hasattr(module, name):
+        importlib.import_module(f"{modname}.{name}")  # a submodule; raises when it is gone

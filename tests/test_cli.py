@@ -434,6 +434,11 @@ GOLDEN = {
     # certified from generators, so these two pin the certified reports
     "verify exterior --dim 6": "5c81e3c6e1bd7d3e850eb53dfbe875a8d1d7d606217839173e094c1f98c01d80",
     "envelope --r 1 --d 4": "88f22ef564d12f9dd030c38f3620b5cd2aac346c35199d29054e0b38beec679c",
+    # taken before the dim-0 branch of the integrals suite and the symbolic
+    # expansion of the cubic pair axiom were removed
+    "verify integrals --dim 0": "e888e20d9cf21ea778e65d1c901966f875a79d6d6bcd2e8cedb61678ab8cf9f4",
+    "hcpair --r 2 --no-half --seed 1":
+        "acdd2fec1f6a941511a5a6832322cca0d6ff695830311afcd15967d801aaed1a",
 }
 
 

@@ -33,7 +33,7 @@ from superalg.hcpair import (
 import superalg.linalg as la
 from superalg.table import whole_as_int
 
-from conftest import oracle_envelope_product, typed
+from conftest import oracle_cubic_vanishes, oracle_envelope_product, typed
 
 F = Fraction
 
@@ -44,20 +44,19 @@ def bracket_matrix(pair, i, j):
     for k, c in pair.vbracket.get((i, j), {}).items():
         for a in range(size):
             for b in range(size):
-                out[a][b] += c * pair.g0_matrices[k][a][b]
+                out[a][b] += c * pair.action[k][a][b]
     return out
 
 
 @pytest.mark.parametrize("r,dim", [(1, 3), (2, 10), (3, 21)])
 def test_sp_dimension(r, dim):
-    assert sp_basis(r).dimension == dim == r * (2 * r + 1)
+    assert len(sp_basis(r)) == dim == r * (2 * r + 1)
 
 
 def test_sp_basis_closed_under_commutators():
-    data = sp_basis(2)
-    J = data.J
-    for x in data.basis:
-        for y in data.basis:
+    basis, J = sp_basis(2), standard_J(2)
+    for x in basis:
+        for y in basis:
             comm = [[a - b for a, b in zip(ra, rb)]
                     for ra, rb in zip(la.mat_mul(x, y), la.mat_mul(y, x))]
             prod = la.mat_mul(comm, J)
@@ -107,7 +106,6 @@ def test_zero_bracket_pair_is_semidirect_sum():
         action=pair.action,
         v_dim=pair.v_dim,
         vbracket={},
-        g0_matrices=pair.g0_matrices,
         J=pair.J,
     )
     build_super_lie(semidirect)  # Jacobi passes with the zero odd bracket
@@ -134,25 +132,78 @@ def test_no_half_variant_passes_all_axioms():
 def test_asymmetric_bracket_is_detected():
     # genuinely invalid data: J tv w without symmetrisation breaks symmetry
     pair = spo_pair(1)
-    data = sp_basis(1)
+    basis, J = sp_basis(1), standard_J(1)
     broken = dict(pair.vbracket)
     size = 2
     from superalg.hcpair import _entries
 
-    coords_in = la.span_coordinates([_entries(m) for m in data.basis])
+    coords_in = la.span_coordinates([_entries(m) for m in basis])
     for a in range(size):
         for b in range(size):
             matrix = la.zeros(size, size)
             for i in range(size):
-                matrix[i][b] += data.J[i][a]
+                matrix[i][b] += J[i][a]
             broken[(a, b)] = coords_in(_entries(matrix)) or {}
     bad = HCPair(
         g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
-        v_dim=pair.v_dim, vbracket=broken, g0_matrices=pair.g0_matrices, J=pair.J,
+        v_dim=pair.v_dim, vbracket=broken, J=pair.J,
     )
     assert validate_hcpair(bad) != []
     with pytest.raises(StructureError):
         build_super_lie(bad)
+
+
+CUBIC_FAILURE = "v <| [v,v] does not vanish identically"
+
+
+def rotation_pair():
+    """k acting on V = k^2 by [[0,1],[-1,0]], with [e_i, e_i] = X1 and [e1, e2] = 0:
+    symmetric and equivariant, but v <| [v,v] = (c1^2 + c2^2)(-c2, c1)."""
+    return HCPair(
+        g0_labels=["X1"], g0_bracket={}, action=[[[F(0), F(1)], [F(-1), F(0)]]],
+        v_dim=2, vbracket={(0, 0): {0: F(1)}, (1, 1): {0: F(1)}},
+    )
+
+
+def test_cubic_axiom_alone_is_detected():
+    pair = rotation_pair()
+    assert validate_hcpair(pair) == [CUBIC_FAILURE]
+    assert not oracle_cubic_vanishes(pair)
+    with pytest.raises(StructureError, match=r"^super Jacobi fails at \(e1, e1, e1\)"):
+        build_super_lie(pair)
+
+
+entries = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(-2)])
+
+
+@st.composite
+def random_pairs(draw):
+    """Pairs with v_dim <= 3, g_0 dim <= 2, small entries and a symmetric bracket."""
+    vd, gd = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    action = [[[draw(entries) for _ in range(vd)] for _ in range(vd)] for _ in range(gd)]
+    vbracket = {}
+    for i in range(vd):
+        for j in range(i, vd):
+            vec = {k: c for k in range(gd) if (c := draw(entries))}
+            if vec:
+                vbracket[(i, j)] = vbracket[(j, i)] = vec
+    return HCPair(g0_labels=[f"X{k + 1}" for k in range(gd)], g0_bracket={},
+                  action=action, v_dim=vd, vbracket=vbracket)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_pairs())
+def test_cubic_verdict_matches_symbolic_oracle(pair):
+    assert (CUBIC_FAILURE not in validate_hcpair(pair)) == oracle_cubic_vanishes(pair)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("half", [True, False])
+def test_cubic_verdict_matches_symbolic_oracle_on_spo(r, half):
+    pair = spo_pair(r, half)
+    pairs = [pair] + [scaled_cells(pair, seed) for seed in range(3)]
+    for p in pairs:
+        assert (CUBIC_FAILURE not in validate_hcpair(p)) == oracle_cubic_vanishes(p)
 
 
 def test_scaled_g0_bracket_fails_jacobi():
@@ -162,8 +213,7 @@ def test_scaled_g0_bracket_fails_jacobi():
                  for key, vec in pair.g0_bracket.items()}
     bad = HCPair(
         g0_labels=pair.g0_labels, g0_bracket=corrupted, action=pair.action,
-        v_dim=pair.v_dim, vbracket=pair.vbracket,
-        g0_matrices=pair.g0_matrices, J=pair.J,
+        v_dim=pair.v_dim, vbracket=pair.vbracket, J=pair.J,
     )
     with pytest.raises(StructureError):
         build_super_lie(bad)
@@ -193,7 +243,7 @@ def osp_realization(r):
     [[0, v], [J tv / 2, 0]].  Brackets are computed as matrix super
     commutators xy - (-1)^{|x||y|} yx, entirely outside the pair machinery.
     """
-    data = sp_basis(r)
+    sp, J = sp_basis(r), standard_J(r)
     size = 2 * r
     full = size + 1
 
@@ -208,14 +258,14 @@ def osp_realization(r):
         out = la.zeros(full, full)
         for j in range(size):
             out[0][1 + j] = v[j]
-        jv = [sum((data.J[i][a] * v[a] for a in range(size)), F(0)) for i in range(size)]
+        jv = [sum((J[i][a] * v[a] for a in range(size)), F(0)) for i in range(size)]
         for i in range(size):
             out[1 + i][0] = F(1, 2) * jv[i]
         return out
 
-    basis = [embed_even(X) for X in data.basis]
+    basis = [embed_even(X) for X in sp]
     basis += [embed_odd([F(1) if j == a else F(0) for j in range(size)]) for a in range(size)]
-    parity = [0] * data.dimension + [1] * size
+    parity = [0] * len(sp) + [1] * size
     return basis, parity
 
 
@@ -266,7 +316,7 @@ def oracle_group_bracket_equivariance(pair, g):
     if ginv is None:
         return False
     basis = [[F(1) if i == j else F(0) for j in range(size)] for i in range(size)]
-    mats = pair.g0_matrices
+    mats = pair.action
 
     def bracket_of(u, v):
         out = la.zeros(size, size)
@@ -293,7 +343,7 @@ def oracle_group_bracket_equivariance(pair, g):
 def with_vbracket(pair, vbracket):
     return HCPair(
         g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
-        v_dim=pair.v_dim, vbracket=vbracket, g0_matrices=pair.g0_matrices, J=pair.J,
+        v_dim=pair.v_dim, vbracket=vbracket, J=pair.J,
     )
 
 
