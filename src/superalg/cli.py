@@ -37,6 +37,7 @@ from .hcpair import (
     is_symplectic,
     sample_transvections,
     spo_pair,
+    standard_J,
     truncated_envelope,
     validate_hcpair,
 )
@@ -320,9 +321,9 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
     except StructureError as exc:
         report.add("super-jacobi", False, str(exc))
 
-    group = sample_transvections(r, transvections, seed)
+    group, J = sample_transvections(r, transvections, seed), standard_J(r)
     report.first("group-membership", (
-        "transvection failed g J tg = J" for g in group if not is_symplectic(g, pair.J)
+        "transvection failed g J tg = J" for g in group if not is_symplectic(g, J)
     ))
     report.first("group-bracket-equivariance", (
         "bracket not equivariant under group translation"

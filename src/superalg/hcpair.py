@@ -7,8 +7,8 @@ symmetric) acting on row vectors, with bracket J(tv w + tw v)/2.  The
 assembled super Lie algebra is verified exhaustively and exactly.  The
 truncated PBW envelope of a super Lie algebra is built on its ordered normal
 words from the rows of left multiplication by one letter (the PBW theorem
-makes these words a basis), and is certified associative exactly from its
-one-letter words (the lemma of ``superalg.table``).
+makes these words a basis), and the bracket relations of the rows prove it
+associative exactly.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from . import linalg
 from .core import F0, F1
 from .hyper import super_pbw_count
 from .liealg import StructureError, SuperLieAlgebraData
-from .table import (
-    Vec, add_into, certify_associative, first_nonassociative, image, times_basis, whole_as_int,
-)
+from .table import Vec, add_into, image, times_basis, whole_as_int
 
 Matrix = list[list[Fraction]]
 
@@ -91,7 +89,6 @@ class HCPair:
     action: list[Matrix]
     v_dim: int
     vbracket: dict[tuple[int, int], Vec]
-    J: Matrix | None = None
 
     @property
     def v_labels(self) -> list[str]:
@@ -183,7 +180,6 @@ def spo_pair(r: int, half: bool = True) -> HCPair:
         action=basis,
         v_dim=size,
         vbracket=vbracket,
-        J=J,
     )
 
 
@@ -265,6 +261,35 @@ def _normal_words(parity: list[int], degree: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda w: (len(w), w))
 
 
+def _first_bracket_failure(left, words, parity, bracket, bound) -> tuple[int, int, int] | None:
+    """The first (a, b, y), in that order, at which the letter rows break a
+    bracket relation on e_y, else None: b <= a are letters, |y| <= bound - 2,
+    and the relation is L_a L_b - (-1)^{|a||b|} L_b L_a = sum_k [a,b]_k L_k for
+    b < a and L_a L_a = sum_k ([a,a]_k / 2) L_k for odd a = b.  Only the y that
+    begin with a letter below b, or with b itself when b is odd, are compared:
+    on every other y, L_b e_y is the normal word (b, *y) and the rows satisfy
+    the relation by construction."""
+    tops = [y for y, word in enumerate(words) if len(word) <= bound - 2]
+    for a, row in enumerate(left):
+        for b in range(a + 1):
+            if a == b and not parity[a]:
+                continue
+            swap = 1 if parity[a] and parity[b] else -1
+            terms = [(left[k], c if a != b else Fraction(c, 2)) for k, c in bracket(a, b).items()]
+            for y in tops:
+                word = words[y]
+                if not word or word[0] > b or (word[0] == b and not parity[b]):
+                    continue
+                out = image(row, left[b][y])
+                if a != b:
+                    add_into(out, image(left[b], row[y]), swap)
+                for rows, c in terms:
+                    add_into(out, rows[y], -c)
+                if out:
+                    return a, b, y
+    return None
+
+
 def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> TruncatedEnvelope:
     """The product table of U(lie) on the normal words of length <= degree_bound.
 
@@ -276,9 +301,14 @@ def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> Truncated
     e_a e_(b y) is the normal word (a, b, *y) when a < b or a = b is even,
     [a,a]/2 e_y when a = b is odd, and +-e_b (e_a e_y) + [a,b] e_y when b < a.
     Every other cell is e_(a w) e_v = e_a (e_w e_v).  The table is certified
-    associative inside the bound from the one-letter words by the
-    degree-bounded lemma of ``superalg.table``; a failure raises with the
-    first failing triple of the dense scan.
+    associative inside the bound by the bracket relations of the letter rows
+    (``_first_bracket_failure``), as in the standard proof of the PBW theorem
+    (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978; Kac,
+    "Lie superalgebras", Adv. Math. 26, 1977).  *Sketch.*  The cells (a, b) and
+    (b a, y) come from the same rows, so the relation at (a, b, y) is
+    (e_a e_b) e_y = e_a (e_b e_y): a failure raises with a nonassociative triple
+    inside the bound.  When none fails, the rows make the words a U(lie)-module
+    generated by 1, which makes the table associative inside the bound.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -309,6 +339,13 @@ def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> Truncated
                         add_into(out, left[k][y], c)
                 row[x] = whole_as_int(out)
 
+    failure = _first_bracket_failure(left, words, parity, bracket, degree_bound)
+    if failure is not None:
+        a, b, y = failure
+        raise StructureError(
+            f"rewriting is not confluent at words ({lie.labels[a]}, {lie.labels[b]}, {labels[y]})"
+        )
+
     product: dict[tuple[int, int], Vec] = {}
     for i, word in enumerate(words):
         # words are sorted by length, so the v with |word| + |v| <= bound are a prefix
@@ -319,13 +356,6 @@ def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> Truncated
         row, w = left[word[0]], index[word[1:]]
         for j in fits:
             product[(i, j)] = whole_as_int(image(row, product[(w, j)]))
-
-    letters = [i for i, w in enumerate(words) if len(w) == 1]
-    certified = certify_associative(product, len(words), {0: F1}, letters, lengths, degree_bound)
-    triple = None if certified else first_nonassociative(product, len(words), lengths, degree_bound)
-    if triple is not None:
-        names = ", ".join(labels[t] for t in triple)
-        raise StructureError(f"rewriting is not confluent at words ({names})")
     return TruncatedEnvelope(
         degree_bound=degree_bound, words=words, labels=labels,
         dims_by_degree=dims, product=product,

@@ -20,12 +20,7 @@ triple (``certify_associative``).  *Lemma.*  Let the table have a left unit
 associative.  *Proof.*  Let S be the set of x with (xy)z = x(yz) for all y
 and z.  S is a subspace, it holds 1, and for x in S and g in G,
 ((gx)y)z = (g(xy))z = g((xy)z) = g(x(yz)) = (gx)(yz), so gx is in S; hence
-S is everything.  For a table truncated by a degree bound (exact only on
-the triples whose degrees sum to at most the bound) the same induction runs
-on the pieces of degree <= d, provided the table is filtered: every cell
-(i, j) inside the bound has output degrees <= deg i + deg j, the unit has
-degree 0, and every step of the closure reaches an index of degree
-deg g + deg b.  The same induction shows that once the algebra is
+S is everything.  The same induction shows that once the algebra is
 associative, a coproduct that is multiplicative on the pairs (g, b) with g
 in G or g = 1 is multiplicative everywhere, when the product respects
 parity so that the Koszul-signed tensor square is associative.  The dense
@@ -131,38 +126,20 @@ def first_nonunital(table: Table, dim: int, unit: Vec) -> int | None:
     return None
 
 
-def first_nonassociative(
-    table: Table,
-    dim: int,
-    degree: list[int] | None = None,
-    bound: int | None = None,
-) -> tuple[int, int, int] | None:
-    """The first (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k).
-
-    Given nonnegative per-index ``degree`` and a ``bound``, only the triples
-    whose degrees sum to at most ``bound`` are compared: a table truncated
-    by degree is exact only there.
-    """
-    if degree is None or bound is None:
-        degree, bound = [0] * dim, 0
-    return next(_failing_triples(table, range(dim), dim, degree, bound), None)
+def first_nonassociative(table: Table, dim: int) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k)."""
+    return next(_failing_triples(table, range(dim), dim), None)
 
 
-def _failing_triples(table: Table, lefts: Iterable[int], dim: int, degree: list[int], bound: int):
+def _failing_triples(table: Table, lefts: Iterable[int], dim: int):
     """The triples (i, j, k) with i in ``lefts`` and (e_i e_j) e_k != e_i (e_j e_k),
-    in lexicographic order, among those whose degrees sum to at most ``bound``."""
-    if bound < 0:
-        return
-    # fits[r]: the indices of degree <= r, in increasing order
-    fits = [[x for x in range(dim) if degree[x] <= r] for r in range(bound + 1)]
+    in lexicographic order."""
     get = table.get
+    span = range(dim)
     for i in lefts:
-        left_budget = bound - degree[i]
-        if left_budget < 0:
-            continue
-        for j in fits[left_budget]:
+        for j in span:
             ij = get((i, j), _EMPTY)
-            for k in fits[left_budget - degree[j]]:
+            for k in span:
                 lhs: Vec = {}
                 for t, c in ij.items():
                     for r, cr in get((t, k), _EMPTY).items():
@@ -187,41 +164,24 @@ def _failing_triples(table: Table, lefts: Iterable[int], dim: int, degree: list[
                     yield i, j, k
 
 
-def certify_associative(
-    table: Table,
-    dim: int,
-    unit: Vec,
-    gens: list[int],
-    degree: list[int] | None = None,
-    bound: int | None = None,
-) -> bool:
+def certify_associative(table: Table, dim: int, unit: Vec, gens: list[int]) -> bool:
     """True when the lemma above proves ``table`` associative from ``gens``.
 
-    With ``degree`` and ``bound`` it proves the degree-bounded form, that
-    ``first_nonassociative(table, dim, degree, bound)`` is None.  False says
-    only that the certificate does not apply (``unit`` is not one basis
-    index with coefficient 1 and degree 0, the left unit law fails, the
-    table is not filtered, or the closure of 1 under ``gens`` misses an
-    index) or that a generator triple fails: the dense scan then decides.
+    False says only that the certificate does not apply (``unit`` is not one
+    basis index with coefficient 1, the left unit law fails, or the closure
+    of 1 under ``gens`` misses an index) or that a generator triple fails:
+    the dense scan then decides.
     """
-    bounded = degree is not None and bound is not None
-    if not bounded:
-        degree, bound = [0] * dim, 0
     if len(unit) != 1:
         return False
     ((one, c),) = unit.items()
-    if c != 1 or degree[one] != 0:
+    if c != 1:
         return False
     get = table.get
-    if any(get((one, y)) != {y: 1} for y in range(dim) if degree[y] <= bound):
-        return False
-    if bounded and any(
-        degree[k] > degree[i] + degree[j]
-        for (i, j), cell in table.items() if degree[i] + degree[j] <= bound for k in cell
-    ):
+    if any(get((one, y)) != {y: 1} for y in range(dim)):
         return False
     # triangular closure: e_x is reached when some g e_b, with b reached, has
-    # x as its only unreached index, of degree deg g + deg b
+    # x as its only unreached index
     reached = [False] * dim
     reached[one] = True
     stuck = [(g, one) for g in gens]
@@ -231,14 +191,12 @@ def certify_associative(
         queue, stuck = stuck, []
         while queue:
             g, b = queue.pop()
-            if degree[g] + degree[b] > bound:
-                continue
             new = [k for k in get((g, b), _EMPTY) if not reached[k]]
             if len(new) > 1:
                 stuck.append((g, b))
-            elif new and degree[new[0]] >= degree[g] + degree[b]:
+            elif new:
                 reached[new[0]] = progress = True
                 queue.extend((h, new[0]) for h in gens)
     if not all(reached):
         return False
-    return next(_failing_triples(table, gens, dim, degree, bound), None) is None
+    return next(_failing_triples(table, gens, dim), None) is None

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product as cartesian
 
 import hypothesis.strategies as st
 
@@ -176,3 +177,33 @@ def oracle_cubic_vanishes(pair) -> bool:
                         if mat[a][b]:
                             acted[b] = acted[b] + c[i] * c[j] * c[a] * (ck * mat[a][b])
     return all(entry.is_zero() for entry in acted)
+
+
+# --- associativity on every triple by definition, independent of the scans in
+# ``superalg.table`` and of the letter relations that certify
+# ``hcpair.truncated_envelope``
+
+
+def brute_force_bad_triples(tab, dim, degree=None, bound=None):
+    """Every (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in lexicographic
+    order, each side expanded from the cells term by term; given ``degree``
+    and ``bound``, only the triples whose degrees sum to at most ``bound``."""
+    if degree is None:
+        degree, bound = [0] * dim, 0
+
+    def times(u, v):
+        out = {}
+        for (i, a), (j, b) in cartesian(u.items(), v.items()):
+            for k, c in tab.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+        return {k: c for k, c in out.items() if c}
+
+    # within[r]: the indices of degree <= r, in increasing order
+    within = [[x for x in range(dim) if degree[x] <= r] for r in range(bound + 1)]
+    bad = []
+    for i in within[bound]:
+        for j in within[bound - degree[i]]:
+            for k in within[bound - degree[i] - degree[j]]:
+                if times(tab.get((i, j), {}), {k: 1}) != times({i: 1}, tab.get((j, k), {})):
+                    bad.append((i, j, k))
+    return bad

@@ -439,6 +439,9 @@ GOLDEN = {
     "verify integrals --dim 0": "e888e20d9cf21ea778e65d1c901966f875a79d6d6bcd2e8cedb61678ab8cf9f4",
     "hcpair --r 2 --no-half --seed 1":
         "acdd2fec1f6a941511a5a6832322cca0d6ff695830311afcd15967d801aaed1a",
+    # taken before the envelope was certified by its letter relations
+    "envelope --r 2 --d 4": "2da3615b89b41ea52f2073cfe1aea4dc27fa63b4b5700bcb9238abb26b248ff3",
+    "envelope --abelian 2 3 --d 4": "de21da86f01303d3c972bb6db20d76a6be7a4419cd452ce8eb287cd40abb623f",
 }
 
 

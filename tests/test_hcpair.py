@@ -23,6 +23,7 @@ from superalg import (
     truncated_envelope,
     validate_hcpair,
 )
+from superalg import hcpair
 from superalg.cli import run_envelope_suite
 from superalg.hcpair import (
     group_bracket_equivariance,
@@ -33,7 +34,7 @@ from superalg.hcpair import (
 import superalg.linalg as la
 from superalg.table import whole_as_int
 
-from conftest import oracle_cubic_vanishes, oracle_envelope_product, typed
+from conftest import brute_force_bad_triples, oracle_cubic_vanishes, oracle_envelope_product, typed
 
 F = Fraction
 
@@ -106,7 +107,6 @@ def test_zero_bracket_pair_is_semidirect_sum():
         action=pair.action,
         v_dim=pair.v_dim,
         vbracket={},
-        J=pair.J,
     )
     build_super_lie(semidirect)  # Jacobi passes with the zero odd bracket
 
@@ -146,7 +146,7 @@ def test_asymmetric_bracket_is_detected():
             broken[(a, b)] = coords_in(_entries(matrix)) or {}
     bad = HCPair(
         g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
-        v_dim=pair.v_dim, vbracket=broken, J=pair.J,
+        v_dim=pair.v_dim, vbracket=broken,
     )
     assert validate_hcpair(bad) != []
     with pytest.raises(StructureError):
@@ -213,7 +213,7 @@ def test_scaled_g0_bracket_fails_jacobi():
                  for key, vec in pair.g0_bracket.items()}
     bad = HCPair(
         g0_labels=pair.g0_labels, g0_bracket=corrupted, action=pair.action,
-        v_dim=pair.v_dim, vbracket=pair.vbracket, J=pair.J,
+        v_dim=pair.v_dim, vbracket=pair.vbracket,
     )
     with pytest.raises(StructureError):
         build_super_lie(bad)
@@ -343,7 +343,7 @@ def oracle_group_bracket_equivariance(pair, g):
 def with_vbracket(pair, vbracket):
     return HCPair(
         g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
-        v_dim=pair.v_dim, vbracket=vbracket, J=pair.J,
+        v_dim=pair.v_dim, vbracket=vbracket,
     )
 
 
@@ -434,10 +434,12 @@ def test_envelope_on_permuted_bases_matches_rewriting_oracle(name, d, rng):
 
 
 # sha256 of the canonical table (cells sorted by key, terms by index; the
-# repr tells int from Fraction), taken from the rewriting construction
+# repr tells int from Fraction), taken from the rewriting construction; (2, 4)
+# was taken before the envelope was certified by its letter relations
 ENVELOPE_TABLE_DIGESTS = {
     (1, 4): "7977f531363bc00a141831e62443586678cb7a4616d0e208e77c4fe77db1cd05",
     (2, 3): "e24f9ead24b12818aca07c3d803af740bc63ce9ae0173a16a1f995c37a331da9",
+    (2, 4): "ebabfb0c33b486df58904c08717e45624d2087d94f0e3ad6bc797046621b43b6",
 }
 
 
@@ -460,7 +462,7 @@ def test_envelope_halves_int_brackets_exactly():
 def test_envelope_of_a_non_lie_bracket_is_not_confluent(d):
     # doubling every [X_i, X_j] breaks super Jacobi on each triple that mixes
     # even and odd letters; the data skips build_super_lie's validation, so
-    # the envelope's certificate and dense scan must catch it
+    # the envelope's letter relations must catch it
     lie = build_super_lie(spo_pair(1))
     bracket = {(i, j): ({k: 2 * c for k, c in vec.items()}
                         if not lie.parity[i] and not lie.parity[j] else vec)
@@ -468,6 +470,89 @@ def test_envelope_of_a_non_lie_bracket_is_not_confluent(d):
     bad = SuperLieAlgebraData(lie.labels, lie.parity, bracket)
     with pytest.raises(StructureError, match=r"rewriting is not confluent at words \("):
         truncated_envelope(bad, d)
+
+
+# --- the letter-relation certificate against a brute-force triple scan
+
+
+def corrupted_bracket(lie, rng):
+    """``lie`` with one cell [i, j] doubled, negated or given an extra term of
+    its parity, and [j, i] changed with it so that super antisymmetry holds;
+    super Jacobi is not checked."""
+    parity, n = lie.parity, lie.dimension
+    i, j = rng.choice([(i, j) for i in range(n) for j in range(i, n) if i != j or parity[i]])
+    kind = rng.choice(["doubled", "negated", "extra term"])
+    vec = dict(lie.bracket_basis(i, j))
+    if kind == "extra term":
+        k = rng.choice([k for k in range(n) if parity[k] == parity[i] ^ parity[j]])
+        vec[k] = vec.get(k, 0) + rng.choice([1, -1, F(1, 2)])
+    else:
+        vec = {k: (2 if kind == "doubled" else -1) * c for k, c in vec.items()}
+    vec = {k: c for k, c in vec.items() if c}
+    bracket = {key: cell for key, cell in lie.bracket.items() if key not in ((i, j), (j, i))}
+    if vec:
+        sign = 1 if parity[i] and parity[j] else -1
+        bracket[(i, j)], bracket[(j, i)] = vec, {k: sign * c for k, c in vec.items()}
+    bad = SuperLieAlgebraData(lie.labels, lie.parity, bracket)
+    bad.check_grading()
+    bad.check_antisymmetry()
+    return bad
+
+
+def unchecked_envelope(lie, d):
+    """The envelope's table as the letter rows build it, with no relation checked."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hcpair, "_first_bracket_failure", lambda *args: None)
+        return truncated_envelope(lie, d)
+
+
+def assert_certificate_matches_triple_scan(lie, d):
+    """``truncated_envelope`` raises exactly when a bounded triple scan of the
+    unchecked table fails, and names one of the failing triples."""
+    env = unchecked_envelope(lie, d)
+    bad = brute_force_bad_triples(env.product, env.dimension, [len(w) for w in env.words], d)
+    try:
+        truncated_envelope(lie, d)
+    except StructureError as exc:
+        names = str(exc).removeprefix("rewriting is not confluent at words (").removesuffix(")")
+        witness = tuple(env.labels.index(name) for name in names.split(", "))
+        assert witness in bad
+        return True
+    assert bad == []
+    return False
+
+
+CORRUPTIBLE = [("spo(1)", 2), ("spo(1)", 3), ("spo(1)", 4), ("spo(2)", 3),
+               ("gl(1|1)", 3), ("gl(1|1)", 4)]
+
+
+@pytest.mark.parametrize("name,d", CORRUPTIBLE)
+def test_envelope_certificate_matches_triple_scan_on_seeded_corruptions(name, d):
+    lie = envelope_algebra(name)
+    assert not assert_certificate_matches_triple_scan(lie, d)
+    verdicts = [assert_certificate_matches_triple_scan(corrupted_bracket(lie, random.Random(f"{name}/{seed}")), d)
+                for seed in range(6 if name == "spo(2)" else 12)]
+    assert any(verdicts) or d == 2  # at d = 2 no relation has a word to act on
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORRUPTIBLE), st.randoms(use_true_random=False))
+def test_envelope_certificate_matches_triple_scan_on_generated_corruptions(case, rng):
+    name, d = case
+    assert_certificate_matches_triple_scan(corrupted_bracket(envelope_algebra(name), rng), d)
+
+
+@pytest.mark.parametrize("i,j,witness", [
+    (0, 2, "X3, X2, X1"),  # even-even: [X1, X3]
+    (3, 0, "e1, X2, X1"),  # odd-even: [e1, X1]
+    (3, 3, "e1, e1, X1"),  # odd-odd: [e1, e1]
+])
+def test_envelope_names_the_first_failing_relation(i, j, witness):
+    lie = build_super_lie(spo_pair(1))
+    bracket = {key: ({k: 2 * c for k, c in vec.items()} if key in ((i, j), (j, i)) else vec)
+               for key, vec in lie.bracket.items()}
+    with pytest.raises(StructureError, match=rf"^rewriting is not confluent at words \({witness}\)$"):
+        truncated_envelope(SuperLieAlgebraData(lie.labels, lie.parity, bracket), 3)
 
 
 def test_envelope_suite_checks_jacobi_once(monkeypatch):

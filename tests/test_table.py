@@ -2,7 +2,6 @@ import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product as cartesian
 
 import hypothesis.strategies as st
 import pytest
@@ -11,13 +10,13 @@ from hypothesis import given, settings
 from superalg import exterior_finite, finite, hyper, table
 from superalg.core import F1
 from superalg.finite import FiniteDimHopf, check_finite_hopf_axioms, dual_hopf, finite_from_presentation
-from superalg.hcpair import build_super_lie, spo_pair, truncated_envelope
 from superalg.hopf import exterior_hopf, glmn_presentation
 from superalg.hyper import truncated_dual
 from superalg.liealg import StructureError
 
+from conftest import brute_force_bad_triples
+
 # k[x]/(x^3) on 1, x, x^2: e_i e_j = e_{i+j}, zero past degree 2
-DEGREE = [0, 1, 2]
 
 
 def truncated_polynomials():
@@ -36,25 +35,10 @@ def dense_product(tab, dim, u, v):
     return {k: x for k, x in enumerate(out) if x}
 
 
-def brute_force_bad_triples(tab, dim, degree=None, bound=None):
-    c = constants(tab, dim)
-    span = range(dim)
-    bad = []
-    for i, j, k in cartesian(span, repeat=3):
-        if degree is not None and degree[i] + degree[j] + degree[k] > bound:
-            continue
-        lhs = [sum(c[i][j][t] * c[t][k][r] for t in span) for r in span]
-        rhs = [sum(c[j][k][t] * c[i][t][r] for t in span) for r in span]
-        if lhs != rhs:
-            bad.append((i, j, k))
-    return bad
-
-
 def test_truncated_polynomials_are_associative_and_unital():
     tab = truncated_polynomials()
     assert table.first_nonunital(tab, 3, {0: F1}) is None
     assert table.first_nonassociative(tab, 3) is None
-    assert table.first_nonassociative(tab, 3, DEGREE, 2) is None
 
 
 def test_wrong_unit_constant_is_found_first_in_order():
@@ -63,23 +47,17 @@ def test_wrong_unit_constant_is_found_first_in_order():
     assert table.first_nonunital(tab, 3, {0: F1}) == 1
     # (1 1) x = 2x but 1 (1 x) = 4x
     assert table.first_nonassociative(tab, 3) == (0, 0, 1)
-    assert table.first_nonassociative(tab, 3, DEGREE, 2) == (0, 0, 1)
 
 
 def test_bad_triple_above_the_degree_bound_is_skipped():
     tab = truncated_polynomials()
     tab[(1, 2)] = {2: F1}  # x x^2 = x^2, although x^3 lies past the bound
     assert table.first_nonunital(tab, 3, {0: F1}) is None
-    # (x x) x = x^2 x = 0 but x (x x) = x x^2 = x^2, at degree 3
+    # (x x) x = x^2 x = 0 but x (x x) = x x^2 = x^2, at degree 3; the bounded
+    # scan is the oracle of the truncated envelope
     assert table.first_nonassociative(tab, 3) == (1, 1, 1)
-    assert table.first_nonassociative(tab, 3, DEGREE, 2) is None
-    assert table.first_nonassociative(tab, 3, DEGREE, 3) == (1, 1, 1)
-
-
-def test_negative_bound_checks_nothing():
-    tab = truncated_polynomials()
-    tab[(0, 0)] = {}
-    assert table.first_nonassociative(tab, 3, DEGREE, -1) is None
+    assert brute_force_bad_triples(tab, 3, [0, 1, 2], 2) == []
+    assert brute_force_bad_triples(tab, 3, [0, 1, 2], 3) == [(1, 1, 1)]
 
 
 def test_add_into_scales_and_drops_cancellations():
@@ -114,9 +92,6 @@ def test_products_and_scans_match_dense_oracle(seed):
     assert table.basis_times(tab, key[0], u) == dense_product(tab, dim, {key[0]: F1}, u)
     bad = brute_force_bad_triples(tab, dim)
     assert table.first_nonassociative(tab, dim) == (bad[0] if bad else None)
-    degree = [bin(i).count("1") for i in range(dim)]  # any nonnegative grading
-    bad = brute_force_bad_triples(tab, dim, degree, 4)
-    assert table.first_nonassociative(tab, dim, degree, 4) == (bad[0] if bad else None)
 
 
 def test_transpose_swaps_keys_and_adds_requested_rows():
@@ -153,19 +128,12 @@ def primitive_indices(hopf):
 
 def hopf_case(hopf):
     return {"tab": hopf.mult, "dim": hopf.dimension, "unit": hopf.unit,
-            "gens": primitive_indices(hopf), "degree": None, "bound": None, "hopf": hopf}
+            "gens": primitive_indices(hopf), "hopf": hopf}
 
 
 def dual_case(dual):
     return {"tab": dual.product, "dim": dual.dimension, "unit": {dual.unit_index: F1},
-            "gens": [i for i, d in enumerate(dual.degree) if d == 1],
-            "degree": None, "bound": None, "dual": dual}
-
-
-def envelope_case(env):
-    return {"tab": env.product, "dim": env.dimension, "unit": {0: F1},
-            "gens": [i for i, w in enumerate(env.words) if len(w) == 1],
-            "degree": [len(w) for w in env.words], "bound": env.degree_bound}
+            "gens": [i for i, d in enumerate(dual.degree) if d == 1], "dual": dual}
 
 
 @functools.cache
@@ -176,24 +144,20 @@ def certificate_case(name):
         "Lambda(5)": lambda: hopf_case(exterior_finite(5)),
         "Lambda(5)*": lambda: hopf_case(dual_hopf(finite_from_presentation(exterior_hopf(5)))),
         "hy gl(1|1) order 4": lambda: dual_case(truncated_dual(glmn_presentation(1, 1), 4)),
-        "envelope spo(1) d 3": lambda: envelope_case(truncated_envelope(build_super_lie(spo_pair(1)), 3)),
     }
     return constructions[name]()
 
 
-CASE_NAMES = ["Lambda(3)", "Lambda(4)", "Lambda(5)", "Lambda(5)*",
-              "hy gl(1|1) order 4", "envelope spo(1) d 3"]
+CASE_NAMES = ["Lambda(3)", "Lambda(4)", "Lambda(5)", "Lambda(5)*", "hy gl(1|1) order 4"]
 KINDS = ["doubled", "negated", "extra term"]
 
 
 def corrupted(case, kind, rng):
     """A copy of the case's table with one cell doubled, negated, or given an extra term."""
     tab = {key: dict(cell) for key, cell in case["tab"].items() if cell}
-    dim, degree, bound = case["dim"], case["degree"], case["bound"]
+    dim = case["dim"]
     if kind == "extra term":
-        inside = [(i, j) for i in range(dim) for j in range(dim)
-                  if degree is None or degree[i] + degree[j] <= bound]
-        key = rng.choice(inside)
+        key = rng.choice([(i, j) for i in range(dim) for j in range(dim)])
         cell = tab.setdefault(key, {})
         k = rng.randrange(dim)
         cell[k] = cell.get(k, 0) + rng.choice([1, -1, Fraction(1, 2)])
@@ -207,14 +171,14 @@ def corrupted(case, kind, rng):
 
 def certified_first(tab, case, **overrides):
     """What the callers compute: None when certified, else the dense scan's first triple."""
-    args = {**{k: case[k] for k in ("dim", "unit", "gens", "degree", "bound")}, **overrides}
+    args = {**{k: case[k] for k in ("dim", "unit", "gens")}, **overrides}
     if table.certify_associative(tab, **args):
         return None
-    return table.first_nonassociative(tab, args["dim"], args["degree"], args["bound"])
+    return table.first_nonassociative(tab, args["dim"])
 
 
 def dense_first(tab, case):
-    return table.first_nonassociative(tab, case["dim"], case["degree"], case["bound"])
+    return table.first_nonassociative(tab, case["dim"])
 
 
 def dense_path(module, monkeypatch):
@@ -234,8 +198,7 @@ def associativity_outcome(dual):
 def test_uncorrupted_tables_are_certified(name):
     case = certificate_case(name)
     assert case["gens"]
-    assert table.certify_associative(case["tab"], case["dim"], case["unit"], case["gens"],
-                                     case["degree"], case["bound"])
+    assert table.certify_associative(case["tab"], case["dim"], case["unit"], case["gens"])
 
 
 @pytest.mark.parametrize("name", ["Lambda(4)", "Lambda(5)*"])
@@ -296,24 +259,6 @@ def test_a_unit_that_is_not_one_basis_index_falls_back(unit):
     assert certified_first(tab, case, unit=unit) == dense_first(tab, case)
 
 
-def test_a_cell_above_its_degree_falls_back():
-    case = certificate_case("envelope spo(1) d 3")
-    degree, bound = case["degree"], case["bound"]
-    top = degree.index(bound)
-    tab = {key: dict(cell) for key, cell in case["tab"].items()}
-    tab[(0, 1)] = {**tab[(0, 1)], top: F1}  # 1 e_1 gains a term of degree 3 > 0 + 1
-    assert not table.certify_associative(tab, case["dim"], case["unit"], case["gens"], degree, bound)
-    assert certified_first(tab, case) == dense_first(tab, case) is not None
-
-
-def test_degree_bounded_certificate_ignores_cells_past_the_bound():
-    tab = truncated_polynomials()
-    tab[(1, 2)] = {2: F1}  # x x^2 = x^2 lies past the bound 2
-    assert table.certify_associative(tab, 3, {0: F1}, [1], DEGREE, 2)
-    assert not table.certify_associative(tab, 3, {0: F1}, [1], DEGREE, 3)
-    assert table.first_nonassociative(tab, 3, DEGREE, 3) == (1, 1, 1)
-
-
 def test_closure_returns_to_a_cell_once_its_other_terms_are_reached():
     # k[x]/(x^4) on 1, x, x^2 + x^3, x^3, with G = {x^3, x}: x x = e_2 - e_3
     # has two unreached terms until x^3 = x^3 1 is reached
@@ -333,16 +278,3 @@ def test_closure_returns_to_a_cell_once_its_other_terms_are_reached():
     assert table.first_nonassociative(tab, 4) is None
     assert table.certify_associative(tab, 4, {0: 1}, [3, 1])
     assert not table.certify_associative(tab, 4, {0: 1}, [1])
-
-
-def test_closure_steps_that_lower_degree_do_not_count():
-    # k[x]/(x^4) on 1, x, x^2, x^3 graded 0, 1, 1, 2 under bound 3: x x = x^2
-    # has degree 1 < 1 + 1, so x^2 is proved only for triples up to degree
-    # 2 + 1 and (x^2, x, x^2), where x^2 x^3 is corrupted, stays unchecked
-    degree = [0, 1, 1, 2]
-    tab = {(i, j): {i + j: F1} for i in range(4) for j in range(4)
-           if i + j < 4 and degree[i] + degree[j] <= 3}
-    assert table.first_nonassociative(tab, 4, degree, 3) is None
-    tab[(2, 3)] = {3: F1}
-    assert table.first_nonassociative(tab, 4, degree, 3) == (2, 1, 2)
-    assert not table.certify_associative(tab, 4, {0: F1}, [1], degree, 3)
