@@ -250,7 +250,7 @@ def run_hy_suite(target: str, order: int) -> Report:
     report.add("unique-group-like-counit", dual.counit_is_unique_group_like())
 
     try:
-        lie, _ = primitives(duals[max(order, 3)] if order >= 3 else truncated_dual(pres, 3))
+        lie = primitives(duals[order] if order >= 3 else truncated_dual(pres, 3))
         report.add("primitive-lie-axioms", True)
     except StructureError as exc:
         report.add("primitive-lie-axioms", False, str(exc))

@@ -223,7 +223,7 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
                     for i, image in enumerate(images)}
     return FiniteDimHopf(
         labels=["".join(gens.odds[i] for i in odd_positions(m.odds)) or "1" for m in dual.basis],
-        parity=dual.parity, unit={dual.unit_index: 1},
+        parity=dual.parity, unit={0: 1},
         mult=transpose(dual.coproduct),
         delta={a: whole_as_int(row) for a, row in delta.items()},
         counit=[pres.counit_monomial(m) for m in dual.basis],

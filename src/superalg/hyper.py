@@ -14,6 +14,9 @@ monomial comes from the coproduct of an earlier one and of one generator,
 with ``int`` coefficients when the generator coproducts are whole.  The
 multiplicative extension ``HopfPresentation.delta_monomial`` on
 ``TensorPoly`` products is the independent oracle the tests compare with.
+
+Lie(G) = (A+/(A+)^2)*, the primitives of the dual, is the span of the degree-1
+duals (the lemma in ``primitives``); the unit D[1] is always basis index 0.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import linalg
-from .core import F1, EVEN, ODD, SuperMonomial, mul_monomials, odd_positions
+from .core import F1, SuperMonomial, mul_monomials, odd_positions
 from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
 from .parsing import format_monomial
@@ -34,7 +36,6 @@ from .table import (
     certify_associative,
     first_nonassociative,
     first_nonunital,
-    product,
     transpose,
     whole_as_int,
 )
@@ -51,7 +52,6 @@ class TruncatedDual:
     degree: list[int]
     product: dict[tuple[int, int], Vec]
     coproduct: dict[int, Vec2]
-    unit_index: int
 
     @property
     def dimension(self) -> int:
@@ -61,7 +61,7 @@ class TruncatedDual:
         """Unit scan, and associativity certified from the degree-1 duals by the
         lemma of ``superalg.table`` (every triple is compared where it does
         not apply); exact because degrees only add."""
-        dim, unit = self.dimension, {self.unit_index: F1}
+        dim, unit = self.dimension, {0: F1}
         bad = first_nonunital(self.product, dim, unit)
         if bad is not None:
             raise StructureError(f"unit law fails at {self.labels[bad]}")
@@ -84,8 +84,7 @@ class TruncatedDual:
         """
         # g^order has degree >= order and the basis stops at order - 1, so no
         # power survives the truncation; what is left is Delta(eps) = eps (x) eps
-        image = self.coproduct.get(self.unit_index, {})
-        return image == {(self.unit_index, self.unit_index): F1}
+        return self.coproduct.get(0, {}) == {(0, 0): F1}
 
     def embeds_in(self, larger: TruncatedDual) -> bool:
         """Compatibility of the inclusion into the next-order dual.
@@ -202,63 +201,42 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
 
     return TruncatedDual(
         order=order, basis=basis, labels=labels, parity=parity,
-        degree=degree, product=table, coproduct=coproduct, unit_index=0,
+        degree=degree, product=table, coproduct=coproduct,
     )
 
 
-def primitives(dual: TruncatedDual) -> tuple[SuperLieAlgebraData, list[Vec]]:
-    """Primitive functionals with the super commutator bracket.
+def primitives(dual: TruncatedDual) -> SuperLieAlgebraData:
+    """Lie(G) = (A+/(A+)^2)*: the primitive functionals with the super commutator.
 
-    Solves D(u) = 1 (x) u + u (x) 1 parity by parity, forms
-    [u, v] = u*v - (-1)^{|u||v|} v*u, certifies closure, and returns the
-    structure constants together with the primitive vectors inside the dual.
+    *Lemma.*  u is primitive, D(u) = 1 (x) u + u (x) 1, exactly when u
+    vanishes on 1 and on every product of two monomials of positive degree.
+    Every basis monomial of degree >= 2 is such a product inside the
+    truncation (split off its last factor), so the primitives are the
+    degree-1 duals D[g], whatever the presentation's Delta.  Their brackets
+    [u, v] = u*v - (-1)^{|u||v|} v*u are read off the product table, must
+    close on them, and must satisfy the super Lie axioms.
     """
     if dual.order < 3:
         raise ValueError("order must be at least 3 for faithful brackets")
-    dim = dual.dimension
-    eps = dual.unit_index
-
-    vectors: list[Vec] = []
-    for wanted in (EVEN, ODD):
-        idxs = [i for i in range(dim) if dual.parity[i] == wanted]
-        rows: dict[tuple[int, int], Vec] = {}
-        for col, i in enumerate(idxs):
-            for key, c in dual.coproduct.get(i, {}).items():
-                add_into(rows.setdefault(key, {}), {col: c})
-            # subtract the primitive pattern u (x) eps + eps (x) u
-            add_into(rows.setdefault((i, eps), {}), {col: -F1})
-            add_into(rows.setdefault((eps, i), {}), {col: -F1})
-        for vec in linalg.nullspace(list(rows.values()), len(idxs)):
-            lead = vec[min(vec)]
-            vectors.append({idxs[c]: vec[c] / lead for c in sorted(vec)})
-
-    # order primitives deterministically by their leading basis index
-    vectors.sort(key=lambda v: min(v))
-    labels = []
-    parity = []
-    for vec in vectors:
-        lead = min(vec)
-        labels.append(dual.labels[lead])
-        parity.append(dual.parity[lead])
-
-    # bracket in the dual, re-expressed in the primitive basis
-    coords_in = linalg.span_coordinates(vectors)
+    gens = [i for i, d in enumerate(dual.degree) if d == 1]
+    position = {i: a for a, i in enumerate(gens)}
+    labels = [dual.labels[i] for i in gens]
+    parity = [dual.parity[i] for i in gens]
     bracket: dict[tuple[int, int], Vec] = {}
-    for a, u in enumerate(vectors):
-        for b, v in enumerate(vectors):
-            sign = -F1 if not (parity[a] and parity[b]) else F1
-            comm = product(dual.product, u, v)
-            add_into(comm, product(dual.product, v, u), sign)
-            coords = coords_in(comm)
-            if coords is None:
+    for a, i in enumerate(gens):
+        for b, j in enumerate(gens):
+            comm: Vec = {}
+            add_into(comm, dual.product.get((i, j), {}), F1)
+            add_into(comm, dual.product.get((j, i), {}), F1 if parity[a] and parity[b] else -F1)
+            if any(k not in position for k in comm):
                 raise StructureError(
                     f"bracket [{labels[a]}, {labels[b]}] escapes the primitive subspace"
                 )
-            if coords:
-                bracket[(a, b)] = coords
+            if comm:
+                bracket[(a, b)] = {position[k]: c for k, c in sorted(comm.items())}
     data = SuperLieAlgebraData(labels=labels, parity=parity, bracket=bracket)
     data.validate()
-    return data, vectors
+    return data
 
 
 def check_lie_even(pres: HopfPresentation) -> bool:
@@ -266,8 +244,8 @@ def check_lie_even(pres: HopfPresentation) -> bool:
     read at order 3, the least order whose brackets are faithful."""
     from .hopf import even_quotient
 
-    full, _ = primitives(truncated_dual(pres, 3))
-    even, _ = primitives(truncated_dual(even_quotient(pres), 3))
+    full = primitives(truncated_dual(pres, 3))
+    even = primitives(truncated_dual(even_quotient(pres), 3))
 
     even_idx = full.even_indices()
     if [full.labels[i] for i in even_idx] != even.labels:
@@ -296,7 +274,7 @@ def super_pbw_count(even_dim: int, odd_dim: int, order: int) -> int:
 def pbw_dim_check(pres: HopfPresentation, order: int) -> bool:
     """dim (A/(A+)^n)* equals the super-PBW count for the primitive Lie algebra."""
     dual = truncated_dual(pres, order)
-    lie, _ = primitives(truncated_dual(pres, max(order, 3)))
+    lie = primitives(truncated_dual(pres, max(order, 3)))
     even_dim = len(lie.even_indices())
     odd_dim = len(lie.odd_indices())
     return dual.dimension == super_pbw_count(even_dim, odd_dim, order)

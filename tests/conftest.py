@@ -3,9 +3,10 @@ from itertools import product as cartesian
 
 import hypothesis.strategies as st
 
-from superalg import GeneratorSet, SuperPoly
-from superalg.core import SuperMonomial
-from superalg.table import add_into
+from superalg import GeneratorSet, SuperPoly, linalg
+from superalg.core import EVEN, F1, ODD, SuperMonomial
+from superalg.liealg import StructureError, SuperLieAlgebraData
+from superalg.table import add_into, product
 
 GENS = GeneratorSet(evens=["x", "y"], odds=["t1", "t2", "t3"])
 
@@ -207,3 +208,51 @@ def brute_force_bad_triples(tab, dim, degree=None, bound=None):
                 if times(tab.get((i, j), {}), {k: 1}) != times({i: 1}, tab.get((j, k), {})):
                     bad.append((i, j, k))
     return bad
+
+
+# --- the primitives of a truncated dual solved from D(u) = 1 (x) u + u (x) 1,
+# independent of the lemma that reads them off the degree-1 duals in
+# ``hyper.primitives``
+
+
+def nullspace_primitives(dual):
+    """``(lie, vectors)``: the primitive functionals of ``dual`` as a kernel basis
+    of the coproduct rows, parity by parity, each scaled to lead with 1 and
+    sorted by its leading index, and their super commutators in that basis."""
+    if dual.order < 3:
+        raise ValueError("order must be at least 3 for faithful brackets")
+    dim = dual.dimension
+    vectors = []
+    for wanted in (EVEN, ODD):
+        idxs = [i for i in range(dim) if dual.parity[i] == wanted]
+        rows = {}
+        for col, i in enumerate(idxs):
+            for key, c in dual.coproduct.get(i, {}).items():
+                add_into(rows.setdefault(key, {}), {col: c})
+            # subtract the primitive pattern u (x) eps + eps (x) u
+            add_into(rows.setdefault((i, 0), {}), {col: -F1})
+            add_into(rows.setdefault((0, i), {}), {col: -F1})
+        for vec in linalg.nullspace(list(rows.values()), len(idxs)):
+            lead = vec[min(vec)]
+            vectors.append({idxs[c]: vec[c] / lead for c in sorted(vec)})
+    vectors.sort(key=lambda v: min(v))
+    labels = [dual.labels[min(vec)] for vec in vectors]
+    parity = [dual.parity[min(vec)] for vec in vectors]
+
+    coords_in = linalg.span_coordinates(vectors)
+    bracket = {}
+    for a, u in enumerate(vectors):
+        for b, v in enumerate(vectors):
+            sign = -F1 if not (parity[a] and parity[b]) else F1
+            comm = product(dual.product, u, v)
+            add_into(comm, product(dual.product, v, u), sign)
+            coords = coords_in(comm)
+            if coords is None:
+                raise StructureError(
+                    f"bracket [{labels[a]}, {labels[b]}] escapes the primitive subspace"
+                )
+            if coords:
+                bracket[(a, b)] = coords
+    data = SuperLieAlgebraData(labels=labels, parity=parity, bracket=bracket)
+    data.validate()
+    return data, vectors

@@ -129,11 +129,11 @@ def test_criterion_6_hyperalgebra():
         for k in range(1, 5):
             assert duals[k].embeds_in(duals[k + 1])
 
-    lie, _ = primitives(truncated_dual(ga11, 5))
+    lie = primitives(truncated_dual(ga11, 5))
     assert len(lie.even_indices()) == 1 and len(lie.odd_indices()) == 1
     assert lie.bracket == {}
 
-    lie, _ = primitives(truncated_dual(gl11, 5))
+    lie = primitives(truncated_dual(gl11, 5))
     oracle = glmn_oracle(1, 1)
     for i in range(lie.dimension):
         for j in range(lie.dimension):

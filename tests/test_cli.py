@@ -442,6 +442,11 @@ GOLDEN = {
     # taken before the envelope was certified by its letter relations
     "envelope --r 2 --d 4": "2da3615b89b41ea52f2073cfe1aea4dc27fa63b4b5700bcb9238abb26b248ff3",
     "envelope --abelian 2 3 --d 4": "de21da86f01303d3c972bb6db20d76a6be7a4419cd452ce8eb287cd40abb623f",
+    # taken before the primitives were read off the degree-1 duals: the one
+    # 9-dimensional primitive algebra, and the one order that builds a
+    # separate order-3 dual for its primitives
+    "hy --target gl21 --order 3": "ac383bdfb26ad77a0a2d033efbbcc6d71745c7fa5258ec9e9c82b07b174549e1",
+    "hy --target ga11 --order 2": "902c5bdfbc3404b648d82a38d8ed2307978ba69aec821b756bfa148551bee1fa",
 }
 
 

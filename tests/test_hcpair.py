@@ -383,9 +383,9 @@ ENVELOPE_ALGEBRAS = {
     "spo(1)": lambda: build_super_lie(spo_pair(1)),
     "spo(2)": lambda: build_super_lie(spo_pair(2)),
     "abelian(2|3)": lambda: build_super_lie(abelian_pair(2, 3)),
-    "ga(1|1)": lambda: primitives(truncated_dual(additive_presentation(1, 1), 3))[0],
-    "gl(1|1)": lambda: primitives(truncated_dual(glmn_presentation(1, 1), 3))[0],
-    "gl(2|1)": lambda: primitives(truncated_dual(glmn_presentation(2, 1), 3))[0],
+    "ga(1|1)": lambda: primitives(truncated_dual(additive_presentation(1, 1), 3)),
+    "gl(1|1)": lambda: primitives(truncated_dual(glmn_presentation(1, 1), 3)),
+    "gl(2|1)": lambda: primitives(truncated_dual(glmn_presentation(2, 1), 3)),
 }
 
 

@@ -1,3 +1,6 @@
+import functools
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from superalg.hopf import _monomials_up_to
 from superalg.liealg import StructureError
 from superalg.presfile import builtin_presentation_path, load_presentation
 
-from conftest import coefficients, oracle_mul_monomials, support_of
+from conftest import coefficients, nullspace_primitives, oracle_mul_monomials, support_of
 
 GA11 = additive_presentation(1, 1)
 GL11 = glmn_presentation(1, 1)
@@ -159,8 +162,8 @@ def test_unique_group_like(pres):
 def test_counit_not_group_like_fails_the_certificate(pres, image):
     # a coproduct of the counit other than eps (x) eps is no certificate
     dual = truncated_dual(pres, 4)
-    assert dual.unit_index == 0
-    dual.coproduct[dual.unit_index] = image
+    assert dual.basis[0].is_one()
+    dual.coproduct[0] = image
     assert not dual.counit_is_unique_group_like()
 
 
@@ -323,21 +326,21 @@ def test_coproduct_multiplies_only_pairs_below_the_order(monkeypatch):
 
 
 def test_additive_primitives_abelian():
-    lie, _ = primitives(truncated_dual(GA11, 3))
+    lie = primitives(truncated_dual(GA11, 3))
     assert sorted(lie.labels) == ["D[t1]", "D[tau1]"]
     assert sorted(lie.parity) == [0, 1]
     assert lie.bracket == {}
 
 
 def test_exterior_as_odd_additive_group():
-    lie, _ = primitives(truncated_dual(exterior_hopf(1), 3))
+    lie = primitives(truncated_dual(exterior_hopf(1), 3))
     assert lie.labels == ["D[v1]"]
     assert lie.parity == [1]
     assert lie.bracket == {}
 
 
 def test_gl11_primitives_match_matrix_oracle():
-    lie, _ = primitives(truncated_dual(GL11, 3))
+    lie = primitives(truncated_dual(GL11, 3))
     assert sorted(lie.labels) == ["D[p11]", "D[q11]", "D[x11]", "D[y11]"]
     oracle = glmn_oracle(1, 1)
     for i in range(lie.dimension):
@@ -351,7 +354,7 @@ def test_gl11_primitives_match_matrix_oracle():
 
 
 def test_gl21_primitives_match_matrix_oracle():
-    lie, _ = primitives(truncated_dual(glmn_presentation(2, 1), 3))
+    lie = primitives(truncated_dual(glmn_presentation(2, 1), 3))
     assert lie.dimension == 9
     oracle = glmn_oracle(2, 1)
     for i in range(lie.dimension):
@@ -362,6 +365,82 @@ def test_gl21_primitives_match_matrix_oracle():
                 for name, coeff in oracle(lie.labels[i][2:-1], lie.labels[j][2:-1]).items()
             }
             assert got == want
+
+
+# --- the primitives read off the degree-1 duals, against solving for them
+
+
+PRIMITIVE_PRESENTATIONS = {
+    **{f"additive({e}|{o})": (lambda e=e, o=o: additive_presentation(e, o))
+       for e in range(3) for o in range(4)},
+    "gl(1|1)": lambda: GL11,
+    "gl(2|1)": lambda: glmn_presentation(2, 1),
+    "gl(1|1)_ev": lambda: even_quotient(GL11),
+    "gl(2|1)_ev": lambda: even_quotient(glmn_presentation(2, 1)),
+}
+
+
+@functools.cache
+def cached_dual(name, order):
+    return truncated_dual(PRIMITIVE_PRESENTATIONS[name](), order)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_PRESENTATIONS))
+def test_primitives_match_the_nullspace_oracle(name, order):
+    dual = cached_dual(name, order)
+    lie = primitives(dual)
+    oracle, vectors = nullspace_primitives(dual)
+    assert (lie.labels, lie.parity, lie.bracket) == (oracle.labels, oracle.parity, oracle.bracket)
+    assert vectors == [{i: 1} for i, d in enumerate(dual.degree) if d == 1]
+
+
+def outcome(find, dual):
+    """The algebra ``find`` reads off ``dual``, or the message it raises."""
+    try:
+        lie = find(dual)
+    except StructureError as exc:
+        return str(exc)
+    return lie.labels, lie.parity, lie.bracket
+
+
+@pytest.mark.parametrize("name", ["gl(1|1)", "gl(2|1)"])
+def test_primitives_match_the_oracle_on_corrupted_cells(name):
+    dual = cached_dual(name, 3)
+    gens = [i for i, d in enumerate(dual.degree) if d == 1]
+    seen = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        i, j = rng.choice(gens), rng.choice(gens)
+        cell = dict(dual.product.get((i, j), {}))
+        kind = rng.choice(["double", "negate", "clear", "extra"])
+        if kind == "double":
+            cell = {k: 2 * c for k, c in cell.items()}
+        elif kind == "negate":
+            cell = {k: -c for k, c in cell.items()}
+        elif kind == "clear":
+            cell = {}
+        else:
+            k = rng.randrange(dual.dimension)
+            cell[k] = cell.get(k, 0) + rng.choice([-2, -1, 1, Fraction(1, 2)])
+        corrupted = replace(dual, product={**dual.product, (i, j): cell})
+        got = outcome(primitives, corrupted)
+        assert got == outcome(lambda d: nullspace_primitives(d)[0], corrupted), (seed, kind)
+        # antisymmetry holds by construction, so these are the failures left
+        seen["equal" if not isinstance(got, str) else
+             next(k for k in ("escapes", "parity-graded", "Jacobi") if k in got)] += 1
+    assert seen["equal"] and seen["escapes"] and seen["Jacobi"], seen
+
+
+def test_a_bracket_outside_the_degree_1_duals_escapes():
+    # D[p11] D[q11] gains a degree-2 term, so [D[p11], D[q11]] leaves degree 1
+    dual = truncated_dual(GL11, 3)
+    k = dual.degree.index(2)
+    cell = dual.product.setdefault((1, 2), {})
+    cell[k] = cell.get(k, 0) + 1
+    with pytest.raises(StructureError) as info:
+        primitives(dual)
+    assert str(info.value) == "bracket [D[p11], D[q11]] escapes the primitive subspace"
 
 
 def test_lie_even_additive():

@@ -132,7 +132,7 @@ def hopf_case(hopf):
 
 
 def dual_case(dual):
-    return {"tab": dual.product, "dim": dual.dimension, "unit": {dual.unit_index: F1},
+    return {"tab": dual.product, "dim": dual.dimension, "unit": {0: F1},
             "gens": [i for i, d in enumerate(dual.degree) if d == 1], "dual": dual}
 
 
