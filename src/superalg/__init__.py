@@ -17,7 +17,7 @@ from .core import (
     UnknownGenerator,
     evaluate_hom,
 )
-from .tensor import TensorPoly, tensor_mul
+from .tensor import TensorPoly
 from .parsing import ParseError, format_poly, parse_generator_set, parse_poly
 from .grassmann import (
     GrassmannAlgebra,
@@ -54,7 +54,6 @@ from .finite import (
 from .hyper import (
     TruncatedDual,
     check_lie_even,
-    pbw_dim_check,
     primitives,
     super_pbw_count,
     truncated_dual,

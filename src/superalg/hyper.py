@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .core import F1, SuperMonomial, mul_monomials, odd_positions
-from .hopf import HopfPresentation, PresentationError, _monomials_up_to
+from .hopf import HopfPresentation, PresentationError, _monomials_up_to, even_quotient
 from .liealg import StructureError, SuperLieAlgebraData
 from .parsing import format_monomial
 from .table import (
@@ -239,26 +239,23 @@ def primitives(dual: TruncatedDual) -> SuperLieAlgebraData:
     return data
 
 
-def check_lie_even(pres: HopfPresentation) -> bool:
-    """Lie(G)_0 = Lie(G_ev): equal structure constants on even generator duals,
+def check_lie_even(pres: HopfPresentation, lie: SuperLieAlgebraData) -> bool:
+    """Lie(G)_0 = Lie(G_ev): ``lie``, the primitives of ``pres``, has the even
+    quotient's primitives as its even labels, with equal brackets by label;
     read at order 3, the least order whose brackets are faithful."""
-    from .hopf import even_quotient
-
-    full = primitives(truncated_dual(pres, 3))
     even = primitives(truncated_dual(even_quotient(pres), 3))
+    evens = lie.even_indices()
+    if [lie.labels[i] for i in evens] != even.labels:
+        return False
 
-    even_idx = full.even_indices()
-    if [full.labels[i] for i in even_idx] != even.labels:
-        return False
-    if not full.even_part_closed():
-        return False
-    relabel = {i: c for c, i in enumerate(even_idx)}
-    for a in even_idx:
-        for b in even_idx:
-            lhs = {relabel[k]: c for k, c in full.bracket_basis(a, b).items()}
-            if lhs != even.bracket_basis(relabel[a], relabel[b]):
-                return False
-    return True
+    def named(alg: SuperLieAlgebraData, i: int, j: int) -> dict[str, Fraction]:
+        return {alg.labels[k]: c for k, c in alg.bracket_basis(i, j).items()}
+
+    return all(
+        named(lie, a, b) == named(even, c, d)
+        for c, a in enumerate(evens)
+        for d, b in enumerate(evens)
+    )
 
 
 def super_pbw_count(even_dim: int, odd_dim: int, order: int) -> int:
@@ -269,15 +266,6 @@ def super_pbw_count(even_dim: int, odd_dim: int, order: int) -> int:
         comb(odd_dim, b) * comb(order - 1 - b + even_dim, even_dim)
         for b in range(min(odd_dim, order - 1) + 1)
     )
-
-
-def pbw_dim_check(pres: HopfPresentation, order: int) -> bool:
-    """dim (A/(A+)^n)* equals the super-PBW count for the primitive Lie algebra."""
-    dual = truncated_dual(pres, order)
-    lie = primitives(truncated_dual(pres, max(order, 3)))
-    even_dim = len(lie.even_indices())
-    odd_dim = len(lie.odd_indices())
-    return dual.dimension == super_pbw_count(even_dim, odd_dim, order)
 
 
 def vec_json(vec: Vec) -> list:

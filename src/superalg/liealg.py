@@ -85,11 +85,3 @@ class SuperLieAlgebraData:
         self.check_grading()
         self.check_antisymmetry()
         self.check_jacobi()
-
-    def even_part_closed(self) -> bool:
-        evens = set(self.even_indices())
-        for i in evens:
-            for j in evens:
-                if any(k not in evens for k in self.bracket_basis(i, j)):
-                    return False
-        return True

@@ -164,8 +164,3 @@ class TensorPoly(_TermMap):
         from .parsing import format_tensor
 
         return format_tensor(self)
-
-
-def tensor_mul(left: TensorPoly, right: TensorPoly) -> TensorPoly:
-    """Product in the super tensor-product algebra (alias of ``*``)."""
-    return left * right

@@ -23,9 +23,9 @@ from superalg import (
     exterior_hopf,
     glmn_presentation,
     integral_space,
-    pbw_dim_check,
     primitives,
     spo_pair,
+    super_pbw_count,
     truncated_dual,
     truncated_envelope,
     validate_hcpair,
@@ -120,12 +120,12 @@ def test_criterion_6_hyperalgebra():
     started = time.perf_counter()
     ga11 = additive_presentation(1, 1)
     gl11 = glmn_presentation(1, 1)
-    for pres in (ga11, gl11):
+    for pres, (even_dim, odd_dim) in ((ga11, (1, 1)), (gl11, (2, 2))):
         duals = {k: truncated_dual(pres, k) for k in range(1, 6)}
         duals[5].check_associative_unital()
         assert duals[5].counit_is_unique_group_like()
         for k in range(1, 6):
-            assert pbw_dim_check(pres, k)
+            assert duals[k].dimension == super_pbw_count(even_dim, odd_dim, k)
         for k in range(1, 5):
             assert duals[k].embeds_in(duals[k + 1])
 
@@ -144,8 +144,9 @@ def test_criterion_6_hyperalgebra():
             }
             assert got == want
 
-    assert check_lie_even(gl11)
-    assert check_lie_even(glmn_presentation(2, 1))
+    assert check_lie_even(gl11, primitives(truncated_dual(gl11, 3)))
+    gl21 = glmn_presentation(2, 1)
+    assert check_lie_even(gl21, primitives(truncated_dual(gl21, 3)))
     elapsed = time.perf_counter() - started
     report(6, "hyperalgebra: order-5 duals, oracles, Lie even, PBW", elapsed, 60)
     assert elapsed < 60

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -447,6 +448,10 @@ GOLDEN = {
     # separate order-3 dual for its primitives
     "hy --target gl21 --order 3": "ac383bdfb26ad77a0a2d033efbbcc6d71745c7fa5258ec9e9c82b07b174549e1",
     "hy --target ga11 --order 2": "902c5bdfbc3404b648d82a38d8ed2307978ba69aec821b756bfa148551bee1fa",
+    # taken before the hy suite built each dual and Lie(G) once: Lie(G) read
+    # off a lower-order dual than the one checked, and duals built past the order
+    "hy --target gl21 --order 4": "cb0fd2f765adb83bdc025a36e89ee98112cd2c81130e796d07ed714e67ff944d",
+    "hy --target gl11 --order 1": "8bb91bd4c7ac62eb83f857bfb6cc88891eaf9842a6f1eb04bd79389d7c4339ab",
 }
 
 
@@ -538,6 +543,50 @@ def test_hy_reports_no_dimension_count_without_primitives(tmp_path, monkeypatch)
     status = {c["name"]: c["status"] for c in data["checks"]}
     assert status["primitive-lie-axioms"] == "fail"
     assert "pbw-dimension-counts" not in status
+    assert "lie-even-matches-even-quotient" not in status
+
+
+def _corrupt_primitives(monkeypatch, corrupt):
+    """Run the hy suite on Lie(G) changed by ``corrupt`` after its validation."""
+    from superalg import cli
+
+    validated = cli.primitives
+
+    def corrupted(dual):
+        lie = validated(dual)
+        corrupt(lie)
+        return lie
+
+    monkeypatch.setattr(cli, "primitives", corrupted)
+
+
+def test_hy_oracle_witness_names_the_corrupted_bracket(tmp_path, monkeypatch):
+    def double(lie):
+        lie.bracket[(0, 1)] = {k: 2 * c for k, c in lie.bracket[(0, 1)].items()}
+
+    _corrupt_primitives(monkeypatch, double)
+    code, data = run(["hy", "--target", "gl11", "--order", "3"], tmp_path)
+    assert code == 1
+    checks = {c["name"]: c for c in data["checks"]}
+    assert checks["oracle-matrix-super-bracket"] == {
+        "name": "oracle-matrix-super-bracket",
+        "status": "fail",
+        "witness": "[D[p11], D[q11]] = {'D[y11]': Fraction(2, 1), 'D[x11]': Fraction(2, 1)}, "
+                   "oracle {'D[x11]': 1, 'D[y11]': 1}",
+    }
+
+
+def test_hy_lie_even_check_reads_the_suite_lie_algebra(tmp_path, monkeypatch):
+    def even_bracket(lie):
+        x, y = lie.labels.index("D[x11]"), lie.labels.index("D[y11]")
+        lie.bracket[(y, x)] = {x: Fraction(1)}
+        lie.bracket[(x, y)] = {x: Fraction(-1)}
+
+    _corrupt_primitives(monkeypatch, even_bracket)
+    code, data = run(["hy", "--target", "gl11", "--order", "3"], tmp_path)
+    assert code == 1
+    status = {c["name"]: c["status"] for c in data["checks"]}
+    assert status["lie-even-matches-even-quotient"] == "fail"
 
 
 def _primed_scan(monkeypatch, translate):

@@ -19,7 +19,6 @@ from superalg import (
     even_quotient,
     exterior_hopf,
     glmn_presentation,
-    pbw_dim_check,
     primitives,
     super_pbw_count,
     truncated_dual,
@@ -444,17 +443,44 @@ def test_a_bracket_outside_the_degree_1_duals_escapes():
 
 
 def test_lie_even_additive():
-    assert check_lie_even(GA11)
+    assert check_lie_even(GA11, primitives(truncated_dual(GA11, 3)))
 
 
 def test_lie_even_exterior_trivial():
     # odd additive group: even part of the Lie algebra is zero
-    assert check_lie_even(exterior_hopf(2))
+    pres = exterior_hopf(2)
+    assert check_lie_even(pres, primitives(truncated_dual(pres, 3)))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
 def test_lie_even_glmn(m, n):
-    assert check_lie_even(glmn_presentation(m, n))
+    pres = glmn_presentation(m, n)
+    assert check_lie_even(pres, primitives(truncated_dual(pres, 3)))
+
+
+def gl11_lie_and_indices():
+    lie = primitives(truncated_dual(GL11, 3))
+    return lie, *(lie.labels.index(f"D[{name}]") for name in ("x11", "y11", "p11"))
+
+
+def test_lie_even_fails_on_a_nonzero_even_bracket():
+    # gl(1|1)_0 is abelian, so an antisymmetric [D[y11], D[x11]] = D[x11] is wrong
+    lie, x, y, _ = gl11_lie_and_indices()
+    lie.bracket[(y, x)] = {x: Fraction(1)}
+    lie.bracket[(x, y)] = {x: Fraction(-1)}
+    assert not check_lie_even(GL11, lie)
+
+
+def test_lie_even_fails_on_a_renamed_even_label():
+    lie, x, _, _ = gl11_lie_and_indices()
+    lie.labels[x] = "D[z11]"
+    assert not check_lie_even(GL11, lie)
+
+
+def test_lie_even_fails_on_an_odd_component_of_an_even_bracket():
+    lie, x, y, p = gl11_lie_and_indices()
+    lie.bracket[(y, x)] = {p: Fraction(1)}
+    assert not check_lie_even(GL11, lie)
 
 
 # --- PBW counting
@@ -466,12 +492,12 @@ def test_pbw_count_additive_order4():
     expected = {(i, e) for e in (0, 1) for i in range(4) if i + e < 4}
     assert dual.dimension == len(expected) == 7
     assert super_pbw_count(1, 1, 4) == 7
-    assert pbw_dim_check(GA11, 4)
+    assert truncated_dual(GA11, 4).dimension == super_pbw_count(1, 1, 4)
 
 
 def test_pbw_trivial_order():
-    assert pbw_dim_check(GA11, 1)
-    assert pbw_dim_check(GL11, 1)
+    assert truncated_dual(GA11, 1).dimension == super_pbw_count(1, 1, 1)
+    assert truncated_dual(GL11, 1).dimension == super_pbw_count(2, 2, 1)
 
 
 def test_pbw_gl11_order3():
@@ -479,10 +505,10 @@ def test_pbw_gl11_order3():
     # (2|2) variables: 1 + 4 + (3 + 4 + 1) of degree < 3
     assert dual.dimension == 13
     assert super_pbw_count(2, 2, 3) == 13
-    assert pbw_dim_check(GL11, 3)
+    assert truncated_dual(GL11, 3).dimension == super_pbw_count(2, 2, 3)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_pbw_checks_through_order_five(order):
-    assert pbw_dim_check(GA11, order)
-    assert pbw_dim_check(GL11, order)
+    assert truncated_dual(GA11, order).dimension == super_pbw_count(1, 1, order)
+    assert truncated_dual(GL11, order).dimension == super_pbw_count(2, 2, order)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from superalg import GeneratorSet, SuperPoly, TensorPoly, tensor_mul
+from superalg import GeneratorSet, SuperPoly, TensorPoly
 from superalg.tensor import _key_product
 
 from conftest import GENS, homogeneous_polys, monomials, oracle_mul_monomials, polys
@@ -15,7 +15,7 @@ def test_koszul_sign_example():
     one_a, one_b = SuperPoly.one(A), SuperPoly.one(B)
     t = SuperPoly.generator(A, "t")
     s = SuperPoly.generator(B, "s")
-    left = tensor_mul(TensorPoly.of(one_a, s), TensorPoly.of(t, one_b))
+    left = TensorPoly.of(one_a, s) * TensorPoly.of(t, one_b)
     assert left == -TensorPoly.of(t, s)
 
 
@@ -23,7 +23,7 @@ def test_even_factors_cross_without_sign():
     one_a, one_b = SuperPoly.one(A), SuperPoly.one(B)
     x = SuperPoly.generator(A, "x")
     y = SuperPoly.generator(B, "y")
-    assert tensor_mul(TensorPoly.of(x, one_b), TensorPoly.of(one_a, y)) == TensorPoly.of(x, y)
+    assert TensorPoly.of(x, one_b) * TensorPoly.of(one_a, y) == TensorPoly.of(x, y)
 
 
 @st.composite
