@@ -46,7 +46,6 @@ from .finite import (
     dual_hopf,
     dual_iso_check,
     exterior_finite,
-    exterior_pairing,
     finite_from_presentation,
     integral_space,
     pairing_on_sequences,

@@ -238,7 +238,7 @@ def pairing_on_sequences(fs: list[int], vs: list[int]) -> Fraction:
     """Brute-force sum over permutations of sgn(s) f_1(v_s(1)) ... f_k(v_s(k)).
 
     Dual bases are assumed: f_i(v_j) = [i == j].  This is the independent
-    oracle for the exterior pairing.
+    oracle for <f_I, v_J> = [I == J] on normal blades, which `dual_iso_check` assumes.
     """
     if len(fs) != len(vs):
         return F0
@@ -252,22 +252,6 @@ def pairing_on_sequences(fs: list[int], vs: list[int]) -> Fraction:
                 value = F0
                 break
         total += value
-    return total
-
-
-def exterior_pairing(f: SuperPoly, w: SuperPoly) -> Fraction:
-    """Bilinear extension of the determinant pairing to normal-form elements.
-
-    On normal blades with dual bases the determinant collapses to support
-    equality; reordering signs were already materialised by normalisation.
-    """
-    total = F0
-    for mf, cf in f.terms.items():
-        if any(mf.evens):
-            raise PresentationError("pairing is defined on exterior algebras")
-        for mw, cw in w.terms.items():
-            if mf.odds == mw.odds:
-                total += cf * cw
     return total
 
 
@@ -339,7 +323,13 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
     Underlying space kZ2 (x) A with basis g^s (x) e_i; the group element acts
     by the parity automorphism and the coproduct inserts the parity of the
     first coproduct leg:  D(g^s (x) c) = sum (g^s (x) c1) (x) (g^{s+|c1|} (x) c2).
-    The antipode is found by solving the convolution-inverse linear system.
+
+    The antipode is read off S_A (Radford; Majid).  S(1 (x) a) =
+    (-1)^{|a|} g^{|a|} (x) S_A(a), since then sum S(1 (x) a1)(g^{|a1|} (x) a2)
+    = 1 (x) sum S_A(a1) a2 = eps(a).  S is anti-multiplicative and S(g) = g,
+    so S(g^s (x) a) = S(1 (x) a)(g^s (x) 1); as S_A preserves parity,
+    S(g^s (x) e_i) = (-1)^{p_i (s+1)} g^{s+p_i} (x) S_A(e_i).  Without an
+    antipode table for A the bosonization has none either.
     """
     dim = hopf.dimension
 
@@ -347,7 +337,6 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
         return s * dim + i
 
     labels = hopf.labels + ["g" if lbl == "1" else f"g.{lbl}" for lbl in hopf.labels]
-    size = 2 * dim
     unit = {idx(0, i): c for i, c in hopf.unit.items()}
     mult: dict[tuple[int, int], Vec] = {}
     for s in (0, 1):
@@ -367,41 +356,17 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
                 (idx(s, j), idx((s + hopf.parity[j]) % 2, k)): c
                 for (j, k), c in hopf.delta.get(i, {}).items() if c
             }
-    counit = hopf.counit * 2
-
-    result = FiniteDimHopf(
-        labels=labels, parity=[0] * size, unit=unit, mult=mult, delta=delta,
-        counit=counit, antipode=None,
+    antipode = None
+    if hopf.antipode is not None:
+        antipode = {
+            idx(s, i): {idx((s + p) % 2, k): -c if p and not s else c
+                        for k, c in hopf.antipode.get(i, {}).items()}
+            for s in (0, 1) for i, p in enumerate(hopf.parity)
+        }
+    return FiniteDimHopf(
+        labels=labels, parity=[0] * 2 * dim, unit=unit, mult=mult, delta=delta,
+        counit=hopf.counit * 2, antipode=antipode,
     )
-    result.antipode = _solve_antipode(result)
-    return result
-
-
-def _solve_antipode(hopf: FiniteDimHopf) -> dict[int, Vec] | None:
-    """Convolution inverse of the identity (integral values as int), or None.
-
-    Unknown ``j * dim + l`` is the e_l coefficient of S(e_j); equation (a, r)
-    is the e_r coefficient of sum S(a1) a2 = eps(a) 1."""
-    dim = hopf.dimension
-    get = hopf.mult.get
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    for a in range(dim):
-        equations: dict[int, Vec] = {}
-        for (j, k), c in hopf.delta.get(a, {}).items():
-            for l in range(dim):
-                for r, coeff in get((l, k), {}).items():
-                    add_into(equations.setdefault(r, {}), {j * dim + l: coeff}, c)
-        for r in range(dim):
-            rows.append(equations.get(r, {}))
-            rhs.append(hopf.counit[a] * hopf.unit.get(r, 0))
-    solution = linalg.solve(rows, rhs, dim * dim)
-    if solution is None:
-        return None
-    antipode: dict[int, Vec] = {j: {} for j in range(dim)}
-    for x, c in solution.items():  # in increasing x
-        antipode[x // dim][x % dim] = c
-    return {j: whole_as_int(row) for j, row in antipode.items()}
 
 
 # --- integrals -------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A row is a ``dict`` from column to a nonzero ``int`` or ``Fraction``.
 ``rref`` is the one elimination; the reduced row echelon form is unique, so
-``nullspace``, ``solve`` and ``invert`` (dense square matrices, for
-``grassmann`` and ``hcpair``) read exact ``Fraction`` answers off it.
+``nullspace``, ``invert`` (dense square matrices, for ``grassmann`` and
+``hcpair``) and ``solve`` (no caller in the package) read exact answers off it.
 ``span_coordinates`` expresses vectors in a ``nullspace`` basis by lookup.
 """
 

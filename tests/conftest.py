@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from superalg import GeneratorSet, SuperPoly, linalg
 from superalg.core import EVEN, F1, ODD, SuperMonomial
 from superalg.liealg import StructureError, SuperLieAlgebraData
-from superalg.table import add_into, product
+from superalg.table import add_into, product, whole_as_int
 
 GENS = GeneratorSet(evens=["x", "y"], odds=["t1", "t2", "t3"])
 
@@ -256,3 +256,34 @@ def nullspace_primitives(dual):
     data = SuperLieAlgebraData(labels=labels, parity=parity, bracket=bracket)
     data.validate()
     return data, vectors
+
+
+# --- the antipode of a finite Hopf table solved as the convolution inverse of
+# the identity, independent of the formula in S_A that ``finite.bosonize`` uses
+
+
+def solved_antipode(hopf):
+    """Convolution inverse of the identity (integral values as int), or None.
+
+    Unknown ``j * dim + l`` is the e_l coefficient of S(e_j); equation (a, r)
+    is the e_r coefficient of sum S(a1) a2 = eps(a) 1."""
+    dim = hopf.dimension
+    get = hopf.mult.get
+    rows = []
+    rhs = []
+    for a in range(dim):
+        equations = {}
+        for (j, k), c in hopf.delta.get(a, {}).items():
+            for l in range(dim):
+                for r, coeff in get((l, k), {}).items():
+                    add_into(equations.setdefault(r, {}), {j * dim + l: coeff}, c)
+        for r in range(dim):
+            rows.append(equations.get(r, {}))
+            rhs.append(hopf.counit[a] * hopf.unit.get(r, 0))
+    solution = linalg.solve(rows, rhs, dim * dim)
+    if solution is None:
+        return None
+    antipode = {j: {} for j in range(dim)}
+    for x, c in solution.items():  # in increasing x
+        antipode[x // dim][x % dim] = c
+    return {j: whole_as_int(row) for j, row in antipode.items()}

@@ -416,11 +416,13 @@ def test_repeated_statement_is_exit_2(kind, tmp_path, capsys):
 # structure and per-degree dimensions moved from always-passing checks into
 # the report's ``data`` block, payloads unchanged; the exterior digests were
 # re-taken when ``duality[n=...]:pairing-bijective``, which cannot fail, was
-# removed, each report otherwise unchanged)
+# removed, each report otherwise unchanged; the bosonize digests were re-taken
+# when ``dimension`` and ``antipode-solvable`` were removed, since the
+# bosonization has 2 dim A labels by construction and its antipode, read off
+# S_A, exists exactly when the base has one, each report otherwise unchanged)
 
 GOLDEN = {
     "verify exterior --dim 3": "3a60e6a76cc70c6ae13ec2e262998df421594577cf5964077a089220c0378819",
-    "verify bosonize --dim 2": "54782958c977c08fdb4685a4682156009e81a44c68ed8bc8cbfbc8a6d8bb5515",
     "verify integrals --dim 3": "cf1037d68cd9ecb88a31e88bbc3cdd3b3eec28d2f696accd79ce5b1b0293bda5",
     "hy --target gl11 --order 4": "58540e3937c272cc32667c56dfba97bcc42ed2a4e86f9a4c0dd3acaecf930d2a",
     "hcpair --r 1 --seed 1": "aaa01a2b6c9faf2347c4c69de7e28e49569a4a7303f2d6d43dbeac5d45190fbc",
@@ -452,6 +454,8 @@ GOLDEN = {
     # off a lower-order dual than the one checked, and duals built past the order
     "hy --target gl21 --order 4": "cb0fd2f765adb83bdc025a36e89ee98112cd2c81130e796d07ed714e67ff944d",
     "hy --target gl11 --order 1": "8bb91bd4c7ac62eb83f857bfb6cc88891eaf9842a6f1eb04bd79389d7c4339ab",
+    "verify bosonize --dim 2": "f52753d34377aa5c320f56d7e13797dd5b310da19bac275115e0914b83e5e46e",
+    "verify bosonize --dim 3": "2b55d0d61699b47db1fc0b582e87bfb4245362606754e7f3d5d14c014659f43f",
 }
 
 

@@ -4,22 +4,24 @@ from itertools import combinations
 import pytest
 
 from superalg import (
-    SuperPoly,
     bosonize,
     check_finite_hopf_axioms,
     dual_hopf,
     dual_iso_check,
     exterior_finite,
     exterior_hopf,
-    exterior_pairing,
     finite_from_presentation,
     integral_space,
     pairing_on_sequences,
 )
-from superalg.core import SuperMonomial
 
-from conftest import mask_of
-from superalg.finite import compose_with_antipode, is_left_integral, is_right_integral
+from conftest import solved_antipode
+from superalg.finite import (
+    FiniteDimHopf,
+    compose_with_antipode,
+    is_left_integral,
+    is_right_integral,
+)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -59,38 +61,20 @@ def test_corrupted_constant_fails_with_first_triple(n, key, cell, failures):
         assert witnesses[name] == witness
 
 
-def test_pairing_dual_basis_examples():
-    gens = exterior_hopf(2).gens
-    f12 = SuperPoly.monomial(gens, SuperMonomial((), 0b11))
-    v12 = SuperPoly.monomial(gens, SuperMonomial((), 0b11))
-    f1 = SuperPoly.monomial(gens, SuperMonomial((), 0b01))
-    v2 = SuperPoly.monomial(gens, SuperMonomial((), 0b10))
-    assert exterior_pairing(f12, v12) == 1
-    assert exterior_pairing(f1, v2) == 0
-
-
 def test_pairing_odd_permutation_sign():
     # <f1 ^ f2, v2 ^ v1> via the displayed permutation sum
     assert pairing_on_sequences([0, 1], [1, 0]) == -1
     assert pairing_on_sequences([0, 1], [0, 1]) == 1
     assert pairing_on_sequences([0], [1]) == 0
-    # and through normal forms: v2 ^ v1 normalises to -v1v2
-    gens = exterior_hopf(2).gens
-    v1 = SuperPoly.generator(gens, "v1")
-    v2 = SuperPoly.generator(gens, "v2")
-    f12 = SuperPoly.monomial(gens, SuperMonomial((), 0b11))
-    assert exterior_pairing(f12, v2 * v1) == -1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pairing_agrees_with_permutation_oracle(n):
-    gens = exterior_hopf(n).gens
-    for size in range(n + 1):
-        for left in combinations(range(n), size):
-            for right in combinations(range(n), size):
-                f = SuperPoly.monomial(gens, SuperMonomial((), mask_of(left)))
-                w = SuperPoly.monomial(gens, SuperMonomial((), mask_of(right)))
-                assert exterior_pairing(f, w) == pairing_on_sequences(list(left), list(right))
+    # on normal blades the pairing is <f_I, v_J> = [I == J], as dual_iso_check assumes
+    blades = [list(c) for size in range(n + 1) for c in combinations(range(n), size)]
+    for left in blades:
+        for right in blades:
+            assert pairing_on_sequences(left, right) == (left == right)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -200,6 +184,69 @@ def test_bosonize_ordinary_hopf_axioms(n):
     assert result.dimension == 2 ** (n + 1)
     assert result.antipode is not None
     assert check_finite_hopf_axioms(result).ok
+
+
+def _z3_times_exterior_1():
+    """kZ3 (x) L(1) on e_a v^b (index 2a + b): g group-like of order 3, v odd
+    primitive, e_a e_c = e_{a+c}, S(e_a v^b) = (-1)^b e_{-a} v^b."""
+    basis = [(a, b) for a in range(3) for b in (0, 1)]
+    return FiniteDimHopf(
+        labels=["1", "v", "g", "g.v", "g2", "g2.v"],
+        parity=[b for _, b in basis],
+        unit={0: 1},
+        mult={(2 * a + b, 2 * c + d): {2 * ((a + c) % 3) + b + d: 1}
+              for a, b in basis for c, d in basis if not (b and d)},
+        delta={2 * a + b: ({(2 * a + 1, 2 * a): 1, (2 * a, 2 * a + 1): 1} if b
+                           else {(2 * a, 2 * a): 1})
+               for a, b in basis},
+        counit=[1 - b for _, b in basis],
+        antipode={2 * a + b: {2 * (-a % 3) + b: -1 if b else 1} for a, b in basis},
+    )
+
+
+BOSONIZATION_BASES = (
+    [(f"exterior[{n}]", lambda n=n: exterior_finite(n)) for n in range(5)]
+    + [(f"dual-exterior[{n}]", lambda n=n: dual_hopf(exterior_finite(n))) for n in range(5)]
+    + [(f"presentation[{n}]", lambda n=n: finite_from_presentation(exterior_hopf(n)))
+       for n in range(5)]
+    # ordinary bases whose antipode is not diagonal
+    + [(f"bosonized-exterior[{n}]", lambda n=n: bosonize(exterior_finite(n))) for n in range(3)]
+    + [("z3-times-exterior[1]", _z3_times_exterior_1)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in BOSONIZATION_BASES],
+                         ids=[name for name, _ in BOSONIZATION_BASES])
+def test_bosonization_antipode_equals_solved_convolution_inverse(build):
+    base = build()
+    assert check_finite_hopf_axioms(base).ok
+    result = bosonize(base)
+    assert result.antipode == solved_antipode(result)
+    assert {type(c) for vec in result.antipode.values() for c in vec.values()} == {int}
+    assert check_finite_hopf_axioms(result).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wrong_base_antipode_fails_the_bosonization(n):
+    # S(v1) = +v1 is carried into the bosonization, whose antipode check then fails at v1
+    base = exterior_finite(n)
+    v1 = base.labels.index("v1")
+    base.antipode[v1] = {v1: 1}
+    report = check_finite_hopf_axioms(bosonize(base))
+    assert {c["name"]: c.get("witness", "") for c in report.failures()} == {
+        "antipode": "antipode identity fails at v1",
+    }
+
+
+def test_base_without_antipode_gives_bosonization_without_one():
+    base = exterior_finite(2)
+    base.antipode = None
+    result = bosonize(base)
+    assert result.antipode is None
+    report = check_finite_hopf_axioms(result)
+    assert {c["name"]: c.get("witness", "") for c in report.failures()} == {
+        "antipode": "no antipode table",
+    }
 
 
 def test_integrals_lambda_one():
