@@ -48,7 +48,6 @@ from .finite import (
     exterior_finite,
     finite_from_presentation,
     integral_space,
-    pairing_on_sequences,
 )
 from .hyper import (
     TruncatedDual,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, product
 
 from . import linalg
 from .core import F0, F1, SuperPoly, blades, cross, odd_positions
@@ -232,27 +232,6 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
 
 
 # --- exterior duality ----------------------------------------------------------
-
-
-def pairing_on_sequences(fs: list[int], vs: list[int]) -> Fraction:
-    """Brute-force sum over permutations of sgn(s) f_1(v_s(1)) ... f_k(v_s(k)).
-
-    Dual bases are assumed: f_i(v_j) = [i == j].  This is the independent
-    oracle for <f_I, v_J> = [I == J] on normal blades, which `dual_iso_check` assumes.
-    """
-    if len(fs) != len(vs):
-        return F0
-    total = F0
-    k = len(fs)
-    for perm in permutations(range(k)):
-        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        value = F1 if inversions % 2 == 0 else -F1
-        for a in range(k):
-            if fs[a] != vs[perm[a]]:
-                value = F0
-                break
-        total += value
-    return total
 
 
 def dual_hopf(hopf: FiniteDimHopf) -> FiniteDimHopf:

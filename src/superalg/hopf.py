@@ -14,18 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .core import (
     F0,
     F1,
-    EVEN,
     ODD,
     GeneratorSet,
     SuperMonomial,
     SuperPoly,
     blades,
     evaluate_hom,
-    mul_monomials,
 )
 from .report import AxiomReport
 from .table import add_into
@@ -337,37 +334,12 @@ def _monomials_up_to(gens: GeneratorSet, bound: int) -> list[SuperMonomial]:
 
 
 def compute_W(pres: HopfPresentation) -> OddCotangent:
-    """Basis of A_1 / A_0^+ A_1, certified by truncated row reduction.
+    """Basis of A_1 / A_0^+ A_1: the odd generators.
 
-    For a free presentation the products of a nonconstant even-parity
-    monomial with an odd-parity monomial span everything except the single
-    odd generators, and the row reduction certifies exactly that on the odd
-    monomials of degree <= 3, the least degree holding both kinds of
-    product, x * tau and (tau1 tau2) * tau3.
+    Lemma: in a free super-commutative algebra every odd monomial of degree
+    >= 2 lies in A_0^+ A_1.  With an even factor x it is x * (m / x); with
+    none it has at least three odd factors and is +-(t_a t_b) * rest.  So
+    A_0^+ A_1 is the span of the odd monomials of degree >= 2, and the single
+    odd generators are a basis of the quotient.
     """
-    gens = pres.gens
-    degree_bound = 3
-    monos = _monomials_up_to(gens, degree_bound)
-    odd_monos = [m for m in monos if m.parity == ODD]
-    index = {m: i for i, m in enumerate(odd_monos)}
-    even_nonconstant = [m for m in monos if m.parity == EVEN and not m.is_one()]
-    rows = []
-    for u in even_nonconstant:
-        du = u.degree()
-        for w in odd_monos:
-            if du + w.degree() > degree_bound:
-                continue
-            prod = mul_monomials(u, w)
-            if prod is None:
-                continue
-            sign, mono = prod
-            rows.append({index[mono]: sign})
-    _, pivots = linalg.rref(rows)
-    pivot_set = set(pivots)
-    basis_monos = [m for i, m in enumerate(odd_monos) if i not in pivot_set]
-    names = []
-    for mono in basis_monos:
-        if any(mono.evens) or mono.odds.bit_count() != 1:
-            raise PresentationError(f"unexpected odd cotangent representative {mono}")
-        names.append(gens.odds[mono.odds.bit_length() - 1])
-    return OddCotangent(basis=names)
+    return OddCotangent(basis=list(pres.gens.odds))

@@ -81,6 +81,10 @@ class TruncatedDual:
         k (k = order for even g, 2 for odd g), c_g^k = 0 forces every c_g = 0
         over the rationals, and u = counit on all monomials.  The direct
         group-like property of the counit is checked from the tables.
+
+        It cannot fail on a table ``truncated_dual`` built (only 1 * 1 reaches
+        index 0, the empty monomial), so no report carries it; acceptance
+        criterion 6 and the tests on edited tables call it.
         """
         # g^order has degree >= order and the basis stops at order - 1, so no
         # power survives the truncation; what is left is Delta(eps) = eps (x) eps
@@ -128,8 +132,6 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
         (m for m in _monomials_up_to(gens, order - 1)),
         key=lambda m: (m.degree(), m.evens, odd_positions(m.odds)),
     )
-    if not basis[0].is_one():
-        raise PresentationError("basis ordering must start at the empty monomial")
     index = {m: i for i, m in enumerate(basis)}
     labels = ["D[" + (format_monomial(gens, m) or "1") + "]" for m in basis]
     parity = [m.parity for m in basis]

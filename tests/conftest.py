@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import product as cartesian
+from itertools import permutations, product as cartesian
 
 import hypothesis.strategies as st
 
 from superalg import GeneratorSet, SuperPoly, linalg
-from superalg.core import EVEN, F1, ODD, SuperMonomial
+from superalg.core import EVEN, F0, F1, ODD, SuperMonomial, mul_monomials
+from superalg.hopf import _monomials_up_to
 from superalg.liealg import StructureError, SuperLieAlgebraData
 from superalg.table import add_into, product, whole_as_int
 
@@ -287,3 +288,60 @@ def solved_antipode(hopf):
     for x, c in solution.items():  # in increasing x
         antipode[x // dim][x % dim] = c
     return {j: whole_as_int(row) for j, row in antipode.items()}
+
+
+# --- the odd cotangent space A_1 / A_0^+ A_1 by truncated row reduction,
+# independent of the lemma that reads it off the odd generators in
+# ``hopf.compute_W``
+
+
+def rref_cotangent(pres):
+    """Names of the odd generators that span A_1 / A_0^+ A_1, found by row
+    reducing the products (nonconstant even monomial) * (odd monomial) among
+    the odd monomials of degree <= 3, the least degree holding both kinds of
+    product, x * tau and (tau1 tau2) * tau3.  Raises when a non-pivot column
+    is not a single odd generator."""
+    gens = pres.gens
+    degree_bound = 3
+    monos = _monomials_up_to(gens, degree_bound)
+    odd_monos = [m for m in monos if m.parity == ODD]
+    index = {m: i for i, m in enumerate(odd_monos)}
+    rows = []
+    for u in monos:
+        if u.parity != EVEN or u.is_one():
+            continue
+        for w in odd_monos:
+            if u.degree() + w.degree() > degree_bound:
+                continue
+            prod = mul_monomials(u, w)
+            if prod is not None:
+                sign, mono = prod
+                rows.append({index[mono]: sign})
+    _, pivots = linalg.rref(rows)
+    pivot_set = set(pivots)
+    names = []
+    for i, mono in enumerate(odd_monos):
+        if i in pivot_set:
+            continue
+        if any(mono.evens) or mono.odds.bit_count() != 1:
+            raise AssertionError(f"unexpected odd cotangent representative {mono}")
+        names.append(gens.odds[mono.odds.bit_length() - 1])
+    return names
+
+
+# --- the exterior pairing by its permutation sum, independent of the rule
+# <f_I, v_J> = [I == J] on normal blades that ``finite.dual_iso_check`` assumes
+
+
+def pairing_on_sequences(fs, vs):
+    """Brute-force sum over permutations of sgn(s) f_1(v_s(1)) ... f_k(v_s(k)),
+    for dual bases: f_i(v_j) = [i == j]."""
+    if len(fs) != len(vs):
+        return F0
+    total = F0
+    k = len(fs)
+    for perm in permutations(range(k)):
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+        if all(fs[a] == vs[perm[a]] for a in range(k)):
+            total += F1 if inversions % 2 == 0 else -F1
+    return total

@@ -5,7 +5,9 @@ swaps ``cli.<capture>`` for a recorder, and the ``bench/*.py`` files import
 names from ``superalg`` and read attributes off its modules (``cli.run_*_suite``,
 ``hyper.truncated_dual``, ``core._MUL_CACHE``); a renamed or deleted name would
 fail only there, with an ``ImportError`` or ``AttributeError`` in a bench run.
-The files are read, not run.
+The files are read, not run, except for ``bench/workloads.py``, whose ops are
+run at their tiny size so that each gate, and each ``cli`` capture the gates
+read, is checked here too.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -56,7 +58,7 @@ def _superalg_uses() -> list[tuple[str, str]]:
     return sorted(uses)
 
 
-@pytest.mark.parametrize("label,modname,attr", _load_tracer().BOUNDARIES)
+@pytest.mark.parametrize("label,modname,attr", _load("tracer").BOUNDARIES)
 def test_traced_boundary_resolves(label, modname, attr):
     module = importlib.import_module(modname)
     if "." in attr:
@@ -87,3 +89,12 @@ def test_bench_superalg_name_resolves(modname, name):
     module = importlib.import_module(modname)
     if not hasattr(module, name):
         importlib.import_module(f"{modname}.{name}")  # a submodule; raises when it is gone
+
+
+@pytest.mark.parametrize("workload", _load("workloads").WORKLOADS)
+def test_tiny_workload_ops_pass_their_gates(workload):
+    # a suite that stops calling a captured function leaves its value at None
+    workloads = _load("workloads")
+    for op in workloads.build(workload, 1, 0, "tiny"):
+        miss = workloads.gate(op.call(), op.expected)
+        assert miss is None, f"{op.name}: {miss}"

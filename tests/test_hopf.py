@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import rref_cotangent
 from superalg import (
     GeneratorSet,
     HopfPresentation,
@@ -15,7 +18,10 @@ from superalg import (
     even_quotient,
     exterior_hopf,
     glmn_presentation,
+    load_presentation,
 )
+from superalg.hopf import primitive_presentation
+from superalg.presfile import builtin_presentation_path
 
 
 def test_exterior_trivial():
@@ -160,6 +166,34 @@ def test_compute_W_glmn_dimension(m, n):
     cotangent = compute_W(glmn_presentation(m, n))
     assert cotangent.dimension == 2 * m * n
     assert set(cotangent.basis) == set(glmn_presentation(m, n).gens.odds)
+
+
+GL_SHAPES = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
+COTANGENT_CASES = {
+    **{f"exterior({n})": lambda n=n: exterior_hopf(n) for n in range(8)},
+    **{f"additive({e}|{o})": lambda e=e, o=o: additive_presentation(e, o)
+       for e in range(4) for o in range(5)},
+    **{f"gl({m}|{n})": lambda m=m, n=n: glmn_presentation(m, n) for m, n in GL_SHAPES},
+    **{f"gl({m}|{n})_ev": lambda m=m, n=n: even_quotient(glmn_presentation(m, n))
+       for m, n in GL_SHAPES},
+    **{name: lambda name=name: load_presentation(builtin_presentation_path(name))
+       for name in ("exterior_2.shp", "gl_1_1.shp")},
+}
+
+
+@pytest.mark.parametrize("case", list(COTANGENT_CASES))
+def test_compute_W_agrees_with_row_reduction(case):
+    # the lemma in compute_W against the row reduction it replaced
+    pres = COTANGENT_CASES[case]()
+    assert compute_W(pres).basis == rref_cotangent(pres)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=3, unique=True),
+       st.lists(st.sampled_from(["s", "t", "u", "v"]), max_size=4, unique=True))
+def test_compute_W_agrees_with_row_reduction_on_drawn_generators(evens, odds):
+    pres = primitive_presentation(evens, odds)
+    assert compute_W(pres).basis == rref_cotangent(pres)
 
 
 def test_odd_counit_must_vanish():
