@@ -58,11 +58,9 @@ from .hyper import (
 )
 from .liealg import StructureError, SuperLieAlgebraData
 from .hcpair import (
-    HCPair,
     TruncatedEnvelope,
     abelian_pair,
     build_super_lie,
-    envelope_pbw_count,
     sp_basis,
     spo_pair,
     truncated_envelope,

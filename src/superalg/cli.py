@@ -27,13 +27,11 @@ from .finite import (
 )
 from .grassmann import PointSampler, SuperMatrix
 from .hcpair import (
+    abelian_pair,
     build_super_lie,
-    envelope_pbw_count,
     group_bracket_equivariance,
-    is_symplectic,
     sample_transvections,
     spo_pair,
-    standard_J,
     truncated_envelope,
     validate_hcpair,
 )
@@ -257,55 +255,38 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
         suite="hcpair",
         config={"r": r, "no_half": no_half, "transvections": transvections, "seed": seed},
     )
-    pair = spo_pair(r, half=not no_half)
-    report.add("sp-dimension", pair.g0_dim == r * (2 * r + 1), f"got {pair.g0_dim}")
-    failures = validate_hcpair(pair)
+    lie = spo_pair(r, half=not no_half)
+    failures = validate_hcpair(lie)
     report.add("pair-axioms", not failures, "; ".join(failures[:3]))
-    lie = None
     try:
-        lie = build_super_lie(pair)
+        build_super_lie(lie)
         report.add("super-jacobi", True)
-    except StructureError as exc:
-        report.add("super-jacobi", False, str(exc))
-
-    group, J = sample_transvections(r, transvections, seed), standard_J(r)
-    report.first("group-membership", (
-        "transvection failed g J tg = J" for g in group if not is_symplectic(g, J)
-    ))
-    report.first("group-bracket-equivariance", (
-        "bracket not equivariant under group translation"
-        for g in group if not group_bracket_equivariance(pair, g)
-    ))
-
-    if lie is not None:
         report.data["structure"] = {
             "labels": lie.labels,
             "parity": lie.parity,
             "bracket": {f"{i},{j}": vec_json(vec) for (i, j), vec in sorted(lie.bracket.items())},
         }
+    except StructureError as exc:
+        report.add("super-jacobi", False, str(exc))
+
+    report.first("group-bracket-equivariance", (
+        "bracket not equivariant under group translation"
+        for g in sample_transvections(r, transvections, seed)
+        if not group_bracket_equivariance(lie, g)
+    ))
     return report
 
 
 def run_envelope_suite(r: int, degree: int, abelian: tuple[int, int] | None) -> Report:
     config = {"r": r, "d": degree, "abelian": list(abelian) if abelian else None}
     report = Report(suite="envelope", config=config)
-    if abelian:
-        from .hcpair import abelian_pair
-
-        pair = abelian_pair(*abelian)
-    else:
-        pair = spo_pair(r)
+    lie = abelian_pair(*abelian) if abelian else spo_pair(r)
     try:
-        env = truncated_envelope(build_super_lie(pair), degree)
+        env = truncated_envelope(build_super_lie(lie), degree)
         report.add("rewriting-confluent", True)
     except StructureError as exc:
         report.add("rewriting-confluent", False, str(exc))
         return report
-    expected = envelope_pbw_count(pair.g0_dim, pair.v_dim, degree)
-    report.add(
-        "pbw-dimension", env.dimension == expected,
-        f"got {env.dimension}, expected {expected}",
-    )
     report.data["dims_by_degree"] = env.dims_by_degree
     return report
 

@@ -103,9 +103,6 @@ class SuperMonomial(NamedTuple):
         """The word length: even exponents plus odd factors."""
         return sum(self.evens) + self.odds.bit_count()
 
-    def is_one(self) -> bool:
-        return not self.odds and not any(self.evens)
-
 
 def one_monomial(gens: GeneratorSet) -> SuperMonomial:
     return gens._one

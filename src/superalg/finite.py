@@ -415,16 +415,8 @@ def compose_with_antipode(hopf: FiniteDimHopf, functional: Vec) -> Vec:
     return out
 
 
-def _is_integral(hopf: FiniteDimHopf, functional: Vec, side: str) -> bool:
+def is_right_integral(hopf: FiniteDimHopf, functional: Vec) -> bool:
     get = functional.get
     return not any(
-        sum(c * get(k, 0) for k, c in row.items()) for row in _integral_system(hopf, side)
+        sum(c * get(k, 0) for k, c in row.items()) for row in _integral_system(hopf, "right")
     )
-
-
-def is_left_integral(hopf: FiniteDimHopf, functional: Vec) -> bool:
-    return _is_integral(hopf, functional, "left")
-
-
-def is_right_integral(hopf: FiniteDimHopf, functional: Vec) -> bool:
-    return _is_integral(hopf, functional, "right")

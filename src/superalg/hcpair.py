@@ -1,14 +1,16 @@
 """Harish-Chandra pairs, the symplectic-odd construction, and envelopes.
 
-A pair consists of an even Lie algebra with a right module of odd vectors
-and a symmetric bracket from pairs of odd vectors back into the even part.
-The flagship instance takes the symplectic Lie algebra (matrices X with XJ
-symmetric) acting on row vectors, with bracket J(tv w + tw v)/2.  The
-assembled super Lie algebra is verified exhaustively and exactly.  The
-truncated PBW envelope of a super Lie algebra is built on its ordered normal
-words from the rows of left multiplication by one letter (the PBW theorem
-makes these words a basis), and the bracket relations of the rows prove it
-associative exactly.
+A Harish-Chandra pair is held as the even/odd split of a super Lie algebra
+(``SuperLieAlgebraData``): the even part g_0 is a Lie algebra, the odd part
+V is a right g_0-module through v <| X = [v, X], and [V, V] lands in g_0.
+``validate_hcpair`` reads the pair axioms off the bracket of any such data,
+whatever the order of its even and odd indices.  The flagship instance takes
+the symplectic Lie algebra (matrices X with XJ symmetric) acting on row
+vectors, with bracket J(tv w + tw v)/2, and is verified exhaustively and
+exactly.  The truncated PBW envelope of a super Lie algebra is built on its
+ordered normal words from the rows of left multiplication by one letter (the
+PBW theorem makes these words a basis), and the bracket relations of the
+rows prove it associative exactly.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from itertools import combinations_with_replacement, permutations
 
 from . import linalg
 from .core import F0, F1
-from .hyper import super_pbw_count
 from .liealg import StructureError, SuperLieAlgebraData
-from .table import Vec, add_into, image, times_basis, whole_as_int
+from .table import Vec, add_into, basis_times, image, times_basis, whole_as_int
 
 Matrix = list[list[Fraction]]
 
@@ -75,93 +76,75 @@ def _commutator(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-@dataclass
-class HCPair:
-    """Even Lie data, a right module of odd row vectors, and a symmetric bracket.
+def validate_hcpair(lie: SuperLieAlgebraData) -> list[str]:
+    """Check the three pair axioms on the bracket of ``lie``; returns failures.
 
-    ``action[k]`` is the matrix of the right action of the k-th even basis
-    element (v acts as v @ action[k]); ``vbracket[(i, j)]`` expands the
-    bracket of odd basis vectors in even coordinates.
-    """
-
-    g0_labels: list[str]
-    g0_bracket: dict[tuple[int, int], Vec]
-    action: list[Matrix]
-    v_dim: int
-    vbracket: dict[tuple[int, int], Vec]
-
-    @property
-    def v_labels(self) -> list[str]:
-        return [f"e{i + 1}" for i in range(self.v_dim)]
-
-    @property
-    def g0_dim(self) -> int:
-        return len(self.g0_labels)
-
-
-def validate_hcpair(pair: HCPair) -> list[str]:
-    """Check the three pair axioms on structure constants; returns failures.
-
-    The axioms are: the bracket is symmetric, it is equivariant
-    ([u <| X, w] + [u, w <| X] = [[u, w], X]), and v <| [v,v] = 0.  The first
-    two are multilinear, so basis tuples suffice.  For v = sum c_i e_i the
-    third is a cubic form in commuting c_i; it vanishes identically when each
+    With X in the even part and u, v, w odd, the axioms are: [V, V] is
+    symmetric, it is equivariant ([u <| X, w] + [u, w <| X] = [[u, w], X],
+    where u <| X = [u, X]), and v <| [v,v] = 0.  The first two are
+    multilinear, so basis tuples suffice.  For v = sum c_i e_i the third is a
+    cubic form in commuting c_i; it vanishes identically when each
     coefficient does, and the coefficient of c_i c_j c_a is the sum of
     e_a <| [e_i, e_j] over the distinct orderings of (i, j, a).
     """
     failures: list[str] = []
-    vd, gd = pair.v_dim, pair.g0_dim
+    evens, odds = lie.even_indices(), lie.odd_indices()
+    br, labels, table = lie.bracket_basis, lie.labels, lie.bracket
 
-    for i in range(vd):
-        for j in range(vd):
-            if pair.vbracket.get((i, j), {}) != pair.vbracket.get((j, i), {}):
-                failures.append(f"symmetry fails at ({pair.v_labels[i]}, {pair.v_labels[j]})")
+    for i in odds:
+        for j in odds:
+            if br(i, j) != br(j, i):
+                failures.append(f"symmetry fails at ({labels[i]}, {labels[j]})")
 
-    for triple in combinations_with_replacement(range(vd), 3):
+    for triple in combinations_with_replacement(odds, 3):
         coefficient: Vec = {}
         for i, j, a in set(permutations(triple)):
-            for k, ck in pair.vbracket.get((i, j), {}).items():
-                add_into(coefficient, dict(enumerate(pair.action[k][a])), ck)
+            for k, ck in br(i, j).items():
+                add_into(coefficient, br(a, k), ck)
         if coefficient:
             failures.append("v <| [v,v] does not vanish identically")
             break
 
-    for a in range(vd):
-        for b in range(vd):
-            for k in range(gd):
+    for a in odds:
+        for b in odds:
+            for k in evens:
                 # [a <| X_k, b] + [a, b <| X_k] = [[a, b], X_k]
-                lhs: Vec = {}
-                for l in range(vd):
-                    add_into(lhs, pair.vbracket.get((l, b), {}), pair.action[k][a][l])
-                    add_into(lhs, pair.vbracket.get((a, l), {}), pair.action[k][b][l])
-                rhs = times_basis(pair.g0_bracket, pair.vbracket.get((a, b), {}), k)
-                if lhs != rhs:
+                lhs = times_basis(table, br(a, k), b)
+                add_into(lhs, basis_times(table, a, br(b, k)))
+                if lhs != times_basis(table, br(a, b), k):
                     failures.append(
-                        f"equivariance fails at ({pair.v_labels[a]}, {pair.v_labels[b]}, {pair.g0_labels[k]})"
+                        f"equivariance fails at ({labels[a]}, {labels[b]}, {labels[k]})"
                     )
     return failures
 
 
-def spo_pair(r: int, half: bool = True) -> HCPair:
+def spo_pair(r: int, half: bool = True) -> SuperLieAlgebraData:
     """The pair behind the ortho-symplectic supergroup of type (1|2r).
 
-    V is the space of row vectors of length 2r with the right matrix action;
-    the bracket is J(tv w + tw v)/2.  Passing ``half=False`` drops the 1/2
-    normalisation (a negative-control variant).
+    The even part is ``sp_basis(r)`` (labels X1, ...); V is the space of row
+    vectors of length 2r (labels e1, ...) with the right matrix action, so
+    [e_a, X_k] is row a of the k-th basis matrix; the bracket of V is
+    J(tv w + tw v)/2.  Passing ``half=False`` drops the 1/2 normalisation (a
+    negative-control variant).
     """
     basis, J = sp_basis(r), standard_J(r)
-    size = 2 * r
+    gd, size = len(basis), 2 * r
     coords_in = linalg.span_coordinates([_entries(b) for b in basis])
-    g0_bracket: dict[tuple[int, int], Vec] = {}
+    bracket: dict[tuple[int, int], Vec] = {}
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             coords = coords_in(_entries(_commutator(x, y)))
             if coords is None:
                 raise StructureError("sp basis is not closed under commutators")
             if coords:
-                g0_bracket[(i, j)] = coords
+                bracket[(i, j)] = coords
+    for k, x in enumerate(basis):
+        for a, row in enumerate(x):
+            acted = {gd + b: c for b, c in enumerate(row) if c}
+            if acted:
+                bracket[(gd + a, k)] = acted
+                bracket[(k, gd + a)] = {key: -c for key, c in acted.items()}
     scale = Fraction(1, 2) if half else F1
-    vbracket: dict[tuple[int, int], Vec] = {}
     for a in range(size):
         for b in range(size):
             # J (t e_a e_b + t e_b e_a): entry (i, j) = J[i][a] [b==j] + J[i][b] [a==j]
@@ -173,53 +156,27 @@ def spo_pair(r: int, half: bool = True) -> HCPair:
             if coords is None:
                 raise StructureError("odd bracket does not land in sp")
             if coords:
-                vbracket[(a, b)] = coords
-    return HCPair(
-        g0_labels=[f"X{i + 1}" for i in range(len(basis))],
-        g0_bracket=g0_bracket,
-        action=basis,
-        v_dim=size,
-        vbracket=vbracket,
+                bracket[(gd + a, gd + b)] = coords
+    return SuperLieAlgebraData(
+        labels=[f"X{i + 1}" for i in range(gd)] + [f"e{a + 1}" for a in range(size)],
+        parity=[0] * gd + [1] * size,
+        bracket=bracket,
     )
 
 
-def abelian_pair(g0_dim: int, v_dim: int) -> HCPair:
+def abelian_pair(g0_dim: int, v_dim: int) -> SuperLieAlgebraData:
     """All brackets zero and trivial action; the semi-direct degenerate case."""
-    return HCPair(
-        g0_labels=[f"X{i + 1}" for i in range(g0_dim)],
-        g0_bracket={},
-        action=[linalg.zeros(v_dim, v_dim) for _ in range(g0_dim)],
-        v_dim=v_dim,
-        vbracket={},
+    return SuperLieAlgebraData(
+        labels=[f"X{i + 1}" for i in range(g0_dim)] + [f"e{a + 1}" for a in range(v_dim)],
+        parity=[0] * g0_dim + [1] * v_dim,
     )
 
 
-def build_super_lie(pair: HCPair) -> SuperLieAlgebraData:
-    """Assemble g = g_0 (+) V with the pair's bracket and verify all axioms.
-
-    Brackets: even-even from the g_0 structure constants, [v, X] = v <| X,
-    [X, v] = -v <| X, and odd-odd from the pair.  Grading, super
-    antisymmetry and the exhaustive super Jacobi scan are checked, raising
-    StructureError with the offending tuple on failure.
-    """
-    gd, vd = pair.g0_dim, pair.v_dim
-    labels = list(pair.g0_labels) + list(pair.v_labels)
-    parity = [0] * gd + [1] * vd
-    bracket: dict[tuple[int, int], Vec] = {}
-    for (i, j), vec in pair.g0_bracket.items():
-        bracket[(i, j)] = dict(vec)
-    for k in range(gd):
-        for a in range(vd):
-            row = {gd + b: pair.action[k][a][b] for b in range(vd) if pair.action[k][a][b]}
-            if row:
-                bracket[(gd + a, k)] = row
-                bracket[(k, gd + a)] = {key: -c for key, c in row.items()}
-    for (a, b), vec in pair.vbracket.items():
-        if vec:
-            bracket[(gd + a, gd + b)] = dict(vec)
-    data = SuperLieAlgebraData(labels=labels, parity=parity, bracket=bracket)
-    data.validate()
-    return data
+def build_super_lie(lie: SuperLieAlgebraData) -> SuperLieAlgebraData:
+    """``lie`` after its grading, super antisymmetry and exhaustive super
+    Jacobi scan pass; raises StructureError with the offending tuple."""
+    lie.validate()
+    return lie
 
 
 # --- truncated PBW envelope -----------------------------------------------------
@@ -362,18 +319,7 @@ def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> Truncated
     )
 
 
-def envelope_pbw_count(g0_dim: int, v_dim: int, degree_bound: int) -> int:
-    """PBW monomials of degree <= degree_bound: multisets over the g_0 basis
-    times subsets of the V basis."""
-    return super_pbw_count(g0_dim, v_dim, degree_bound + 1)
-
-
 # --- group-level symplectic checks ------------------------------------------------
-
-
-def is_symplectic(g: Matrix, J: Matrix) -> bool:
-    """Exact membership test g J tg = J."""
-    return linalg.mat_mul(linalg.mat_mul(g, J), linalg.transpose(g)) == J
 
 
 def sample_transvections(r: int, count: int, seed: int) -> list[Matrix]:
@@ -396,28 +342,30 @@ def sample_transvections(r: int, count: int, seed: int) -> list[Matrix]:
     return out
 
 
-def group_bracket_equivariance(pair: HCPair, g: Matrix) -> bool:
-    """[u g, v g] = g^-1 [u, v] g for the pair's bracket, exactly.
+def group_bracket_equivariance(lie: SuperLieAlgebraData, g: Matrix) -> bool:
+    """[u g, v g] = g^-1 [u, v] g for odd u, v, exactly.
 
-    The bracket lands in g_0 and is read as a matrix through ``pair.action``,
-    which for ``spo_pair`` is the defining representation: the action
-    matrices are the sp basis matrices themselves.  False when g is singular.
+    An even element Y is read as the matrix of its action on the odd span,
+    row i being [e_i, Y]; for ``spo_pair`` this is the defining
+    representation.  False when g is singular.
     """
-    size = pair.v_dim
+    odds = lie.odd_indices()
+    size = len(odds)
     ginv = linalg.invert(g)
     if ginv is None:
         return False
-    mats = pair.action
+    at = {o: p for p, o in enumerate(odds)}
     # [e_a, e_b] as a matrix, and its nonzero entries
     brackets: dict[tuple[int, int], Matrix] = {}
-    for key, vec in pair.vbracket.items():
-        out = linalg.zeros(size, size)
-        for k, ck in vec.items():
-            for i, row in enumerate(mats[k]):
-                for j, m in enumerate(row):
-                    if m:
-                        out[i][j] += ck * m
-        brackets[key] = out
+    for a, oa in enumerate(odds):
+        for b, ob in enumerate(odds):
+            vec = lie.bracket_basis(oa, ob)
+            if vec:
+                out = linalg.zeros(size, size)
+                for i, oi in enumerate(odds):
+                    for j, c in basis_times(lie.bracket, oi, vec).items():
+                        out[i][at[j]] = c
+                brackets[(a, b)] = out
     entries = {key: [(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
                for key, m in brackets.items()}
     zero = linalg.zeros(size, size)

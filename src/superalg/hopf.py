@@ -25,7 +25,6 @@ from .core import (
     evaluate_hom,
 )
 from .report import AxiomReport
-from .table import add_into
 from .tensor import TensorPoly
 
 
@@ -103,12 +102,6 @@ class HopfPresentation:
             SuperPoly.monomial(self.gens, mono), self.delta,
             TensorPoly.unit((self.gens, self.gens)),
         )
-
-    def delta_of(self, poly: SuperPoly) -> TensorPoly:
-        terms: dict = {}
-        for mono, coeff in poly.terms.items():
-            add_into(terms, self.delta_monomial(mono).terms, coeff)
-        return TensorPoly((self.gens, self.gens), terms)
 
     def counit_monomial(self, mono: SuperMonomial) -> Fraction:
         if mono.odds:

@@ -94,14 +94,6 @@ class TensorPoly(_TermMap):
         self._check(other)
         return self._product(other, _key_product)
 
-    def flip(self) -> TensorPoly:
-        """The super symmetry ``a⊗b -> (-1)^{|a||b|} b⊗a`` (two slots)."""
-        if len(self.gens) != 2:
-            raise ValueError("flip is defined on two-slot tensors")
-        return TensorPoly((self.gens[1], self.gens[0]), {
-            (m2, m1): -c if m1.parity and m2.parity else c for (m1, m2), c in self.terms.items()
-        })
-
     def expand_slot(
         self,
         slot: int,

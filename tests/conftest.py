@@ -3,9 +3,10 @@ from itertools import permutations, product as cartesian
 
 import hypothesis.strategies as st
 
-from superalg import GeneratorSet, SuperPoly, linalg
+from superalg import GeneratorSet, SuperPoly, TensorPoly, linalg
 from superalg.core import EVEN, F0, F1, ODD, SuperMonomial, mul_monomials
 from superalg.hopf import _monomials_up_to
+from superalg.hyper import super_pbw_count
 from superalg.liealg import StructureError, SuperLieAlgebraData
 from superalg.table import add_into, product, whole_as_int
 
@@ -159,26 +160,68 @@ def typed(table):
     return {key: {k: (c, type(c)) for k, c in cell.items()} for key, cell in table.items()}
 
 
-# --- the cubic pair axiom v <| [v,v] = 0 expanded symbolically, independent
-# of the coefficient rule that ``hcpair.validate_hcpair`` uses
+# --- Harish-Chandra pairs given by their parts, and the cubic pair axiom
+# v <| [v,v] = 0 expanded symbolically, independent of the coefficient rule
+# that ``hcpair.validate_hcpair`` uses
 
 
-def oracle_cubic_vanishes(pair) -> bool:
+def assemble_pair(g0_bracket, action, vbracket) -> SuperLieAlgebraData:
+    """The unvalidated super Lie data g_0 (+) V of a pair given by its parts:
+    the g_0 structure constants, the action matrices (v <| X_k = v @ action[k])
+    and the bracket of V in g_0 coordinates.  Labels X1, ..., e1, ..., evens first."""
+    gd, vd = len(action), len(action[0])
+    bracket = {key: dict(vec) for key, vec in g0_bracket.items()}
+    for k, matrix in enumerate(action):
+        for a, row in enumerate(matrix):
+            acted = {gd + b: c for b, c in enumerate(row) if c}
+            if acted:
+                bracket[(gd + a, k)] = acted
+                bracket[(k, gd + a)] = {key: -c for key, c in acted.items()}
+    for (a, b), vec in vbracket.items():
+        if vec:
+            bracket[(gd + a, gd + b)] = dict(vec)
+    return SuperLieAlgebraData(
+        labels=[f"X{k + 1}" for k in range(gd)] + [f"e{a + 1}" for a in range(vd)],
+        parity=[0] * gd + [1] * vd,
+        bracket=bracket,
+    )
+
+
+def action_matrix(lie, y: dict) -> list[list[Fraction]]:
+    """The matrix of the even element ``y`` on the odd span of ``lie``, row i
+    being [e_i, y] (so v <| y = v @ matrix), read cell by cell off the bracket."""
+    odds = lie.odd_indices()
+    return [[sum((c * lie.bracket_basis(i, k).get(j, 0) for k, c in y.items()), F0)
+             for j in odds] for i in odds]
+
+
+def oracle_cubic_vanishes(lie) -> bool:
     """Whether v <| [v,v] is zero as a polynomial in the commuting coordinates
-    c_i of v = sum c_i e_i."""
-    vd = pair.v_dim
+    c_i of v = sum c_i e_i, with e_i the odd basis of ``lie``."""
+    odds = lie.odd_indices()
+    vd = len(odds)
     coords = GeneratorSet(evens=[f"c{i + 1}" for i in range(vd)])
     c = [SuperPoly.generator(coords, f"c{i + 1}") for i in range(vd)]
     acted = [SuperPoly.zero(coords) for _ in range(vd)]
     for i in range(vd):
         for j in range(vd):
-            for k, ck in pair.vbracket.get((i, j), {}).items():
-                mat = pair.action[k]
-                for a in range(vd):
-                    for b in range(vd):
-                        if mat[a][b]:
-                            acted[b] = acted[b] + c[i] * c[j] * c[a] * (ck * mat[a][b])
+            mat = action_matrix(lie, lie.bracket_basis(odds[i], odds[j]))
+            for a in range(vd):
+                for b in range(vd):
+                    if mat[a][b]:
+                        acted[b] = acted[b] + c[i] * c[j] * c[a] * mat[a][b]
     return all(entry.is_zero() for entry in acted)
+
+
+def is_symplectic(g, J) -> bool:
+    """Exact membership test g J tg = J."""
+    return linalg.mat_mul(linalg.mat_mul(g, J), linalg.transpose(g)) == J
+
+
+def envelope_pbw_count(g0_dim: int, v_dim: int, degree_bound: int) -> int:
+    """PBW monomials of degree <= degree_bound: multisets over the g_0 basis
+    times subsets of the V basis."""
+    return super_pbw_count(g0_dim, v_dim, degree_bound + 1)
 
 
 # --- associativity on every triple by definition, independent of the scans in
@@ -308,7 +351,7 @@ def rref_cotangent(pres):
     index = {m: i for i, m in enumerate(odd_monos)}
     rows = []
     for u in monos:
-        if u.parity != EVEN or u.is_one():
+        if u.parity != EVEN or is_one(u):
             continue
         for w in odd_monos:
             if u.degree() + w.degree() > degree_bound:
@@ -345,3 +388,39 @@ def pairing_on_sequences(fs, vs):
         if all(fs[a] == vs[perm[a]] for a in range(k)):
             total += F1 if inversions % 2 == 0 else -F1
     return total
+
+
+# --- small operations that only the tests need
+
+
+def is_one(mono: SuperMonomial) -> bool:
+    return not mono.odds and not any(mono.evens)
+
+
+def delta_of(pres, poly: SuperPoly) -> TensorPoly:
+    """The coproduct of ``pres`` on a polynomial, monomial by monomial."""
+    terms: dict = {}
+    for mono, coeff in poly.terms.items():
+        add_into(terms, pres.delta_monomial(mono).terms, coeff)
+    return TensorPoly((pres.gens, pres.gens), terms)
+
+
+def flip(t: TensorPoly) -> TensorPoly:
+    """The super symmetry ``a⊗b -> (-1)^{|a||b|} b⊗a`` of a two-slot tensor."""
+    if len(t.gens) != 2:
+        raise ValueError("flip is defined on two-slot tensors")
+    return TensorPoly((t.gens[1], t.gens[0]), {
+        (m2, m1): -c if m1.parity and m2.parity else c for (m1, m2), c in t.terms.items()
+    })
+
+
+def is_left_integral(hopf, functional) -> bool:
+    """(id (x) I) D(a) = I(a) 1 for every basis element a, from the tables."""
+    for a in range(hopf.dimension):
+        acted = {}
+        for (j, k), c in hopf.delta.get(a, {}).items():
+            add_into(acted, {j: c * functional.get(k, 0)})
+        scaled = {r: u * functional.get(a, 0) for r, u in hopf.unit.items()}
+        if acted != {r: c for r, c in scaled.items() if c}:
+            return False
+    return True

@@ -18,7 +18,6 @@ from superalg import (
     check_hopf_axioms,
     check_lie_even,
     dual_iso_check,
-    envelope_pbw_count,
     exterior_finite,
     exterior_hopf,
     glmn_presentation,
@@ -34,6 +33,7 @@ from superalg.cli import main
 from superalg.finite import compose_with_antipode, is_right_integral
 from superalg.hopf import additive_presentation
 
+from conftest import envelope_pbw_count
 from test_hyper import glmn_oracle
 
 

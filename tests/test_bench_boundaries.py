@@ -7,7 +7,10 @@ names from ``superalg`` and read attributes off its modules (``cli.run_*_suite``
 fail only there, with an ``ImportError`` or ``AttributeError`` in a bench run.
 The files are read, not run, except for ``bench/workloads.py``, whose ops are
 run at their tiny size so that each gate, and each ``cli`` capture the gates
-read, is checked here too.
+read, is checked here too, and ``bench/tracer.py``, under which the tiny
+``lie-structures`` ops must reach each ``hcpair`` boundary: a boundary that
+the suites stop calling (say, by inlining it) would read zero in its
+per-layer metric.
 """
 
 from __future__ import annotations
@@ -98,3 +101,21 @@ def test_tiny_workload_ops_pass_their_gates(workload):
     for op in workloads.build(workload, 1, 0, "tiny"):
         miss = workloads.gate(op.call(), op.expected)
         assert miss is None, f"{op.name}: {miss}"
+
+
+HCPAIR_BOUNDARIES = ["hcpair.spo_pair", "hcpair.validate_hcpair", "hcpair.build_super_lie",
+                     "hcpair.truncated_envelope"]
+
+
+def test_tiny_lie_structures_ops_reach_each_hcpair_boundary():
+    workloads, tracer = _load("workloads"), _load("tracer").Tracer()
+    ops = workloads.build("lie-structures", 1, 0, "tiny")
+    tracer.install()
+    try:
+        for op_id, op in enumerate(ops):
+            tracer.run_op(op_id, op.call)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert {name: summary[f"{name}.calls"] > 0 for name in HCPAIR_BOUNDARIES} == \
+        dict.fromkeys(HCPAIR_BOUNDARIES, True)

@@ -430,16 +430,22 @@ def test_repeated_statement_is_exit_2(kind, tmp_path, capsys):
 # a free presentation is spanned by its odd generators; the basis moved to
 # ``data.odd_cotangent_basis``), ``pairing-oracle`` (a permutation sum on
 # increasing blades that read only n) and ``trivial-group-integral-of-1-nonzero``
-# (the one basis integral at dim 0 leads with 1), each report otherwise unchanged)
+# (the one basis integral at dim 0 leads with 1), each report otherwise unchanged;
+# the hcpair and envelope digests were re-taken when three more such entries
+# were removed: ``sp-dimension`` (the kernel dimension of a fixed linear system,
+# r(2r+1) for every r), ``group-membership`` (g J tg = J holds identically for
+# each sampled g = I + c J tu u) and ``pbw-dimension`` (the envelope's normal
+# words are exactly the PBW monomials it was counted against), each report
+# otherwise unchanged)
 
 GOLDEN = {
     "verify exterior --dim 3": "e3304a8a0bed693743e6d35ff13871faac03cfed9e0e8fa184895144ae4d4fcd",
     "verify integrals --dim 3": "cf1037d68cd9ecb88a31e88bbc3cdd3b3eec28d2f696accd79ce5b1b0293bda5",
     "hy --target gl11 --order 4": "0404c2dcaeb7dec25823862b5c4d9c209a3a3af5f3386d996b468f95bb6279eb",
-    "hcpair --r 1 --seed 1": "aaa01a2b6c9faf2347c4c69de7e28e49569a4a7303f2d6d43dbeac5d45190fbc",
-    "envelope --r 1 --d 3": "6aedfcf39837c7b40e8d9a15969561e7dc629aaaa9d7b370a984b7cae2bc0621",
+    "hcpair --r 1 --seed 1": "4fda4ac0aeb3533d2cd391188a379221554ce3f153d834aa72333fd582bdf3c9",
+    "envelope --r 1 --d 3": "6019df09ea2cf16dfd185e37440e8bd253142d2009c95ec5c4c85e81422824ef",
     "hy --target gl11 --order 5": "fe86157c39ac1e49dce349cc84aa2321ff4c0d666fd11d108e0862c23aa9c094",
-    "hcpair --r 3 --seed 1": "dae6d446d3ab8dfd6146694738e8b7c26b0689f81d9a7662a56a83830cf0f22b",
+    "hcpair --r 3 --seed 1": "a6463bfb39c9006d20162e689e2827b009aebf1ed62e684a08fb6ba97e0c93b2",
     "verify gl --m 2 --n 1 --thetas 4 --points 30 --seed 7":
         "c6bf22ea61674c943d1674c1e5c52138fd2517338d8fe337a069e0433afe60de",
     "decompose --m 2 --n 1 --thetas 4 --points 30 --seed 11":
@@ -447,15 +453,15 @@ GOLDEN = {
     # taken before associativity and coproduct multiplicativity were
     # certified from generators, so these two pin the certified reports
     "verify exterior --dim 6": "967dc32217a43410ebeb79bef789c01494797946ac5677a9e1d243da9f6c9184",
-    "envelope --r 1 --d 4": "88f22ef564d12f9dd030c38f3620b5cd2aac346c35199d29054e0b38beec679c",
+    "envelope --r 1 --d 4": "28fd188fbce874c8d0c3be5ed6e3f737188b153e3e6050085d071d6ee1bfb7b1",
     # taken before the dim-0 branch of the integrals suite and the symbolic
     # expansion of the cubic pair axiom were removed
     "verify integrals --dim 0": "1744161552cb10cde4f67216a37c345bb36cb9ab8ce7be0a01c9e75a1acedb74",
     "hcpair --r 2 --no-half --seed 1":
-        "acdd2fec1f6a941511a5a6832322cca0d6ff695830311afcd15967d801aaed1a",
+        "6f4dd292dc299f02d242b3617553e97487943861503697ff5b48e3f98b3b62f8",
     # taken before the envelope was certified by its letter relations
-    "envelope --r 2 --d 4": "2da3615b89b41ea52f2073cfe1aea4dc27fa63b4b5700bcb9238abb26b248ff3",
-    "envelope --abelian 2 3 --d 4": "de21da86f01303d3c972bb6db20d76a6be7a4419cd452ce8eb287cd40abb623f",
+    "envelope --r 2 --d 4": "8d62c7a38e1ce4812b8f748211c7aab828ec541176441c8baf3bca9b85ace096",
+    "envelope --abelian 2 3 --d 4": "612ff4c7245a13221f50400e12e4b40da0d0849099be12651ebe2697fdee1684",
     # taken before the primitives were read off the degree-1 duals: the one
     # 9-dimensional primitive algebra, and the one order that builds a
     # separate order-3 dual for its primitives
@@ -533,16 +539,35 @@ def test_check_names_are_unique_and_only_failures_carry_witnesses(argv, tmp_path
 
 
 def test_hcpair_group_checks_fail_independently(tmp_path, monkeypatch):
-    # a failing membership scan must not stop the equivariance scan
+    # the equivariance scan fails on its own, and still runs when super
+    # Jacobi fails; the structure is exported only when super Jacobi passes
     from superalg import cli
+    from superalg.liealg import StructureError
 
-    monkeypatch.setattr(cli, "is_symplectic", lambda g, J: False)
-    monkeypatch.setattr(cli, "group_bracket_equivariance", lambda pair, g: False)
-    code, data = run(["hcpair", "--r", "1", "--transvections", "2", "--seed", "3"], tmp_path)
+    argv = ["hcpair", "--r", "1", "--transvections", "2", "--seed", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "group_bracket_equivariance", lambda lie, g: False)
+        code, data = run(argv, tmp_path)
     assert code == 1
     status = {c["name"]: c["status"] for c in data["checks"]}
-    assert status["group-membership"] == "fail"
-    assert status["group-bracket-equivariance"] == "fail"
+    assert status == {"pair-axioms": "pass", "super-jacobi": "pass",
+                      "group-bracket-equivariance": "fail"}
+    assert "structure" in data["data"]
+
+    def no_jacobi(lie):
+        raise StructureError("super Jacobi fails")
+
+    scanned = []
+    equivariance = cli.group_bracket_equivariance
+    monkeypatch.setattr(cli, "build_super_lie", no_jacobi)
+    monkeypatch.setattr(cli, "group_bracket_equivariance",
+                        lambda lie, g: scanned.append(g) or equivariance(lie, g))
+    code, data = run(argv, tmp_path)
+    assert code == 1
+    status = {c["name"]: c["status"] for c in data["checks"]}
+    assert status == {"pair-axioms": "pass", "super-jacobi": "fail",
+                      "group-bracket-equivariance": "pass"}
+    assert len(scanned) == 2 and "structure" not in data.get("data", {})
 
 
 def test_hy_reports_no_dimension_count_without_primitives(tmp_path, monkeypatch):

@@ -14,13 +14,8 @@ from superalg import (
     integral_space,
 )
 
-from conftest import pairing_on_sequences, solved_antipode
-from superalg.finite import (
-    FiniteDimHopf,
-    compose_with_antipode,
-    is_left_integral,
-    is_right_integral,
-)
+from conftest import is_left_integral, pairing_on_sequences, solved_antipode
+from superalg.finite import FiniteDimHopf, compose_with_antipode, is_right_integral
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -289,6 +284,7 @@ def test_integral_dimension_parity_and_antipode(n):
     assert space.parity == n % 2
     assert len(space.right_basis) == 1
     assert is_left_integral(hopf, space.basis[0])
+    assert is_left_integral(hopf, {0: Fraction(1)}) == (n == 0)  # the dual of 1
     composed = compose_with_antipode(hopf, space.basis[0])
     assert is_right_integral(hopf, composed)
 
@@ -314,10 +310,11 @@ def test_truncated_dual_product_is_int_and_spo_pair_data_is_fraction():
 
     dual = truncated_dual(glmn_presentation(1, 1), 3)
     assert {type(c) for vec in dual.product.values() for c in vec.values()} == {int}
-    pair = spo_pair(2)
-    for table in (pair.g0_bracket, pair.vbracket):
-        assert {type(c) for vec in table.values() for c in vec.values()} == {Fraction}
-    assert {type(c) for mat in pair.action for row in mat for c in row} == {Fraction}
+    lie = spo_pair(2)
+    # the even-even, odd-even (the action), even-odd and odd-odd cells
+    kinds = {(lie.parity[i], lie.parity[j]) for i, j in lie.bracket}
+    assert kinds == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert {type(c) for vec in lie.bracket.values() for c in vec.values()} == {Fraction}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 6])

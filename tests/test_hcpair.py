@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from superalg import (
-    HCPair,
     StructureError,
     SuperLieAlgebraData,
     abelian_pair,
     additive_presentation,
     build_super_lie,
-    envelope_pbw_count,
     glmn_presentation,
     primitives,
     sp_basis,
@@ -25,28 +23,38 @@ from superalg import (
 )
 from superalg import hcpair
 from superalg.cli import run_envelope_suite
-from superalg.hcpair import (
-    group_bracket_equivariance,
-    is_symplectic,
-    sample_transvections,
-    standard_J,
-)
+from superalg.hcpair import group_bracket_equivariance, sample_transvections, standard_J
 import superalg.linalg as la
 from superalg.table import whole_as_int
 
-from conftest import brute_force_bad_triples, oracle_cubic_vanishes, oracle_envelope_product, typed
+from conftest import (
+    action_matrix,
+    assemble_pair,
+    brute_force_bad_triples,
+    envelope_pbw_count,
+    is_symplectic,
+    oracle_cubic_vanishes,
+    oracle_envelope_product,
+    typed,
+)
 
 F = Fraction
 
 
-def bracket_matrix(pair, i, j):
-    size = pair.v_dim
-    out = la.zeros(size, size)
-    for k, c in pair.vbracket.get((i, j), {}).items():
-        for a in range(size):
-            for b in range(size):
-                out[a][b] += c * pair.action[k][a][b]
-    return out
+def bracket_matrix(lie, i, j):
+    """[e_i, e_j] of the i-th and j-th odd basis vectors, as a matrix on the odd span."""
+    odds = lie.odd_indices()
+    return action_matrix(lie, lie.bracket_basis(odds[i], odds[j]))
+
+
+def spo_parts(r, half=True):
+    """``spo_pair(r, half)`` by its parts: the sp_2r structure constants, the
+    sp basis as action matrices, and the bracket of V in sp coordinates."""
+    lie = spo_pair(r, half)
+    gd = len(lie.even_indices())
+    g0 = {key: vec for key, vec in lie.bracket.items() if max(key) < gd}
+    v = {(a - gd, b - gd): vec for (a, b), vec in lie.bracket.items() if min(a, b) >= gd}
+    return g0, sp_basis(r), v
 
 
 @pytest.mark.parametrize("r,dim", [(1, 3), (2, 10), (3, 21)])
@@ -80,10 +88,19 @@ def test_spo_diagonal_bracket_and_axiom_ii():
 
 
 def test_spo_bracket_symmetric():
-    pair = spo_pair(2)
-    for i in range(pair.v_dim):
-        for j in range(pair.v_dim):
-            assert pair.vbracket.get((i, j), {}) == pair.vbracket.get((j, i), {})
+    lie = spo_pair(2)
+    for i in lie.odd_indices():
+        for j in lie.odd_indices():
+            assert lie.bracket_basis(i, j) == lie.bracket_basis(j, i)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_spo_action_rows_are_the_sp_basis_rows(r):
+    # [e_a, X_k] is row a of the k-th sp basis matrix, and the pair's parts
+    # assemble back into spo_pair's own bracket
+    lie = spo_pair(r)
+    assert [action_matrix(lie, {k: 1}) for k in lie.even_indices()] == sp_basis(r)
+    assert assemble_pair(*spo_parts(r)).bracket == lie.bracket
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -100,15 +117,8 @@ def test_spo_super_lie_jacobi(r):
 
 
 def test_zero_bracket_pair_is_semidirect_sum():
-    pair = spo_pair(1)
-    semidirect = HCPair(
-        g0_labels=pair.g0_labels,
-        g0_bracket=pair.g0_bracket,
-        action=pair.action,
-        v_dim=pair.v_dim,
-        vbracket={},
-    )
-    build_super_lie(semidirect)  # Jacobi passes with the zero odd bracket
+    g0, action, _ = spo_parts(1)
+    build_super_lie(assemble_pair(g0, action, {}))  # Jacobi passes with the zero odd bracket
 
 
 def test_abelian_pair_envelope_dimension_five():
@@ -131,9 +141,9 @@ def test_no_half_variant_passes_all_axioms():
 
 def test_asymmetric_bracket_is_detected():
     # genuinely invalid data: J tv w without symmetrisation breaks symmetry
-    pair = spo_pair(1)
-    basis, J = sp_basis(1), standard_J(1)
-    broken = dict(pair.vbracket)
+    g0, basis, vbracket = spo_parts(1)
+    J = standard_J(1)
+    broken = dict(vbracket)
     size = 2
     from superalg.hcpair import _entries
 
@@ -144,10 +154,7 @@ def test_asymmetric_bracket_is_detected():
             for i in range(size):
                 matrix[i][b] += J[i][a]
             broken[(a, b)] = coords_in(_entries(matrix)) or {}
-    bad = HCPair(
-        g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
-        v_dim=pair.v_dim, vbracket=broken,
-    )
+    bad = assemble_pair(g0, basis, broken)
     assert validate_hcpair(bad) != []
     with pytest.raises(StructureError):
         build_super_lie(bad)
@@ -159,10 +166,8 @@ CUBIC_FAILURE = "v <| [v,v] does not vanish identically"
 def rotation_pair():
     """k acting on V = k^2 by [[0,1],[-1,0]], with [e_i, e_i] = X1 and [e1, e2] = 0:
     symmetric and equivariant, but v <| [v,v] = (c1^2 + c2^2)(-c2, c1)."""
-    return HCPair(
-        g0_labels=["X1"], g0_bracket={}, action=[[[F(0), F(1)], [F(-1), F(0)]]],
-        v_dim=2, vbracket={(0, 0): {0: F(1)}, (1, 1): {0: F(1)}},
-    )
+    return assemble_pair({}, [[[F(0), F(1)], [F(-1), F(0)]]],
+                         {(0, 0): {0: F(1)}, (1, 1): {0: F(1)}})
 
 
 def test_cubic_axiom_alone_is_detected():
@@ -187,8 +192,7 @@ def random_pairs(draw):
             vec = {k: c for k in range(gd) if (c := draw(entries))}
             if vec:
                 vbracket[(i, j)] = vbracket[(j, i)] = vec
-    return HCPair(g0_labels=[f"X{k + 1}" for k in range(gd)], g0_bracket={},
-                  action=action, v_dim=vd, vbracket=vbracket)
+    return assemble_pair({}, action, vbracket)
 
 
 @settings(max_examples=300, deadline=None)
@@ -200,21 +204,17 @@ def test_cubic_verdict_matches_symbolic_oracle(pair):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("half", [True, False])
 def test_cubic_verdict_matches_symbolic_oracle_on_spo(r, half):
-    pair = spo_pair(r, half)
-    pairs = [pair] + [scaled_cells(pair, seed) for seed in range(3)]
+    parts = spo_parts(r, half)
+    pairs = [spo_pair(r, half)] + [scaled_cells(parts, seed) for seed in range(3)]
     for p in pairs:
         assert (CUBIC_FAILURE not in validate_hcpair(p)) == oracle_cubic_vanishes(p)
 
 
 def test_scaled_g0_bracket_fails_jacobi():
     # corrupting the even structure constants is caught by the Jacobi scan
-    pair = spo_pair(1)
-    corrupted = {key: {k: 2 * c for k, c in vec.items()}
-                 for key, vec in pair.g0_bracket.items()}
-    bad = HCPair(
-        g0_labels=pair.g0_labels, g0_bracket=corrupted, action=pair.action,
-        v_dim=pair.v_dim, vbracket=pair.vbracket,
-    )
+    g0, action, vbracket = spo_parts(1)
+    corrupted = {key: {k: 2 * c for k, c in vec.items()} for key, vec in g0.items()}
+    bad = assemble_pair(corrupted, action, vbracket)
     with pytest.raises(StructureError):
         build_super_lie(bad)
 
@@ -309,14 +309,13 @@ def test_group_translation_preserves_bracket(r):
         assert group_bracket_equivariance(pair, g)
 
 
-def oracle_group_bracket_equivariance(pair, g):
+def oracle_group_bracket_equivariance(lie, g):
     """The bracket of two row vectors expanded from scratch for every pair (a, b)."""
-    size = pair.v_dim
+    size = len(lie.odd_indices())
     ginv = la.invert(g)
     if ginv is None:
         return False
     basis = [[F(1) if i == j else F(0) for j in range(size)] for i in range(size)]
-    mats = pair.action
 
     def bracket_of(u, v):
         out = la.zeros(size, size)
@@ -325,10 +324,10 @@ def oracle_group_bracket_equivariance(pair, g):
                 cc = u[a] * v[b]
                 if not cc:
                     continue
-                for k, ck in pair.vbracket.get((a, b), {}).items():
-                    for i in range(size):
-                        for j in range(size):
-                            out[i][j] += cc * ck * mats[k][i][j]
+                mat = bracket_matrix(lie, a, b)
+                for i in range(size):
+                    for j in range(size):
+                        out[i][j] += cc * mat[i][j]
         return out
 
     for a in range(size):
@@ -340,27 +339,21 @@ def oracle_group_bracket_equivariance(pair, g):
     return True
 
 
-def with_vbracket(pair, vbracket):
-    return HCPair(
-        g0_labels=pair.g0_labels, g0_bracket=pair.g0_bracket, action=pair.action,
-        v_dim=pair.v_dim, vbracket=vbracket,
-    )
-
-
-def scaled_cells(pair, seed):
+def scaled_cells(parts, seed):
     """The pair with one or two seeded odd-bracket cells scaled by 2 or -1."""
+    g0, action, vbracket = parts
     rng = random.Random(seed)
-    vbracket = dict(pair.vbracket)
+    vbracket = dict(vbracket)
     for key in rng.sample(sorted(vbracket), min(2, len(vbracket))):
         scale = rng.choice([F(2), F(-1)])
         vbracket[key] = {k: scale * c for k, c in vbracket[key].items()}
-    return with_vbracket(pair, vbracket)
+    return assemble_pair(g0, action, vbracket)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_group_bracket_equivariance_matches_oracle(r):
-    pair = spo_pair(r)
-    pairs = [pair] + [scaled_cells(pair, seed) for seed in range(3)]
+    parts = spo_parts(r)
+    pairs = [spo_pair(r)] + [scaled_cells(parts, seed) for seed in range(3)]
     for seed in (1, 9):
         for g in sample_transvections(r, 3, seed=seed):
             for p in pairs:
@@ -369,10 +362,10 @@ def test_group_bracket_equivariance_matches_oracle(r):
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_doubled_odd_bracket_cell_breaks_group_equivariance(r):
-    pair = spo_pair(r)
-    vbracket = dict(pair.vbracket)
+    g0, action, vbracket = spo_parts(r)
+    vbracket = dict(vbracket)
     vbracket[(0, 0)] = {k: 2 * c for k, c in vbracket[(0, 0)].items()}
-    bad = with_vbracket(pair, vbracket)
+    bad = assemble_pair(g0, action, vbracket)
     for g in sample_transvections(r, 6, seed=9):
         assert not group_bracket_equivariance(bad, g)
 
@@ -392,6 +385,24 @@ ENVELOPE_ALGEBRAS = {
 @functools.cache
 def envelope_algebra(name):
     return ENVELOPE_ALGEBRAS[name]()
+
+
+@pytest.mark.parametrize("name", ["ga(1|1)", "gl(1|1)", "gl(2|1)"])
+def test_pair_axioms_hold_on_lie_g_with_its_odd_indices_first(name):
+    # Lie(G) read off a truncated dual lists its odd duals first
+    lie = envelope_algebra(name)
+    assert lie.parity[0] == 1 and lie.parity != sorted(lie.parity)
+    assert validate_hcpair(lie) == []
+
+
+def test_doubled_odd_cell_of_lie_g_fails_symmetry_at_its_labels():
+    lie = envelope_algebra("gl(2|1)")
+    p, q = lie.labels.index("D[p11]"), lie.labels.index("D[q11]")
+    bracket = dict(lie.bracket)
+    bracket[(p, q)] = {k: 2 * c for k, c in bracket[(p, q)].items()}
+    failures = validate_hcpair(SuperLieAlgebraData(lie.labels, lie.parity, bracket))
+    assert failures[:2] == ["symmetry fails at (D[p11], D[q11])",
+                            "symmetry fails at (D[q11], D[p11])"]
 
 
 def assert_matches_rewriting(lie, d):

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import rref_cotangent
+from conftest import delta_of, rref_cotangent
 from superalg import (
     GeneratorSet,
     HopfPresentation,
@@ -50,7 +50,7 @@ def test_exterior_coproduct_of_blade():
         - TensorPoly.of(v2, v1)
         + TensorPoly.of(one, v1 * v2)
     )
-    assert pres.delta_of(v1 * v2) == expected
+    assert delta_of(pres, v1 * v2) == expected
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
