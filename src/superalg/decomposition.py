@@ -24,16 +24,11 @@ def point_images(pres: HopfPresentation, point: SuperMatrix) -> dict[str, SuperP
     """
     m, n = pres.shape
     images: dict[str, SuperPoly] = {}
-    size = m + n
-    for a in range(1, size + 1):
-        for b in range(1, size + 1):
+    for a, row in enumerate(point.rows, 1):
+        for b, entry in enumerate(row, 1):
             name = glmn_entry_name(m, n, a, b)
-            if name not in pres.gens:
-                continue
-            entry = point.rows[a - 1][b - 1]
-            if a == b:
-                entry = entry - point.alg.one()
-            images[name] = entry
+            if name in pres.gens:
+                images[name] = entry - point.alg.one() if a == b else entry
     return images
 
 

@@ -6,15 +6,19 @@ diagonal blocks have invertible rational body.  Inversion is exact: invert
 the body over the rationals, then run the terminating nilpotent correction
 series on the soul.
 
-Entries are ``SuperPoly`` values at the API boundary, but every matrix
-product and inverse runs on one integer kernel.  There a blade
+A point is held in one form, the integer kernel's.  A blade
 t_{i1}...t_{ir} (0-based i1 < ... < ir) is the int bitmask with bits i1..ir
 set, an entry is a dict from bitmask to int numerator, and one positive
 denominator is shared by the whole matrix and reduced by a gcd after each
-product.  The bitmask is the ``odds`` field of ``SuperMonomial`` itself, so
-entries cross the boundary without re-encoding.  Two blades with a common
-bit multiply to zero; otherwise m1 * m2 = (-1)^popcount(m2 & cross(m1)) *
-(m1 | m2), the sign rule of ``core.cross``.  Nothing is sized by 2^k.
+product, so equal points have equal integer forms.  The bitmask is the
+``odds`` field of ``SuperMonomial`` itself, so entries cross to and from
+``SuperPoly`` without re-encoding.  They cross only at the API edge: the
+constructor reads ``SuperPoly`` rows, and ``rows``, the blocks,
+``map_entries`` and ``decomposition_coords`` are read-only views; products,
+inverses, equality and ``to_json`` stay on the integers.  Two blades with a
+common bit multiply to zero; otherwise m1 * m2 = (-1)^popcount(m2 &
+cross(m1)) * (m1 | m2), the sign rule of ``core.cross``.  Nothing is sized
+by 2^k.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from . import linalg
 from .core import (
     F1,
     GeneratorSet,
-    PARITY_EVEN,
-    PARITY_ODD,
+    GeneratorSetMismatch,
     SuperMonomial,
     SuperPoly,
     cross,
@@ -97,7 +100,7 @@ def invert_element(r: SuperPoly) -> SuperPoly:
         raise NotInvertible("element has zero body")
     if any(any(m.evens) for m in r.terms):
         raise ValueError("not a Grassmann element: it has even generators")
-    return _from_ints(_int_inv(_to_ints([[r]])), r.gens)[0][0]
+    return _from_ints(grassmann_matrix_inv(_to_ints([[r]], r.gens)), r.gens)[0][0]
 
 
 def _mask(support, k: int) -> int:
@@ -110,34 +113,20 @@ def _mask(support, k: int) -> int:
     return mask
 
 
-def _matrix_body(rows) -> linalg.Matrix:
-    return [[entry.body() for entry in row] for row in rows]
-
-
-def grassmann_matrix_inv(rows, alg: GrassmannAlgebra):
-    """Inverse of a square matrix over a Grassmann algebra.
-
-    Requires the rational body matrix to be invertible; the remaining soul
-    part is nilpotent, so the Neumann series terminates.
-    """
-    return _from_ints(_int_inv(_to_ints(rows)), alg.gens)
-
-
-def _poly_mat_mul(a, b, alg: GrassmannAlgebra):
-    """Product of two matrices of Grassmann elements (lists of rows)."""
-    return _from_ints(_int_mul(_to_ints(a), _to_ints(b)), alg.gens)
-
-
 # --- integer bitmask kernel (see the module docstring) ----------------------
 #
 # A matrix is held as ``(rows, den)``: ``rows[i][j]`` maps a blade bitmask to
-# a nonzero int numerator and ``den > 0`` is shared by every entry.
+# a nonzero int numerator and ``den > 0`` is shared by every entry.  Products,
+# sums and inverses come out gcd-reduced, so equal matrices are equal tuples.
 
 IntMatrix = tuple[list[list[dict[int, int]]], int]
 
 
-def _to_ints(rows) -> IntMatrix:
-    """Integer form of a matrix of Grassmann elements (``SuperPoly`` entries)."""
+def _to_ints(rows, gens: GeneratorSet) -> IntMatrix:
+    """Integer form of a matrix of ``SuperPoly`` entries over ``gens``; the lcm
+    of reduced denominators leaves it gcd-reduced."""
+    if any(entry.gens != gens for row in rows for entry in row):
+        raise GeneratorSetMismatch(f"a matrix entry does not lie in {gens!r}")
     den = lcm(*(c.denominator for row in rows for entry in row for c in entry.terms.values()))
     return [
         [{mono.odds: c.numerator * (den // c.denominator) for mono, c in entry.terms.items()}
@@ -175,7 +164,14 @@ def _reduced(rows: list[list[dict[int, int]]], den: int) -> IntMatrix:
     return [[{m: c // g for m, c in terms.items()} for terms in row] for row in rows], den // g
 
 
-def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+def _body(a: IntMatrix) -> linalg.Matrix:
+    """The rational body matrix: the coefficients of the empty blade."""
+    rows, den = a
+    return [[Fraction(terms.get(0, 0), den) for terms in row] for row in rows]
+
+
+def _poly_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Product of two integer-form matrices of Grassmann elements."""
     arows, aden = a
     brows, bden = b
     cols = len(brows[0]) if brows else 0
@@ -220,12 +216,8 @@ def _int_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for aterms, bterms in zip(arow, brow):
             terms = {m: c * sa for m, c in aterms.items()}
             for m, c in bterms.items():
-                s = terms.get(m, 0) + c * sb
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-            out_row.append(terms)
+                terms[m] = terms.get(m, 0) + c * sb
+            out_row.append({m: c for m, c in terms.items() if c})
         out.append(out_row)
     return _reduced(out, den)
 
@@ -247,50 +239,63 @@ def _split(a: IntMatrix, m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMa
     )
 
 
-def _int_inv(a: IntMatrix) -> IntMatrix:
+def _join(x: IntMatrix, p: IntMatrix, q: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The matrix (X P; Q Y), gcd-reduced: the inverse of ``_split``."""
+    den = lcm(x[1], p[1], q[1], y[1])
+    x, p, q, y = (
+        [[{mask: c * (den // bden) for mask, c in terms.items()} for terms in row] for row in rows]
+        for rows, bden in (x, p, q, y)
+    )
+    return _reduced([a + b for a, b in zip(x, p)] + [a + b for a, b in zip(q, y)], den)
+
+
+def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
     """Inverse of a square integer-form matrix with invertible body B.
 
     With soul S and N = B^-1 S (nilpotent), A^-1 = sum_i (-N)^i B^-1; each
     term is the previous one multiplied on the left by -N.
     """
     rows, den = a
-    body_inv = linalg.invert([[Fraction(terms.get(0, 0), den) for terms in row] for row in rows])
+    body_inv = linalg.invert(_body(a))
     if body_inv is None:
         raise NotAPoint("matrix body is singular")
     bden = lcm(*(c.denominator for row in body_inv for c in row))
     binv = ([[{0: c.numerator * (bden // c.denominator)} if c else {} for c in row]
              for row in body_inv], bden)
     neg_soul = ([[{m: -c for m, c in terms.items() if m} for terms in row] for row in rows], den)
-    neg_nil = _int_mul(binv, neg_soul)
+    neg_nil = _poly_mat_mul(binv, neg_soul)
     total = term = binv
     while True:
-        term = _int_mul(neg_nil, term)
+        term = _poly_mat_mul(neg_nil, term)
         if not any(terms for row in term[0] for terms in row):
             return total
         total = _int_add(total, term)
 
 
 class SuperMatrix:
-    """(m|n)-patterned block matrix over a Grassmann algebra."""
+    """(m|n)-patterned block matrix over a Grassmann algebra, held as ``ints``."""
 
-    __slots__ = ("m", "n", "alg", "rows")
+    __slots__ = ("m", "n", "alg", "ints")
 
     def __init__(self, m: int, n: int, alg: GrassmannAlgebra, rows):
-        self.m = m
-        self.n = n
-        self.alg = alg
         size = m + n
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError("matrix has the wrong shape")
-        self.rows = tuple(tuple(row) for row in rows)
+        self.m, self.n, self.alg = m, n, alg
+        self.ints = _to_ints(rows, alg.gens)
+
+    @classmethod
+    def _of(cls, m: int, n: int, alg: GrassmannAlgebra, ints: IntMatrix) -> SuperMatrix:
+        """The matrix whose gcd-reduced integer form is ``ints``."""
+        point = cls.__new__(cls)
+        point.m, point.n, point.alg, point.ints = m, n, alg, ints
+        return point
 
     @classmethod
     def identity(cls, m: int, n: int, alg: GrassmannAlgebra) -> SuperMatrix:
         size = m + n
-        return cls(
-            m, n, alg,
-            [[alg.one() if i == j else alg.zero() for j in range(size)] for i in range(size)],
-        )
+        return cls._of(m, n, alg, ([[{0: 1} if i == j else {} for j in range(size)]
+                                    for i in range(size)], 1))
 
     @classmethod
     def from_blocks(cls, x, p, q, y, alg: GrassmannAlgebra) -> SuperMatrix:
@@ -300,73 +305,63 @@ class SuperMatrix:
         return cls(m, n, alg, rows)
 
     @property
-    def size(self) -> int:
-        return self.m + self.n
+    def rows(self) -> list[list[SuperPoly]]:
+        return _from_ints(self.ints, self.alg.gens)
 
     def block_x(self):
-        return [list(self.rows[i][: self.m]) for i in range(self.m)]
+        return _from_ints(_split(self.ints, self.m)[0], self.alg.gens)
 
     def block_p(self):
-        return [list(self.rows[i][self.m :]) for i in range(self.m)]
+        return _from_ints(_split(self.ints, self.m)[1], self.alg.gens)
 
     def block_q(self):
-        return [list(self.rows[self.m + k][: self.m]) for k in range(self.n)]
+        return _from_ints(_split(self.ints, self.m)[2], self.alg.gens)
 
     def block_y(self):
-        return [list(self.rows[self.m + k][self.m :]) for k in range(self.n)]
-
-    def entry_parity(self, i: int, j: int) -> int:
-        return (i >= self.m) ^ (j >= self.m)
+        return _from_ints(_split(self.ints, self.m)[3], self.alg.gens)
 
     def __mul__(self, other: SuperMatrix) -> SuperMatrix:
         if (self.m, self.n) != (other.m, other.n) or self.alg != other.alg:
             raise ValueError("shape or base algebra mismatch")
-        rows = _poly_mat_mul(self.rows, other.rows, self.alg)
-        return SuperMatrix(self.m, self.n, self.alg, rows)
+        return self._of(self.m, self.n, self.alg, _poly_mat_mul(self.ints, other.ints))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperMatrix)
             and (self.m, self.n) == (other.m, other.n)
             and self.alg == other.alg
-            and self.rows == other.rows
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.m, self.n, self.rows))
+        rows, den = self.ints
+        return hash((self.m, self.n, den, tuple(frozenset(t.items()) for row in rows for t in row)))
 
     def map_entries(self, fn, alg: GrassmannAlgebra | None = None) -> SuperMatrix:
         return SuperMatrix(self.m, self.n, alg or self.alg, [[fn(e) for e in row] for row in self.rows])
 
     def parity_pattern_ok(self) -> bool:
-        for i in range(self.size):
-            for j in range(self.size):
-                entry = self.rows[i][j]
-                if entry.is_zero():
-                    continue
-                expected = PARITY_ODD if self.entry_parity(i, j) else PARITY_EVEN
-                if entry.parity_of() != expected:
-                    return False
-        return True
+        """Every blade is even in X and Y and odd in P and Q."""
+        m = self.m
+        return all(
+            mask.bit_count() & 1 == ((i >= m) ^ (j >= m))
+            for i, row in enumerate(self.ints[0])
+            for j, terms in enumerate(row)
+            for mask in terms
+        )
 
     def is_gl_point(self) -> bool:
         """Parity pattern holds and both diagonal body blocks are invertible."""
         if not self.parity_pattern_ok():
             return False
-        xb = _matrix_body(self.block_x())
-        yb = _matrix_body(self.block_y())
-        if self.m and linalg.invert(xb) is None:
-            return False
-        if self.n and linalg.invert(yb) is None:
-            return False
-        return True
+        x, _, _, y = _split(self.ints, self.m)
+        return linalg.invert(_body(x)) is not None and linalg.invert(_body(y)) is not None
 
     def inv(self) -> SuperMatrix:
         """Exact two-sided inverse (body inversion plus nilpotent series)."""
         if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
-        rows = grassmann_matrix_inv(self.rows, self.alg)
-        return SuperMatrix(self.m, self.n, self.alg, rows)
+        return self._of(self.m, self.n, self.alg, grassmann_matrix_inv(self.ints))
 
     def antipode_blocks(self) -> SuperMatrix:
         """Matrix assembled from the closed-form antipode blocks.
@@ -377,19 +372,17 @@ class SuperMatrix:
         """
         if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
-        x, p, q, y = _split(_to_ints(self.rows), self.m)
-        x_inv, y_inv = _int_inv(x), _int_inv(y)
+        x, p, q, y = _split(self.ints, self.m)
+        x_inv, y_inv = grassmann_matrix_inv(x), grassmann_matrix_inv(y)
         if self.m and self.n:
-            s_x = _int_inv(_int_add(x, _int_neg(_int_mul(_int_mul(p, y_inv), q))))
-            s_y = _int_inv(_int_add(y, _int_neg(_int_mul(_int_mul(q, x_inv), p))))
-            s_p = _int_neg(_int_mul(_int_mul(x_inv, p), s_y))
-            s_q = _int_neg(_int_mul(_int_mul(y_inv, q), s_x))
+            mul, inv = _poly_mat_mul, grassmann_matrix_inv
+            s_x = inv(_int_add(x, _int_neg(mul(mul(p, y_inv), q))))
+            s_y = inv(_int_add(y, _int_neg(mul(mul(q, x_inv), p))))
+            s_p = _int_neg(mul(mul(x_inv, p), s_y))
+            s_q = _int_neg(mul(mul(y_inv, q), s_x))
         else:
             s_x, s_y, s_p, s_q = x_inv, y_inv, p, q  # p and q have no entries
-        gens = self.alg.gens
-        return SuperMatrix.from_blocks(
-            *(_from_ints(block, gens) for block in (s_x, s_p, s_q, s_y)), self.alg
-        )
+        return self._of(self.m, self.n, self.alg, _join(s_x, s_p, s_q, s_y))
 
     def decomposition_coords(self):
         """Split a point into (X, Y, p', q') with p' = X^-1 P and q' = Y^-1 Q.
@@ -399,27 +392,33 @@ class SuperMatrix:
         """
         if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
-        x, p, q, y = _split(_to_ints(self.rows), self.m)
-        gens = self.alg.gens
-        pprime = _from_ints(_int_mul(_int_inv(x), p), gens)
-        qprime = _from_ints(_int_mul(_int_inv(y), q), gens)
-        return self.block_x(), self.block_y(), pprime, qprime
+        x, p, q, y = _split(self.ints, self.m)
+        pprime = _poly_mat_mul(grassmann_matrix_inv(x), p)
+        qprime = _poly_mat_mul(grassmann_matrix_inv(y), q)
+        return tuple(_from_ints(block, self.alg.gens) for block in (x, y, pprime, qprime))
 
     @classmethod
     def from_decomposition(cls, x, y, pprime, qprime, alg: GrassmannAlgebra) -> SuperMatrix:
         """Rebuild the point: P = X p', Q = Y q'."""
-        p = _poly_mat_mul(x, pprime, alg)
-        q = _poly_mat_mul(y, qprime, alg)
-        return cls.from_blocks(x, p, q, y, alg)
+        x, y, pprime, qprime = (_to_ints(block, alg.gens) for block in (x, y, pprime, qprime))
+        p, q = _poly_mat_mul(x, pprime), _poly_mat_mul(y, qprime)
+        rows, den = _join(x, p, q, y)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix has the wrong shape")
+        return cls._of(len(x[0]), len(y[0]), alg, (rows, den))
 
     def to_json(self) -> str:
         """Deterministic JSON: shape plus (odd-support, rational) term lists."""
+        rows, den = self.ints
         entries = []
-        for row in self.rows:
+        for row in rows:
             out_row = []
-            for entry in row:
-                items = sorted((odd_positions(m.odds), c) for m, c in entry.terms.items())
-                out_row.append([[list(support), [c.numerator, c.denominator]] for support, c in items])
+            for terms in row:
+                cells = []
+                for mask, num in terms.items():
+                    g = gcd(num, den)
+                    cells.append([list(odd_positions(mask)), [num // g, den // g]])
+                out_row.append(sorted(cells))
             entries.append(out_row)
         return json.dumps(
             {"shape": [self.m, self.n, self.alg.k], "entries": entries},

@@ -85,7 +85,8 @@ def validate_hcpair(lie: SuperLieAlgebraData) -> list[str]:
     multilinear, so basis tuples suffice.  For v = sum c_i e_i the third is a
     cubic form in commuting c_i; it vanishes identically when each
     coefficient does, and the coefficient of c_i c_j c_a is the sum of
-    e_a <| [e_i, e_j] over the distinct orderings of (i, j, a).
+    e_a <| [e_i, e_j] over the distinct orderings of (i, j, a); the first
+    triple whose coefficient survives is the witness.
     """
     failures: list[str] = []
     evens, odds = lie.even_indices(), lie.odd_indices()
@@ -102,7 +103,9 @@ def validate_hcpair(lie: SuperLieAlgebraData) -> list[str]:
             for k, ck in br(i, j).items():
                 add_into(coefficient, br(a, k), ck)
         if coefficient:
-            failures.append("v <| [v,v] does not vanish identically")
+            at = ", ".join(labels[i] for i in triple)
+            cell = ", ".join(f"{labels[k]}: {c}" for k, c in sorted(coefficient.items()))
+            failures.append(f"v <| [v,v] does not vanish at ({at}): {{{cell}}}")
             break
 
     for a in odds:

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from superalg import GeneratorSet, SuperPoly, TensorPoly, linalg
 from superalg.core import EVEN, F0, F1, ODD, SuperMonomial, mul_monomials
+from superalg.grassmann import _from_ints, _poly_mat_mul, _to_ints, grassmann_matrix_inv
 from superalg.hopf import _monomials_up_to
 from superalg.hyper import super_pbw_count
 from superalg.liealg import StructureError, SuperLieAlgebraData
@@ -388,6 +389,21 @@ def pairing_on_sequences(fs, vs):
         if all(fs[a] == vs[perm[a]] for a in range(k)):
             total += F1 if inversions % 2 == 0 else -F1
     return total
+
+
+# --- the integer kernel of ``superalg.grassmann`` on matrices of ``SuperPoly``
+# entries (lists of rows), for differential tests against ``oracle_product``
+
+
+def poly_mat_mul(a, b, alg):
+    """``a * b`` by ``grassmann._poly_mat_mul``."""
+    gens = alg.gens
+    return _from_ints(_poly_mat_mul(_to_ints(a, gens), _to_ints(b, gens)), gens)
+
+
+def poly_mat_inv(rows, alg):
+    """The inverse by ``grassmann.grassmann_matrix_inv``."""
+    return _from_ints(grassmann_matrix_inv(_to_ints(rows, alg.gens)), alg.gens)
 
 
 # --- small operations that only the tests need

@@ -5,9 +5,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import coefficients, mask_of, oracle_product
+from conftest import coefficients, mask_of, oracle_product, poly_mat_inv, poly_mat_mul
 from superalg import (
     GeneratorSet,
+    GeneratorSetMismatch,
     GrassmannAlgebra,
     NotAPoint,
     NotInvertible,
@@ -17,7 +18,6 @@ from superalg import (
     linalg,
 )
 from superalg.core import SuperMonomial, SuperPoly
-from superalg.grassmann import _poly_mat_mul, grassmann_matrix_inv
 
 ALG = GrassmannAlgebra(4)
 
@@ -115,6 +115,7 @@ def test_is_gl_point():
     not_points = [
         point_1_1(ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero()),  # bad parity
         point_1_1(ALG.one(), ALG.one(), ALG.scalar(2), ALG.zero()),  # bad parity
+        point_1_1(ALG.one() + ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero()),  # mixed parity
         point_1_1(ALG.zero(), ALG.one(), ALG.zero(), ALG.zero()),  # singular X body
         point_1_1(nilpotent, ALG.one(), t(3), t(4)),  # singular X body
         point_1_1(ALG.one(), nilpotent, t(3), t(4)),  # singular Y body
@@ -127,6 +128,52 @@ def test_is_gl_point():
         for method in (point.inv, point.antipode_blocks, point.decomposition_coords):
             with pytest.raises(NotAPoint):
                 method()
+
+
+def test_entries_over_another_algebra_are_rejected():
+    # t3 is no generator of the one-generator algebra
+    small = GrassmannAlgebra(1)
+    with pytest.raises(GeneratorSetMismatch):
+        point_1_1(ALG.one(), ALG.one(), ALG.theta(3), ALG.zero(), alg=small)
+    with pytest.raises(GeneratorSetMismatch):
+        SuperMatrix.from_decomposition([[ALG.one()]], [[ALG.one()]], [[ALG.theta(3)]],
+                                       [[ALG.zero()]], small)
+    with pytest.raises(GeneratorSetMismatch):
+        SuperMatrix.identity(1, 1, ALG).map_entries(lambda e: e, small)
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (1, 1), (2, 1), (2, 2)])
+def test_equal_points_built_by_different_paths_hash_equal(m, n):
+    # every path must land on the same gcd-reduced integer form
+    sampler = PointSampler(m, n, 5, seed=50 + 10 * m + n)
+    alg = sampler.alg
+    ident = SuperMatrix.identity(m, n, alg)
+    for i in range(4):
+        a, b, c = (sampler.sample(3 * i + d) for d in range(3))
+        inverse = a.inv()
+        pairs = [
+            (a, SuperMatrix(m, n, alg, a.rows)),
+            (a, SuperMatrix.from_blocks(a.block_x(), a.block_p(), a.block_q(), a.block_y(), alg)),
+            (a, SuperMatrix.from_json(a.to_json())),
+            (a, SuperMatrix.from_decomposition(*a.decomposition_coords(), alg)),
+            ((a * b) * c, a * (b * c)),
+            (inverse * a, ident),
+            (a * inverse, ident),
+            (a.antipode_blocks(), inverse),
+        ]
+        for left, right in pairs:
+            assert left == right
+            assert hash(left) == hash(right)
+
+
+def test_antipode_without_odd_blocks_drops_the_points_denominator():
+    # the inverse [[2]] has none, but the empty P and Q blocks carry the point's 2
+    half = [[ALG.scalar(Fraction(1, 2))]]
+    for point in (SuperMatrix.from_blocks(half, [[]], [], [], ALG),
+                  SuperMatrix.from_blocks([], [], [[]], half, ALG)):
+        antipode = point.antipode_blocks()
+        assert antipode == point.inv() == point.map_entries(lambda e: e.scale(4))
+        assert hash(antipode) == hash(point.inv())
 
 
 def test_antipode_blocks_diagonal_case():
@@ -189,8 +236,8 @@ def test_even_subgroup_closed():
     # blockwise: the even subgroup multiplies like GL_m x GL_n
     g, h = sampler.sample_even(100), sampler.sample_even(101)
     gh = g * h
-    assert gh.block_x() == _poly_mat_mul(g.block_x(), h.block_x(), sampler.alg)
-    assert gh.block_y() == _poly_mat_mul(g.block_y(), h.block_y(), sampler.alg)
+    assert gh.block_x() == poly_mat_mul(g.block_x(), h.block_x(), sampler.alg)
+    assert gh.block_y() == poly_mat_mul(g.block_y(), h.block_y(), sampler.alg)
 
 
 def test_json_round_trip_and_determinism():
@@ -216,6 +263,9 @@ def test_shape_mismatch_rejected():
     b = PointSampler(2, 1, 3, seed=1).sample(0)
     with pytest.raises(ValueError):
         a * b
+    one = ALG.one()
+    with pytest.raises(ValueError, match="wrong shape"):  # p' is 1 x 0, not 1 x 1
+        SuperMatrix.from_decomposition([[one]], [[one]], [[]], [[ALG.zero()]], ALG)
 
 
 def test_purely_even_shape_degenerates():
@@ -276,10 +326,10 @@ def test_kernel_matches_oracle_on_seeded_points(k):
             x, p, q, y = a.block_x(), a.block_p(), a.block_q(), a.block_y()
             for left, right in ((x, p), (q, x), (y, q), (p, y)):
                 if right:
-                    assert _poly_mat_mul(left, right, alg) == oracle_mul(left, right, alg)
+                    assert poly_mat_mul(left, right, alg) == oracle_mul(left, right, alg)
             if p and q:
-                assert _poly_mat_mul(p, q, alg) == oracle_mul(p, q, alg)
-                assert _poly_mat_mul(q, p, alg) == oracle_mul(q, p, alg)
+                assert poly_mat_mul(p, q, alg) == oracle_mul(p, q, alg)
+                assert poly_mat_mul(q, p, alg) == oracle_mul(q, p, alg)
             for entry in (e for row in x + y for e in row):
                 if entry.body():
                     assert invert_element(entry) == series_inverse(entry)
@@ -328,13 +378,13 @@ def invertible_matrices(draw):
 def test_product_matches_oracle_on_generated_matrices(rows, inner, cols, data):
     a = data.draw(grassmann_matrices(rows, inner))
     b = data.draw(grassmann_matrices(inner, cols))
-    assert _poly_mat_mul(a, b, HYP_ALG) == oracle_mul(a, b, HYP_ALG)
+    assert poly_mat_mul(a, b, HYP_ALG) == oracle_mul(a, b, HYP_ALG)
 
 
 @settings(max_examples=60, deadline=None)
 @given(invertible_matrices())
 def test_inverse_is_an_oracle_inverse_on_generated_matrices(a):
-    inverse = grassmann_matrix_inv(a, HYP_ALG)
+    inverse = poly_mat_inv(a, HYP_ALG)
     ident = oracle_identity(len(a), HYP_ALG)
     assert oracle_mul(a, inverse, HYP_ALG) == ident
     assert oracle_mul(inverse, a, HYP_ALG) == ident
@@ -354,15 +404,15 @@ def test_sparse_entries_over_64_generators():
     a = [[alg.one() + t(1) * t(64), t(2) + t(40) * t(41) * t(63)],
          [t(63).scale(Fraction(1, 3)), alg.scalar(2) + t(3) * t(4)]]
     b = [[t(64), alg.scalar(Fraction(-1, 2))], [t(5) * t(6), t(1)]]
-    assert _poly_mat_mul(a, b, alg) == oracle_mul(a, b, alg)
-    inverse = grassmann_matrix_inv(a, alg)
+    assert poly_mat_mul(a, b, alg) == oracle_mul(a, b, alg)
+    inverse = poly_mat_inv(a, alg)
     assert oracle_mul(a, inverse, alg) == oracle_identity(2, alg)
     assert invert_element(a[0][0]) == alg.one() - t(1) * t(64)
 
 
 def test_singular_body_and_even_generators_are_rejected():
     with pytest.raises(NotAPoint):
-        grassmann_matrix_inv([[ALG.theta(1), ALG.one()], [ALG.zero(), ALG.one()]], ALG)
+        poly_mat_inv([[ALG.theta(1), ALG.one()], [ALG.zero(), ALG.one()]], ALG)
     gens = GeneratorSet(evens=["x"], odds=["t"])
     with pytest.raises(ValueError):
         invert_element(SuperPoly.one(gens) + SuperPoly.generator(gens, "x"))

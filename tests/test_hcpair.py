@@ -160,7 +160,11 @@ def test_asymmetric_bracket_is_detected():
         build_super_lie(bad)
 
 
-CUBIC_FAILURE = "v <| [v,v] does not vanish identically"
+CUBIC_FAILURE = "v <| [v,v] does not vanish at "
+
+
+def cubic_holds(pair) -> bool:
+    return not any(f.startswith(CUBIC_FAILURE) for f in validate_hcpair(pair))
 
 
 def rotation_pair():
@@ -172,7 +176,7 @@ def rotation_pair():
 
 def test_cubic_axiom_alone_is_detected():
     pair = rotation_pair()
-    assert validate_hcpair(pair) == [CUBIC_FAILURE]
+    assert validate_hcpair(pair) == [CUBIC_FAILURE + "(e1, e1, e1): {e2: 1}"]
     assert not oracle_cubic_vanishes(pair)
     with pytest.raises(StructureError, match=r"^super Jacobi fails at \(e1, e1, e1\)"):
         build_super_lie(pair)
@@ -198,7 +202,7 @@ def random_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(random_pairs())
 def test_cubic_verdict_matches_symbolic_oracle(pair):
-    assert (CUBIC_FAILURE not in validate_hcpair(pair)) == oracle_cubic_vanishes(pair)
+    assert cubic_holds(pair) == oracle_cubic_vanishes(pair)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -207,7 +211,7 @@ def test_cubic_verdict_matches_symbolic_oracle_on_spo(r, half):
     parts = spo_parts(r, half)
     pairs = [spo_pair(r, half)] + [scaled_cells(parts, seed) for seed in range(3)]
     for p in pairs:
-        assert (CUBIC_FAILURE not in validate_hcpair(p)) == oracle_cubic_vanishes(p)
+        assert cubic_holds(p) == oracle_cubic_vanishes(p)
 
 
 def test_scaled_g0_bracket_fails_jacobi():
