@@ -6,11 +6,13 @@ V is a right g_0-module through v <| X = [v, X], and [V, V] lands in g_0.
 ``validate_hcpair`` reads the pair axioms off the bracket of any such data,
 whatever the order of its even and odd indices.  The flagship instance takes
 the symplectic Lie algebra (matrices X with XJ symmetric) acting on row
-vectors, with bracket J(tv w + tw v)/2, and is verified exhaustively and
-exactly.  The truncated PBW envelope of a super Lie algebra is built on its
-ordered normal words from the rows of left multiplication by one letter (the
-PBW theorem makes these words a basis), and the bracket relations of the
-rows prove it associative exactly.
+vectors, with bracket J(tv w + tw v)/2, and is verified exactly: super
+Jacobi from its odd generators in ``int`` (``build_super_lie``), and the
+group translations on cleared denominators (``group_bracket_equivariance``).
+The truncated PBW envelope of a super Lie algebra is built on its ordered
+normal words from the rows of left multiplication by one letter (the PBW
+theorem makes these words a basis), and the bracket relations of the rows
+prove it associative exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations_with_replacement, permutations
 from . import linalg
 from .core import F0, F1
 from .liealg import StructureError, SuperLieAlgebraData
-from .table import Vec, add_into, basis_times, image, times_basis, whole_as_int
+from .table import Vec, add_into, basis_times, cleared, image, times_basis, whole_as_int
 
 Matrix = list[list[Fraction]]
 
@@ -69,11 +71,15 @@ def _entries(matrix: Matrix) -> Vec:
     return {i * size + j: c for i, row in enumerate(matrix) for j, c in enumerate(row) if c}
 
 
-def _commutator(a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [x - y for x, y in zip(ra, rb)]
-        for ra, rb in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-    ]
+def _commutator(x: Vec, y: Vec, size: int) -> Vec:
+    """xy - yx for two ``size`` x ``size`` matrices in the form of ``_entries``."""
+    out: Vec = {}
+    for u, v, sign in ((x, y, 1), (y, x, -1)):
+        for p, c in u.items():
+            for q, d in v.items():
+                if p % size == q // size:  # (i, j) times (j, l) lands at (i, l)
+                    add_into(out, {p - p % size + q % size: c * d}, sign)
+    return out
 
 
 def validate_hcpair(lie: SuperLieAlgebraData) -> list[str]:
@@ -132,11 +138,12 @@ def spo_pair(r: int, half: bool = True) -> SuperLieAlgebraData:
     """
     basis, J = sp_basis(r), standard_J(r)
     gd, size = len(basis), 2 * r
-    coords_in = linalg.span_coordinates([_entries(b) for b in basis])
+    entries = [_entries(b) for b in basis]
+    coords_in = linalg.span_coordinates(entries)
     bracket: dict[tuple[int, int], Vec] = {}
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            coords = coords_in(_entries(_commutator(x, y)))
+    for i, x in enumerate(entries):
+        for j, y in enumerate(entries):
+            coords = coords_in(_commutator(x, y, size))
             if coords is None:
                 raise StructureError("sp basis is not closed under commutators")
             if coords:
@@ -176,8 +183,21 @@ def abelian_pair(g0_dim: int, v_dim: int) -> SuperLieAlgebraData:
 
 
 def build_super_lie(lie: SuperLieAlgebraData) -> SuperLieAlgebraData:
-    """``lie`` after its grading, super antisymmetry and exhaustive super
-    Jacobi scan pass; raises StructureError with the offending tuple."""
+    """``lie`` after its grading, super antisymmetry and super Jacobi pass;
+    raises StructureError with the offending tuple.
+
+    Super Jacobi is certified on the triples (g, b, c) with g in a generating
+    set G (``superalg.liealg``).  *Lemma.*  Once the bracket is graded and
+    super antisymmetric, the x whose ad x is a super-derivation (the x with
+    a zero defect at every (x, b, c)) form a subspace closed under the
+    bracket, because ad [x, y] = [ad x, ad y] for such x; so Jacobi on G
+    gives Jacobi everywhere when G and [G, G] span.  G is the odd indices
+    and the even ones that no [odd, odd] bracket reaches (the non-pivot
+    columns of one ``rref``); for ``spo_pair`` the odd indices alone.  The
+    triples run in ``int`` on the bracket scaled by the lcm L of its
+    denominators, whose defect is L^2 times the true one; a defect falls
+    back to the dense scan, which names the first failing triple.
+    """
     lie.validate()
     return lie
 
@@ -350,38 +370,48 @@ def group_bracket_equivariance(lie: SuperLieAlgebraData, g: Matrix) -> bool:
 
     An even element Y is read as the matrix of its action on the odd span,
     row i being [e_i, Y]; for ``spo_pair`` this is the defining
-    representation.  False when g is singular.
+    representation.  The comparison runs in ``int``: with G = d g and
+    H = e g^-1 the integer matrices of ``cleared``, and B'[a,b] the matrix of
+    [e_a, e_b] read off the integer-scaled bracket (a fixed nonzero multiple
+    of the true one), it is e sum G[a][a'] G[b][b'] B'[a',b'] = d H B'[a,b] G,
+    which is the identity above times d^2 e and that multiple.  False when g
+    is singular.
     """
     odds = lie.odd_indices()
     size = len(odds)
     ginv = linalg.invert(g)
     if ginv is None:
         return False
+    d, G = cleared({i: dict(enumerate(row)) for i, row in enumerate(g)})
+    e, H = cleared({i: dict(enumerate(row)) for i, row in enumerate(ginv)})
+    _, table = cleared(lie.bracket)
     at = {o: p for p, o in enumerate(odds)}
-    # [e_a, e_b] as a matrix, and its nonzero entries
-    brackets: dict[tuple[int, int], Matrix] = {}
+    # the nonzero entries (i, j, c) of B'[a, b]
+    entries = {}
     for a, oa in enumerate(odds):
         for b, ob in enumerate(odds):
-            vec = lie.bracket_basis(oa, ob)
+            vec = table.get((oa, ob))
             if vec:
-                out = linalg.zeros(size, size)
-                for i, oi in enumerate(odds):
-                    for j, c in basis_times(lie.bracket, oi, vec).items():
-                        out[i][at[j]] = c
-                brackets[(a, b)] = out
-    entries = {key: [(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
-               for key, m in brackets.items()}
-    zero = linalg.zeros(size, size)
-    for a in range(size):
-        for b in range(size):
+                entries[(a, b)] = [(i, at[j], c) for i, oi in enumerate(odds)
+                                   for j, c in basis_times(table, oi, vec).items()]
+    span = range(size)
+    for a in span:
+        for b in span:
             # e_a g is row a of g, so [e_a g, e_b g] = sum g[a][a'] g[b][b'] [e_a', e_b']
-            lhs = linalg.zeros(size, size)
+            lhs = [[0] * size for _ in span]
             for (a2, b2), nonzero in entries.items():
-                cc = g[a][a2] * g[b][b2]
+                cc = e * G[a][a2] * G[b][b2]
                 if cc:
                     for i, j, c in nonzero:
                         lhs[i][j] += cc * c
-            rhs = linalg.mat_mul(linalg.mat_mul(ginv, brackets.get((a, b), zero)), g)
+            rhs = [[0] * size for _ in span]
+            for i, k, c in entries.get((a, b), ()):
+                Gk = G[k]
+                for i2, row in zip(span, rhs):
+                    hc = d * H[i2][i] * c
+                    if hc:
+                        for j2 in span:
+                            row[j2] += hc * Gk[j2]
             if lhs != rhs:
                 return False
     return True

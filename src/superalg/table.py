@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from math import lcm
 
 Vec = dict[int, Fraction]
 Table = dict[tuple[int, int], Vec]
@@ -56,6 +57,14 @@ def add_into(out: dict, vec: dict, scale: Fraction | int = 1) -> None:
 def whole_as_int(vec: dict) -> dict:
     """``vec`` with each whole coefficient as an ``int``, so whole tables multiply in ``int``."""
     return {k: c.numerator if c.denominator == 1 else c for k, c in vec.items()}
+
+
+def cleared(rows: dict) -> tuple[int, dict]:
+    """(L, L * ``rows``): L is the lcm of the denominators in the vectors of
+    ``rows``, and each coefficient of the scaled rows is an ``int``."""
+    den = lcm(*(c.denominator for vec in rows.values() for c in vec.values()))
+    return den, {key: {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+                 for key, vec in rows.items()}
 
 
 def transpose(rows: dict, keys=()) -> dict:

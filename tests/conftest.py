@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from superalg import GeneratorSet, SuperPoly, TensorPoly, linalg
 from superalg.core import EVEN, F0, F1, ODD, SuperMonomial, mul_monomials
 from superalg.grassmann import _from_ints, _poly_mat_mul, _to_ints, grassmann_matrix_inv
+from superalg.hcpair import _entries, sp_basis, standard_J
 from superalg.hopf import _monomials_up_to
 from superalg.hyper import super_pbw_count
 from superalg.liealg import StructureError, SuperLieAlgebraData
@@ -217,6 +218,49 @@ def oracle_cubic_vanishes(lie) -> bool:
 def is_symplectic(g, J) -> bool:
     """Exact membership test g J tg = J."""
     return linalg.mat_mul(linalg.mat_mul(g, J), linalg.transpose(g)) == J
+
+
+def dense_commutator(a, b):
+    """xy - yx of two dense matrices, from two full matrix products."""
+    return [[x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
+
+
+def dense_spo_pair(r: int, half: bool = True) -> SuperLieAlgebraData:
+    """``hcpair.spo_pair`` with every [X_i, X_j] a dense matrix commutator and
+    every odd bracket J(tv w + tw v)/2 a dense matrix, read in sp coordinates."""
+    basis, J = sp_basis(r), standard_J(r)
+    gd, size = len(basis), 2 * r
+    coords_in = linalg.span_coordinates([_entries(b) for b in basis])
+    bracket = {}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            coords = coords_in(_entries(dense_commutator(x, y)))
+            assert coords is not None
+            if coords:
+                bracket[(i, j)] = coords
+    for k, x in enumerate(basis):
+        for a, row in enumerate(x):
+            acted = {gd + b: c for b, c in enumerate(row) if c}
+            if acted:
+                bracket[(gd + a, k)] = acted
+                bracket[(k, gd + a)] = {key: -c for key, c in acted.items()}
+    scale = Fraction(1, 2) if half else F1
+    for a in range(size):
+        for b in range(size):
+            matrix = linalg.zeros(size, size)
+            for i in range(size):
+                matrix[i][b] += scale * J[i][a]
+                matrix[i][a] += scale * J[i][b]
+            coords = coords_in(_entries(matrix))
+            assert coords is not None
+            if coords:
+                bracket[(gd + a, gd + b)] = coords
+    return SuperLieAlgebraData(
+        labels=[f"X{i + 1}" for i in range(gd)] + [f"e{a + 1}" for a in range(size)],
+        parity=[0] * gd + [1] * size,
+        bracket=bracket,
+    )
 
 
 def envelope_pbw_count(g0_dim: int, v_dim: int, degree_bound: int) -> int:

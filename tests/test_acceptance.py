@@ -157,7 +157,7 @@ def test_criterion_7_harish_chandra():
     for r in (1, 2, 3):
         assert validate_hcpair(spo_pair(r)) == []
     for r in (1, 2, 3):
-        build_super_lie(spo_pair(r))  # exhaustive super Jacobi inside
+        build_super_lie(spo_pair(r))  # super Jacobi inside, certified from the odd generators
     for d in range(5):
         env = truncated_envelope(build_super_lie(spo_pair(1)), d)
         assert env.dimension == envelope_pbw_count(3, 2, d)

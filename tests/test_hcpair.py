@@ -31,6 +31,7 @@ from conftest import (
     action_matrix,
     assemble_pair,
     brute_force_bad_triples,
+    dense_spo_pair,
     envelope_pbw_count,
     is_symplectic,
     oracle_cubic_vanishes,
@@ -101,6 +102,16 @@ def test_spo_action_rows_are_the_sp_basis_rows(r):
     lie = spo_pair(r)
     assert [action_matrix(lie, {k: 1}) for k in lie.even_indices()] == sp_basis(r)
     assert assemble_pair(*spo_parts(r)).bracket == lie.bracket
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("half", [True, False])
+def test_spo_pair_matches_dense_commutator_oracle(r, half):
+    # the sparse commutators give the same cells, in the same order, of the same types
+    lie, oracle = spo_pair(r, half), dense_spo_pair(r, half)
+    assert lie == oracle
+    assert list(lie.bracket) == list(oracle.bracket)
+    assert typed(lie.bracket) == typed(oracle.bracket)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -364,6 +375,43 @@ def test_group_bracket_equivariance_matches_oracle(r):
                 assert group_bracket_equivariance(p, g) == oracle_group_bracket_equivariance(p, g)
 
 
+def transvection(r, u, c):
+    """I + c J tu u, symplectic for every vector u and scalar c."""
+    J, size = standard_J(r), 2 * r
+    ju = [sum((J[i][a] * u[a] for a in range(size)), F(0)) for i in range(size)]
+    return [[F(i == j) + c * ju[i] * u[j] for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("scale", [F(1, 3), F(-2, 5)])
+def test_integer_group_equivariance_matches_oracle_on_non_dyadic_cells(r, scale):
+    # the integer comparison clears denominators 3 and 5 in the bracket and
+    # in g; a singular g is rejected by both
+    g0, action, vbracket = spo_parts(r)
+    pairs = [spo_pair(r)]
+    for key in sorted(vbracket)[:: max(1, len(vbracket) // 3)]:
+        for cells in ({key}, {key, key[::-1]}):
+            scaled = dict(vbracket)
+            for cell in cells:
+                scaled[cell] = {k: scale * c for k, c in vbracket[cell].items()}
+            pairs.append(assemble_pair(g0, action, scaled))
+    size = 2 * r
+    gs = sample_transvections(r, 2, seed=4) + [
+        transvection(r, [F(a % 3 - 1) for a in range(size)], F(1, 3)),
+        transvection(r, [F(1)] + [F(0)] * (size - 1), F(-2, 5)),
+    ]
+    singular = [[F(i == j) for j in range(size)] for i in range(size)]
+    singular[0] = list(singular[1])
+    verdicts = []
+    for p in pairs:
+        for g in gs:
+            verdicts.append(group_bracket_equivariance(p, g))
+            assert verdicts[-1] == oracle_group_bracket_equivariance(p, g)
+        assert not group_bracket_equivariance(p, singular)
+        assert not oracle_group_bracket_equivariance(p, singular)
+    assert True in verdicts and False in verdicts
+
+
 @pytest.mark.parametrize("r", [1, 2])
 def test_doubled_odd_bracket_cell_breaks_group_equivariance(r):
     g0, action, vbracket = spo_parts(r)
@@ -407,6 +455,91 @@ def test_doubled_odd_cell_of_lie_g_fails_symmetry_at_its_labels():
     failures = validate_hcpair(SuperLieAlgebraData(lie.labels, lie.parity, bracket))
     assert failures[:2] == ["symmetry fails at (D[p11], D[q11])",
                             "symmetry fails at (D[q11], D[p11])"]
+
+
+# --- the super Jacobi certificate against the dense scan
+
+
+def scaled_cell(lie, i, j, scale):
+    """``lie`` with [e_i, e_j] and [e_j, e_i] both scaled by ``scale``, so super
+    antisymmetry still holds; super Jacobi is not checked."""
+    bracket = dict(lie.bracket)
+    for key in {(i, j), (j, i)}:
+        vec = {k: scale * c for k, c in lie.bracket_basis(*key).items() if scale * c}
+        if vec:
+            bracket[key] = vec
+        else:
+            bracket.pop(key, None)
+    bad = SuperLieAlgebraData(lie.labels, lie.parity, bracket)
+    bad.check_grading()
+    bad.check_antisymmetry()
+    return bad
+
+
+def jacobi_outcome(check):
+    """None when ``check`` passes, else its message."""
+    try:
+        check()
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def random_scaled_cell(name, rng):
+    lie = envelope_algebra(name)
+    i, j = rng.choice(sorted((i, j) for i, j in lie.bracket if i <= j))
+    return scaled_cell(lie, i, j, rng.choice([F(2), F(-1), F(0), F(1, 3)]))
+
+
+JACOBI_ALGEBRAS = ["spo(1)", "spo(2)", "gl(1|1)", "gl(2|1)"]
+
+
+@pytest.mark.parametrize("name", JACOBI_ALGEBRAS)
+def test_jacobi_certificate_matches_dense_scan_on_seeded_corruptions(name):
+    lie = envelope_algebra(name)
+    gens = lie.jacobi_generators()
+    # Lie(G) of gl(m|1): [odd, odd] misses one even direction, so G needs it
+    assert any(not lie.parity[g] for g in gens) == name.startswith("gl")
+    assert jacobi_outcome(lie.check_jacobi) is None is jacobi_outcome(lie.scan_jacobi)
+    verdicts = []
+    for seed in range(12):
+        bad = random_scaled_cell(name, random.Random(f"{name}/{seed}"))
+        verdicts.append(jacobi_outcome(bad.check_jacobi))
+        assert verdicts[-1] == jacobi_outcome(bad.scan_jacobi)
+    assert any(v is not None for v in verdicts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(JACOBI_ALGEBRAS), st.randoms(use_true_random=False))
+def test_jacobi_certificate_matches_dense_scan_on_generated_corruptions(name, rng):
+    bad = random_scaled_cell(name, rng)
+    assert jacobi_outcome(bad.check_jacobi) == jacobi_outcome(bad.scan_jacobi)
+
+
+def test_jacobi_failure_outside_the_odd_brackets_is_caught():
+    # [X1, X2] = X3, [X2, X3] = X1, [X3, X1] = X1 is antisymmetric but not Lie,
+    # and the odd part brackets to zero: every even index must be a generator
+    cells = {(0, 1): {2: F(1)}, (1, 2): {0: F(1)}, (2, 0): {0: F(1)}}
+    cells.update({(j, i): {k: -c for k, c in vec.items()} for (i, j), vec in cells.items()})
+    lie = SuperLieAlgebraData(["X1", "X2", "X3", "e1"], [0, 0, 0, 1], cells)
+    assert lie.jacobi_generators() == [3, 0, 1, 2]
+    message = jacobi_outcome(lie.scan_jacobi)
+    assert message == "super Jacobi fails at (X1, X2, X3): defect {X3: 1}"
+    assert jacobi_outcome(lie.check_jacobi) == message
+
+
+def test_jacobi_on_a_non_antisymmetric_bracket_raises_as_the_dense_scan():
+    # the generator lemma needs super antisymmetry, so check_jacobi scans densely
+    lie = envelope_algebra("spo(1)")
+    key = min(k for k in lie.bracket if not lie.parity[k[0]] and not lie.parity[k[1]])
+    bracket = dict(lie.bracket)
+    bracket[key] = {k: 2 * c for k, c in bracket[key].items()}  # [X_j, X_i] kept
+    bad = SuperLieAlgebraData(lie.labels, lie.parity, bracket)
+    with pytest.raises(StructureError, match=r"^super antisymmetry fails"):
+        bad.check_antisymmetry()
+    message = jacobi_outcome(bad.scan_jacobi)
+    assert message is not None and message.startswith("super Jacobi fails at (")
+    assert jacobi_outcome(bad.check_jacobi) == message
 
 
 def assert_matches_rewriting(lie, d):
