@@ -29,7 +29,7 @@ from .grassmann import PointSampler, SuperMatrix
 from .hcpair import (
     abelian_pair,
     build_super_lie,
-    group_bracket_equivariance,
+    first_nonequivariant,
     sample_transvections,
     spo_pair,
     truncated_envelope,
@@ -269,11 +269,10 @@ def run_hcpair_suite(r: int, no_half: bool, transvections: int, seed: int) -> Re
     except StructureError as exc:
         report.add("super-jacobi", False, str(exc))
 
-    report.first("group-bracket-equivariance", (
-        "bracket not equivariant under group translation"
-        for g in sample_transvections(r, transvections, seed)
-        if not group_bracket_equivariance(lie, g)
-    ))
+    failing = first_nonequivariant(lie, sample_transvections(r, transvections, seed))
+    report.add("group-bracket-equivariance", failing is None,
+               f"bracket not equivariant under g = sample_transvections"
+               f"({r}, {transvections}, {seed})[{failing}]")
     return report
 
 

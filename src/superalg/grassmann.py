@@ -3,8 +3,8 @@
 A point of the general linear supergroup over a Grassmann algebra R is a
 block matrix (X P; Q Y) with X, Y even-entried and P, Q odd-entried, whose
 diagonal blocks have invertible rational body.  Inversion is exact: invert
-the body over the rationals, then run the terminating nilpotent correction
-series on the soul.
+the body, held as sparse rows (``superalg.linalg``), over the rationals,
+then run the terminating nilpotent correction series on the soul.
 
 A point is held in one form, the integer kernel's.  A blade
 t_{i1}...t_{ir} (0-based i1 < ... < ir) is the int bitmask with bits i1..ir
@@ -30,6 +30,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .core import (
+    F0,
     F1,
     GeneratorSet,
     GeneratorSetMismatch,
@@ -40,6 +41,7 @@ from .core import (
     odd_positions,
     one_monomial,
 )
+from .table import cleared, image
 
 
 class NotInvertible(ValueError):
@@ -164,10 +166,11 @@ def _reduced(rows: list[list[dict[int, int]]], den: int) -> IntMatrix:
     return [[{m: c // g for m, c in terms.items()} for terms in row] for row in rows], den // g
 
 
-def _body(a: IntMatrix) -> linalg.Matrix:
-    """The rational body matrix: the coefficients of the empty blade."""
+def _body(a: IntMatrix) -> dict[int, dict[int, Fraction]]:
+    """The rational body matrix, as sparse rows: the coefficients of the empty blade."""
     rows, den = a
-    return [[Fraction(terms.get(0, 0), den) for terms in row] for row in rows]
+    return {i: {j: Fraction(terms[0], den) for j, terms in enumerate(row) if terms.get(0)}
+            for i, row in enumerate(rows)}
 
 
 def _poly_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -253,15 +256,16 @@ def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
     """Inverse of a square integer-form matrix with invertible body B.
 
     With soul S and N = B^-1 S (nilpotent), A^-1 = sum_i (-N)^i B^-1; each
-    term is the previous one multiplied on the left by -N.
+    term is the previous one multiplied on the left by -N.  B^-1 is the
+    sparse inverse of ``linalg.invert``, its denominators cleared.
     """
     rows, den = a
     body_inv = linalg.invert(_body(a))
     if body_inv is None:
         raise NotAPoint("matrix body is singular")
-    bden = lcm(*(c.denominator for row in body_inv for c in row))
-    binv = ([[{0: c.numerator * (bden // c.denominator)} if c else {} for c in row]
-             for row in body_inv], bden)
+    bden, cleared_inv = cleared(body_inv)
+    binv = ([[{0: row[j]} if j in row else {} for j in range(len(rows))]
+             for row in cleared_inv.values()], bden)
     neg_soul = ([[{m: -c for m, c in terms.items() if m} for terms in row] for row in rows], den)
     neg_nil = _poly_mat_mul(binv, neg_soul)
     total = term = binv
@@ -451,8 +455,9 @@ class PointSampler:
     """Seeded sampler of GL(m|n) points over a Grassmann algebra.
 
     Diagonal body blocks are built invertible by construction (unit lower
-    times diagonal of nonzero small rationals times unit upper); souls draw a
-    bounded number of monomials with small integer coefficients.
+    times diagonal of nonzero small rationals times unit upper, as sparse
+    rows); souls draw a bounded number of monomials with small integer
+    coefficients.
     """
 
     _BODY_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(3)]
@@ -483,19 +488,18 @@ class PointSampler:
             terms[SuperMonomial((), self._support(rng, 3))] = rng.choice(self._COEFF_POOL)
         return SuperPoly(self.alg.gens, terms)
 
-    def _invertible_body(self, rng: random.Random, size: int) -> linalg.Matrix:
-        lower = linalg.identity(size)
-        upper = linalg.identity(size)
+    def _invertible_body(self, rng: random.Random, size: int) -> dict[int, dict[int, Fraction]]:
+        """L D U as sparse rows: unit lower, nonzero diagonal, unit upper."""
+        lower = {i: {i: F1} for i in range(size)}
+        upper = {i: {i: F1} for i in range(size)}
         for i in range(size):
             for j in range(i):
                 if rng.random() < 0.5:
                     lower[i][j] = rng.choice(self._COEFF_POOL)
                 if rng.random() < 0.5:
                     upper[j][i] = rng.choice(self._COEFF_POOL)
-        diag = linalg.zeros(size, size)
-        for i in range(size):
-            diag[i][i] = rng.choice(self._BODY_POOL)
-        return linalg.mat_mul(linalg.mat_mul(lower, diag), upper)
+        diag = {i: {i: rng.choice(self._BODY_POOL)} for i in range(size)}
+        return {i: image(upper, image(diag, row)) for i, row in lower.items()}
 
     def sample(self, index: int) -> SuperMatrix:
         """The ``index``-th point, drawn from a seed derived from ``seed`` and ``index``."""
@@ -503,8 +507,10 @@ class PointSampler:
         m, n, alg = self.m, self.n, self.alg
         xb = self._invertible_body(rng, m)
         yb = self._invertible_body(rng, n)
-        x = [[alg.scalar(xb[i][j]) + self._even_soul(rng) for j in range(m)] for i in range(m)]
-        y = [[alg.scalar(yb[i][j]) + self._even_soul(rng) for j in range(n)] for i in range(n)]
+        x = [[alg.scalar(xb[i].get(j, F0)) + self._even_soul(rng) for j in range(m)]
+             for i in range(m)]
+        y = [[alg.scalar(yb[i].get(j, F0)) + self._even_soul(rng) for j in range(n)]
+             for i in range(n)]
         p = [[self._odd_entry(rng) for _ in range(n)] for _ in range(m)]
         q = [[self._odd_entry(rng) for _ in range(m)] for _ in range(n)]
         return SuperMatrix.from_blocks(x, p, q, y, alg)

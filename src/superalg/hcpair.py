@@ -8,7 +8,10 @@ whatever the order of its even and odd indices.  The flagship instance takes
 the symplectic Lie algebra (matrices X with XJ symmetric) acting on row
 vectors, with bracket J(tv w + tw v)/2, and is verified exactly: super
 Jacobi from its odd generators in ``int`` (``build_super_lie``), and the
-group translations on cleared denominators (``group_bracket_equivariance``).
+group translations on cleared denominators (``first_nonequivariant``).
+Every matrix is sparse (``superalg.linalg``): J and the transvections are
+rows ``{i: {j: c}}``, and an sp basis matrix is a vector in its row-major
+entries i * 2r + j.
 The truncated PBW envelope of a super Lie algebra is built on its ordered
 normal words from the rows of left multiplication by one letter (the PBW
 theorem makes these words a basis), and the bracket relations of the rows
@@ -26,53 +29,46 @@ from itertools import combinations_with_replacement, permutations
 from . import linalg
 from .core import F0, F1
 from .liealg import StructureError, SuperLieAlgebraData
-from .table import Vec, add_into, basis_times, cleared, image, times_basis, whole_as_int
+from .table import (
+    Vec, add_into, basis_times, cleared, image, times_basis, transpose, whole_as_int,
+)
 
-Matrix = list[list[Fraction]]
+Rows = dict[int, Vec]
 
 
-def standard_J(r: int) -> Matrix:
-    """Block form (0 I; -I 0); any invertible antisymmetric choice is isomorphic."""
-    size = 2 * r
-    J = linalg.zeros(size, size)
-    for i in range(r):
-        J[i][r + i] = F1
-        J[r + i][i] = -F1
+def standard_J(r: int) -> Rows:
+    """Block form (0 I; -I 0) as sparse rows; any invertible antisymmetric choice is isomorphic."""
+    J = {i: {r + i: F1} for i in range(r)}
+    J.update({r + i: {i: -F1} for i in range(r)})
     return J
 
 
-def sp_basis(r: int) -> list[Matrix]:
+def sp_basis(r: int) -> list[Vec]:
     """A basis of sp_2r: the solutions X of 'X J symmetric' for J = ``standard_J(r)``.
 
-    Each basis matrix is scaled so that its first nonzero row-major entry is 1.
+    Each basis matrix is a sparse vector in the row-major unknowns
+    i * 2r + j of its entries, scaled so that its first nonzero entry is 1.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     size = 2 * r
-    J = standard_J(r)
-    # unknowns: entries of X, row-major; constraints: XJ - t(XJ) = 0
+    columns = transpose(standard_J(r), range(size))
+    # constraints: (XJ)[a][b] - (XJ)[b][a] = 0, where (XJ)[a][b] = sum_k X[a][k] J[k][b]
     rows = []
     for a in range(size):
         for b in range(a + 1, size):
-            row = {a * size + k: J[k][b] for k in range(size) if J[k][b]}
-            row.update({b * size + k: -J[k][a] for k in range(size) if J[k][a]})
+            row = {a * size + k: c for k, c in columns[b].items()}
+            row.update({b * size + k: -c for k, c in columns[a].items()})
             rows.append(row)
     basis = []
     for vec in linalg.nullspace(rows, size * size):
         lead = vec[min(vec)]
-        basis.append([[vec.get(i * size + j, F0) / lead for j in range(size)]
-                      for i in range(size)])
+        basis.append({p: vec[p] / lead for p in sorted(vec)})
     return basis
 
 
-def _entries(matrix: Matrix) -> Vec:
-    """A matrix as a sparse vector in the row-major unknowns of ``sp_basis``."""
-    size = len(matrix)
-    return {i * size + j: c for i, row in enumerate(matrix) for j, c in enumerate(row) if c}
-
-
 def _commutator(x: Vec, y: Vec, size: int) -> Vec:
-    """xy - yx for two ``size`` x ``size`` matrices in the form of ``_entries``."""
+    """xy - yx for two ``size`` x ``size`` matrices in the row-major form of ``sp_basis``."""
     out: Vec = {}
     for u, v, sign in ((x, y, 1), (y, x, -1)):
         for p, c in u.items():
@@ -136,33 +132,33 @@ def spo_pair(r: int, half: bool = True) -> SuperLieAlgebraData:
     J(tv w + tw v)/2.  Passing ``half=False`` drops the 1/2 normalisation (a
     negative-control variant).
     """
-    basis, J = sp_basis(r), standard_J(r)
-    gd, size = len(basis), 2 * r
-    entries = [_entries(b) for b in basis]
-    coords_in = linalg.span_coordinates(entries)
+    basis, size = sp_basis(r), 2 * r
+    gd = len(basis)
+    coords_in = linalg.span_coordinates(basis)
     bracket: dict[tuple[int, int], Vec] = {}
-    for i, x in enumerate(entries):
-        for j, y in enumerate(entries):
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
             coords = coords_in(_commutator(x, y, size))
             if coords is None:
                 raise StructureError("sp basis is not closed under commutators")
             if coords:
                 bracket[(i, j)] = coords
     for k, x in enumerate(basis):
-        for a, row in enumerate(x):
-            acted = {gd + b: c for b, c in enumerate(row) if c}
-            if acted:
-                bracket[(gd + a, k)] = acted
-                bracket[(k, gd + a)] = {key: -c for key, c in acted.items()}
+        acted: Rows = {}  # row a of X_k, in odd indices
+        for p, c in x.items():
+            acted.setdefault(p // size, {})[gd + p % size] = c
+        for a, row in acted.items():
+            bracket[(gd + a, k)] = row
+            bracket[(k, gd + a)] = {key: -c for key, c in row.items()}
     scale = Fraction(1, 2) if half else F1
+    columns = transpose(standard_J(r), range(size))  # one nonzero per column
     for a in range(size):
         for b in range(size):
-            # J (t e_a e_b + t e_b e_a): entry (i, j) = J[i][a] [b==j] + J[i][b] [a==j]
-            matrix = linalg.zeros(size, size)
-            for i in range(size):
-                matrix[i][b] += scale * J[i][a]
-                matrix[i][a] += scale * J[i][b]
-            coords = coords_in(_entries(matrix))
+            # J (t e_a e_b + t e_b e_a) holds column a of J in column b, and column b in column a
+            sym: Vec = {}
+            add_into(sym, {i * size + b: c for i, c in columns[a].items()}, scale)
+            add_into(sym, {i * size + a: c for i, c in columns[b].items()}, scale)
+            coords = coords_in(sym)
             if coords is None:
                 raise StructureError("odd bracket does not land in sp")
             if coords:
@@ -187,16 +183,8 @@ def build_super_lie(lie: SuperLieAlgebraData) -> SuperLieAlgebraData:
     raises StructureError with the offending tuple.
 
     Super Jacobi is certified on the triples (g, b, c) with g in a generating
-    set G (``superalg.liealg``).  *Lemma.*  Once the bracket is graded and
-    super antisymmetric, the x whose ad x is a super-derivation (the x with
-    a zero defect at every (x, b, c)) form a subspace closed under the
-    bracket, because ad [x, y] = [ad x, ad y] for such x; so Jacobi on G
-    gives Jacobi everywhere when G and [G, G] span.  G is the odd indices
-    and the even ones that no [odd, odd] bracket reaches (the non-pivot
-    columns of one ``rref``); for ``spo_pair`` the odd indices alone.  The
-    triples run in ``int`` on the bracket scaled by the lcm L of its
-    denominators, whose defect is L^2 times the true one; a defect falls
-    back to the dense scan, which names the first failing triple.
+    set G, by the lemma and proof in the ``superalg.liealg`` docstring; for
+    ``spo_pair``, G is the odd indices alone.
     """
     lie.validate()
     return lie
@@ -345,8 +333,8 @@ def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> Truncated
 # --- group-level symplectic checks ------------------------------------------------
 
 
-def sample_transvections(r: int, count: int, seed: int) -> list[Matrix]:
-    """Exact unipotent symplectic elements I + c J tu u (squares to zero)."""
+def sample_transvections(r: int, count: int, seed: int) -> list[Rows]:
+    """Exact unipotent symplectic elements I + c J tu u (squares to zero), as sparse rows."""
     rng = random.Random(seed)
     size = 2 * r
     J = standard_J(r)
@@ -358,32 +346,29 @@ def sample_transvections(r: int, count: int, seed: int) -> list[Matrix]:
             u[rng.randrange(size)] = F1
         c = rng.choice(pool)
         # N = c J tu u lies in sp, N^2 = 0 and (I + N) J t(I + N) = J
-        ju = [sum((J[i][a] * u[a] for a in range(size)), F0) for i in range(size)]
-        N = [[c * ju[i] * u[j] for j in range(size)] for i in range(size)]
-        g = [[(F1 if i == j else F0) + N[i][j] for j in range(size)] for i in range(size)]
-        out.append(g)
+        cju = [c * sum((x * u[a] for a, x in J[i].items()), F0) for i in range(size)]
+        out.append({i: {j: x for j in range(size) if (x := (F1 if i == j else F0) + cju[i] * u[j])}
+                    for i in range(size)})
     return out
 
 
-def group_bracket_equivariance(lie: SuperLieAlgebraData, g: Matrix) -> bool:
-    """[u g, v g] = g^-1 [u, v] g for odd u, v, exactly.
+def first_nonequivariant(lie: SuperLieAlgebraData, gs: list[Rows]) -> int | None:
+    """The first index i at which [u g, v g] = g^-1 [u, v] g fails for some
+    odd u, v with g = ``gs[i]``, exactly, or None when every g passes.
 
+    Each g is a matrix on the odd span as sparse rows; a singular g fails.
     An even element Y is read as the matrix of its action on the odd span,
     row i being [e_i, Y]; for ``spo_pair`` this is the defining
     representation.  The comparison runs in ``int``: with G = d g and
     H = e g^-1 the integer matrices of ``cleared``, and B'[a,b] the matrix of
     [e_a, e_b] read off the integer-scaled bracket (a fixed nonzero multiple
     of the true one), it is e sum G[a][a'] G[b][b'] B'[a',b'] = d H B'[a,b] G,
-    which is the identity above times d^2 e and that multiple.  False when g
-    is singular.
+    which is the identity above times d^2 e and that multiple.  The bracket
+    is scaled and every B'[a,b] read once for all of ``gs``.
     """
     odds = lie.odd_indices()
     size = len(odds)
-    ginv = linalg.invert(g)
-    if ginv is None:
-        return False
-    d, G = cleared({i: dict(enumerate(row)) for i, row in enumerate(g)})
-    e, H = cleared({i: dict(enumerate(row)) for i, row in enumerate(ginv)})
+    span = range(size)
     _, table = cleared(lie.bracket)
     at = {o: p for p, o in enumerate(odds)}
     # the nonzero entries (i, j, c) of B'[a, b]
@@ -394,24 +379,28 @@ def group_bracket_equivariance(lie: SuperLieAlgebraData, g: Matrix) -> bool:
             if vec:
                 entries[(a, b)] = [(i, at[j], c) for i, oi in enumerate(odds)
                                    for j, c in basis_times(table, oi, vec).items()]
-    span = range(size)
-    for a in span:
-        for b in span:
-            # e_a g is row a of g, so [e_a g, e_b g] = sum g[a][a'] g[b][b'] [e_a', e_b']
-            lhs = [[0] * size for _ in span]
-            for (a2, b2), nonzero in entries.items():
-                cc = e * G[a][a2] * G[b][b2]
-                if cc:
-                    for i, j, c in nonzero:
-                        lhs[i][j] += cc * c
-            rhs = [[0] * size for _ in span]
-            for i, k, c in entries.get((a, b), ()):
-                Gk = G[k]
-                for i2, row in zip(span, rhs):
-                    hc = d * H[i2][i] * c
-                    if hc:
-                        for j2 in span:
-                            row[j2] += hc * Gk[j2]
-            if lhs != rhs:
-                return False
-    return True
+    for index, g in enumerate(gs):
+        ginv = linalg.invert(g)
+        if ginv is None:
+            return index
+        d, G = cleared(g)
+        e, H = cleared(ginv)
+        h_columns = transpose(H, span)
+        for a in span:
+            for b in span:
+                # e_a g is row a of g, so [e_a g, e_b g] = sum g[a][a'] g[b][b'] [e_a', e_b']
+                lhs = [[0] * size for _ in span]
+                for a2, ga in G[a].items():
+                    for b2, gb in G[b].items():
+                        cc = e * ga * gb
+                        for i, j, c in entries.get((a2, b2), ()):
+                            lhs[i][j] += cc * c
+                rhs = [[0] * size for _ in span]
+                for i, k, c in entries.get((a, b), ()):
+                    for i2, h in h_columns[i].items():
+                        row, hc = rhs[i2], d * h * c
+                        for j2, gk in G[k].items():
+                            row[j2] += hc * gk
+                if lhs != rhs:
+                    return index
+    return None

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals on sparse rows.
 
-A row is a ``dict`` from column to a nonzero ``int`` or ``Fraction``.
-``rref`` is the one elimination; the reduced row echelon form is unique, so
-``nullspace``, ``invert`` (dense square matrices, for ``grassmann`` and
-``hcpair``) and ``solve`` (no caller in the package) read exact answers off it.
-``span_coordinates`` expresses vectors in a ``nullspace`` basis by lookup.
+A row is a ``dict`` from column to a nonzero ``int`` or ``Fraction``, and an
+n x n matrix is ``{i: row}`` with all n rows present, maybe empty; there is
+no dense form.  A product of two matrices is ``table.image`` applied to each
+row of the left one.  ``rref`` is the one elimination; the reduced row
+echelon form is unique, so ``nullspace``, ``invert`` and ``solve`` (no caller
+in the package) read exact answers off it.  ``span_coordinates`` expresses
+vectors in a ``nullspace`` basis by lookup.
 """
 
 from __future__ import annotations
@@ -13,42 +15,10 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .core import F0, F1
+from .core import F1
 from .table import add_into
 
-Matrix = list[list[Fraction]]
 Row = dict[int, Fraction]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[F0] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = F1
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
@@ -98,20 +68,21 @@ def span_coordinates(basis: list[Row]) -> Callable[[Row], Row | None]:
 
     Every basis vector must have a column that no other one touches, as a
     ``nullspace`` basis has in its free column; a coordinate is read there
-    with one division.  The vector is then rebuilt from its coordinates and
+    with one division, and only the vector's own columns are looked up.  The
+    coordinates come in increasing basis index.  The vector is then rebuilt from its coordinates and
     compared exactly, so nothing outside the span gets coordinates.
     """
     touched = Counter(c for vec in basis for c in vec)
-    private = []
-    for vec in basis:
+    owner: dict[int, tuple[int, Fraction]] = {}  # private column -> (basis index, entry)
+    for a, vec in enumerate(basis):
         col = next((c for c in vec if touched[c] == 1), None)
         if col is None:
             raise ValueError("a basis vector has no column of its own")
-        private.append((col, vec[col]))
+        owner[col] = (a, vec[col])
 
     def coordinates(vec: Row) -> Row | None:
-        coords = {a: Fraction(vec[col]) / lead
-                  for a, (col, lead) in enumerate(private) if vec.get(col)}
+        hits = sorted((owner[col], c) for col, c in vec.items() if c and col in owner)
+        coords = {a: Fraction(c) / lead for (a, lead), c in hits}
         rebuilt: Row = {}
         for a, c in coords.items():
             add_into(rebuilt, basis[a], c)
@@ -132,12 +103,12 @@ def solve(rows: list[Row], rhs: Sequence[Fraction], cols: int) -> Row | None:
     return {pc: row[cols] for pc, row in zip(pivots, reduced) if cols in row}
 
 
-def invert(matrix: Matrix) -> Matrix | None:
-    """Exact inverse of a dense square matrix, or None if singular."""
+def invert(matrix: dict[int, Row]) -> dict[int, Row] | None:
+    """Exact inverse of an n x n matrix ``{i: row}`` (rows 0..n-1), or None if singular."""
     n = len(matrix)
-    aug = [{**{j: c for j, c in enumerate(line) if c}, n + i: F1}
-           for i, line in enumerate(matrix)]
+    aug = [{**matrix[i], n + i: F1} for i in range(n)]
     reduced, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return [[row.get(n + j, F0) for j in range(n)] for row in reduced]
+    # row i of the reduced form is e_i followed by row i of the inverse
+    return {i: {j - n: c for j, c in row.items() if j >= n} for i, row in enumerate(reduced)}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product as cartesian
 
@@ -6,7 +7,6 @@ import hypothesis.strategies as st
 from superalg import GeneratorSet, SuperPoly, TensorPoly, linalg
 from superalg.core import EVEN, F0, F1, ODD, SuperMonomial, mul_monomials
 from superalg.grassmann import _from_ints, _poly_mat_mul, _to_ints, grassmann_matrix_inv
-from superalg.hcpair import _entries, sp_basis, standard_J
 from superalg.hopf import _monomials_up_to
 from superalg.hyper import super_pbw_count
 from superalg.liealg import StructureError, SuperLieAlgebraData
@@ -215,27 +215,130 @@ def oracle_cubic_vanishes(lie) -> bool:
     return all(entry.is_zero() for entry in acted)
 
 
+# --- dense matrices as lists of rows, independent of the sparse rows that
+# ``linalg``, ``grassmann`` and ``hcpair`` hold, for differential tests
+
+
+def zeros(rows, cols):
+    return [[F0] * cols for _ in range(rows)]
+
+
+def identity(n):
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = F1
+    return out
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = zeros(rows, cols)
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            aik = ai[k]
+            if aik:
+                bk = b[k]
+                for j in range(cols):
+                    if bk[j]:
+                        oi[j] += aik * bk[j]
+    return out
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def sparse_rows(matrix):
+    """A dense matrix as the sparse rows ``{i: {j: c}}`` of the package."""
+    return {i: {j: c for j, c in enumerate(row) if c} for i, row in enumerate(matrix)}
+
+
+def dense_rows(rows, cols):
+    """Sparse rows ``{i: {j: c}}`` as a dense matrix with ``Fraction`` zeros."""
+    return [[rows[i].get(j, F0) for j in range(cols)] for i in range(len(rows))]
+
+
+def flat_entries(matrix):
+    """A dense square matrix as a sparse vector in its row-major entries."""
+    size = len(matrix)
+    return {i * size + j: c for i, row in enumerate(matrix) for j, c in enumerate(row) if c}
+
+
+def unflatten(vec, size):
+    """A sparse vector in row-major entries as a dense ``size`` x ``size`` matrix."""
+    return [[vec.get(i * size + j, F0) for j in range(size)] for i in range(size)]
+
+
+def dense_J(r):
+    """The block form (0 I; -I 0)."""
+    size = 2 * r
+    J = zeros(size, size)
+    for i in range(r):
+        J[i][r + i] = F1
+        J[r + i][i] = -F1
+    return J
+
+
+def dense_sp_basis(r):
+    """The solutions X of 'X J symmetric', each scaled so that its first
+    nonzero row-major entry is 1, as dense matrices."""
+    size = 2 * r
+    J = dense_J(r)
+    rows = []
+    for a in range(size):
+        for b in range(a + 1, size):
+            row = {a * size + k: J[k][b] for k in range(size) if J[k][b]}
+            row.update({b * size + k: -J[k][a] for k in range(size) if J[k][a]})
+            rows.append(row)
+    basis = []
+    for vec in linalg.nullspace(rows, size * size):
+        lead = vec[min(vec)]
+        basis.append([[vec.get(i * size + j, F0) / lead for j in range(size)]
+                      for i in range(size)])
+    return basis
+
+
+def dense_sample_transvections(r, count, seed):
+    """The transvections I + c J tu u of ``hcpair.sample_transvections``, as
+    dense matrices built from the same draws."""
+    rng = random.Random(seed)
+    size = 2 * r
+    J = dense_J(r)
+    out = []
+    pool = [F1, -F1, Fraction(2), Fraction(1, 2), Fraction(-1, 2)]
+    for _ in range(count):
+        u = [Fraction(rng.randint(-2, 2)) for _ in range(size)]
+        if not any(u):
+            u[rng.randrange(size)] = F1
+        c = rng.choice(pool)
+        ju = [sum((J[i][a] * u[a] for a in range(size)), F0) for i in range(size)]
+        N = [[c * ju[i] * u[j] for j in range(size)] for i in range(size)]
+        out.append([[(F1 if i == j else F0) + N[i][j] for j in range(size)] for i in range(size)])
+    return out
+
+
 def is_symplectic(g, J) -> bool:
     """Exact membership test g J tg = J."""
-    return linalg.mat_mul(linalg.mat_mul(g, J), linalg.transpose(g)) == J
+    return mat_mul(mat_mul(g, J), transpose(g)) == J
 
 
 def dense_commutator(a, b):
     """xy - yx of two dense matrices, from two full matrix products."""
-    return [[x - y for x, y in zip(ra, rb)]
-            for ra, rb in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
 
 
 def dense_spo_pair(r: int, half: bool = True) -> SuperLieAlgebraData:
     """``hcpair.spo_pair`` with every [X_i, X_j] a dense matrix commutator and
     every odd bracket J(tv w + tw v)/2 a dense matrix, read in sp coordinates."""
-    basis, J = sp_basis(r), standard_J(r)
+    basis, J = dense_sp_basis(r), dense_J(r)
     gd, size = len(basis), 2 * r
-    coords_in = linalg.span_coordinates([_entries(b) for b in basis])
+    coords_in = linalg.span_coordinates([flat_entries(b) for b in basis])
     bracket = {}
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
-            coords = coords_in(_entries(dense_commutator(x, y)))
+            coords = coords_in(flat_entries(dense_commutator(x, y)))
             assert coords is not None
             if coords:
                 bracket[(i, j)] = coords
@@ -248,11 +351,11 @@ def dense_spo_pair(r: int, half: bool = True) -> SuperLieAlgebraData:
     scale = Fraction(1, 2) if half else F1
     for a in range(size):
         for b in range(size):
-            matrix = linalg.zeros(size, size)
+            matrix = zeros(size, size)
             for i in range(size):
                 matrix[i][b] += scale * J[i][a]
                 matrix[i][a] += scale * J[i][b]
-            coords = coords_in(_entries(matrix))
+            coords = coords_in(flat_entries(matrix))
             assert coords is not None
             if coords:
                 bracket[(gd + a, gd + b)] = coords

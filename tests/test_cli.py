@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -473,6 +474,16 @@ GOLDEN = {
     "hy --target gl11 --order 1": "95096beaa8fb0397d43a49a6553ddb5bbfc93e7518956bd4b84c8b0bdd1d902a",
     "verify bosonize --dim 2": "f52753d34377aa5c320f56d7e13797dd5b310da19bac275115e0914b83e5e46e",
     "verify bosonize --dim 3": "2b55d0d61699b47db1fc0b582e87bfb4245362606754e7f3d5d14c014659f43f",
+    # taken before J, the sp basis, the transvections and the GL(m|n) bodies
+    # became sparse rows: a 3 x 3 and a 2 x 2 body with an empty even block,
+    # an empty odd block, and 2r = 8 transvections
+    "verify gl --m 3 --n 2 --thetas 4 --points 30 --seed 7":
+        "c48dab76c7f6f611c80d0ebf0bc2eb58ebe8b5d649981d6daa7e7cc176456108",
+    "verify gl --m 0 --n 2 --thetas 4 --points 30 --seed 7":
+        "c208534a693f06f024c0a7aa14059407f4e3f4bbf652b2e88fd77f5d7768036a",
+    "decompose --m 2 --n 0 --thetas 4 --points 30 --seed 11":
+        "ad987fbcd9cfc8aaccbdc53ff3520059d8c32f1bddab56b0e0e11bfcefbb1407",
+    "hcpair --r 4 --seed 1": "c009d1c09b502ee0ab2ae50b37501524730ab9df857559cae55391fe76a82517",
 }
 
 
@@ -546,7 +557,7 @@ def test_hcpair_group_checks_fail_independently(tmp_path, monkeypatch):
 
     argv = ["hcpair", "--r", "1", "--transvections", "2", "--seed", "3"]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "group_bracket_equivariance", lambda lie, g: False)
+        patch.setattr(cli, "first_nonequivariant", lambda lie, gs: 0)
         code, data = run(argv, tmp_path)
     assert code == 1
     status = {c["name"]: c["status"] for c in data["checks"]}
@@ -558,16 +569,38 @@ def test_hcpair_group_checks_fail_independently(tmp_path, monkeypatch):
         raise StructureError("super Jacobi fails")
 
     scanned = []
-    equivariance = cli.group_bracket_equivariance
+    equivariance = cli.first_nonequivariant
     monkeypatch.setattr(cli, "build_super_lie", no_jacobi)
-    monkeypatch.setattr(cli, "group_bracket_equivariance",
-                        lambda lie, g: scanned.append(g) or equivariance(lie, g))
+    monkeypatch.setattr(cli, "first_nonequivariant",
+                        lambda lie, gs: scanned.extend(gs) or equivariance(lie, gs))
     code, data = run(argv, tmp_path)
     assert code == 1
     status = {c["name"]: c["status"] for c in data["checks"]}
     assert status == {"pair-axioms": "pass", "super-jacobi": "fail",
                       "group-bracket-equivariance": "pass"}
     assert len(scanned) == 2 and "structure" not in data.get("data", {})
+
+
+def test_hcpair_equivariance_witness_replays_from_the_seed(tmp_path, monkeypatch):
+    # the witness names the failing transvection; the expression it quotes
+    # rebuilds that matrix, on which the broken bracket fails again
+    from superalg import cli, hcpair
+
+    pair = hcpair.spo_pair(1)
+    cell = pair.bracket[(3, 3)]
+    pair.bracket[(3, 3)] = {k: 2 * c for k, c in cell.items()}
+    monkeypatch.setattr(cli, "spo_pair", lambda r, half: pair)
+    code, data = run(["hcpair", "--r", "1", "--transvections", "4", "--seed", "3"], tmp_path)
+    assert code == 1
+    (check,) = [c for c in data["checks"] if c["name"] == "group-bracket-equivariance"]
+    assert check["status"] == "fail"
+    replay = re.fullmatch(r"bracket not equivariant under g = "
+                          r"sample_transvections\((\d+), (\d+), (-?\d+)\)\[(\d+)\]",
+                          check["witness"])
+    r, count, seed, index = map(int, replay.groups())
+    assert (r, count, seed) == (1, 4, 3)
+    g = hcpair.sample_transvections(r, count, seed)[index]
+    assert hcpair.first_nonequivariant(pair, [g]) == 0
 
 
 def test_hy_reports_no_dimension_count_without_primitives(tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import coefficients, mask_of, oracle_product, poly_mat_inv, poly_mat_mul
+from conftest import (
+    coefficients, identity, mask_of, mat_mul, oracle_product, poly_mat_inv, poly_mat_mul,
+)
 from superalg import (
     GeneratorSet,
     GeneratorSetMismatch,
@@ -15,7 +17,6 @@ from superalg import (
     PointSampler,
     SuperMatrix,
     invert_element,
-    linalg,
 )
 from superalg.core import SuperMonomial, SuperPoly
 
@@ -359,13 +360,13 @@ scalars = st.one_of(st.just(Fraction(0)), coefficients)
 def invertible_matrices(draw):
     """Body L * U (unit lower times upper with nonzero diagonal) plus a soul."""
     size = draw(st.integers(min_value=1, max_value=3))
-    lower, upper = linalg.identity(size), linalg.identity(size)
+    lower, upper = identity(size), identity(size)
     for i in range(size):
         upper[i][i] = draw(coefficients)
         for j in range(i):
             lower[i][j] = draw(scalars)
             upper[j][i] = draw(scalars)
-    body = linalg.mat_mul(lower, upper)
+    body = mat_mul(lower, upper)
     return [
         [HYP_ALG.scalar(body[i][j]) + draw(grassmann_entries(soul_only=True)) for j in range(size)]
         for i in range(size)

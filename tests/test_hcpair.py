@@ -23,7 +23,7 @@ from superalg import (
 )
 from superalg import hcpair
 from superalg.cli import run_envelope_suite
-from superalg.hcpair import group_bracket_equivariance, sample_transvections, standard_J
+from superalg.hcpair import first_nonequivariant, sample_transvections, standard_J
 import superalg.linalg as la
 from superalg.table import whole_as_int
 
@@ -31,12 +31,22 @@ from conftest import (
     action_matrix,
     assemble_pair,
     brute_force_bad_triples,
+    dense_J,
+    dense_rows,
+    dense_sample_transvections,
+    dense_sp_basis,
     dense_spo_pair,
     envelope_pbw_count,
+    flat_entries,
     is_symplectic,
+    mat_mul,
     oracle_cubic_vanishes,
     oracle_envelope_product,
+    sparse_rows,
+    transpose,
     typed,
+    unflatten,
+    zeros,
 )
 
 F = Fraction
@@ -55,7 +65,12 @@ def spo_parts(r, half=True):
     gd = len(lie.even_indices())
     g0 = {key: vec for key, vec in lie.bracket.items() if max(key) < gd}
     v = {(a - gd, b - gd): vec for (a, b), vec in lie.bracket.items() if min(a, b) >= gd}
-    return g0, sp_basis(r), v
+    return g0, [unflatten(x, 2 * r) for x in sp_basis(r)], v
+
+
+def equivariant(lie, g):
+    """Whether the odd bracket of ``lie`` is equivariant under the one matrix ``g``."""
+    return first_nonequivariant(lie, [g]) is None
 
 
 @pytest.mark.parametrize("r,dim", [(1, 3), (2, 10), (3, 21)])
@@ -64,13 +79,13 @@ def test_sp_dimension(r, dim):
 
 
 def test_sp_basis_closed_under_commutators():
-    basis, J = sp_basis(2), standard_J(2)
+    basis, J = [unflatten(x, 4) for x in sp_basis(2)], dense_rows(standard_J(2), 4)
     for x in basis:
         for y in basis:
             comm = [[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(la.mat_mul(x, y), la.mat_mul(y, x))]
-            prod = la.mat_mul(comm, J)
-            assert prod == la.transpose(prod)
+                    for ra, rb in zip(mat_mul(x, y), mat_mul(y, x))]
+            prod = mat_mul(comm, J)
+            assert prod == transpose(prod)
 
 
 def test_spo_bracket_of_e1_e2():
@@ -100,7 +115,8 @@ def test_spo_action_rows_are_the_sp_basis_rows(r):
     # [e_a, X_k] is row a of the k-th sp basis matrix, and the pair's parts
     # assemble back into spo_pair's own bracket
     lie = spo_pair(r)
-    assert [action_matrix(lie, {k: 1}) for k in lie.even_indices()] == sp_basis(r)
+    assert [action_matrix(lie, {k: 1}) for k in lie.even_indices()] == [
+        unflatten(x, 2 * r) for x in sp_basis(r)]
     assert assemble_pair(*spo_parts(r)).bracket == lie.bracket
 
 
@@ -153,18 +169,17 @@ def test_no_half_variant_passes_all_axioms():
 def test_asymmetric_bracket_is_detected():
     # genuinely invalid data: J tv w without symmetrisation breaks symmetry
     g0, basis, vbracket = spo_parts(1)
-    J = standard_J(1)
+    J = dense_rows(standard_J(1), 2)
     broken = dict(vbracket)
     size = 2
-    from superalg.hcpair import _entries
 
-    coords_in = la.span_coordinates([_entries(m) for m in basis])
+    coords_in = la.span_coordinates([flat_entries(m) for m in basis])
     for a in range(size):
         for b in range(size):
-            matrix = la.zeros(size, size)
+            matrix = zeros(size, size)
             for i in range(size):
                 matrix[i][b] += J[i][a]
-            broken[(a, b)] = coords_in(_entries(matrix)) or {}
+            broken[(a, b)] = coords_in(flat_entries(matrix)) or {}
     bad = assemble_pair(g0, basis, broken)
     assert validate_hcpair(bad) != []
     with pytest.raises(StructureError):
@@ -258,19 +273,19 @@ def osp_realization(r):
     [[0, v], [J tv / 2, 0]].  Brackets are computed as matrix super
     commutators xy - (-1)^{|x||y|} yx, entirely outside the pair machinery.
     """
-    sp, J = sp_basis(r), standard_J(r)
     size = 2 * r
+    sp, J = [unflatten(x, size) for x in sp_basis(r)], dense_rows(standard_J(r), size)
     full = size + 1
 
     def embed_even(X):
-        out = la.zeros(full, full)
+        out = zeros(full, full)
         for i in range(size):
             for j in range(size):
                 out[1 + i][1 + j] = X[i][j]
         return out
 
     def embed_odd(v):
-        out = la.zeros(full, full)
+        out = zeros(full, full)
         for j in range(size):
             out[0][1 + j] = v[j]
         jv = [sum((J[i][a] * v[a] for a in range(size)), F(0)) for i in range(size)]
@@ -300,8 +315,8 @@ def test_spo_structure_constants_match_supermatrix_realization(r):
     assert parity == lie.parity
     for i in range(lie.dimension):
         for j in range(lie.dimension):
-            xy = la.mat_mul(basis[i], basis[j])
-            yx = la.mat_mul(basis[j], basis[i])
+            xy = mat_mul(basis[i], basis[j])
+            yx = mat_mul(basis[j], basis[i])
             sign = -1 if parity[i] and parity[j] else 1
             bracket = [[a - sign * b for a, b in zip(ra, rb)] for ra, rb in zip(xy, yx)]
             assert matrix_coords(basis, bracket) == lie.bracket_basis(i, j), (
@@ -311,29 +326,65 @@ def test_spo_structure_constants_match_supermatrix_realization(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_transvections_exactly_symplectic(r):
-    J = standard_J(r)
+    J = dense_rows(standard_J(r), 2 * r)
     for g in sample_transvections(r, 10, seed=3):
-        assert is_symplectic(g, J)
+        assert is_symplectic(dense_rows(g, 2 * r), J)
         assert la.invert(g) is not None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sparse_sp_basis_and_J_match_dense_oracle(r):
+    # the basis entries come in row-major order, as the flattened dense basis lists them
+    basis, oracle = sp_basis(r), [flat_entries(x) for x in dense_sp_basis(r)]
+    assert basis == oracle
+    assert [list(x) for x in basis] == [list(x) for x in oracle]
+    assert standard_J(r) == sparse_rows(dense_J(r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 5, 9])
+def test_sparse_transvections_match_dense_draws(r, seed):
+    gs = sample_transvections(r, 12, seed)
+    assert gs == [sparse_rows(g) for g in dense_sample_transvections(r, 12, seed)]
+    assert all(list(g) == list(range(2 * r)) for g in gs)
+    assert all(c for g in gs for row in g.values() for c in row.values())
+    # some diagonal entry 1 + N[i][i] cancels, and is not stored
+    assert any(i not in row for g in gs for i, row in g.items())
+
+
+def test_first_nonequivariant_names_the_first_failing_matrix():
+    g0, action, vbracket = spo_parts(1)
+    vbracket = dict(vbracket)
+    vbracket[(0, 0)] = {k: 2 * c for k, c in vbracket[(0, 0)].items()}
+    bad, good = assemble_pair(g0, action, vbracket), spo_pair(1)
+    one = {0: {0: F(1)}, 1: {1: F(1)}}
+    singular = {0: {0: F(1)}, 1: {0: F(1)}}
+    gs = sample_transvections(1, 3, seed=9)
+    assert first_nonequivariant(good, gs) is None
+    assert first_nonequivariant(good, gs[:1] + [singular] + gs[1:]) == 1
+    assert first_nonequivariant(bad, [one, one] + gs) == 2
+    assert first_nonequivariant(bad, []) is None
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_group_translation_preserves_bracket(r):
     pair = spo_pair(r)
     for g in sample_transvections(r, 6, seed=9):
-        assert group_bracket_equivariance(pair, g)
+        assert equivariant(pair, g)
 
 
 def oracle_group_bracket_equivariance(lie, g):
-    """The bracket of two row vectors expanded from scratch for every pair (a, b)."""
+    """The bracket of two row vectors expanded from scratch for every pair (a, b),
+    for ``g`` given as sparse rows."""
     size = len(lie.odd_indices())
     ginv = la.invert(g)
     if ginv is None:
         return False
+    g, ginv = dense_rows(g, size), dense_rows(ginv, size)
     basis = [[F(1) if i == j else F(0) for j in range(size)] for i in range(size)]
 
     def bracket_of(u, v):
-        out = la.zeros(size, size)
+        out = zeros(size, size)
         for a in range(size):
             for b in range(size):
                 cc = u[a] * v[b]
@@ -348,7 +399,7 @@ def oracle_group_bracket_equivariance(lie, g):
     for a in range(size):
         for b in range(size):
             lhs = bracket_of(g[a], g[b])
-            rhs = la.mat_mul(la.mat_mul(ginv, bracket_of(basis[a], basis[b])), g)
+            rhs = mat_mul(mat_mul(ginv, bracket_of(basis[a], basis[b])), g)
             if lhs != rhs:
                 return False
     return True
@@ -372,14 +423,14 @@ def test_group_bracket_equivariance_matches_oracle(r):
     for seed in (1, 9):
         for g in sample_transvections(r, 3, seed=seed):
             for p in pairs:
-                assert group_bracket_equivariance(p, g) == oracle_group_bracket_equivariance(p, g)
+                assert equivariant(p, g) == oracle_group_bracket_equivariance(p, g)
 
 
 def transvection(r, u, c):
-    """I + c J tu u, symplectic for every vector u and scalar c."""
-    J, size = standard_J(r), 2 * r
+    """I + c J tu u as sparse rows, symplectic for every vector u and scalar c."""
+    J, size = dense_J(r), 2 * r
     ju = [sum((J[i][a] * u[a] for a in range(size)), F(0)) for i in range(size)]
-    return [[F(i == j) + c * ju[i] * u[j] for j in range(size)] for i in range(size)]
+    return sparse_rows([[F(i == j) + c * ju[i] * u[j] for j in range(size)] for i in range(size)])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -402,12 +453,13 @@ def test_integer_group_equivariance_matches_oracle_on_non_dyadic_cells(r, scale)
     ]
     singular = [[F(i == j) for j in range(size)] for i in range(size)]
     singular[0] = list(singular[1])
+    singular = sparse_rows(singular)
     verdicts = []
     for p in pairs:
         for g in gs:
-            verdicts.append(group_bracket_equivariance(p, g))
+            verdicts.append(equivariant(p, g))
             assert verdicts[-1] == oracle_group_bracket_equivariance(p, g)
-        assert not group_bracket_equivariance(p, singular)
+        assert not equivariant(p, singular)
         assert not oracle_group_bracket_equivariance(p, singular)
     assert True in verdicts and False in verdicts
 
@@ -419,7 +471,7 @@ def test_doubled_odd_bracket_cell_breaks_group_equivariance(r):
     vbracket[(0, 0)] = {k: 2 * c for k, c in vbracket[(0, 0)].items()}
     bad = assemble_pair(g0, action, vbracket)
     for g in sample_transvections(r, 6, seed=9):
-        assert not group_bracket_equivariance(bad, g)
+        assert not equivariant(bad, g)
 
 
 # --- the envelope's letter rows against rewriting every cell from scratch

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import dense_rows, mat_mul, sparse_rows
 from superalg import linalg
 from superalg.table import add_into
 
@@ -85,6 +86,12 @@ def sparse(matrix):
     return [{j: c for j, c in enumerate(row) if c} for row in matrix]
 
 
+def invert_dense(matrix):
+    """``linalg.invert`` on a dense matrix, read back as a dense matrix."""
+    inverse = linalg.invert(sparse_rows(matrix))
+    return None if inverse is None else dense_rows(inverse, len(matrix))
+
+
 def as_dict(vec):
     return {j: c for j, c in enumerate(vec) if c}
 
@@ -118,7 +125,7 @@ def check_against_oracle(matrix, cols, rhs):
         assert [sum(c * x.get(j, 0) for j, c in row.items()) for row in rows] == rhs
 
     if len(matrix) == cols:
-        assert linalg.invert(matrix) == dense_invert(matrix)
+        assert invert_dense(matrix) == dense_invert(matrix)
     assert rows == before  # the input rows are left as they were
 
 
@@ -133,7 +140,7 @@ def random_matrix(rng, rows, cols, rank, density):
     right = [[entry() for _ in range(cols)] for _ in range(rank)]
     if rank == 0:
         return [[F0] * cols for _ in range(rows)]
-    return linalg.mat_mul(left, right) if rows else []
+    return mat_mul(left, right) if rows else []
 
 
 # --- tests ------------------------------------------------------------------------
@@ -160,8 +167,27 @@ def test_seeded_square_matrices_invert_like_dense_oracle(seed):
     full = random_matrix(rng, n, n, n, 0.5)
     singular = random_matrix(rng, n, n, n - 1, 0.8)
     for matrix in (full, singular):
-        assert linalg.invert(matrix) == dense_invert(matrix)
-    assert linalg.invert(singular) is None
+        assert invert_dense(matrix) == dense_invert(matrix)
+    assert linalg.invert(sparse_rows(singular)) is None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sparse_inverse_matches_dense_invert(seed):
+    # sparse rows in and out, all n rows present and no zero stored; a
+    # matrix with an empty row is singular
+    rng = random.Random(2000 + seed)
+    n = rng.randint(1, 6)
+    matrix = random_matrix(rng, n, n, n, 0.5)
+    with_empty_row = [row[:] for row in matrix]
+    with_empty_row[rng.randrange(n)] = [F0] * n
+    for m in (matrix, with_empty_row):
+        inverse, expected = linalg.invert(sparse_rows(m)), dense_invert(m)
+        assert inverse == (None if expected is None else sparse_rows(expected))
+        if inverse is not None:
+            assert list(inverse) == list(range(n))
+            assert all(c for row in inverse.values() for c in row.values())
+    assert linalg.invert(sparse_rows(with_empty_row)) is None
+    assert linalg.invert({}) == sparse_rows(dense_invert([])) == {}
 
 
 coefficient = st.one_of(
@@ -221,7 +247,7 @@ def test_empty_shapes():
     assert linalg.nullspace([{}, {}], 0) == []
     assert linalg.solve([{}, {}], [F0, F0], 0) == {}
     assert linalg.solve([{}, {}], [F0, F1], 0) is None
-    assert linalg.invert([]) == []
+    assert linalg.invert({}) == {}
 
 
 def test_integer_rows_give_fraction_answers():
@@ -236,9 +262,9 @@ def test_integer_rows_give_fraction_answers():
     kernel = linalg.nullspace([{0: 1, 1: -1}], 2)
     assert kernel == [{1: F1, 0: F1}]
     assert_all_fractions(kernel)
-    inverse = linalg.invert([[2, 0], [0, 1]])
-    assert inverse == [[Fraction(1, 2), F0], [F0, F1]]
-    assert all(type(c) is Fraction for row in inverse for c in row)
+    inverse = linalg.invert(sparse_rows([[2, 0], [0, 1]]))
+    assert dense_rows(inverse, 2) == [[Fraction(1, 2), F0], [F0, F1]]
+    assert all(type(c) is Fraction for row in inverse.values() for c in row.values())
 
 
 # --- coordinates in a nullspace basis ----------------------------------------------
