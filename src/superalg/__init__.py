@@ -49,13 +49,7 @@ from .finite import (
     finite_from_presentation,
     integral_space,
 )
-from .hyper import (
-    TruncatedDual,
-    check_lie_even,
-    primitives,
-    super_pbw_count,
-    truncated_dual,
-)
+from .hyper import TruncatedDual, primitives, truncated_dual
 from .liealg import StructureError, SuperLieAlgebraData
 from .hcpair import (
     TruncatedEnvelope,

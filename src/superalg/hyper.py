@@ -24,10 +24,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .core import F1, SuperMonomial, mul_monomials, odd_positions
-from .hopf import HopfPresentation, PresentationError, _monomials_up_to, even_quotient
+from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
 from .parsing import format_monomial
 from .table import (
@@ -239,35 +238,6 @@ def primitives(dual: TruncatedDual) -> SuperLieAlgebraData:
     data = SuperLieAlgebraData(labels=labels, parity=parity, bracket=bracket)
     data.validate()
     return data
-
-
-def check_lie_even(pres: HopfPresentation, lie: SuperLieAlgebraData) -> bool:
-    """Lie(G)_0 = Lie(G_ev): ``lie``, the primitives of ``pres``, has the even
-    quotient's primitives as its even labels, with equal brackets by label;
-    read at order 3, the least order whose brackets are faithful."""
-    even = primitives(truncated_dual(even_quotient(pres), 3))
-    evens = lie.even_indices()
-    if [lie.labels[i] for i in evens] != even.labels:
-        return False
-
-    def named(alg: SuperLieAlgebraData, i: int, j: int) -> dict[str, Fraction]:
-        return {alg.labels[k]: c for k, c in alg.bracket_basis(i, j).items()}
-
-    return all(
-        named(lie, a, b) == named(even, c, d)
-        for c, a in enumerate(evens)
-        for d, b in enumerate(evens)
-    )
-
-
-def super_pbw_count(even_dim: int, odd_dim: int, order: int) -> int:
-    """Monomials of total degree < order in even_dim commuting and odd_dim
-    anticommuting variables: sum over odd supports b of C(odd_dim, b) times
-    the C(order - 1 - b + even_dim, even_dim) even monomials of degree <= order - 1 - b."""
-    return sum(
-        comb(odd_dim, b) * comb(order - 1 - b + even_dim, even_dim)
-        for b in range(min(odd_dim, order - 1) + 1)
-    )
 
 
 def vec_json(vec: Vec) -> list:

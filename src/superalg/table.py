@@ -89,27 +89,6 @@ def image(rows: dict, vec: Vec) -> dict:
     return out
 
 
-def product(table: Table, u: Vec, v: Vec) -> Vec:
-    """The bilinear product u v."""
-    get = table.get
-    out: Vec = {}
-    for i, ci in u.items():
-        for j, cj in v.items():
-            cell = get((i, j))
-            if not cell:
-                continue
-            c = ci * cj
-            for k, ck in cell.items():
-                x = c * ck
-                s = out.get(k)
-                s = x if s is None else s + x
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    return out
-
-
 def times_basis(table: Table, u: Vec, k: int) -> Vec:
     """u e_k."""
     out: Vec = {}

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product as cartesian
+from math import comb
 
 import hypothesis.strategies as st
 
 from superalg import GeneratorSet, SuperPoly, TensorPoly, linalg
 from superalg.core import EVEN, F0, F1, ODD, SuperMonomial, mul_monomials
 from superalg.grassmann import _from_ints, _poly_mat_mul, _to_ints, grassmann_matrix_inv
-from superalg.hopf import _monomials_up_to
-from superalg.hyper import super_pbw_count
+from superalg.hopf import _monomials_up_to, even_quotient
+from superalg.hyper import primitives, truncated_dual
 from superalg.liealg import StructureError, SuperLieAlgebraData
-from superalg.table import add_into, product, whole_as_int
+from superalg.table import add_into, whole_as_int
 
 GENS = GeneratorSet(evens=["x", "y"], odds=["t1", "t2", "t3"])
 
@@ -366,6 +367,42 @@ def dense_spo_pair(r: int, half: bool = True) -> SuperLieAlgebraData:
     )
 
 
+# --- two relations that hold by construction, so no report states them as
+# checks: the PBW count of a truncated dual (its basis is the monomials of
+# degree < order in the generators, and Lie(G) is their degree-1 duals), and
+# Lie(G)_0 = Lie(G_ev) (the even quotient keeps exactly the odd-free terms of
+# each Delta(g), and odd factors never cancel in a product of monomials)
+
+
+def super_pbw_count(even_dim: int, odd_dim: int, order: int) -> int:
+    """Monomials of total degree < order in even_dim commuting and odd_dim
+    anticommuting variables: sum over odd supports b of C(odd_dim, b) times
+    the C(order - 1 - b + even_dim, even_dim) even monomials of degree <= order - 1 - b."""
+    return sum(
+        comb(odd_dim, b) * comb(order - 1 - b + even_dim, even_dim)
+        for b in range(min(odd_dim, order - 1) + 1)
+    )
+
+
+def check_lie_even(pres, lie) -> bool:
+    """Lie(G)_0 = Lie(G_ev): ``lie``, the primitives of ``pres``, has the even
+    quotient's primitives as its even labels, with equal brackets by label;
+    read at order 3, the least order whose brackets are faithful."""
+    even = primitives(truncated_dual(even_quotient(pres), 3))
+    evens = lie.even_indices()
+    if [lie.labels[i] for i in evens] != even.labels:
+        return False
+
+    def named(alg, i, j):
+        return {alg.labels[k]: c for k, c in alg.bracket_basis(i, j).items()}
+
+    return all(
+        named(lie, a, b) == named(even, c, d)
+        for c, a in enumerate(evens)
+        for d, b in enumerate(evens)
+    )
+
+
 def envelope_pbw_count(g0_dim: int, v_dim: int, degree_bound: int) -> int:
     """PBW monomials of degree <= degree_bound: multisets over the g_0 basis
     times subsets of the V basis."""
@@ -407,6 +444,14 @@ def brute_force_bad_triples(tab, dim, degree=None, bound=None):
 # ``hyper.primitives``
 
 
+def bilinear(tab, u, v):
+    """The product u v on the table ``tab``, term by term."""
+    out = {}
+    for (i, a), (j, b) in cartesian(u.items(), v.items()):
+        add_into(out, tab.get((i, j), {}), a * b)
+    return out
+
+
 def nullspace_primitives(dual):
     """``(lie, vectors)``: the primitive functionals of ``dual`` as a kernel basis
     of the coproduct rows, parity by parity, each scaled to lead with 1 and
@@ -436,8 +481,8 @@ def nullspace_primitives(dual):
     for a, u in enumerate(vectors):
         for b, v in enumerate(vectors):
             sign = -F1 if not (parity[a] and parity[b]) else F1
-            comm = product(dual.product, u, v)
-            add_into(comm, product(dual.product, v, u), sign)
+            comm = bilinear(dual.product, u, v)
+            add_into(comm, bilinear(dual.product, v, u), sign)
             coords = coords_in(comm)
             if coords is None:
                 raise StructureError(

@@ -16,7 +16,6 @@ from superalg import (
     build_super_lie,
     check_finite_hopf_axioms,
     check_hopf_axioms,
-    check_lie_even,
     dual_iso_check,
     exterior_finite,
     exterior_hopf,
@@ -24,7 +23,6 @@ from superalg import (
     integral_space,
     primitives,
     spo_pair,
-    super_pbw_count,
     truncated_dual,
     truncated_envelope,
     validate_hcpair,
@@ -33,7 +31,7 @@ from superalg.cli import main
 from superalg.finite import compose_with_antipode, is_right_integral
 from superalg.hopf import additive_presentation
 
-from conftest import envelope_pbw_count
+from conftest import check_lie_even, envelope_pbw_count, super_pbw_count
 from test_hyper import glmn_oracle
 
 

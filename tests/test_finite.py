@@ -157,15 +157,18 @@ def test_bosonize_trivial_is_group_algebra():
 
 
 def test_bosonize_smash_coproduct_on_primitive():
-    base = exterior_finite(1)
-    result = bosonize(base)
-    v = base.labels.index("v1")
-    g = result.labels.index("g")
-    unit = base.labels.index("1")
-    expected = {(v, base.dimension + unit): Fraction(1), (unit, v): Fraction(1)}
-    assert result.delta[v] == expected
-    assert result.labels[base.dimension + unit] == "g"
-    assert result.delta[v][(v, g)] == 1
+    # D(1 x v) = (1 x v) (x) (g x 1) + (1 x 1) (x) (1 x v) on every primitive v
+    for n in range(7):
+        base = exterior_finite(n)
+        result = bosonize(base)
+        g = result.labels.index("g")
+        unit = base.labels.index("1")
+        assert result.labels[base.dimension + unit] == "g"
+        for i in range(n):
+            v = base.labels.index(f"v{i + 1}")
+            expected = {(v, base.dimension + unit): Fraction(1), (unit, v): Fraction(1)}
+            assert result.delta[v] == expected
+            assert result.delta[v][(v, g)] == 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

@@ -15,12 +15,10 @@ from superalg import (
     SuperPoly,
     TensorPoly,
     additive_presentation,
-    check_lie_even,
     even_quotient,
     exterior_hopf,
     glmn_presentation,
     primitives,
-    super_pbw_count,
     truncated_dual,
 )
 from superalg.core import mul_monomials
@@ -29,7 +27,8 @@ from superalg.liealg import StructureError
 from superalg.presfile import builtin_presentation_path, load_presentation
 
 from conftest import (
-    coefficients, delta_of, is_one, nullspace_primitives, oracle_mul_monomials, support_of,
+    check_lie_even, coefficients, delta_of, is_one, nullspace_primitives, oracle_mul_monomials,
+    super_pbw_count, support_of,
 )
 
 GA11 = additive_presentation(1, 1)
@@ -483,6 +482,58 @@ def test_lie_even_fails_on_an_odd_component_of_an_even_bracket():
     lie, x, y, p = gl11_lie_and_indices()
     lie.bracket[(y, x)] = {p: Fraction(1)}
     assert not check_lie_even(GL11, lie)
+
+
+# --- Lie(G)_0 = Lie(G_ev) by construction: the even quotient keeps exactly the
+# odd-free terms of each Delta(g), and odd factors never cancel in a product of
+# monomials, so every Lie(G) that validates matches the even quotient's
+
+
+PERTURBED_BASES = [
+    lambda: glmn_presentation(1, 1), lambda: glmn_presentation(2, 1),
+    lambda: glmn_presentation(1, 2), lambda: additive_presentation(2, 2),
+]
+
+
+def perturbed_presentation(seed):
+    """``(base, perturbed)``: a base presentation, and the same with one to three
+    terms c m1 (x) m2 added to the coproducts of random generators, m1 and m2 of
+    degree <= 2 and not both 1, of total parity that of the generator; half of
+    the draws take m1 and m2 of degree <= 1, which reach the brackets."""
+    rng = random.Random(seed)
+    base = rng.choice(PERTURBED_BASES)()
+    gens = base.gens
+    monomials = _monomials_up_to(gens, 2)
+    linear = [m for m in monomials if m.degree() <= 1]
+    delta = dict(base.delta)
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(gens.names)
+        pool = monomials if rng.random() < 0.5 else linear
+        while True:
+            m1, m2 = rng.choice(pool), rng.choice(pool)
+            if (m1.degree() or m2.degree()) and (m1.parity + m2.parity) % 2 == gens.parity(name):
+                break
+        coeff = Fraction(rng.choice([-2, -1, 1, 2]))
+        delta[name] = delta[name] + TensorPoly((gens, gens), {(m1, m2): coeff})
+    perturbed = HopfPresentation(gens, delta, base.counit, base.antipode,
+                                 name=base.name, shape=base.shape)
+    return base, perturbed
+
+
+def test_lie_even_holds_whenever_a_perturbed_lie_algebra_validates():
+    seen = Counter()
+    for seed in range(200):
+        base, pres = perturbed_presentation(seed)
+        try:
+            lie = primitives(truncated_dual(pres, 3))
+        except StructureError:
+            seen["raises"] += 1
+            continue
+        assert check_lie_even(pres, lie), seed
+        seen["validates"] += 1
+        # the perturbation moved Lie(G)_0 itself, so the match is not the base's
+        seen["even part moved"] += not check_lie_even(base, lie)
+    assert seen["raises"] and seen["validates"] and seen["even part moved"], seen
 
 
 # --- PBW counting

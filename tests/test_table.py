@@ -85,9 +85,6 @@ def test_products_and_scans_match_dense_oracle(seed):
     tab[key] = {k: c for k, c in cell.items() if c}
     u = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(dim)}
     u = {i: c for i, c in u.items() if c}
-    v = {i: Fraction(rng.randint(-3, 3)) for i in range(dim) if rng.random() < 0.5}
-    v = {i: c for i, c in v.items() if c}
-    assert table.product(tab, u, v) == dense_product(tab, dim, u, v)
     assert table.times_basis(tab, u, key[1]) == dense_product(tab, dim, u, {key[1]: F1})
     assert table.basis_times(tab, key[0], u) == dense_product(tab, dim, {key[0]: F1}, u)
     bad = brute_force_bad_triples(tab, dim)
