@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 from . import linalg
-from .core import F0, F1, SuperPoly, blades, cross, odd_positions
+from .core import F1, SuperPoly, blades, cross, odd_positions
 from .hopf import HopfPresentation, PresentationError, exterior_hopf
 from .hyper import truncated_dual
 from .report import AxiomReport
@@ -318,16 +318,12 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
     labels = hopf.labels + ["g" if lbl == "1" else f"g.{lbl}" for lbl in hopf.labels]
     unit = {idx(0, i): c for i, c in hopf.unit.items()}
     mult: dict[tuple[int, int], Vec] = {}
-    for s in (0, 1):
-        for i in range(dim):
+    for (i, j), cell in hopf.mult.items():
+        for s in (0, 1):
             for t in (0, 1):
-                for j in range(dim):
-                    # (g^s x a)(g^t x b) = (-1)^{t|a|} g^{s+t} x ab
-                    sign = -1 if (t and hopf.parity[i]) else 1
-                    table = hopf.mult.get((i, j), {})
-                    mult[(idx(s, i), idx(t, j))] = {
-                        idx((s + t) % 2, k): sign * c for k, c in table.items()
-                    }
+                # (g^s x a)(g^t x b) = (-1)^{t|a|} g^{s+t} x ab
+                sign = -1 if (t and hopf.parity[i]) else 1
+                mult[(idx(s, i), idx(t, j))] = {idx((s + t) % 2, k): sign * c for k, c in cell.items()}
     delta: dict[int, TensorVec] = {}
     for s in (0, 1):
         for i in range(dim):
@@ -407,12 +403,7 @@ def compose_with_antipode(hopf: FiniteDimHopf, functional: Vec) -> Vec:
     """The functional a -> functional(S(a))."""
     if hopf.antipode is None:
         raise PresentationError("no antipode table")
-    out: Vec = {}
-    for j in range(hopf.dimension):
-        value = sum((c * functional.get(k, F0) for k, c in hopf.antipode[j].items()), F0)
-        if value:
-            out[j] = value
-    return out
+    return image(transpose(hopf.antipode), functional)
 
 
 def is_right_integral(hopf: FiniteDimHopf, functional: Vec) -> bool:

@@ -1,11 +1,12 @@
 """Sparse structure-constant tables shared by every finite algebra type.
 
 A table maps a basis pair ``(i, j)`` to the expansion ``{k: c}`` of
-``e_i e_j``; a missing pair is a zero product.  Vectors are ``{index: c}``
-with no zero coefficients.  The Hopf tables (``finite``), the truncated
-hyperalgebra (``hyper``), the PBW envelope (``hcpair``) and the super Lie
-bracket (``liealg``) all hold their products in this form, and their unit,
-associativity and Jacobi checks run on the loops below.  Each loop looks up
+``e_i e_j``; a missing pair is a zero product, and no stored cell is empty.
+Vectors are ``{index: c}`` with no zero coefficients.  The Hopf tables
+(``finite``), the truncated hyperalgebra (``hyper``), the PBW envelope
+(``hcpair``) and the super Lie bracket (``liealg``) all hold their products
+in this form, and their unit, associativity and Jacobi checks run on the
+loops below.  Each loop looks up
 ``e_i e_j`` once per pair and accumulates in place, starting from the first
 term rather than from a ``Fraction`` zero: ``int`` tables (the +-1 exterior
 tables, and the truncated hyperalgebra of a presentation with whole
@@ -26,6 +27,12 @@ in G or g = 1 is multiplicative everywhere, when the product respects
 parity so that the Koszul-signed tensor square is associative.  The dense
 scan ``first_nonassociative`` stays as the fallback, the witness finder and
 the test oracle.
+
+Both scans compare (e_i e_j) e_k with e_i (e_j e_k) through ``times_basis``
+and ``basis_times``, for k in the row support of j or of some t in
+supp(e_i e_j) only: the row support of t is the set of k with a stored cell
+(t, k), and off that union both sides are empty, so every verdict and every
+first witness is that of the scan over all k.
 """
 
 from __future__ import annotations
@@ -121,34 +128,17 @@ def first_nonassociative(table: Table, dim: int) -> tuple[int, int, int] | None:
 
 def _failing_triples(table: Table, lefts: Iterable[int], dim: int):
     """The triples (i, j, k) with i in ``lefts`` and (e_i e_j) e_k != e_i (e_j e_k),
-    in lexicographic order."""
+    in lexicographic order.  Both sides are empty unless k lies in the row
+    support of j or of some t in supp(e_i e_j), so k runs over that union only."""
+    rows: dict[int, set[int]] = {}
+    for t, k in table:
+        rows.setdefault(t, set()).add(k)
     get = table.get
-    span = range(dim)
     for i in lefts:
-        for j in span:
+        for j in range(dim):
             ij = get((i, j), _EMPTY)
-            for k in span:
-                lhs: Vec = {}
-                for t, c in ij.items():
-                    for r, cr in get((t, k), _EMPTY).items():
-                        x = c * cr
-                        s = lhs.get(r)
-                        s = x if s is None else s + x
-                        if s:
-                            lhs[r] = s
-                        else:
-                            lhs.pop(r, None)
-                rhs: Vec = {}
-                for t, c in get((j, k), _EMPTY).items():
-                    for r, cr in get((i, t), _EMPTY).items():
-                        x = c * cr
-                        s = rhs.get(r)
-                        s = x if s is None else s + x
-                        if s:
-                            rhs[r] = s
-                        else:
-                            rhs.pop(r, None)
-                if lhs != rhs:
+            for k in sorted(set().union(rows.get(j, ()), *(rows.get(t, ()) for t in ij))):
+                if times_basis(table, ij, k) != basis_times(table, i, get((j, k), _EMPTY)):
                     yield i, j, k
 
 

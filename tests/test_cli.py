@@ -553,6 +553,37 @@ def test_builtin_file_checks_are_golden(tmp_path):
     )
 
 
+NONCOASSOCIATIVE = """# exterior algebra on two odd generators with a coproduct that is not coassociative
+odd v1, v2;
+
+delta v1 = v1 @ 1 + 1 @ v1 + v1*v2 @ v2;
+delta v2 = v2 @ 1 + 1 @ v2;
+
+eps v1 = 0;
+eps v2 = 0;
+
+antipode v1 = -v1;
+antipode v2 = -v2;
+"""
+
+
+# taken before the associativity scan ran over row supports: the dual of this
+# file fails the generator certificate, so its associativity verdict comes from
+# the dense scan, the one CLI report whose verdict does
+def test_noncoassociative_file_checks_are_golden(tmp_path):
+    path = tmp_path / "noncoassociative.shp"
+    path.write_text(NONCOASSOCIATIVE)
+    code, data = run(["verify", "exterior", "--file", str(path)], tmp_path)
+    assert code == 1
+    failed = {c["name"]: c.get("witness") for c in data["checks"] if c["status"] == "fail"}
+    assert failed["duality[n=2]:dual-satisfies-super-hopf-axioms"] == "associativity"
+    assert "duality[n=2]:algebra-morphism" in failed
+    text = json.dumps(data["checks"], sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5b89acfbc3517a4e8972728317d42958d48bfc7241be7024626879a143d1a5f3"
+    )
+
+
 # --- the check ledger
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -184,6 +185,26 @@ def test_bosonize_ordinary_hopf_axioms(n):
     assert result.dimension == 2 ** (n + 1)
     assert result.antipode is not None
     assert check_finite_hopf_axioms(result).ok
+
+
+def test_bosonization_stores_no_empty_cell_and_composes_with_its_antipode():
+    # a missing pair is a zero product, so every stored cell is nonzero
+    for n in range(4):
+        base = exterior_finite(n)
+        result = bosonize(base)
+        assert all(cell and all(cell.values()) for cell in result.mult.values())
+        assert len(result.mult) == 4 * len(base.mult)
+    # S(g^s (x) v) has g^{s+1}: the antipode is not diagonal
+    hopf = bosonize(exterior_finite(2))
+    dim = hopf.dimension
+    s = [[hopf.antipode[j].get(k, 0) for k in range(dim)] for j in range(dim)]
+    assert any(s[j][k] for j in range(dim) for k in range(dim) if j != k)
+    for seed in range(10):
+        rng = random.Random(seed)
+        f = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in range(dim)}
+        f = {k: c for k, c in f.items() if c}
+        dense = [sum(s[j][k] * f.get(k, 0) for k in range(dim)) for j in range(dim)]
+        assert compose_with_antipode(hopf, f) == {j: x for j, x in enumerate(dense) if x}
 
 
 def _z3_times_exterior_1():

@@ -15,6 +15,7 @@ from superalg import (
     additive_presentation,
     check_hopf_axioms,
     compute_W,
+    evaluate_hom,
     even_quotient,
     exterior_hopf,
     glmn_presentation,
@@ -108,20 +109,21 @@ def test_glmn_axioms_pointwise(m, n):
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
 def test_glmn_coproduct_dualizes_matrix_product(m, n):
     # convolving two points through the coproduct equals multiplying matrices
-    from superalg.decomposition import evaluate_at_point
+    from superalg.decomposition import point_images
 
     pres = glmn_presentation(m, n)
     sampler = PointSampler(m, n, 4, seed=19)
+    one = sampler.alg.one()
     for idx in range(5):
         a, b = sampler.sample(2 * idx), sampler.sample(2 * idx + 1)
-        product = a * b
+        at_a, at_b, at_ab = (point_images(pres, point) for point in (a, b, a * b))
         for name in pres.gens.names:
             total = sampler.alg.zero()
             for (m1, m2), coeff in pres.delta[name].terms.items():
-                left = evaluate_at_point(pres, SuperPoly.monomial(pres.gens, m1), a)
-                right = evaluate_at_point(pres, SuperPoly.monomial(pres.gens, m2), b)
+                left = evaluate_hom(SuperPoly.monomial(pres.gens, m1), at_a, one)
+                right = evaluate_hom(SuperPoly.monomial(pres.gens, m2), at_b, one)
                 total = total + (left * right).scale(coeff)
-            direct = evaluate_at_point(pres, pres.generator_poly(name), product)
+            direct = evaluate_hom(pres.generator_poly(name), at_ab, one)
             assert total == direct, name
 
 

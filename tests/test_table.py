@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from superalg import exterior_finite, finite, hyper, table
+from superalg import bosonize, exterior_finite, finite, hyper, table
 from superalg.core import F1
 from superalg.finite import FiniteDimHopf, check_finite_hopf_axioms, dual_hopf, finite_from_presentation
 from superalg.hopf import exterior_hopf, glmn_presentation
@@ -141,8 +141,14 @@ def certificate_case(name):
         "Lambda(5)": lambda: hopf_case(exterior_finite(5)),
         "Lambda(5)*": lambda: hopf_case(dual_hopf(finite_from_presentation(exterior_hopf(5)))),
         "hy gl(1|1) order 4": lambda: dual_case(truncated_dual(glmn_presentation(1, 1), 4)),
+        "bosonize(Lambda(2))": lambda: bosonized_case(bosonize(exterior_finite(2))),
     }
     return constructions[name]()
+
+
+def bosonized_case(hopf):
+    # no primitives, but the closure of 1 under {v1, v2, g} spans the algebra
+    return {**hopf_case(hopf), "gens": sorted(hopf.labels.index(x) for x in ("v1", "v2", "g"))}
 
 
 CASE_NAMES = ["Lambda(3)", "Lambda(4)", "Lambda(5)", "Lambda(5)*", "hy gl(1|1) order 4"]
@@ -229,6 +235,20 @@ def test_certified_path_matches_dense_scans_on_corrupted_cells(name, kind, monke
             with monkeypatch.context() as patch:
                 dense_path(hyper, patch)
                 assert associativity_outcome(mutant) == certified
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", CASE_NAMES + ["bosonize(Lambda(2))"])
+def test_support_driven_scan_lists_every_failing_triple(name, kind):
+    # k runs only over the row supports of j and of supp(e_i e_j): every
+    # triple the scan skips must be one the definition finds associative
+    case = certificate_case(name)
+    dim, gens = case["dim"], case["gens"]
+    for seed in range(10):
+        tab = corrupted(case, kind, random.Random(f"scan/{name}/{kind}/{seed}"))
+        bad = brute_force_bad_triples(tab, dim)
+        assert list(table._failing_triples(tab, range(dim), dim)) == bad
+        assert list(table._failing_triples(tab, gens, dim)) == [t for t in bad if t[0] in gens]
 
 
 @settings(max_examples=40, deadline=None)
