@@ -4,7 +4,10 @@ A point of the general linear supergroup over a Grassmann algebra R is a
 block matrix (X P; Q Y) with X, Y even-entried and P, Q odd-entried, whose
 diagonal blocks have invertible rational body.  Inversion is exact: invert
 the body, held as sparse rows (``superalg.linalg``), over the rationals,
-then run the terminating nilpotent correction series on the soul.
+then solve for the inverse one soul degree at a time.  The degree-d part
+is a sum of products of lower-degree parts; it is exact because every part
+is homogeneous and the degrees of blades only add in a product
+(``grassmann_matrix_inv``).
 
 A point is held in one form, the integer kernel's.  A blade
 t_{i1}...t_{ir} (0-based i1 < ... < ir) is the int bitmask with bits i1..ir
@@ -95,8 +98,7 @@ class GrassmannAlgebra:
 def invert_element(r: SuperPoly) -> SuperPoly:
     """Exact inverse of a Grassmann element with nonzero body.
 
-    Computed as the 1x1 case of the matrix inverse: body^-1 times the
-    terminating series in -soul/body.
+    Computed as the 1x1 case of the matrix inverse, one soul degree at a time.
     """
     if not r.body():
         raise NotInvertible("element has zero body")
@@ -255,25 +257,76 @@ def _join(x: IntMatrix, p: IntMatrix, q: IntMatrix, y: IntMatrix) -> IntMatrix:
 def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
     """Inverse of a square integer-form matrix with invertible body B.
 
-    With soul S and N = B^-1 S (nilpotent), A^-1 = sum_i (-N)^i B^-1; each
-    term is the previous one multiplied on the left by -N.  B^-1 is the
-    sparse inverse of ``linalg.invert``, its denominators cleared.
+    With soul S and N = B^-1 S, the inverse X = (1 + N)^-1 B^-1 solves
+    X = B^-1 - N X.  Split X and N by soul degree (the popcount of a blade):
+    X_0 = B^-1 and X_d = sum_e (-N_e) X_{d-e} for d >= 1.  This is exact
+    because the parts are homogeneous and the degrees of two blades only add
+    in their product, so the degree-d part of -N X is that sum and no pair
+    whose degrees pass d is formed.  N has no degree-0 part, so X_d vanishes
+    past the popcount of the union of N's blades, and once max-e consecutive
+    parts vanish every later one does.  B^-1 is the sparse inverse of
+    ``linalg.invert``, its denominators cleared to bden; -N has denominator
+    nden.  X_d is held over bden * nden^d, so -N_e enters scaled by
+    nden^(e-1); the parts are summed over the last one's denominator and
+    gcd-reduced once.
     """
     rows, den = a
+    size = len(rows)
     body_inv = linalg.invert(_body(a))
     if body_inv is None:
         raise NotAPoint("matrix body is singular")
     bden, cleared_inv = cleared(body_inv)
-    binv = ([[{0: row[j]} if j in row else {} for j in range(len(rows))]
-             for row in cleared_inv.values()], bden)
+    binv = [[{0: row[j]} if j in row else {} for j in range(size)] for row in cleared_inv.values()]
     neg_soul = ([[{m: -c for m, c in terms.items() if m} for terms in row] for row in rows], den)
-    neg_nil = _poly_mat_mul(binv, neg_soul)
-    total = term = binv
-    while True:
-        term = _poly_mat_mul(neg_nil, term)
-        if not any(terms for row in term[0] for terms in row):
-            return total
-        total = _int_add(total, term)
+    neg_nil, nden = _poly_mat_mul((binv, bden), neg_soul)
+    # n_parts[e][i][k]: the (blade, cross(blade), scaled numerator) of -N_e at (i, k)
+    n_parts: dict[int, list[dict[int, list]]] = {}
+    union = 0
+    for i, row in enumerate(neg_nil):
+        for k, terms in enumerate(row):
+            for m, c in terms.items():
+                e = m.bit_count()
+                union |= m
+                part = n_parts.setdefault(e, [{} for _ in range(size)])
+                part[i].setdefault(k, []).append((m, cross(m), c * nden ** (e - 1)))
+    top = max(n_parts, default=0)
+    # x_parts[d][k]: the nonzero entries (j, [(blade, numerator)]) of row k of X_d
+    x_parts = [[[(j, list(terms.items())) for j, terms in enumerate(row) if terms] for row in binv]]
+    last = 0
+    for d in range(1, union.bit_count() + 1):
+        if d - last > top:
+            break
+        pairs = [(part, x_parts[d - e]) for e, part in n_parts.items()
+                 if e <= d and any(x_parts[d - e])]
+        x_d = []
+        for i in range(size):
+            accs: list[dict[int, int]] = [{} for _ in range(size)]
+            for part, prev in pairs:
+                for k, left_terms in part[i].items():
+                    for j, right_terms in prev[k]:
+                        acc = accs[j]
+                        get = acc.get
+                        for m1, x1, c1 in left_terms:
+                            for m2, c2 in right_terms:
+                                if m1 & m2:
+                                    continue
+                                m = m1 | m2
+                                if (m2 & x1).bit_count() & 1:
+                                    acc[m] = get(m, 0) - c1 * c2
+                                else:
+                                    acc[m] = get(m, 0) + c1 * c2
+            x_d.append([(j, items) for j, acc in enumerate(accs)
+                        if (items := [(m, c) for m, c in acc.items() if c])])
+        x_parts.append(x_d)
+        if any(x_d):
+            last = d
+    total = [[{} for _ in range(size)] for _ in range(size)]
+    for d, x_d in enumerate(x_parts[:last + 1]):
+        scale = nden ** (last - d)
+        for total_row, row in zip(total, x_d):
+            for j, items in row:
+                total_row[j].update({m: c * scale for m, c in items})
+    return _reduced(total, bden * nden ** last)
 
 
 class SuperMatrix:
@@ -362,7 +415,7 @@ class SuperMatrix:
         return linalg.invert(_body(x)) is not None and linalg.invert(_body(y)) is not None
 
     def inv(self) -> SuperMatrix:
-        """Exact two-sided inverse (body inversion plus nilpotent series)."""
+        """Exact two-sided inverse (body inversion, then one soul degree at a time)."""
         if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
         return self._of(self.m, self.n, self.alg, grassmann_matrix_inv(self.ints))
@@ -404,12 +457,13 @@ class SuperMatrix:
     @classmethod
     def from_decomposition(cls, x, y, pprime, qprime, alg: GrassmannAlgebra) -> SuperMatrix:
         """Rebuild the point: P = X p', Q = Y q'."""
+        m, n = len(x), len(y)
+        for block, height, width in ((x, m, m), (y, n, n), (pprime, m, n), (qprime, n, m)):
+            if len(block) != height or any(len(row) != width for row in block):
+                raise ValueError("matrix has the wrong shape")
         x, y, pprime, qprime = (_to_ints(block, alg.gens) for block in (x, y, pprime, qprime))
         p, q = _poly_mat_mul(x, pprime), _poly_mat_mul(y, qprime)
-        rows, den = _join(x, p, q, y)
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix has the wrong shape")
-        return cls._of(len(x[0]), len(y[0]), alg, (rows, den))
+        return cls._of(m, n, alg, _join(x, p, q, y))
 
     def to_json(self) -> str:
         """Deterministic JSON: shape plus (odd-support, rational) term lists."""

@@ -7,11 +7,13 @@ import hypothesis.strategies as st
 
 from superalg import GeneratorSet, SuperPoly, TensorPoly, linalg
 from superalg.core import EVEN, F0, F1, ODD, SuperMonomial, mul_monomials
-from superalg.grassmann import _from_ints, _poly_mat_mul, _to_ints, grassmann_matrix_inv
+from superalg.grassmann import (
+    NotAPoint, _body, _from_ints, _int_add, _poly_mat_mul, _to_ints, grassmann_matrix_inv,
+)
 from superalg.hopf import _monomials_up_to, even_quotient
 from superalg.hyper import primitives, truncated_dual
 from superalg.liealg import StructureError, SuperLieAlgebraData
-from superalg.table import add_into, whole_as_int
+from superalg.table import add_into, cleared, whole_as_int
 
 GENS = GeneratorSet(evens=["x", "y"], odds=["t1", "t2", "t3"])
 
@@ -596,6 +598,29 @@ def poly_mat_mul(a, b, alg):
 def poly_mat_inv(rows, alg):
     """The inverse by ``grassmann.grassmann_matrix_inv``."""
     return _from_ints(grassmann_matrix_inv(_to_ints(rows, alg.gens)), alg.gens)
+
+
+def series_matrix_inv(a):
+    """The inverse of an integer-form matrix A = B + S (body B, soul S) by the
+    terminating Neumann series sum_i (-N)^i B^-1 with N = B^-1 S: each term is
+    the whole previous one multiplied on the left by -N, and the running sum
+    is gcd-reduced after each term.  An oracle for the soul-degree recurrence
+    of ``grassmann_matrix_inv``."""
+    rows, den = a
+    body_inv = linalg.invert(_body(a))
+    if body_inv is None:
+        raise NotAPoint("matrix body is singular")
+    bden, cleared_inv = cleared(body_inv)
+    binv = ([[{0: row[j]} if j in row else {} for j in range(len(rows))]
+             for row in cleared_inv.values()], bden)
+    neg_soul = ([[{m: -c for m, c in terms.items() if m} for terms in row] for row in rows], den)
+    neg_nil = _poly_mat_mul(binv, neg_soul)
+    total = term = binv
+    while True:
+        term = _poly_mat_mul(neg_nil, term)
+        if not any(terms for row in term[0] for terms in row):
+            return total
+        total = _int_add(total, term)
 
 
 # --- small operations that only the tests need

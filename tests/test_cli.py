@@ -567,20 +567,22 @@ antipode v2 = -v2;
 """
 
 
-# taken before the associativity scan ran over row supports: the dual of this
-# file fails the generator certificate, so its associativity verdict comes from
-# the dense scan, the one CLI report whose verdict does
+# the dual of this file fails the generator certificate, so its associativity
+# verdict comes from the dense scan, the one CLI report whose verdict does; the
+# duality check carries that scan's first failing triple as its witness
 def test_noncoassociative_file_checks_are_golden(tmp_path):
     path = tmp_path / "noncoassociative.shp"
     path.write_text(NONCOASSOCIATIVE)
     code, data = run(["verify", "exterior", "--file", str(path)], tmp_path)
     assert code == 1
     failed = {c["name"]: c.get("witness") for c in data["checks"] if c["status"] == "fail"}
-    assert failed["duality[n=2]:dual-satisfies-super-hopf-axioms"] == "associativity"
+    assert failed["duality[n=2]:dual-satisfies-super-hopf-axioms"] == (
+        "associativity: associativity fails at (v1*, v2*, v2*)"
+    )
     assert "duality[n=2]:algebra-morphism" in failed
     text = json.dumps(data["checks"], sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5b89acfbc3517a4e8972728317d42958d48bfc7241be7024626879a143d1a5f3"
+        "fbcd06b4f851f43b35f20969d82de38bac1e962a38d6d2dc1079791bdca8f372"
     )
 
 

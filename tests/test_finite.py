@@ -108,27 +108,29 @@ def _no_antipode(p):
 @pytest.mark.parametrize("corrupt, failures", [
     (_negate_delta_cell, {
         "algebra-morphism": "products differ at (f2, f1)",
-        "dual-satisfies-super-hopf-axioms": "coproduct-multiplicative; antipode",
+        "dual-satisfies-super-hopf-axioms":
+            "coproduct-multiplicative: coproduct is not an algebra map at (v2*, v1*)",
     }),
     (_double_mult_cell, {
         "coalgebra-morphism": "coproducts differ at f1f2",
-        "dual-satisfies-super-hopf-axioms": "coproduct-multiplicative; antipode",
+        "dual-satisfies-super-hopf-axioms":
+            "coproduct-multiplicative: coproduct is not an algebra map at (v1*, v2*)",
     }),
     (_halve_counit_of_one, {
         "unit-preserved": "",
-        "dual-satisfies-super-hopf-axioms": "unit; counit-multiplicative; antipode",
+        "dual-satisfies-super-hopf-axioms": "unit: unit law fails at 1*",
     }),
     (_extra_unit_term, {
         "counit-preserved": "",
-        "dual-satisfies-super-hopf-axioms": "counit; counit-multiplicative; antipode",
+        "dual-satisfies-super-hopf-axioms": "counit: counit law fails at v1*",
     }),
     (_wrong_antipode_row, {
         "antipode-preserved": "",
-        "dual-satisfies-super-hopf-axioms": "antipode",
+        "dual-satisfies-super-hopf-axioms": "antipode: antipode identity fails at v1*",
     }),
     (_no_antipode, {
         "antipode-preserved": "no antipode table",
-        "dual-satisfies-super-hopf-axioms": "antipode",
+        "dual-satisfies-super-hopf-axioms": "antipode: no antipode table",
     }),
 ])
 def test_corrupted_primal_fails_its_morphism_check(corrupt, failures):

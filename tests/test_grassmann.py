@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import (
     coefficients, identity, mask_of, mat_mul, oracle_product, poly_mat_inv, poly_mat_mul,
+    series_matrix_inv,
 )
 from superalg import (
     GeneratorSet,
@@ -19,6 +20,9 @@ from superalg import (
     invert_element,
 )
 from superalg.core import SuperMonomial, SuperPoly
+from superalg.grassmann import (
+    _int_add, _int_neg, _poly_mat_mul, _split, _to_ints, grassmann_matrix_inv,
+)
 
 ALG = GrassmannAlgebra(4)
 
@@ -269,6 +273,26 @@ def test_shape_mismatch_rejected():
         SuperMatrix.from_decomposition([[one]], [[one]], [[]], [[ALG.zero()]], ALG)
 
 
+@pytest.mark.parametrize("block, rows", [
+    pytest.param("x", [[1], [0]], id="x-2x1"),
+    pytest.param("x", [[1, 0], [0]], id="x-ragged"),
+    pytest.param("y", [[1, 0]], id="y-1x2"),
+    pytest.param("pprime", [[0]], id="pprime-1x1"),
+    pytest.param("pprime", [[0, 0], [0, 0]], id="pprime-2x2"),
+    pytest.param("qprime", [[0]], id="qprime-1x1"),
+    pytest.param("qprime", [[0, 0], [0, 0]], id="qprime-2x2"),
+])
+def test_decomposition_with_a_wrong_block_shape_is_rejected(block, rows):
+    # the coordinates of a (2|1) point: x 2 x 2, y 1 x 1, p' 2 x 1 and q' 1 x 2
+    one, zero = ALG.one(), ALG.zero()
+    blocks = {"x": [[one, zero], [zero, one]], "y": [[one]],
+              "pprime": [[ALG.theta(1)], [zero]], "qprime": [[zero, ALG.theta(2)]]}
+    assert SuperMatrix.from_decomposition(**blocks, alg=ALG).is_gl_point()
+    blocks[block] = [[ALG.scalar(c) for c in row] for row in rows]
+    with pytest.raises(ValueError, match="matrix has the wrong shape"):
+        SuperMatrix.from_decomposition(**blocks, alg=ALG)
+
+
 def test_purely_even_shape_degenerates():
     # n = 0: no odd coordinates at all, the split is the point itself
     sampler = PointSampler(2, 0, 3, seed=4)
@@ -336,6 +360,25 @@ def test_kernel_matches_oracle_on_seeded_points(k):
                     assert invert_element(entry) == series_inverse(entry)
 
 
+@pytest.mark.parametrize("k", range(9))
+def test_degree_recurrence_matches_series_on_seeded_points(k):
+    # the point, its diagonal blocks and their Schur complements X - P Y^-1 Q
+    # and Y - Q X^-1 P, inverted by the recurrence and by the series oracle
+    for m, n in SHAPES:
+        sampler = PointSampler(m, n, k, seed=1000 * k + 10 * m + n + 1)
+        for i in range(3):
+            a = sampler.sample(i).ints
+            x, p, q, y = _split(a, m)
+            matrices = [a, x, y]
+            if m and n:
+                matrices.append(_int_add(x, _int_neg(
+                    _poly_mat_mul(_poly_mat_mul(p, series_matrix_inv(y)), q))))
+                matrices.append(_int_add(y, _int_neg(
+                    _poly_mat_mul(_poly_mat_mul(q, series_matrix_inv(x)), p))))
+            for matrix in matrices:
+                assert grassmann_matrix_inv(matrix) == series_matrix_inv(matrix)
+
+
 HYP_ALG = GrassmannAlgebra(4)
 
 
@@ -392,6 +435,14 @@ def test_inverse_is_an_oracle_inverse_on_generated_matrices(a):
 
 
 @settings(max_examples=60, deadline=None)
+@given(invertible_matrices())
+def test_degree_recurrence_matches_series_on_generated_matrices(a):
+    # souls of every degree and parity, in any entry: no parity pattern
+    ints = _to_ints(a, HYP_ALG.gens)
+    assert grassmann_matrix_inv(ints) == series_matrix_inv(ints)
+
+
+@settings(max_examples=60, deadline=None)
 @given(coefficients, grassmann_entries(soul_only=True))
 def test_invert_element_matches_series_on_generated_elements(body, soul):
     element = HYP_ALG.scalar(body) + soul
@@ -408,12 +459,17 @@ def test_sparse_entries_over_64_generators():
     assert poly_mat_mul(a, b, alg) == oracle_mul(a, b, alg)
     inverse = poly_mat_inv(a, alg)
     assert oracle_mul(a, inverse, alg) == oracle_identity(2, alg)
+    ints = _to_ints(a, alg.gens)
+    assert grassmann_matrix_inv(ints) == series_matrix_inv(ints)
     assert invert_element(a[0][0]) == alg.one() - t(1) * t(64)
 
 
 def test_singular_body_and_even_generators_are_rejected():
     with pytest.raises(NotAPoint):
         poly_mat_inv([[ALG.theta(1), ALG.one()], [ALG.zero(), ALG.one()]], ALG)
+    with pytest.raises(NotAPoint):  # a nilpotent soul cannot make up for the body
+        poly_mat_inv([[ALG.one() + ALG.blade((0, 1)), ALG.scalar(2)],
+                      [ALG.scalar(Fraction(1, 2)), ALG.one() + ALG.theta(3)]], ALG)
     gens = GeneratorSet(evens=["x"], odds=["t"])
     with pytest.raises(ValueError):
         invert_element(SuperPoly.one(gens) + SuperPoly.generator(gens, "x"))
