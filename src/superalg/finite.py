@@ -84,25 +84,62 @@ class FiniteDimHopf:
         return out
 
 
+def hopf_generators(hopf: FiniteDimHopf) -> list[int]:
+    """G for the certificates of ``check_finite_hopf_axioms``: the non-unit
+    group-likes, Delta(e) = e (x) e, and the skew-primitives,
+    Delta(e) = e (x) e_a + e_b (x) e with e_a and e_b group-like, all with
+    coefficient 1.  The primitives are the case e_a = e_b = 1; so G is the
+    degree-1 blades of Lambda(n) and Lambda(n)*, and {g, v_i, g.v_i} on
+    bosonize(Lambda(n)).  Any G is sound: the certificates check that the
+    closure of 1 under G spans the algebra.
+    """
+    delta = hopf.delta
+    one = next(iter(hopf.unit), None)
+    group_like = {i for i in range(hopf.dimension) if delta.get(i) == {(i, i): 1}}
+
+    def skew_primitive(i: int) -> bool:
+        terms = delta.get(i)
+        return any(terms == {(i, a): 1, (b, i): 1} for a in group_like for b in group_like)
+
+    return [i for i in range(hopf.dimension) if i != one and (i in group_like or skew_primitive(i))]
+
+
 def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     """Table check of all Hopf axioms (signs per ``hopf.parity``).
 
-    Associativity and the multiplicativity of the coproduct are certified
-    from the primitive basis elements by the lemma of ``superalg.table``;
-    where it does not apply, every triple and every pair is compared.
-    Either way each witness is the first failing case of the dense scan.
+    Associativity, coassociativity and the multiplicativity of the coproduct
+    and of the counit are certified from G = ``hopf_generators(hopf)`` by the
+    lemma of ``superalg.table`` and its corollaries; where a certificate does
+    not apply or fails, every triple, element or pair is compared.  Either
+    way each witness is the first failing case of the dense scan.
+
+    *Coassociativity.*  Once Delta is certified multiplicative and is even
+    (p_a + p_b = p_i for each term (a, b) of Delta(e_i)), L = (Delta (x) 1)Delta
+    and R = (1 (x) Delta)Delta are multiplicative into the Koszul-signed
+    triple tensor product: (Delta (x) 1)((a (x) b)(c (x) d)) is
+    (-1)^{p_b p_c} Delta(a)Delta(c) (x) bd, and moving b past the legs of each
+    term of Delta(c), of total parity p_c, gives the same sign.  The set where
+    L and R agree is a subspace, and L(gx) = L(g)L(x) = R(g)R(x) = R(gx) for
+    x in it; so if it holds 1 and G, it is everything.
+
+    *Counit multiplicativity.*  Once associativity is certified (with its
+    left unit law) and eps(1) = 1, let T be the set of x with
+    eps(xy) = eps(x)eps(y) for all y.  T is a subspace that holds 1, and if
+    the pairs (g, y) pass for g in G and x is in T, then
+    eps((gx)y) = eps(g(xy)) = eps(g)eps(x)eps(y) = eps(gx)eps(y).  So the
+    pairs (g, y) decide.
     """
     report = AxiomReport()
     dim = hopf.dimension
     labels = hopf.labels
+    parity = hopf.parity
     mult, delta, counit = hopf.mult, hopf.delta, hopf.counit
 
     bad = first_nonunital(mult, dim, hopf.unit)
     report.add("unit", bad is None, "" if bad is None else f"unit law fails at {labels[bad]}")
 
-    # G: the primitive non-unit basis elements, Delta(e_i) = e_i (x) 1 + 1 (x) e_i
     one = next(iter(hopf.unit), None)
-    gens = [i for i in range(dim) if i != one and delta.get(i) == {(i, one): 1, (one, i): 1}]
+    gens = hopf_generators(hopf)
     certified = certify_associative(mult, dim, hopf.unit, gens)
     triple = None if certified else first_nonassociative(mult, dim)
     names = ", ".join(labels[t] for t in triple or ())
@@ -128,30 +165,39 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
             add_into(right, {(j, a, b): c2 for (a, b), c2 in delta.get(k, {}).items()}, c)
         return left != right
 
-    report.first("coassociativity", (
-        f"coassociativity fails at {labels[i]}" for i in range(dim) if coassociativity_fails(i)
-    ))
-
     def multiplicativity_fails(i: int, j: int) -> bool:
         return image(delta, mult.get((i, j), {})) != hopf.tensor_mul(delta.get(i, {}), delta.get(j, {}))
 
-    pairs = product(range(dim), repeat=2)
-    # the pairs (g, b) with g in G or g = 1 suffice once the product is
-    # associative and respects parity (lemma of superalg.table)
-    if certified and all(
-        hopf.parity[k] == hopf.parity[i] ^ hopf.parity[j] for (i, j), cell in mult.items() for k in cell
-    ) and not any(multiplicativity_fails(i, j) for i in (one, *gens) for j in range(dim)):
-        pairs = ()
-    report.first("coproduct-multiplicative", (
+    def counit_multiplicativity_fails(i: int, j: int) -> bool:
+        return hopf.vec_counit(mult.get((i, j), {})) != counit[i] * counit[j]
+
+    # the pairs (g, b) with g in G or g = 1 decide multiplicativity once the
+    # product is associative and respects parity (lemma of superalg.table);
+    # then, for an even Delta, the elements {1} and G decide coassociativity,
+    # and once counit(1) = 1 the pairs (g, b) with g in G decide the counit
+    multiplicative = certified and all(
+        parity[k] == parity[i] ^ parity[j] for (i, j), cell in mult.items() for k in cell
+    ) and not any(multiplicativity_fails(i, j) for i in (one, *gens) for j in range(dim))
+    coassociative = multiplicative and all(
+        parity[a] ^ parity[b] == parity[i] for i, terms in delta.items() for a, b in terms
+    ) and not any(coassociativity_fails(i) for i in (one, *gens))
+    counit_one = hopf.vec_counit(hopf.unit) == 1
+    counit_multiplicative = certified and counit_one and not any(
+        counit_multiplicativity_fails(g, j) for g in gens for j in range(dim)
+    )
+
+    report.first("coassociativity", () if coassociative else (
+        f"coassociativity fails at {labels[i]}" for i in range(dim) if coassociativity_fails(i)
+    ))
+    report.first("coproduct-multiplicative", () if multiplicative else (
         f"coproduct is not an algebra map at ({labels[i]}, {labels[j]})"
-        for i, j in pairs if multiplicativity_fails(i, j)
+        for i, j in product(range(dim), repeat=2) if multiplicativity_fails(i, j)
     ))
     # counit(1) != 1 is reported before any pair
-    report.first("counit-multiplicative", chain(
-        ["counit(1) != 1"] if hopf.vec_counit(hopf.unit) != 1 else [],
+    report.first("counit-multiplicative", () if counit_multiplicative else chain(
+        [] if counit_one else ["counit(1) != 1"],
         (f"counit is not an algebra map at ({labels[i]}, {labels[j]})"
-         for i, j in product(range(dim), repeat=2)
-         if hopf.vec_counit(mult.get((i, j), {})) != counit[i] * counit[j]),
+         for i, j in product(range(dim), repeat=2) if counit_multiplicativity_fails(i, j)),
     ))
 
     if hopf.antipode is None:

@@ -329,6 +329,13 @@ def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
     return _reduced(total, bden * nden ** last)
 
 
+def _check_blocks(blocks) -> None:
+    """Raise unless each (block, height, width) has ``height`` rows of ``width`` entries."""
+    for block, height, width in blocks:
+        if len(block) != height or any(len(row) != width for row in block):
+            raise ValueError("matrix has the wrong shape")
+
+
 class SuperMatrix:
     """(m|n)-patterned block matrix over a Grassmann algebra, held as ``ints``."""
 
@@ -357,6 +364,7 @@ class SuperMatrix:
     @classmethod
     def from_blocks(cls, x, p, q, y, alg: GrassmannAlgebra) -> SuperMatrix:
         m, n = len(x), len(y)
+        _check_blocks(((x, m, m), (p, m, n), (q, n, m), (y, n, n)))
         rows = [list(x[i]) + list(p[i]) for i in range(m)]
         rows += [list(q[k]) + list(y[k]) for k in range(n)]
         return cls(m, n, alg, rows)
@@ -458,9 +466,7 @@ class SuperMatrix:
     def from_decomposition(cls, x, y, pprime, qprime, alg: GrassmannAlgebra) -> SuperMatrix:
         """Rebuild the point: P = X p', Q = Y q'."""
         m, n = len(x), len(y)
-        for block, height, width in ((x, m, m), (y, n, n), (pprime, m, n), (qprime, n, m)):
-            if len(block) != height or any(len(row) != width for row in block):
-                raise ValueError("matrix has the wrong shape")
+        _check_blocks(((x, m, m), (y, n, n), (pprime, m, n), (qprime, n, m)))
         x, y, pprime, qprime = (_to_ints(block, alg.gens) for block in (x, y, pprime, qprime))
         p, q = _poly_mat_mul(x, pprime), _poly_mat_mul(y, qprime)
         return cls._of(m, n, alg, _join(x, p, q, y))

@@ -28,6 +28,24 @@ parity so that the Koszul-signed tensor square is associative.  The dense
 scan ``first_nonassociative`` stays as the fallback, the witness finder and
 the test oracle.
 
+Two more corollaries decide the rest of a Hopf table's multiplicative axioms
+from G (``finite.check_finite_hopf_axioms``).  *Coassociativity.*  Let Delta
+be multiplicative and even: each term e_a (x) e_b of Delta(e_i) has
+p_a + p_b = p_i.  Then L = (Delta (x) 1)Delta and R = (1 (x) Delta)Delta are
+multiplicative into the Koszul-signed triple tensor product.  Indeed
+(Delta (x) 1)((a (x) b)(c (x) d)) = (-1)^{p_b p_c} Delta(a)Delta(c) (x) bd,
+and the product (Delta(a) (x) b)(Delta(c) (x) d) moves b past both legs of
+each term of Delta(c), whose parities add up to p_c, so it carries the same
+sign; likewise for 1 (x) Delta.  The set where L and R agree is a
+subspace, and it is closed under left multiplication by G, as
+L(gx) = L(g)L(x) = R(g)R(x) = R(gx).  So if L and R agree on 1 and on G,
+they agree everywhere.  *Counit multiplicativity.*  Let the table be
+associative with a left unit 1 and eps(1) = 1, and let
+eps(g y) = eps(g)eps(y) for every g in G and every y.  Let T be the set of
+x with eps(xy) = eps(x)eps(y) for all y.  T is a subspace, it holds 1, and
+for x in T, eps((gx)y) = eps(g(xy)) = eps(g)eps(x)eps(y) = eps(gx)eps(y),
+so gx is in T; hence T is everything.
+
 Both scans compare (e_i e_j) e_k with e_i (e_j e_k) through ``times_basis``
 and ``basis_times``, for k in the row support of j or of some t in
 supp(e_i e_j) only: the row support of t is the set of k with a stored cell

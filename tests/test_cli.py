@@ -517,6 +517,12 @@ GOLDEN = {
     "decompose --m 2 --n 0 --thetas 4 --points 30 --seed 11":
         "ad987fbcd9cfc8aaccbdc53ff3520059d8c32f1bddab56b0e0e11bfcefbb1407",
     "hcpair --r 4 --seed 1": "c009d1c09b502ee0ab2ae50b37501524730ab9df857559cae55391fe76a82517",
+    # taken before every multiplicative Hopf axiom was certified from the
+    # group-likes and skew-primitives: the bosonization, certified from
+    # {g, v_i, g.v_i}, and the largest exterior dual the suite checks
+    "verify bosonize --dim 4": "1247e66f2fd607eb78c91c53d583344aa9b6a0325061c73c7865bc7c705890b1",
+    "verify exterior --dim 7 --max-dual 7":
+        "cc0f984660cb09b0a45383e06a6d3f266b1f394e6f9e201cb63b21e13a06919e",
 }
 
 

@@ -293,6 +293,22 @@ def test_decomposition_with_a_wrong_block_shape_is_rejected(block, rows):
         SuperMatrix.from_decomposition(**blocks, alg=ALG)
 
 
+@pytest.mark.parametrize("x, p, q, y", [
+    # x 1 x 1 with p 2 x 1: the second row of p has no row of x to join
+    pytest.param([[1]], [[0], [0]], [[0]], [[1]], id="p-2x1-under-x-1x1"),
+    # x 2 x 2 with p 1 x 1: the second row of x has no row of p
+    pytest.param([[1, 0], [0, 1]], [[0]], [[0, 0]], [[1]], id="p-1x1-under-x-2x2"),
+    pytest.param([[1, 0], [0, 1]], [[0], [0]], [[0]], [[1]], id="q-1x1"),
+    pytest.param([[1, 0], [0, 1]], [[0], [0]], [[0, 0]], [[1, 0]], id="y-1x2"),
+])
+def test_blocks_of_the_wrong_shape_are_rejected(x, p, q, y):
+    def scalars(block):
+        return [[ALG.scalar(c) for c in row] for row in block]
+
+    with pytest.raises(ValueError, match="matrix has the wrong shape"):
+        SuperMatrix.from_blocks(*map(scalars, (x, p, q, y)), ALG)
+
+
 def test_purely_even_shape_degenerates():
     # n = 0: no odd coordinates at all, the split is the point itself
     sampler = PointSampler(2, 0, 3, seed=4)

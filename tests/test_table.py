@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from superalg import bosonize, exterior_finite, finite, hyper, table
+from superalg import bosonize, exterior_finite, finite, hyper, parse_presentation, table
 from superalg.core import F1
 from superalg.finite import FiniteDimHopf, check_finite_hopf_axioms, dual_hopf, finite_from_presentation
 from superalg.hopf import exterior_hopf, glmn_presentation
@@ -117,15 +117,9 @@ def test_transpose_of_a_product_is_its_dual_coproduct():
 # --- the generator certificate against the dense scans
 
 
-def primitive_indices(hopf):
-    (one,) = hopf.unit
-    return [i for i in range(hopf.dimension)
-            if i != one and hopf.delta.get(i) == {(i, one): 1, (one, i): 1}]
-
-
 def hopf_case(hopf):
     return {"tab": hopf.mult, "dim": hopf.dimension, "unit": hopf.unit,
-            "gens": primitive_indices(hopf), "hopf": hopf}
+            "gens": finite.hopf_generators(hopf), "hopf": hopf}
 
 
 def dual_case(dual):
@@ -141,17 +135,15 @@ def certificate_case(name):
         "Lambda(5)": lambda: hopf_case(exterior_finite(5)),
         "Lambda(5)*": lambda: hopf_case(dual_hopf(finite_from_presentation(exterior_hopf(5)))),
         "hy gl(1|1) order 4": lambda: dual_case(truncated_dual(glmn_presentation(1, 1), 4)),
-        "bosonize(Lambda(2))": lambda: bosonized_case(bosonize(exterior_finite(2))),
+        # no primitives, but the closure of 1 under {g, v_i, g.v_i} spans the algebra
+        "bosonize(Lambda(2))": lambda: hopf_case(bosonize(exterior_finite(2))),
+        "bosonize(Lambda(3))": lambda: hopf_case(bosonize(exterior_finite(3))),
     }
     return constructions[name]()
 
 
-def bosonized_case(hopf):
-    # no primitives, but the closure of 1 under {v1, v2, g} spans the algebra
-    return {**hopf_case(hopf), "gens": sorted(hopf.labels.index(x) for x in ("v1", "v2", "g"))}
-
-
-CASE_NAMES = ["Lambda(3)", "Lambda(4)", "Lambda(5)", "Lambda(5)*", "hy gl(1|1) order 4"]
+CASE_NAMES = ["Lambda(3)", "Lambda(4)", "Lambda(5)", "Lambda(5)*", "hy gl(1|1) order 4",
+              "bosonize(Lambda(2))", "bosonize(Lambda(3))"]
 KINDS = ["doubled", "negated", "extra term"]
 
 
@@ -185,8 +177,16 @@ def dense_first(tab, case):
 
 
 def dense_path(module, monkeypatch):
-    """Force ``module``'s callers onto the dense scans."""
+    """Force ``module``'s callers onto the dense scans (in ``finite`` every
+    certificate rests on the associativity one, so all four checks scan)."""
     monkeypatch.setattr(module, "certify_associative", lambda *args: False)
+
+
+def assert_certified_report_is_dense(hopf, monkeypatch):
+    certified = check_finite_hopf_axioms(hopf).checks
+    with monkeypatch.context() as patch:
+        dense_path(finite, patch)
+        assert check_finite_hopf_axioms(hopf).checks == certified
 
 
 def associativity_outcome(dual):
@@ -204,16 +204,23 @@ def test_uncorrupted_tables_are_certified(name):
     assert table.certify_associative(case["tab"], case["dim"], case["unit"], case["gens"])
 
 
-@pytest.mark.parametrize("name", ["Lambda(4)", "Lambda(5)*"])
+@pytest.mark.parametrize("name", ["Lambda(4)", "Lambda(5)*", "bosonize(Lambda(3))"])
 def test_certified_coproduct_check_compares_only_generator_pairs(name, monkeypatch):
+    # Delta on the pairs (g, b) with g in {1} and G, eps on those with g in G;
+    # one more counit call reads eps(1)
     case = certificate_case(name)
-    hopf = case["hopf"]
-    calls = []
-    tensor_mul = FiniteDimHopf.tensor_mul
-    monkeypatch.setattr(FiniteDimHopf, "tensor_mul",
-                        lambda self, a, b: calls.append(1) or tensor_mul(self, a, b))
-    assert check_finite_hopf_axioms(hopf).ok
-    assert len(calls) == (len(case["gens"]) + 1) * case["dim"]
+    dim, gens = case["dim"], case["gens"]
+    calls = {"tensor_mul": 0, "vec_counit": 0}
+    for method in calls:
+        original = getattr(FiniteDimHopf, method)
+
+        def counted(self, *args, method=method, original=original):
+            calls[method] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(FiniteDimHopf, method, counted)
+    assert check_finite_hopf_axioms(case["hopf"]).ok
+    assert calls == {"tensor_mul": (len(gens) + 1) * dim, "vec_counit": len(gens) * dim + 1}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -224,11 +231,7 @@ def test_certified_path_matches_dense_scans_on_corrupted_cells(name, kind, monke
         tab = corrupted(case, kind, random.Random(f"{name}/{kind}/{seed}"))
         assert certified_first(tab, case) == dense_first(tab, case)
         if "hopf" in case:
-            mutant = replace(case["hopf"], mult=tab)
-            certified = check_finite_hopf_axioms(mutant).checks
-            with monkeypatch.context() as patch:
-                dense_path(finite, patch)
-                assert check_finite_hopf_axioms(mutant).checks == certified
+            assert_certified_report_is_dense(replace(case["hopf"], mult=tab), monkeypatch)
         if "dual" in case:
             mutant = replace(case["dual"], product=tab)
             certified = associativity_outcome(mutant)
@@ -238,7 +241,7 @@ def test_certified_path_matches_dense_scans_on_corrupted_cells(name, kind, monke
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("name", CASE_NAMES + ["bosonize(Lambda(2))"])
+@pytest.mark.parametrize("name", CASE_NAMES)
 def test_support_driven_scan_lists_every_failing_triple(name, kind):
     # k runs only over the row supports of j and of supp(e_i e_j): every
     # triple the scan skips must be one the definition finds associative
@@ -295,3 +298,131 @@ def test_closure_returns_to_a_cell_once_its_other_terms_are_reached():
     assert table.first_nonassociative(tab, 4) is None
     assert table.certify_associative(tab, 4, {0: 1}, [3, 1])
     assert not table.certify_associative(tab, 4, {0: 1}, [1])
+
+
+# --- the generating set and the certificates of ``check_finite_hopf_axioms``
+# against the forced-dense report
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_generating_set_of_exterior_tables_is_the_primitives(n):
+    hopf = exterior_finite(n)
+    dual = dual_hopf(finite_from_presentation(exterior_hopf(n)))
+    for tables in (hopf, dual):
+        primitives = [i for i in range(tables.dimension)
+                      if i != 0 and tables.delta.get(i) == {(i, 0): 1, (0, i): 1}]
+        degree_one = [i for i, label in enumerate(tables.labels) if label.count("v") == 1]
+        assert finite.hopf_generators(tables) == primitives == degree_one
+    assert [dual.labels[i] for i in finite.hopf_generators(dual)] == [f"v{a + 1}*" for a in range(n)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_generating_set_of_a_bosonization_is_g_and_the_skew_primitives(n):
+    # Delta(g) = g (x) g, Delta(v_i) = v_i (x) g + 1 (x) v_i and
+    # Delta(g.v_i) = g.v_i (x) 1 + g (x) g.v_i
+    hopf = bosonize(exterior_finite(n))
+    vs = [f"v{a + 1}" for a in range(n)]
+    assert sorted(hopf.labels[i] for i in finite.hopf_generators(hopf)) == sorted(
+        ["g", *vs, *(f"g.{v}" for v in vs)])
+
+
+def test_a_generating_set_that_does_not_span_takes_the_dense_path(monkeypatch):
+    # doubling Delta(v1) leaves v1 neither group-like nor skew-primitive, so
+    # the closure of 1 under G = {v2, v3} misses v1; with eps(v1) = 1 every
+    # pair (g, y) with g in G still passes, but (v1, v1) does not
+    hopf = exterior_finite(3)
+    v1 = hopf.labels.index("v1")
+    counit = list(hopf.counit)
+    counit[v1] = 1
+    mutant = replace(hopf, counit=counit, delta={
+        **hopf.delta, v1: {key: 2 * c for key, c in hopf.delta[v1].items()}})
+    gens = finite.hopf_generators(mutant)
+    assert [mutant.labels[i] for i in gens] == ["v2", "v3"]
+    assert not table.certify_associative(mutant.mult, mutant.dimension, mutant.unit, gens)
+    report = check_finite_hopf_axioms(mutant)
+    assert {c["name"]: c["witness"] for c in report.failures()} == {
+        "counit": "counit law fails at v1",
+        "coassociativity": "coassociativity fails at v1",
+        "coproduct-multiplicative": "coproduct is not an algebra map at (v1, v2)",
+        "counit-multiplicative": "counit is not an algebra map at (v1, v1)",
+        "antipode": "antipode identity fails at v1",
+    }
+    assert_certified_report_is_dense(mutant, monkeypatch)
+
+
+NONCOASSOCIATIVE = """odd v1, v2;
+delta v1 = v1 @ 1 + 1 @ v1 + v1*v2 @ v2;
+delta v2 = v2 @ 1 + 1 @ v2;
+eps v1 = 0;
+eps v2 = 0;
+antipode v1 = -v1;
+antipode v2 = -v2;
+"""
+
+
+def test_coassociativity_is_compared_on_each_generator(monkeypatch):
+    # Delta extends multiplicatively from the generators, so it is an algebra
+    # map, but Delta(v1) is not coassociative; v1 is not primitive, so only a
+    # G that holds it by hand certifies the product, and then the comparison
+    # at v1 sends coassociativity to the dense scan
+    hopf = finite_from_presentation(parse_presentation(NONCOASSOCIATIVE))
+    assert finite.hopf_generators(hopf) == [2]
+    monkeypatch.setattr(finite, "hopf_generators", lambda _: [1, 2])
+    assert table.certify_associative(hopf.mult, hopf.dimension, hopf.unit, [1, 2])
+    failed = {c["name"]: c.get("witness") for c in check_finite_hopf_axioms(hopf).failures()}
+    assert failed == {"coassociativity": "coassociativity fails at v1"}
+    assert_certified_report_is_dense(hopf, monkeypatch)
+
+
+HOPF_CASES = ["Lambda(4)", "Lambda(5)*", "bosonize(Lambda(2))", "bosonize(Lambda(3))"]
+DELTA_KINDS = ["delta doubled", "delta negated term", "delta extra term"]
+COUNIT_KINDS = ["counit shifted", "counit zeroed"]
+
+
+def corrupted_hopf(hopf, kind, rng):
+    """A copy of ``hopf`` with one product cell, one coproduct row or one counit entry corrupted."""
+    dim = hopf.dimension
+    if kind in KINDS:
+        return replace(hopf, mult=corrupted({"tab": hopf.mult, "dim": dim}, kind, rng))
+    if kind in COUNIT_KINDS:
+        counit = list(hopf.counit)
+        if kind == "counit zeroed":
+            i = rng.choice([i for i, c in enumerate(counit) if c])
+            counit[i] = 0
+        else:
+            i = rng.randrange(dim)
+            counit[i] += rng.choice([1, -1, Fraction(1, 2)])
+        return replace(hopf, counit=counit)
+    delta = {i: dict(row) for i, row in hopf.delta.items()}
+    i = rng.randrange(dim)
+    row = delta.setdefault(i, {})
+    if kind == "delta extra term":
+        key = (rng.randrange(dim), rng.randrange(dim))
+        row[key] = row.get(key, 0) + rng.choice([1, -1, Fraction(1, 2)])
+        if not row[key]:
+            del row[key]
+    elif kind == "delta doubled":
+        delta[i] = {key: 2 * c for key, c in row.items()}
+    else:
+        key = rng.choice(sorted(row))
+        row[key] = -row[key]
+    return replace(hopf, delta=delta)
+
+
+@pytest.mark.parametrize("kind", DELTA_KINDS + COUNIT_KINDS)
+@pytest.mark.parametrize("name", HOPF_CASES)
+def test_certified_report_matches_dense_report_on_corrupted_tables(name, kind, monkeypatch):
+    hopf = certificate_case(name)["hopf"]
+    for seed in range(4):
+        mutant = corrupted_hopf(hopf, kind, random.Random(f"report/{name}/{kind}/{seed}"))
+        assert_certified_report_is_dense(mutant, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HOPF_CASES), st.sampled_from(KINDS + DELTA_KINDS + COUNIT_KINDS),
+       st.randoms(use_true_random=False))
+def test_certified_report_matches_dense_report_on_generated_corruptions(name, kind, rng):
+    hopf = certificate_case(name)["hopf"]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_certified_report_is_dense(corrupted_hopf(hopf, kind, rng), monkeypatch)
+
