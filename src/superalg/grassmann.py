@@ -175,55 +175,64 @@ def _body(a: IntMatrix) -> dict[int, dict[int, Fraction]]:
             for i, row in enumerate(rows)}
 
 
+def _add_row_product(out: list[dict[int, int]], left, right) -> None:
+    """Add sum_k left[k] * right[k][j] into each ``out[j]``.
+
+    ``left`` holds pairs (k, [(blade, cross(blade), numerator)]) and ``right[k]``
+    is the sparse row [(j, [(blade, numerator)])]; zero sums are left in ``out``.
+    """
+    for k, left_terms in left:
+        for j, right_terms in right[k]:
+            acc = out[j]
+            get = acc.get
+            for m1, x1, c1 in left_terms:
+                for m2, c2 in right_terms:
+                    if m1 & m2:
+                        continue
+                    m = m1 | m2
+                    if (m2 & x1).bit_count() & 1:
+                        acc[m] = get(m, 0) - c1 * c2
+                    else:
+                        acc[m] = get(m, 0) + c1 * c2
+
+
+def _sparse_rows(rows: list[list[dict[int, int]]]) -> list[list[tuple[int, list]]]:
+    """Each row as its nonzero entries (j, [(blade, numerator)])."""
+    return [[(j, list(terms.items())) for j, terms in enumerate(row) if terms] for row in rows]
+
+
 def _poly_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Product of two integer-form matrices of Grassmann elements."""
     arows, aden = a
     brows, bden = b
     cols = len(brows[0]) if brows else 0
-    right = [[list(terms.items()) for terms in row] for row in brows]
+    right = _sparse_rows(brows)
     out = []
     for arow in arows:
-        left = [
-            (k, [(m1, cross(m1), c1) for m1, c1 in terms.items()])
-            for k, terms in enumerate(arow)
-            if terms
-        ]
-        out_row = []
-        for j in range(cols):
-            acc: dict[int, int] = {}
-            get = acc.get
-            for k, left_terms in left:
-                right_terms = right[k][j]
-                if not right_terms:
-                    continue
-                for m1, x1, c1 in left_terms:
-                    for m2, c2 in right_terms:
-                        if m1 & m2:
-                            continue
-                        m = m1 | m2
-                        if (m2 & x1).bit_count() & 1:
-                            acc[m] = get(m, 0) - c1 * c2
-                        else:
-                            acc[m] = get(m, 0) + c1 * c2
-            out_row.append({m: c for m, c in acc.items() if c})
-        out.append(out_row)
+        left = [(k, [(m1, cross(m1), c1) for m1, c1 in terms.items()])
+                for k, terms in enumerate(arow) if terms]
+        accs: list[dict[int, int]] = [{} for _ in range(cols)]
+        _add_row_product(accs, left, right)
+        out.append([{m: c for m, c in acc.items() if c} for acc in accs])
     return _reduced(out, aden * bden)
 
 
+def _scaled(a: IntMatrix, den: int) -> list[list[dict[int, int]]]:
+    """The numerators of ``a`` over ``den``, a multiple of its denominator."""
+    rows, aden = a
+    scale = den // aden
+    return [[{m: c * scale for m, c in terms.items()} for terms in row] for row in rows]
+
+
 def _int_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    arows, aden = a
-    brows, bden = b
-    den = lcm(aden, bden)
-    sa, sb = den // aden, den // bden
-    out = []
-    for arow, brow in zip(arows, brows):
-        out_row = []
-        for aterms, bterms in zip(arow, brow):
-            terms = {m: c * sa for m, c in aterms.items()}
+    den = lcm(a[1], b[1])
+    out = _scaled(a, den)
+    for out_row, brow in zip(out, _scaled(b, den)):
+        for j, bterms in enumerate(brow):
+            terms = out_row[j]
             for m, c in bterms.items():
-                terms[m] = terms.get(m, 0) + c * sb
-            out_row.append({m: c for m, c in terms.items() if c})
-        out.append(out_row)
+                terms[m] = terms.get(m, 0) + c
+            out_row[j] = {m: c for m, c in terms.items() if c}
     return _reduced(out, den)
 
 
@@ -247,10 +256,7 @@ def _split(a: IntMatrix, m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMa
 def _join(x: IntMatrix, p: IntMatrix, q: IntMatrix, y: IntMatrix) -> IntMatrix:
     """The matrix (X P; Q Y), gcd-reduced: the inverse of ``_split``."""
     den = lcm(x[1], p[1], q[1], y[1])
-    x, p, q, y = (
-        [[{mask: c * (den // bden) for mask, c in terms.items()} for terms in row] for row in rows]
-        for rows, bden in (x, p, q, y)
-    )
+    x, p, q, y = (_scaled(block, den) for block in (x, p, q, y))
     return _reduced([a + b for a, b in zip(x, p)] + [a + b for a, b in zip(q, y)], den)
 
 
@@ -291,7 +297,7 @@ def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
                 part[i].setdefault(k, []).append((m, cross(m), c * nden ** (e - 1)))
     top = max(n_parts, default=0)
     # x_parts[d][k]: the nonzero entries (j, [(blade, numerator)]) of row k of X_d
-    x_parts = [[[(j, list(terms.items())) for j, terms in enumerate(row) if terms] for row in binv]]
+    x_parts = [_sparse_rows(binv)]
     last = 0
     for d in range(1, union.bit_count() + 1):
         if d - last > top:
@@ -302,19 +308,7 @@ def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
         for i in range(size):
             accs: list[dict[int, int]] = [{} for _ in range(size)]
             for part, prev in pairs:
-                for k, left_terms in part[i].items():
-                    for j, right_terms in prev[k]:
-                        acc = accs[j]
-                        get = acc.get
-                        for m1, x1, c1 in left_terms:
-                            for m2, c2 in right_terms:
-                                if m1 & m2:
-                                    continue
-                                m = m1 | m2
-                                if (m2 & x1).bit_count() & 1:
-                                    acc[m] = get(m, 0) - c1 * c2
-                                else:
-                                    acc[m] = get(m, 0) + c1 * c2
+                _add_row_product(accs, part[i].items(), prev)
             x_d.append([(j, items) for j, acc in enumerate(accs)
                         if (items := [(m, c) for m, c in acc.items() if c])])
         x_parts.append(x_d)
@@ -449,6 +443,18 @@ class SuperMatrix:
             s_x, s_y, s_p, s_q = x_inv, y_inv, p, q  # p and q have no entries
         return self._of(self.m, self.n, self.alg, _join(s_x, s_p, s_q, s_y))
 
+    def antipode_failure(self) -> str | None:
+        """Why the closed-form antipode is not this point's group inverse, or None."""
+        if not self.is_gl_point():
+            return "sampled matrix is not a point"
+        inverse = self.inv()
+        if self.antipode_blocks() != inverse:
+            return "antipode blocks differ from the inverse"
+        ident = self.identity(self.m, self.n, self.alg)
+        if self * inverse != ident or inverse * self != ident:
+            return "inverse fails the group law"
+        return None
+
     def decomposition_coords(self):
         """Split a point into (X, Y, p', q') with p' = X^-1 P and q' = Y^-1 Q.
 
@@ -577,12 +583,9 @@ class PointSampler:
 
     def sample_even(self, index: int) -> SuperMatrix:
         """A point of the even subgroup: P = Q = 0, entries in the even part."""
-        point = self.sample(index)
-        zero = self.alg.zero()
-        m, n = self.m, self.n
-        p = [[zero] * n for _ in range(m)]
-        q = [[zero] * m for _ in range(n)]
-        return SuperMatrix.from_blocks(point.block_x(), p, q, point.block_y(), self.alg)
+        x, p, q, y = _split(self.sample(index).ints, self.m)
+        zero_p, zero_q = (([[{} for _ in row] for row in rows], 1) for rows, _ in (p, q))
+        return SuperMatrix._of(self.m, self.n, self.alg, _join(x, zero_p, zero_q, y))
 
 
 def truncate_map(source: GrassmannAlgebra, target: GrassmannAlgebra):

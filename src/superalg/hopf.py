@@ -245,7 +245,8 @@ def check_hopf_axioms(pres: HopfPresentation, sampler=None, points: int = 0) -> 
     the whole algebra.  The antipode identity is checked symbolically when
     antipode images exist; otherwise (GL(m|n)) it is checked pointwise on
     sampled Grassmann points, where it reads: the matrix assembled from the
-    antipode blocks is the group inverse.
+    antipode blocks is the group inverse (``SuperMatrix.antipode_failure``;
+    the sampler's points are used only through their methods).
     """
     report = AxiomReport()
     gens = pres.gens
@@ -274,17 +275,10 @@ def check_hopf_axioms(pres: HopfPresentation, sampler=None, points: int = 0) -> 
                 report.add(f"antipode-{side}[{g}]", conv == target,
                            "" if conv == target else f"m({maps.format('S')})D = {conv}")
     elif sampler is not None and points > 0:
-        from .grassmann import SuperMatrix
-
-        def antipode_fails(point: SuperMatrix) -> bool:
-            ident = SuperMatrix.identity(point.m, point.n, point.alg)
-            s_matrix = point.antipode_blocks()
-            return s_matrix * point != ident or point * s_matrix != ident or s_matrix != point.inv()
-
         samples = (sampler.sample(idx) for idx in range(points))
         report.first(f"antipode-pointwise[{points} points]", (
             f"point #{idx}: {point.to_json()}"
-            for idx, point in enumerate(samples) if antipode_fails(point)
+            for idx, point in enumerate(samples) if point.antipode_failure()
         ))
     else:
         report.add("antipode", False, "no symbolic antipode and no point sampler provided")

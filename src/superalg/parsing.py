@@ -233,14 +233,18 @@ def _format_term(gens: GeneratorSet, mono: SuperMonomial, coeff: Fraction) -> st
     return f"{coeff}*{body}"
 
 
-def format_poly(poly: SuperPoly) -> str:
-    if not poly.terms:
-        return "0"
-    parts = [_format_term(poly.gens, m, c) for m, c in poly.sorted_terms()]
+def _signed_sum(parts: list[str]) -> str:
+    """Join signed terms, writing a leading "-" as " - " and any other term after " + "."""
     out = parts[0]
     for part in parts[1:]:
         out += " - " + part[1:] if part.startswith("-") else " + " + part
     return out
+
+
+def format_poly(poly: SuperPoly) -> str:
+    if not poly.terms:
+        return "0"
+    return _signed_sum([_format_term(poly.gens, m, c) for m, c in poly.sorted_terms()])
 
 
 def format_tensor(tensor: TensorPoly) -> str:
@@ -258,7 +262,4 @@ def format_tensor(tensor: TensorPoly) -> str:
             parts.append(f"-{body}")
         else:
             parts.append(f"{coeff}*{legs[0]}" + "".join(f" @ {leg}" for leg in legs[1:]))
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
+    return _signed_sum(parts)

@@ -199,6 +199,28 @@ def test_antipode_blocks_equal_inverse_on_samples():
         assert a.antipode_blocks() == a.inv()
 
 
+def test_antipode_failure_names_a_non_point():
+    # an even blade in P breaks the parity pattern
+    point = point_1_1(ALG.one(), ALG.one(), ALG.blade((0, 1)), ALG.zero())
+    assert point.antipode_failure() == "sampled matrix is not a point"
+
+
+def test_antipode_failure_names_antipode_blocks_that_differ(monkeypatch):
+    point = PointSampler(1, 1, 4, seed=5).sample(0)
+    assert point.antipode_failure() is None
+    monkeypatch.setattr(SuperMatrix, "antipode_blocks", lambda self: self)
+    assert point.antipode_failure() == "antipode blocks differ from the inverse"
+
+
+def test_antipode_failure_names_an_inverse_that_fails_the_group_law(monkeypatch):
+    # the antipode blocks agree with the patched inverse, so only the group law can fail
+    point = PointSampler(1, 1, 4, seed=5).sample(0)
+    wrong = point * point
+    monkeypatch.setattr(SuperMatrix, "inv", lambda self: wrong)
+    monkeypatch.setattr(SuperMatrix, "antipode_blocks", lambda self: wrong)
+    assert point.antipode_failure() == "inverse fails the group law"
+
+
 def test_antipode_identity_point():
     ident = SuperMatrix.identity(2, 2, ALG)
     assert ident.antipode_blocks() == ident
@@ -243,6 +265,23 @@ def test_even_subgroup_closed():
     gh = g * h
     assert gh.block_x() == poly_mat_mul(g.block_x(), h.block_x(), sampler.alg)
     assert gh.block_y() == poly_mat_mul(g.block_y(), h.block_y(), sampler.alg)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(4))
+def test_sample_even_matches_the_blockwise_route(m, n):
+    # the old route: rebuild from the SuperPoly X and Y blocks with zero P and Q
+    for k, seed in ((0, 1), (4, 7), (4, 23), (6, 3)):
+        sampler = PointSampler(m, n, k, seed)
+        zero = sampler.alg.zero()
+        for index in (0, 1, 5):
+            point = sampler.sample(index)
+            old = SuperMatrix.from_blocks(point.block_x(), [[zero] * n for _ in range(m)],
+                                          [[zero] * m for _ in range(n)], point.block_y(),
+                                          sampler.alg)
+            even = sampler.sample_even(index)
+            assert even == old
+            assert hash(even) == hash(old)
 
 
 def test_json_round_trip_and_determinism():

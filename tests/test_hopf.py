@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from conftest import delta_of, rref_cotangent
 from superalg import (
     GeneratorSet,
+    GrassmannAlgebra,
     HopfPresentation,
     PointSampler,
     PresentationError,
+    SuperMatrix,
     SuperPoly,
     TensorPoly,
     additive_presentation,
@@ -125,6 +127,30 @@ def test_glmn_coproduct_dualizes_matrix_product(m, n):
                 total = total + (left * right).scale(coeff)
             direct = evaluate_hom(pres.generator_poly(name), at_ab, one)
             assert total == direct, name
+
+
+class _StubSampler:
+    """Yields one fixed matrix for every index."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def sample(self, index):
+        return self.point
+
+
+@pytest.mark.parametrize("x, p", [
+    (1, (0, 1)),  # an even blade in P breaks the parity pattern
+    (0, (0,)),    # the parity pattern holds but the X body is singular
+])
+def test_pointwise_antipode_reports_a_sampled_non_point(x, p):
+    alg = GrassmannAlgebra(2)
+    point = SuperMatrix.from_blocks([[alg.scalar(x)]], [[alg.blade(p)]], [[alg.zero()]],
+                                    [[alg.one()]], alg)
+    assert not point.is_gl_point()
+    report = check_hopf_axioms(glmn_presentation(1, 1), sampler=_StubSampler(point), points=1)
+    assert report.checks[-1] == {"name": "antipode-pointwise[1 points]", "status": "fail",
+                                 "witness": f"point #0: {point.to_json()}"}
 
 
 def test_glmn_antipode_is_pointwise_only():

@@ -1,0 +1,53 @@
+"""Layering: the symbolic Hopf layer does not reach up into the point layers.
+
+``superalg.hopf`` checks a presentation symbolically and, for GL(m|n), on the
+points a sampler hands it; it uses those points only through their methods.
+The modules are read, not run: every ``import`` and ``from ... import`` node at
+any scope, a function body included, is resolved to the ``superalg`` modules
+it names.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "superalg"
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The ``superalg`` submodules that the module text ``source`` imports anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("superalg."))
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("superalg" if node.level == 1 else "", node.module)))
+            if module == "superalg":
+                found.update(alias.name for alias in node.names)
+            elif module.startswith("superalg."):
+                found.add(module.split(".")[1])
+    return found
+
+
+@pytest.mark.parametrize("upper", ["grassmann", "decomposition", "finite", "hyper", "cli"])
+def test_hopf_imports_no_point_or_driver_module(upper):
+    assert upper not in _imported_modules((SRC / "hopf.py").read_text(encoding="utf-8"))
+
+
+def test_the_import_scan_sees_every_import_form_at_any_scope():
+    source = (
+        "from .core import F0\n"
+        "import superalg.finite\n"
+        "from superalg import hyper\n"
+        "from superalg.cli import main\n"
+        "def f():\n"
+        "    from . import decomposition\n"
+        "    class C:\n"
+        "        from .grassmann import SuperMatrix\n"
+    )
+    assert _imported_modules(source) == {"core", "finite", "hyper", "cli", "decomposition",
+                                         "grassmann"}
