@@ -239,10 +239,10 @@ class _TermMap:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        result = self._new({self._unit_key(): F1})
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if not exponent:
+            return self._new({self._unit_key(): F1})
+        half = self ** (exponent >> 1)  # by squaring: about 2 log2(exponent) products
+        return half * half * self if exponent & 1 else half * half
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.gens == other.gens and self.terms == other.terms

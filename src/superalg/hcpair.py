@@ -12,16 +12,15 @@ group translations on cleared denominators (``first_nonequivariant``).
 Every matrix is sparse (``superalg.linalg``): J and the transvections are
 rows ``{i: {j: c}}``, and an sp basis matrix is a vector in its row-major
 entries i * 2r + j.
-The truncated PBW envelope of a super Lie algebra is built on its ordered
-normal words from the rows of left multiplication by one letter (the PBW
-theorem makes these words a basis), and the bracket relations of the rows
-prove it associative exactly.
+The truncated PBW envelope of a super Lie algebra is its rows of left
+multiplication by one letter on the ordered normal words (the PBW theorem
+makes these words a basis, and the rows fix every product), and the bracket
+relations of the rows prove it associative exactly.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -195,17 +194,17 @@ def build_super_lie(lie: SuperLieAlgebraData) -> SuperLieAlgebraData:
 
 @dataclass
 class TruncatedEnvelope:
-    """Degree-bounded piece of U(g) on its ordered normal words.
+    """Degree-bounded piece of U(g) on its ordered normal words, as its letter rows.
 
-    ``product[(i, j)]`` expands ``words[i] * words[j]`` in the normal words,
-    for every pair whose lengths sum to at most ``degree_bound``.
+    ``rows[a][x]`` expands e_a e_x in the normal words for each word x with
+    |x| < ``degree_bound``; every other product is e_(a w) e_v = e_a (e_w e_v).
     """
 
     degree_bound: int
     words: list[tuple[int, ...]]
     labels: list[str]
     dims_by_degree: list[int]
-    product: dict[tuple[int, int], Vec]
+    rows: list[dict[int, Vec]]
 
     @property
     def dimension(self) -> int:
@@ -259,24 +258,25 @@ def _first_bracket_failure(left, words, parity, bracket, bound) -> tuple[int, in
 
 
 def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> TruncatedEnvelope:
-    """The product table of U(lie) on the normal words of length <= degree_bound.
+    """U(lie) on the normal words of length <= degree_bound, as its letter rows.
 
     ``lie`` must satisfy the super Lie axioms (``build_super_lie`` and
     ``primitives`` check them).  By the PBW theorem the ordered normal words
-    are a basis of U(lie), so the table is fixed by the letter rows
-    ``left[a][x] = e_a e_x`` for the normal words x with |x| < bound, built in
+    are a basis of U(lie), so its product is fixed by the letter rows
+    ``rows[a][x] = e_a e_x`` for the normal words x with |x| < bound, built in
     order of |x| and then of a, each from rows already built:
     e_a e_(b y) is the normal word (a, b, *y) when a < b or a = b is even,
     [a,a]/2 e_y when a = b is odd, and +-e_b (e_a e_y) + [a,b] e_y when b < a.
-    Every other cell is e_(a w) e_v = e_a (e_w e_v).  The table is certified
-    associative inside the bound by the bracket relations of the letter rows
+    Every other product is e_(a w) e_v = e_a (e_w e_v), certified associative
+    inside the bound by the bracket relations of the letter rows
     (``_first_bracket_failure``), as in the standard proof of the PBW theorem
     (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978; Kac,
-    "Lie superalgebras", Adv. Math. 26, 1977).  *Sketch.*  The cells (a, b) and
-    (b a, y) come from the same rows, so the relation at (a, b, y) is
-    (e_a e_b) e_y = e_a (e_b e_y): a failure raises with a nonassociative triple
-    inside the bound.  When none fails, the rows make the words a U(lie)-module
-    generated by 1, which makes the table associative inside the bound.
+    "Lie superalgebras", Adv. Math. 26, 1977).  *Sketch.*  The products
+    e_a e_b and e_(b a) e_y come from the same rows, so the relation at
+    (a, b, y) is (e_a e_b) e_y = e_a (e_b e_y): a failure raises with a
+    nonassociative triple inside the bound.  When none fails, the rows make
+    the words a U(lie)-module generated by 1, which makes the product
+    associative inside the bound.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -314,19 +314,9 @@ def truncated_envelope(lie: SuperLieAlgebraData, degree_bound: int) -> Truncated
             f"rewriting is not confluent at words ({lie.labels[a]}, {lie.labels[b]}, {labels[y]})"
         )
 
-    product: dict[tuple[int, int], Vec] = {}
-    for i, word in enumerate(words):
-        # words are sorted by length, so the v with |word| + |v| <= bound are a prefix
-        fits = range(bisect_right(lengths, degree_bound - lengths[i]))
-        if not word:
-            product.update(((i, j), {j: 1}) for j in fits)
-            continue
-        row, w = left[word[0]], index[word[1:]]
-        for j in fits:
-            product[(i, j)] = whole_as_int(image(row, product[(w, j)]))
     return TruncatedEnvelope(
         degree_bound=degree_bound, words=words, labels=labels,
-        dims_by_degree=dims, product=product,
+        dims_by_degree=dims, rows=left,
     )
 
 

@@ -96,6 +96,13 @@ class TruncatedDual:
         degree first).  Coproducts agree exactly on the common basis; products
         agree exactly when the degrees sum below this order, and after
         truncation otherwise (the union carries the full product).
+
+        It cannot fail on duals that ``truncated_dual`` built from one
+        presentation obeying the counit law (no 1 (x) 1 term in a Delta(g), so
+        every term of Delta(m) has degree >= deg m), so no report carries it;
+        acceptance criterion 6 and the tests on edited tables call it.  Each
+        order drops the terms with a slot of degree >= order, which never come
+        back since degrees only add, so order k is order k + 1 below degree k.
         """
         dim = self.dimension
         if larger.order < self.order or larger.basis[:dim] != self.basis:

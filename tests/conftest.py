@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations, product as cartesian
 from math import comb
@@ -13,7 +14,7 @@ from superalg.grassmann import (
 from superalg.hopf import _monomials_up_to, even_quotient
 from superalg.hyper import primitives, truncated_dual
 from superalg.liealg import StructureError, SuperLieAlgebraData
-from superalg.table import add_into, cleared, whole_as_int
+from superalg.table import add_into, cleared, image, whole_as_int
 
 GENS = GeneratorSet(evens=["x", "y"], odds=["t1", "t2", "t3"])
 
@@ -163,6 +164,26 @@ def typed(table):
     """``table`` with each coefficient paired with its type, so ``==`` also
     tells ``int`` from ``Fraction``."""
     return {key: {k: (c, type(c)) for k, c in cell.items()} for key, cell in table.items()}
+
+
+def envelope_table(env):
+    """The product table of a ``TruncatedEnvelope``: every cell (i, j) whose
+    word lengths sum to at most its bound, expanded from the letter rows as
+    e_(a w) e_v = e_a (e_w e_v), whole coefficients as ``int``."""
+    words, bound = env.words, env.degree_bound
+    index = {w: i for i, w in enumerate(words)}
+    lengths = [len(w) for w in words]
+    product = {}
+    for i, word in enumerate(words):
+        # words are sorted by length, so the v with |word| + |v| <= bound are a prefix
+        fits = range(bisect_right(lengths, bound - lengths[i]))
+        if not word:
+            product.update(((i, j), {j: 1}) for j in fits)
+            continue
+        row, w = env.rows[word[0]], index[word[1:]]
+        for j in fits:
+            product[(i, j)] = whole_as_int(image(row, product[(w, j)]))
+    return product
 
 
 # --- Harish-Chandra pairs given by their parts, and the cubic pair axiom

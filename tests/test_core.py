@@ -159,6 +159,20 @@ def test_print_parse_round_trip_examples():
     assert str(SuperPoly.zero(GENS)) == "0"
 
 
+def test_huge_parsed_powers_come_from_repeated_squaring():
+    # e successive products would take minutes here; squaring takes about 31
+    assert parse_poly(GENS, "t1^2000000000") == SuperPoly.zero(GENS)
+    assert parse_poly(GENS, "x^1000000000").terms == {SuperMonomial((1000000000, 0), 0): 1}
+
+
+@given(polys(max_terms=3), st.integers(0, 9))
+def test_power_is_the_repeated_product(p, e):
+    product = SuperPoly.one(GENS)
+    for _ in range(e):
+        product = product * p
+    assert p ** e == product
+
+
 @given(polys())
 def test_print_parse_round_trip(p):
     assert parse_poly(GENS, str(p)) == p

@@ -72,6 +72,8 @@ def assert_parses_to_fixed_point_or_rejects(text: str) -> None:
 @given(mutated_text())
 # a zero coproduct image prints as ``0 @ 0``, which reparses
 @example("odd v1;\ndelta v1 = v1 @ 1 - v1 @ 1;\neps v1 = 0;\nantipode v1 = -v1;\n")
+# a huge power parses in about log2(e) products, and an odd square stays zero
+@example("odd v1;\ndelta v1 = v1 @ 1 + 1 @ v1;\neps v1 = 0;\nantipode v1 = -v1 + v1^2000000000;\n")
 def test_mutated_text_parses_to_a_fixed_point_or_is_rejected(text):
     assert_parses_to_fixed_point_or_rejects(text)
 

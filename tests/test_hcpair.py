@@ -37,6 +37,7 @@ from conftest import (
     dense_sp_basis,
     dense_spo_pair,
     envelope_pbw_count,
+    envelope_table,
     flat_entries,
     is_symplectic,
     mat_mul,
@@ -259,6 +260,15 @@ def test_envelope_dimensions_spo1(d, dim):
 def test_envelope_degree_split_at_two():
     env = truncated_envelope(build_super_lie(spo_pair(1)), 2)
     assert env.dims_by_degree == [1, 5, 13]
+
+
+@pytest.mark.parametrize("name,d", [("spo(1)", 0), ("spo(1)", 3), ("spo(2)", 2), ("gl(1|1)", 4)])
+def test_envelope_rows_hold_each_word_below_the_bound(name, d):
+    lie = envelope_algebra(name)
+    env = truncated_envelope(lie, d)
+    below = [x for x, word in enumerate(env.words) if len(word) < d]
+    assert len(env.rows) == lie.dimension
+    assert all(sorted(row) == below for row in env.rows)
 
 
 def test_envelope_degree_bound_validation():
@@ -598,7 +608,10 @@ def assert_matches_rewriting(lie, d):
     env = truncated_envelope(lie, d)
     evens = lie.parity.count(0)
     assert env.dimension == envelope_pbw_count(evens, lie.dimension - evens, d)
-    assert typed(env.product) == typed(oracle_envelope_product(lie, env.words, d))
+    oracle = oracle_envelope_product(lie, env.words, d)
+    for a, row in enumerate(env.rows):
+        assert typed(row) == typed({x: oracle[(env.words.index((a,)), x)] for x in row})
+    assert typed(envelope_table(env)) == typed(oracle)
 
 
 @pytest.mark.parametrize("name,d", [
@@ -646,7 +659,7 @@ ENVELOPE_TABLE_DIGESTS = {
 @pytest.mark.parametrize("r,d", sorted(ENVELOPE_TABLE_DIGESTS))
 def test_envelope_table_digest(r, d):
     env = truncated_envelope(build_super_lie(spo_pair(r)), d)
-    canonical = [(key, sorted(cell.items())) for key, cell in sorted(env.product.items())]
+    canonical = [(key, sorted(cell.items())) for key, cell in sorted(envelope_table(env).items())]
     assert hashlib.sha256(repr(canonical).encode()).hexdigest() == ENVELOPE_TABLE_DIGESTS[(r, d)]
 
 
@@ -655,7 +668,8 @@ def test_envelope_halves_int_brackets_exactly():
     whole = SuperLieAlgebraData(lie.labels, lie.parity,
                                 {key: whole_as_int(vec) for key, vec in lie.bracket.items()})
     assert any(type(c) is int for vec in whole.bracket.values() for c in vec.values())
-    assert typed(truncated_envelope(whole, 3).product) == typed(truncated_envelope(lie, 3).product)
+    assert typed(envelope_table(truncated_envelope(whole, 3))) \
+        == typed(envelope_table(truncated_envelope(lie, 3)))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -700,7 +714,7 @@ def corrupted_bracket(lie, rng):
 
 
 def unchecked_envelope(lie, d):
-    """The envelope's table as the letter rows build it, with no relation checked."""
+    """The envelope's letter rows as they are built, with no relation checked."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hcpair, "_first_bracket_failure", lambda *args: None)
         return truncated_envelope(lie, d)
@@ -710,7 +724,7 @@ def assert_certificate_matches_triple_scan(lie, d):
     """``truncated_envelope`` raises exactly when a bounded triple scan of the
     unchecked table fails, and names one of the failing triples."""
     env = unchecked_envelope(lie, d)
-    bad = brute_force_bad_triples(env.product, env.dimension, [len(w) for w in env.words], d)
+    bad = brute_force_bad_triples(envelope_table(env), env.dimension, [len(w) for w in env.words], d)
     try:
         truncated_envelope(lie, d)
     except StructureError as exc:
