@@ -132,9 +132,9 @@ def run_integrals_suite(dim: int) -> Report:
 
 
 _HY_TARGETS = {
-    "ga11": lambda: additive_presentation(1, 1),
-    "gl11": lambda: glmn_presentation(1, 1),
-    "gl21": lambda: glmn_presentation(2, 1),
+    "ga11": (additive_presentation, 1, 1),
+    "gl11": (glmn_presentation, 1, 1),
+    "gl21": (glmn_presentation, 2, 1),
 }
 
 
@@ -158,7 +158,8 @@ def _gl_oracle(m: int, n: int) -> dict[tuple[str, str], dict[str, int]]:
 
 def run_hy_suite(target: str, order: int) -> Report:
     report = Report(suite="hy", config={"target": target, "order": order})
-    pres = _HY_TARGETS[target]()
+    make, m, n = _HY_TARGETS[target]
+    pres = make(m, n)
     # the brackets of the degree-1 duals are exact from order 3 on, so one
     # Lie(G) serves every order, read off a dual built past it if need be
     dual = truncated_dual(pres, order)
@@ -187,7 +188,7 @@ def run_hy_suite(target: str, order: int) -> Report:
             )
             report.add("oracle-abelian-(1|1)", ok)
         else:
-            oracle = _gl_oracle(*pres.shape)
+            oracle = _gl_oracle(m, n)
 
             def bracket_mismatches():
                 for i, j in product(range(lie.dimension), repeat=2):

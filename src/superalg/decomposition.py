@@ -22,7 +22,7 @@ def point_images(pres: HopfPresentation, point: SuperMatrix) -> dict[str, SuperP
 
     Identity-shifted generators evaluate to entry minus the identity matrix.
     """
-    m, n = pres.shape
+    m, n = point.m, point.n
     images: dict[str, SuperPoly] = {}
     for a, row in enumerate(point.rows, 1):
         for b, entry in enumerate(row, 1):

@@ -109,25 +109,11 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
 
     Associativity, coassociativity and the multiplicativity of the coproduct
     and of the counit are certified from G = ``hopf_generators(hopf)`` by the
-    lemma of ``superalg.table`` and its corollaries; where a certificate does
-    not apply or fails, every triple, element or pair is compared.  Either
-    way each witness is the first failing case of the dense scan.
-
-    *Coassociativity.*  Once Delta is certified multiplicative and is even
-    (p_a + p_b = p_i for each term (a, b) of Delta(e_i)), L = (Delta (x) 1)Delta
-    and R = (1 (x) Delta)Delta are multiplicative into the Koszul-signed
-    triple tensor product: (Delta (x) 1)((a (x) b)(c (x) d)) is
-    (-1)^{p_b p_c} Delta(a)Delta(c) (x) bd, and moving b past the legs of each
-    term of Delta(c), of total parity p_c, gives the same sign.  The set where
-    L and R agree is a subspace, and L(gx) = L(g)L(x) = R(g)R(x) = R(gx) for
-    x in it; so if it holds 1 and G, it is everything.
-
-    *Counit multiplicativity.*  Once associativity is certified (with its
-    left unit law) and eps(1) = 1, let T be the set of x with
-    eps(xy) = eps(x)eps(y) for all y.  T is a subspace that holds 1, and if
-    the pairs (g, y) pass for g in G and x is in T, then
-    eps((gx)y) = eps(g(xy)) = eps(g)eps(x)eps(y) = eps(gx)eps(y).  So the
-    pairs (g, y) decide.
+    lemma of ``superalg.table`` and its corollaries for coassociativity and
+    counit multiplicativity, proved in that module's docstring; where a
+    certificate does not apply or fails, every triple, element or pair is
+    compared.  Either way each witness is the first failing case of the
+    dense scan.
     """
     report = AxiomReport()
     dim = hopf.dimension

@@ -64,10 +64,6 @@ class GrassmannAlgebra:
         self.k = k
         self.gens = GeneratorSet(odds=[f"t{i}" for i in range(1, k + 1)])
 
-    @property
-    def dimension(self) -> int:
-        return 1 << self.k
-
     def zero(self) -> SuperPoly:
         return SuperPoly.zero(self.gens)
 

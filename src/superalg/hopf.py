@@ -47,14 +47,12 @@ class HopfPresentation:
         counit: dict[str, Fraction],
         antipode: dict[str, SuperPoly] | None,
         name: str = "",
-        shape: tuple[int, int] | None = None,
     ):
         self.gens = gens
         self.delta = dict(delta)
         self.counit = {k: Fraction(v) for k, v in counit.items()}
         self.antipode = dict(antipode) if antipode is not None else None
         self.name = name
-        self.shape = shape
         self._validate()
 
     def _validate(self) -> None:
@@ -202,7 +200,7 @@ def glmn_presentation(m: int, n: int) -> HopfPresentation:
                 image = image + TensorPoly.of(left, right)
             delta[name] = image
             counit[name] = F0
-    return HopfPresentation(gens, delta, counit, antipode=None, name=f"gl({m}|{n})", shape=(m, n))
+    return HopfPresentation(gens, delta, counit, antipode=None, name=f"gl({m}|{n})")
 
 
 def even_quotient(pres: HopfPresentation) -> HopfPresentation:
@@ -227,7 +225,6 @@ def even_quotient(pres: HopfPresentation) -> HopfPresentation:
     return HopfPresentation(
         gens, delta, counit, antipode,
         name=f"{pres.name}_ev" if pres.name else "even quotient",
-        shape=pres.shape,
     )
 
 

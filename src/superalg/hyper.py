@@ -59,7 +59,14 @@ class TruncatedDual:
     def check_associative_unital(self) -> None:
         """Unit scan, and associativity certified from the degree-1 duals by the
         lemma of ``superalg.table`` (every triple is compared where it does
-        not apply); exact because degrees only add."""
+        not apply).
+
+        It tests every triple of the truncated table.  That is sound when each
+        Delta(g) has slots of degree <= 1, so that the monomials of degree < n
+        span a subcoalgebra and the truncation is an algebra map; every ``hy``
+        target is such.  Otherwise a cell with deg i + deg j >= n can make a
+        triple of an associative presentation fail; the check on the exact
+        range deg i + deg j + deg k < n is ROADMAP direction 10."""
         dim, unit = self.dimension, {0: F1}
         bad = first_nonunital(self.product, dim, unit)
         if bad is not None:
@@ -143,54 +150,58 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
     parity = [m.parity for m in basis]
     degree = [m.degree() for m in basis]
 
-    # coproduct: dual of multiplication restricted to the quotient.  Degrees
-    # add and the basis is sorted by degree, so m1 * m2 survives exactly for
-    # m2 in the prefix of degree <= order - 1 - deg(m1), and lands in the basis.
+    # generator coproduct terms as basis-index pairs, keyed by the generator's
+    # degree-1 index; terms with a slot outside the basis never come back into
+    # it, since degrees only add
+    gen_terms: dict[int, list[tuple[int, int, Fraction | int]]] = {}
+    for name in gens.names:
+        (mono,) = pres.generator_poly(name).terms
+        if mono in index:
+            gen_terms[index[mono]] = [
+                (index[m1], index[m2], c)
+                for (m1, m2), c in whole_as_int(pres.delta[name].terms).items()
+                if m1 in index and m2 in index
+            ]
+    # right[k][i]: basis[i] * basis[k] as (sign, index) where the product stays
+    # in the basis, None elsewhere, for each slot k of a generator term
+    right: dict[int, list[tuple[int, int] | None]] = {
+        k: [None] * len(basis) for terms in gen_terms.values() for i, j, _ in terms for k in (i, j)
+    }
+
+    # the one pass over monomial products.  Degrees add and the basis is sorted
+    # by degree, so m1 * m2 survives exactly for m2 in the prefix of degree
+    # <= order - 1 - deg(m1), and lands in the basis.  Each surviving
+    # basis[i] * basis[j] = sign basis[t] is a coproduct term of t (the dual of
+    # multiplication), a cell of a right row, and, when deg j = 1, a split of t
     coproduct: dict[int, Vec2] = {i: {} for i in range(len(basis))}
+    split: dict[int, tuple[int, int, int]] = {}
     for i, m1 in enumerate(basis):
         for j in range(bisect_right(degree, order - 1 - degree[i])):
             prod = mul_monomials(m1, basis[j])
             if prod is not None:
-                sign, mono = prod
-                coproduct[index[mono]][(i, j)] = sign
+                sign, t = prod[0], index[prod[1]]
+                coproduct[t][(i, j)] = sign
+                row = right.get(j)
+                if row is not None:
+                    row[i] = (sign, t)
+                if degree[j] == 1:
+                    split[t] = (sign, i, j)
 
     # product: (u * v)(m) is the coefficient of u (x) v in Delta(m), and
-    # Delta(m) = Delta(p) Delta(g) for the last factor g of m in normal order
-    # (m = p g with sign +1, and p comes earlier in the basis).  Terms with a
-    # slot outside the basis never come back into it, since degrees only add.
-    gen_terms: dict[str, list[tuple[int, int, Fraction | int]]] = {}
-    for name in gens.names:
-        terms = gen_terms[name] = []
-        for (m1, m2), c in whole_as_int(pres.delta[name].terms).items():
-            i, j = index.get(m1), index.get(m2)
-            if i is not None and j is not None:
-                terms.append((i, j, c))
-    # right[k][i]: basis[i] * basis[k] as (sign, index) for i in the degree
-    # prefix where the product stays in the basis, None elsewhere
-    right: dict[int, list[tuple[int, int] | None]] = {}
-    for k in {k for terms in gen_terms.values() for i, j, _ in terms for k in (i, j)}:
-        row = right[k] = [None] * len(basis)
-        for i in range(bisect_right(degree, order - 1 - degree[k])):
-            prod = mul_monomials(basis[i], basis[k])
-            if prod is not None:
-                row[i] = (prod[0], index[prod[1]])
+    # Delta(t) = flip Delta(p) Delta(g) for any split basis[p] * basis[g] =
+    # flip basis[t] with deg g = 1 (p comes earlier in the basis).  The terms
+    # dropped with a slot of degree >= order are the same whichever split is
+    # kept, since degrees only add.
     deltas: list[Vec2] = [{(0, 0): 1}]
-    for mono in basis[1:]:
-        if mono.odds:
-            top = mono.odds.bit_length() - 1
-            name = gens.odds[top]
-            head = SuperMonomial(mono.evens, mono.odds ^ (1 << top))
-        else:
-            pos = max(p for p, e in enumerate(mono.evens) if e)
-            name = gens.evens[pos]
-            evens = list(mono.evens)
-            evens[pos] -= 1
-            head = SuperMonomial(tuple(evens), 0)
-        head_delta = deltas[index[head]].items()
+    for t in range(1, len(basis)):
+        flip, p, g = split[t]
+        head_delta = deltas[p].items()
         out: Vec2 = {}
         # (i (x) j)(k (x) l) = (-1)^{|j||k|} ik (x) jl
-        for k, l, d in gen_terms[name]:
+        for k, l, d in gen_terms[g]:
             rk, rl, odd_k = right[k], right[l], parity[k]
+            if flip < 0:
+                d = -d
             for (i, j), c in head_delta:
                 a, b = rk[i], rl[j]
                 if a is None or b is None:

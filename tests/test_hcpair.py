@@ -515,8 +515,11 @@ def test_doubled_odd_cell_of_lie_g_fails_symmetry_at_its_labels():
     bracket = dict(lie.bracket)
     bracket[(p, q)] = {k: 2 * c for k, c in bracket[(p, q)].items()}
     failures = validate_hcpair(SuperLieAlgebraData(lie.labels, lie.parity, bracket))
-    assert failures[:2] == ["symmetry fails at (D[p11], D[q11])",
-                            "symmetry fails at (D[q11], D[p11])"]
+    # one witness for the unordered pair, then a failure of another axiom
+    assert failures[:2] == [
+        "symmetry fails at (D[p11], D[q11])",
+        "v <| [v,v] does not vanish at (D[p11], D[p21], D[q11]): {D[p21]: 1}",
+    ]
 
 
 # --- the super Jacobi certificate against the dense scan

@@ -1,10 +1,11 @@
-"""Layering: the symbolic Hopf layer does not reach up into the point layers.
+"""Layering: the symbolic Hopf layer does not reach up into the point layers,
+and the hyperalgebra does its monomial arithmetic through ``superalg.core``.
 
 ``superalg.hopf`` checks a presentation symbolically and, for GL(m|n), on the
 points a sampler hands it; it uses those points only through their methods.
 The modules are read, not run: every ``import`` and ``from ... import`` node at
 any scope, a function body included, is resolved to the ``superalg`` modules
-it names.
+it names, and every call node is resolved to the name it calls.
 """
 
 from __future__ import annotations
@@ -51,3 +52,30 @@ def test_the_import_scan_sees_every_import_form_at_any_scope():
     )
     assert _imported_modules(source) == {"core", "finite", "hyper", "cli", "decomposition",
                                          "grassmann"}
+
+
+def _called_names(source: str) -> set[str]:
+    """The names that the module text ``source`` calls, bare or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                found.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                found.add(func.attr)
+    return found
+
+
+def test_hyper_builds_no_monomial_by_hand():
+    # products and splits of basis monomials come from core.mul_monomials
+    assert "SuperMonomial" not in _called_names((SRC / "hyper.py").read_text(encoding="utf-8"))
+
+
+def test_the_call_scan_sees_bare_and_attribute_calls_at_any_scope():
+    source = (
+        "x = SuperMonomial((1,), 0)\n"
+        "def f(m):\n"
+        "    return [core.mul_monomials(m, m) for _ in range(2)]\n"
+    )
+    assert _called_names(source) == {"SuperMonomial", "mul_monomials", "range"}
