@@ -421,22 +421,16 @@ class SuperMatrix:
     def antipode_blocks(self) -> SuperMatrix:
         """Matrix assembled from the closed-form antipode blocks.
 
-        S(X) = (X - P Y^-1 Q)^-1,   S(Y) = (Y - Q X^-1 P)^-1,
-        S(P) = -X^-1 P S(Y),        S(Q) = -Y^-1 Q S(X).
+        With p' = X^-1 P and q' = Y^-1 Q (``decomposition_coords``):
+        S(X) = (X - P q')^-1,   S(Y) = (Y - Q p')^-1,
+        S(P) = -p' S(Y),        S(Q) = -q' S(X).
         Must equal ``inv()`` exactly.
         """
-        if not self.parity_pattern_ok():
-            raise NotAPoint("not a GL(m|n) point")
-        x, p, q, y = _split(self.ints, self.m)
-        x_inv, y_inv = grassmann_matrix_inv(x), grassmann_matrix_inv(y)
-        if self.m and self.n:
-            mul, inv = _poly_mat_mul, grassmann_matrix_inv
-            s_x = inv(_int_add(x, _int_neg(mul(mul(p, y_inv), q))))
-            s_y = inv(_int_add(y, _int_neg(mul(mul(q, x_inv), p))))
-            s_p = _int_neg(mul(mul(x_inv, p), s_y))
-            s_q = _int_neg(mul(mul(y_inv, q), s_x))
-        else:
-            s_x, s_y, s_p, s_q = x_inv, y_inv, p, q  # p and q have no entries
+        x, p, q, y, pprime, qprime = self._coords()
+        mul, inv = _poly_mat_mul, grassmann_matrix_inv
+        s_x = inv(_int_add(x, _int_neg(mul(p, qprime))))
+        s_y = inv(_int_add(y, _int_neg(mul(q, pprime))))
+        s_p, s_q = _int_neg(mul(pprime, s_y)), _int_neg(mul(qprime, s_x))
         return self._of(self.m, self.n, self.alg, _join(s_x, s_p, s_q, s_y))
 
     def antipode_failure(self) -> str | None:
@@ -451,17 +445,22 @@ class SuperMatrix:
             return "inverse fails the group law"
         return None
 
+    def _coords(self) -> tuple[IntMatrix, ...]:
+        """The blocks (X, P, Q, Y) and the odd coordinates p' = X^-1 P, q' = Y^-1 Q."""
+        if not self.parity_pattern_ok():
+            raise NotAPoint("not a GL(m|n) point")
+        x, p, q, y = _split(self.ints, self.m)
+        pprime = _poly_mat_mul(grassmann_matrix_inv(x), p)
+        qprime = _poly_mat_mul(grassmann_matrix_inv(y), q)
+        return x, p, q, y, pprime, qprime
+
     def decomposition_coords(self):
         """Split a point into (X, Y, p', q') with p' = X^-1 P and q' = Y^-1 Q.
 
         All entries of p', q' are odd and the point is recovered exactly via
         P = X p', Q = Y q'; the identity decomposes as (identity, 0, 0).
         """
-        if not self.parity_pattern_ok():
-            raise NotAPoint("not a GL(m|n) point")
-        x, p, q, y = _split(self.ints, self.m)
-        pprime = _poly_mat_mul(grassmann_matrix_inv(x), p)
-        qprime = _poly_mat_mul(grassmann_matrix_inv(y), q)
+        x, _, _, y, pprime, qprime = self._coords()
         return tuple(_from_ints(block, self.alg.gens) for block in (x, y, pprime, qprime))
 
     @classmethod

@@ -184,10 +184,12 @@ def test_out_of_range_size_arguments_exit_2(argv, flag, bound, capsys):
 
 def test_decompose_without_odd_generators_passes(tmp_path):
     # with no odd generators P = Q = 0, so the naive-coordinate control
-    # cannot move and is not counted as a failure
+    # cannot fail and is not reported
     code, data = run(["decompose", "--m", "1", "--n", "1", "--thetas", "0",
                       "--points", "3", "--seed", "1"], tmp_path)
     assert code == 0 and data["ok"] is True
+    names = {c["name"] for c in data["checks"]}
+    assert "negative-control-naive-coordinates-not-left-invariant" not in names
 
 
 def test_zero_sizes_are_accepted(tmp_path):
@@ -473,7 +475,9 @@ def test_repeated_statement_is_exit_2(kind, tmp_path, capsys):
 # ``embedding-chain`` was removed (order k's dual is order k + 1's restricted
 # to degree < k, since a dropped term of Delta(m) never comes back and the
 # counit law keeps every term of Delta(m) at total degree >= deg m), each
-# report otherwise unchanged)
+# report otherwise unchanged; the n = 0 decompose digest was re-taken when
+# ``negative-control-naive-coordinates-not-left-invariant`` was dropped for
+# m n k = 0, where P = Q = 0 and the control cannot fail, report otherwise unchanged)
 
 GOLDEN = {
     "verify exterior --dim 3": "e3304a8a0bed693743e6d35ff13871faac03cfed9e0e8fa184895144ae4d4fcd",
@@ -518,7 +522,7 @@ GOLDEN = {
     "verify gl --m 0 --n 2 --thetas 4 --points 30 --seed 7":
         "c208534a693f06f024c0a7aa14059407f4e3f4bbf652b2e88fd77f5d7768036a",
     "decompose --m 2 --n 0 --thetas 4 --points 30 --seed 11":
-        "ad987fbcd9cfc8aaccbdc53ff3520059d8c32f1bddab56b0e0e11bfcefbb1407",
+        "cc6d0439a284af423c75233d82ba63dbf5ae86e680c9e9583ac5b70541a1be88",
     "hcpair --r 4 --seed 1": "c009d1c09b502ee0ab2ae50b37501524730ab9df857559cae55391fe76a82517",
     # taken before every multiplicative Hopf axiom was certified from the
     # group-likes and skew-primitives: the bosonization, certified from

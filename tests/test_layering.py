@@ -1,5 +1,6 @@
 """Layering: the symbolic Hopf layer does not reach up into the point layers,
-and the hyperalgebra does its monomial arithmetic through ``superalg.core``.
+the point layer imports only its kernels, and the hyperalgebra does its
+monomial arithmetic through ``superalg.core``.
 
 ``superalg.hopf`` checks a presentation symbolically and, for GL(m|n), on the
 points a sampler hands it; it uses those points only through their methods.
@@ -37,6 +38,15 @@ def _imported_modules(source: str) -> set[str]:
 @pytest.mark.parametrize("upper", ["grassmann", "decomposition", "finite", "hyper", "cli"])
 def test_hopf_imports_no_point_or_driver_module(upper):
     assert upper not in _imported_modules((SRC / "hopf.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", ["core", "grassmann", "linalg", "table"])
+def test_point_layer_imports_only_its_kernels(module):
+    # so ``import superalg.grassmann`` loads these four modules and no other;
+    # the one exception is the function-level ``from .parsing import
+    # format_poly`` in ``core.SuperPoly.__repr__``, run when a polynomial is printed
+    allowed = {"core", "linalg", "table"} | ({"parsing"} if module == "core" else set())
+    assert _imported_modules((SRC / f"{module}.py").read_text(encoding="utf-8")) <= allowed
 
 
 def test_the_import_scan_sees_every_import_form_at_any_scope():
