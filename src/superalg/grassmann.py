@@ -197,11 +197,11 @@ def _sparse_rows(rows: list[list[dict[int, int]]]) -> list[list[tuple[int, list]
     return [[(j, list(terms.items())) for j, terms in enumerate(row) if terms] for row in rows]
 
 
-def _poly_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Product of two integer-form matrices of Grassmann elements."""
+def _poly_mat_mul(a: IntMatrix, b: IntMatrix, cols: int) -> IntMatrix:
+    """Product of two integer-form matrices of Grassmann elements; ``b`` has
+    ``cols`` columns, which its rows cannot tell when it has none."""
     arows, aden = a
     brows, bden = b
-    cols = len(brows[0]) if brows else 0
     right = _sparse_rows(brows)
     out = []
     for arow in arows:
@@ -280,7 +280,7 @@ def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
     bden, cleared_inv = cleared(body_inv)
     binv = [[{0: row[j]} if j in row else {} for j in range(size)] for row in cleared_inv.values()]
     neg_soul = ([[{m: -c for m, c in terms.items() if m} for terms in row] for row in rows], den)
-    neg_nil, nden = _poly_mat_mul((binv, bden), neg_soul)
+    neg_nil, nden = _poly_mat_mul((binv, bden), neg_soul, size)
     # n_parts[e][i][k]: the (blade, cross(blade), scaled numerator) of -N_e at (i, k)
     n_parts: dict[int, list[dict[int, list]]] = {}
     union = 0
@@ -378,7 +378,7 @@ class SuperMatrix:
     def __mul__(self, other: SuperMatrix) -> SuperMatrix:
         if (self.m, self.n) != (other.m, other.n) or self.alg != other.alg:
             raise ValueError("shape or base algebra mismatch")
-        return self._of(self.m, self.n, self.alg, _poly_mat_mul(self.ints, other.ints))
+        return self._of(self.m, self.n, self.alg, _poly_mat_mul(self.ints, other.ints, self.m + self.n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -426,12 +426,13 @@ class SuperMatrix:
         S(P) = -p' S(Y),        S(Q) = -q' S(X).
         Must equal ``inv()`` exactly.
         """
+        m, n = self.m, self.n
         x, p, q, y, pprime, qprime = self._coords()
         mul, inv = _poly_mat_mul, grassmann_matrix_inv
-        s_x = inv(_int_add(x, _int_neg(mul(p, qprime))))
-        s_y = inv(_int_add(y, _int_neg(mul(q, pprime))))
-        s_p, s_q = _int_neg(mul(pprime, s_y)), _int_neg(mul(qprime, s_x))
-        return self._of(self.m, self.n, self.alg, _join(s_x, s_p, s_q, s_y))
+        s_x = inv(_int_add(x, _int_neg(mul(p, qprime, m))))
+        s_y = inv(_int_add(y, _int_neg(mul(q, pprime, n))))
+        s_p, s_q = _int_neg(mul(pprime, s_y, n)), _int_neg(mul(qprime, s_x, m))
+        return self._of(m, n, self.alg, _join(s_x, s_p, s_q, s_y))
 
     def antipode_failure(self) -> str | None:
         """Why the closed-form antipode is not this point's group inverse, or None."""
@@ -450,8 +451,8 @@ class SuperMatrix:
         if not self.parity_pattern_ok():
             raise NotAPoint("not a GL(m|n) point")
         x, p, q, y = _split(self.ints, self.m)
-        pprime = _poly_mat_mul(grassmann_matrix_inv(x), p)
-        qprime = _poly_mat_mul(grassmann_matrix_inv(y), q)
+        pprime = _poly_mat_mul(grassmann_matrix_inv(x), p, self.n)
+        qprime = _poly_mat_mul(grassmann_matrix_inv(y), q, self.m)
         return x, p, q, y, pprime, qprime
 
     def decomposition_coords(self):
@@ -469,7 +470,7 @@ class SuperMatrix:
         m, n = len(x), len(y)
         _check_blocks(((x, m, m), (y, n, n), (pprime, m, n), (qprime, n, m)))
         x, y, pprime, qprime = (_to_ints(block, alg.gens) for block in (x, y, pprime, qprime))
-        p, q = _poly_mat_mul(x, pprime), _poly_mat_mul(y, qprime)
+        p, q = _poly_mat_mul(x, pprime, n), _poly_mat_mul(y, qprime, m)
         return cls._of(m, n, alg, _join(x, p, q, y))
 
     def to_json(self) -> str:

@@ -11,9 +11,12 @@ the union.
 
 The product table is built in basis-index space: Delta(m) of each basis
 monomial comes from the coproduct of an earlier one and of one generator,
-with ``int`` coefficients when the generator coproducts are whole.  The
-multiplicative extension ``HopfPresentation.delta_monomial`` on
-``TensorPoly`` products is the independent oracle the tests compare with.
+with ``int`` coefficients when the generator coproducts are whole (whole
+coefficients as ``int`` otherwise).  Each finished Delta(m) is folded into the
+table and kept only while deg m <= n - 2, the degrees a split head can have,
+so the build holds one copy of the table.  The multiplicative extension
+``HopfPresentation.delta_monomial`` on ``TensorPoly`` products is the
+independent oracle the tests compare with.
 
 Lie(G) = (A+/(A+)^2)*, the primitives of the dual, is the span of the degree-1
 duals (the lemma in ``primitives``); the unit D[1] is always basis index 0.
@@ -30,12 +33,12 @@ from .hopf import HopfPresentation, PresentationError, _monomials_up_to
 from .liealg import StructureError, SuperLieAlgebraData
 from .parsing import format_monomial
 from .table import (
+    Table,
     Vec,
     add_into,
     certify_associative,
     first_nonassociative,
     first_nonunital,
-    transpose,
     whole_as_int,
 )
 
@@ -191,8 +194,15 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
     # Delta(t) = flip Delta(p) Delta(g) for any split basis[p] * basis[g] =
     # flip basis[t] with deg g = 1 (p comes earlier in the basis).  The terms
     # dropped with a slot of degree >= order are the same whichever split is
-    # kept, since degrees only add.
+    # kept, since degrees only add.  Each finished Delta(t) is folded into the
+    # table as column t, in increasing t as a transpose would, and kept only
+    # while it can be a split head (deg t <= order - 2: the prefix below
+    # ``heads``).  Non-whole presentations store each whole coefficient as an
+    # ``int``, so a cell's type does not depend on the split.
+    whole = not any(isinstance(c, Fraction) for terms in gen_terms.values() for *_, c in terms)
+    heads = bisect_right(degree, order - 2)
     deltas: list[Vec2] = [{(0, 0): 1}]
+    table: Table = {(0, 0): {0: 1}}
     for t in range(1, len(basis)):
         flip, p, g = split[t]
         head_delta = deltas[p].items()
@@ -215,8 +225,16 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
                     out[key] = s
                 else:
                     del out[key]
-        deltas.append(out)
-    table = transpose(dict(enumerate(deltas)))
+        if not whole:
+            out = whole_as_int(out)
+        if t < heads:
+            deltas.append(out)
+        for key, c in out.items():
+            cell = table.get(key)
+            if cell is None:
+                table[key] = {t: c}
+            else:
+                cell[t] = c
 
     return TruncatedDual(
         order=order, basis=basis, labels=labels, parity=parity,

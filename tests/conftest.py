@@ -611,9 +611,9 @@ def pairing_on_sequences(fs, vs):
 
 
 def poly_mat_mul(a, b, alg):
-    """``a * b`` by ``grassmann._poly_mat_mul``."""
+    """``a * b`` by ``grassmann._poly_mat_mul``; ``b`` has at least one row."""
     gens = alg.gens
-    return _from_ints(_poly_mat_mul(_to_ints(a, gens), _to_ints(b, gens)), gens)
+    return _from_ints(_poly_mat_mul(_to_ints(a, gens), _to_ints(b, gens), len(b[0])), gens)
 
 
 def poly_mat_inv(rows, alg):
@@ -635,10 +635,10 @@ def series_matrix_inv(a):
     binv = ([[{0: row[j]} if j in row else {} for j in range(len(rows))]
              for row in cleared_inv.values()], bden)
     neg_soul = ([[{m: -c for m, c in terms.items() if m} for terms in row] for row in rows], den)
-    neg_nil = _poly_mat_mul(binv, neg_soul)
+    neg_nil = _poly_mat_mul(binv, neg_soul, len(rows))
     total = term = binv
     while True:
-        term = _poly_mat_mul(neg_nil, term)
+        term = _poly_mat_mul(neg_nil, term, len(rows))
         if not any(terms for row in term[0] for terms in row):
             return total
         total = _int_add(total, term)

@@ -415,6 +415,22 @@ def test_kernel_matches_oracle_on_seeded_points(k):
                     assert invert_element(entry) == series_inverse(entry)
 
 
+def test_product_over_an_empty_inner_side_is_the_square_zero_matrix():
+    # n x 0 times 0 x n: the right factor has no row that tells its columns
+    for n in range(1, 4):
+        assert _poly_mat_mul(([[]] * n, 1), ([], 1), n) == ([[{}] * n for _ in range(n)], 1)
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (0, 1), (1, 0)])
+def test_antipode_blocks_are_the_inverse_on_one_sided_points(m, n):
+    # Q p' at m = 0 and P q' at n = 0 are square zero matrices
+    for k in range(5):
+        sampler = PointSampler(m, n, k, seed=100 * k + 10 * m + n)
+        for i in range(4):
+            a = sampler.sample(i)
+            assert a.antipode_blocks() == a.inv()
+
+
 @pytest.mark.parametrize("k", range(9))
 def test_degree_recurrence_matches_series_on_seeded_points(k):
     # the point, its diagonal blocks and their Schur complements X - P Y^-1 Q
@@ -427,9 +443,9 @@ def test_degree_recurrence_matches_series_on_seeded_points(k):
             matrices = [a, x, y]
             if m and n:
                 matrices.append(_int_add(x, _int_neg(
-                    _poly_mat_mul(_poly_mat_mul(p, series_matrix_inv(y)), q))))
+                    _poly_mat_mul(_poly_mat_mul(p, series_matrix_inv(y), n), q, m))))
                 matrices.append(_int_add(y, _int_neg(
-                    _poly_mat_mul(_poly_mat_mul(q, series_matrix_inv(x)), p))))
+                    _poly_mat_mul(_poly_mat_mul(q, series_matrix_inv(x), m), p, n))))
             for matrix in matrices:
                 assert grassmann_matrix_inv(matrix) == series_matrix_inv(matrix)
 

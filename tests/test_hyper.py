@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -340,6 +341,32 @@ def test_coproduct_multiplies_only_pairs_below_the_order(monkeypatch):
     monkeypatch.setattr(hyper, "mul_monomials", recording)
     truncated_dual(GL11, order)
     assert seen and max(seen) == order - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_presentations(), st.integers(1, 4))
+def test_whole_coefficients_are_int_whatever_the_split(pres, order):
+    # a Fraction with denominator 1 would depend on which split built Delta(t)
+    dual = truncated_dual(pres, order)
+    for table in (dual.product, dual.coproduct):
+        for cell in table.values():
+            assert not any(isinstance(c, Fraction) and c.denominator == 1
+                           for c in cell.values())
+
+
+def test_build_holds_one_copy_of_its_table():
+    # each Delta(t) is folded into the product table when it is finished and
+    # kept only while it can be a split head, so the build never holds a
+    # second copy of the table: its peak is close to what the dual holds
+    pres = glmn_presentation(2, 1)
+    tracemalloc.start()
+    try:
+        dual = truncated_dual(pres, 4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dual.dimension > 100
+    assert peak <= 1.1 * held
 
 
 # --- primitives and Lie structure
