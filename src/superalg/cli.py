@@ -5,16 +5,21 @@ Subcommands: ``verify gl|exterior|bosonize|integrals``, ``hy``, ``hcpair``,
 rerunning with the same config and seed reproduces the report byte for byte
 (timings aside).  Exit codes: 0 all checks pass, 1 a check failed, 2 usage
 or input-file errors.
+
+Importing this module loads the Hopf side (``hopf``, ``finite``, ``hyper``,
+``hcpair``) and no more: the GL(m|n) point layer (``grassmann``,
+``decomposition``) is imported when ``verify gl`` or ``decompose`` first runs,
+and ``argparse`` when ``build_parser`` first runs.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 import time
 from itertools import product
+from typing import TYPE_CHECKING
 
-from .decomposition import decomposition_check
 from .finite import (
     bosonize,
     check_finite_hopf_axioms,
@@ -25,7 +30,6 @@ from .finite import (
     integral_space,
     is_right_integral,
 )
-from .grassmann import PointSampler, SuperMatrix
 from .hcpair import (
     abelian_pair,
     build_super_lie,
@@ -50,8 +54,23 @@ from .parsing import ParseError
 from .presfile import load_presentation, parse_presentation, print_presentation
 from .report import Report
 
+if TYPE_CHECKING:
+    import argparse
+
+
+def __getattr__(name: str):
+    """``PointSampler`` and ``SuperMatrix``, imported from the point layer on first use."""
+    if name not in ("PointSampler", "SuperMatrix"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import grassmann
+
+    value = globals()[name] = getattr(grassmann, name)
+    return value
+
 
 def run_gl_suite(m: int, n: int, thetas: int, points: int, seed: int) -> Report:
+    from .grassmann import PointSampler, SuperMatrix
+
     report = Report(
         suite="verify-gl",
         config={"m": m, "n": n, "thetas": thetas, "points": points, "seed": seed},
@@ -244,6 +263,8 @@ def run_envelope_suite(r: int, degree: int, abelian: tuple[int, int] | None) -> 
 
 
 def run_decompose_suite(m: int, n: int, thetas: int, points: int, seed: int) -> Report:
+    from .decomposition import decomposition_check
+
     report = Report(
         suite="decompose",
         config={"m": m, "n": n, "thetas": thetas, "points": points, "seed": seed},
@@ -252,21 +273,16 @@ def run_decompose_suite(m: int, n: int, thetas: int, points: int, seed: int) -> 
     return report
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with code 2 and a one-line message."""
-
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 def _int_at_least(low: int):
     def parse(text: str) -> int:
+        from argparse import ArgumentTypeError
+
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
     return parse
@@ -283,8 +299,18 @@ def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors exit with code 2 and a one-line message."""
+
+        def error(self, message: str):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
     size, positive = _int_at_least(0), _int_at_least(1)
-    parser = _Parser(prog="superalg", description=__doc__)
+    # the docstring's last paragraph is about imports, not usage
+    usage = "\n\n".join(__doc__.split("\n\n")[:-1])
+    parser = _Parser(prog="superalg", description=usage)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", choices=["json", "text"], default="text")
     common.add_argument("--out", help="write the JSON report to this path")
@@ -350,10 +376,16 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, PresentationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.emit == "json":
-        print(report.to_json())
-    else:
-        print("\n".join(report.summary_lines()))
+    try:
+        if args.emit == "json":
+            print(report.to_json())
+        else:
+            print("\n".join(report.summary_lines()))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; with stdout on devnull the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if report.ok else 1
 
 

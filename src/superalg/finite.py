@@ -10,7 +10,6 @@ structure constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
@@ -35,7 +34,6 @@ from .table import (
 TensorVec = dict[tuple[int, int], Fraction]
 
 
-@dataclass
 class FiniteDimHopf:
     """Basis-indexed structure tables of a finite-dimensional Hopf algebra.
 
@@ -43,13 +41,16 @@ class FiniteDimHopf:
     ordinary Hopf algebra (e.g. a bosonization) is one with all parities 0.
     """
 
-    labels: list[str]
-    parity: list[int]
-    unit: Vec
-    mult: dict[tuple[int, int], Vec]
-    delta: dict[int, TensorVec]
-    counit: list[Fraction]
-    antipode: dict[int, Vec] | None
+    def __init__(self, labels: list[str], parity: list[int], unit: Vec,
+                 mult: dict[tuple[int, int], Vec], delta: dict[int, TensorVec],
+                 counit: list[Fraction], antipode: dict[int, Vec] | None) -> None:
+        self.labels = labels
+        self.parity = parity
+        self.unit = unit
+        self.mult = mult
+        self.delta = delta
+        self.counit = counit
+        self.antipode = antipode
 
     @property
     def dimension(self) -> int:
@@ -380,13 +381,13 @@ def bosonize(hopf: FiniteDimHopf) -> FiniteDimHopf:
 # --- integrals -------------------------------------------------------------------
 
 
-@dataclass
 class IntegralSpace:
     """Left integrals of a finite-dimensional Hopf algebra (dimension <= 1)."""
 
-    basis: list[Vec]
-    parity: int | None
-    right_basis: list[Vec]
+    def __init__(self, basis: list[Vec], parity: int | None, right_basis: list[Vec]) -> None:
+        self.basis = basis
+        self.parity = parity
+        self.right_basis = right_basis
 
     @property
     def dimension(self) -> int:

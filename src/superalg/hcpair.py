@@ -21,7 +21,6 @@ relations of the rows prove it associative exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -192,7 +191,6 @@ def build_super_lie(lie: SuperLieAlgebraData) -> SuperLieAlgebraData:
 # --- truncated PBW envelope -----------------------------------------------------
 
 
-@dataclass
 class TruncatedEnvelope:
     """Degree-bounded piece of U(g) on its ordered normal words, as its letter rows.
 
@@ -200,11 +198,13 @@ class TruncatedEnvelope:
     |x| < ``degree_bound``; every other product is e_(a w) e_v = e_a (e_w e_v).
     """
 
-    degree_bound: int
-    words: list[tuple[int, ...]]
-    labels: list[str]
-    dims_by_degree: list[int]
-    rows: list[dict[int, Vec]]
+    def __init__(self, degree_bound: int, words: list[tuple[int, ...]], labels: list[str],
+                 dims_by_degree: list[int], rows: list[dict[int, Vec]]) -> None:
+        self.degree_bound = degree_bound
+        self.words = words
+        self.labels = labels
+        self.dims_by_degree = dims_by_degree
+        self.rows = rows
 
     @property
     def dimension(self) -> int:

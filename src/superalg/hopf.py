@@ -11,7 +11,6 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -285,11 +284,11 @@ def check_hopf_axioms(pres: HopfPresentation, sampler=None, points: int = 0) -> 
 # --- the odd cotangent space W^A ----------------------------------------------
 
 
-@dataclass
 class OddCotangent:
     """Basis of the odd cotangent space at the identity."""
 
-    basis: list[str]
+    def __init__(self, basis: list[str]) -> None:
+        self.basis = basis
 
     @property
     def dimension(self) -> int:

@@ -25,7 +25,6 @@ duals (the lemma in ``primitives``); the unit D[1] is always basis index 0.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import F1, SuperMonomial, mul_monomials, odd_positions
@@ -43,17 +42,19 @@ from .table import (
 )
 
 
-@dataclass
 class TruncatedDual:
     """The finite-dimensional algebra/coalgebra (A/(A+)^n)* on dual monomials."""
 
-    order: int
-    basis: list[SuperMonomial]
-    labels: list[str]
-    parity: list[int]
-    degree: list[int]
-    product: dict[tuple[int, int], Vec]
-    coproduct: dict[int, Vec2]
+    def __init__(self, order: int, basis: list[SuperMonomial], labels: list[str],
+                 parity: list[int], degree: list[int], product: dict[tuple[int, int], Vec],
+                 coproduct: dict[int, Vec2]) -> None:
+        self.order = order
+        self.basis = basis
+        self.labels = labels
+        self.parity = parity
+        self.degree = degree
+        self.product = product
+        self.coproduct = coproduct
 
     @property
     def dimension(self) -> int:

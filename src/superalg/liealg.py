@@ -26,8 +26,6 @@ verdict and message is the dense scan's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
 from .table import Table, Vec, add_into, cleared, times_basis
 
@@ -48,13 +46,21 @@ def _jacobi_defect(table: Table, parity: list[int], i: int, j: int, k: int) -> V
     return total
 
 
-@dataclass
 class SuperLieAlgebraData:
-    """Homogeneous basis with parities and sparse bracket structure constants."""
+    """Homogeneous basis with parities and sparse bracket structure constants;
+    two are equal when their labels, parities and brackets are."""
 
-    labels: list[str]
-    parity: list[int]
-    bracket: dict[tuple[int, int], Vec] = field(default_factory=dict)
+    def __init__(self, labels: list[str], parity: list[int],
+                 bracket: dict[tuple[int, int], Vec] | None = None) -> None:
+        self.labels = labels
+        self.parity = parity
+        self.bracket = {} if bracket is None else bracket
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.parity, self.bracket) == (other.labels, other.parity,
+                                                            other.bracket)
 
     @property
     def dimension(self) -> int:

@@ -10,6 +10,7 @@ Format, one statement per ``;``, ``#`` starts a line comment:
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from .core import GeneratorSet, SuperPoly
@@ -111,6 +112,4 @@ def print_presentation(pres: HopfPresentation) -> str:
 
 
 def builtin_presentation_path(filename: str) -> str:
-    from importlib import resources
-
-    return str(resources.files("superalg").joinpath("presentations", filename))
+    return os.path.join(os.path.dirname(__file__), "presentations", filename)

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 ENGINE_VERSION = "0.1.0"
 
 
-@dataclass
 class AxiomReport:
     """An ordered list of named checks with their status and witness."""
 
-    checks: list[dict] = field(default_factory=list)
+    def __init__(self, checks: list[dict] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         entry = {"name": name, "status": "pass" if passed else "fail"}
@@ -45,7 +44,6 @@ class AxiomReport:
             self.checks.append({**check, "name": f"{prefix}:{check['name']}"} if prefix else check)
 
 
-@dataclass(kw_only=True)
 class Report(AxiomReport):
     """Suite outcome: config echo, per-check status, witnesses, data, timings.
 
@@ -55,10 +53,13 @@ class Report(AxiomReport):
     dimensions) and is emitted only when non-empty.
     """
 
-    suite: str
-    config: dict
-    timings: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
+    def __init__(self, checks: list[dict] | None = None, *, suite: str, config: dict,
+                 timings: dict | None = None, data: dict | None = None) -> None:
+        super().__init__(checks)
+        self.suite = suite
+        self.config = config
+        self.timings = {} if timings is None else timings
+        self.data = {} if data is None else data
 
     def to_dict(self) -> dict:
         out = {

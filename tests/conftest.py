@@ -1,8 +1,11 @@
+import copy
+import os
 import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations, product as cartesian
 from math import comb
+from pathlib import Path
 
 import hypothesis.strategies as st
 
@@ -645,6 +648,23 @@ def series_matrix_inv(a):
 
 
 # --- small operations that only the tests need
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter: this checkout's ``src`` first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def replace(obj, **changes):
+    """A shallow copy of ``obj`` with the attributes in ``changes`` set."""
+    out = copy.copy(obj)
+    for name, value in changes.items():
+        if not hasattr(out, name):
+            raise AttributeError(f"{type(obj).__name__} has no attribute {name!r}")
+        setattr(out, name, value)
+    return out
 
 
 def is_one(mono: SuperMonomial) -> bool:

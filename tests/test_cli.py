@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from superalg.cli import main
 from superalg.presfile import builtin_presentation_path, load_presentation
 from superalg.parsing import ParseError
 from superalg.hopf import PresentationError
+
+from conftest import child_env
 
 
 def run(argv, tmp_path, name="report.json"):
@@ -136,6 +140,17 @@ def test_verify_gl_same_seed_gives_identical_reports(tmp_path):
     first.pop("timings")
     second.pop("timings")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [["verify", "exterior", "--dim", "2"],
+                                  ["hy", "--target", "gl21", "--order", "3", "--emit", "json"]])
+def test_closed_stdout_is_exit_1_without_a_traceback(argv):
+    child = subprocess.Popen([sys.executable, "-m", "superalg", *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=child_env())
+    child.stdout.close()  # the reader is gone before the report is written
+    _, stderr = child.communicate(timeout=60)
+    assert stderr == b""
+    assert child.returncode == 1
 
 
 def test_usage_error_exit_code():

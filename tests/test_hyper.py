@@ -2,7 +2,6 @@ import functools
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -29,7 +28,7 @@ from superalg.presfile import builtin_presentation_path, load_presentation, pars
 
 from conftest import (
     check_lie_even, coefficients, delta_of, is_one, nullspace_primitives, oracle_mul_monomials,
-    super_pbw_count, support_of,
+    replace, super_pbw_count, support_of,
 )
 
 GA11 = additive_presentation(1, 1)

@@ -1,6 +1,7 @@
 """Layering: the symbolic Hopf layer does not reach up into the point layers,
-the point layer imports only its kernels, and the hyperalgebra does its
-monomial arithmetic through ``superalg.core``.
+the point layer imports only its kernels, the hyperalgebra does its
+monomial arithmetic through ``superalg.core``, and no module imports
+``dataclasses``.
 
 ``superalg.hopf`` checks a presentation symbolically and, for GL(m|n), on the
 points a sampler hands it; it uses those points only through their methods.
@@ -62,6 +63,38 @@ def test_the_import_scan_sees_every_import_form_at_any_scope():
     )
     assert _imported_modules(source) == {"core", "finite", "hyper", "cli", "decomposition",
                                          "grassmann"}
+
+
+def _imported_roots(source: str) -> set[str]:
+    """The top-level names of every module that ``source`` imports anywhere, absolute
+    imports only (``import a.b`` and ``from a.b import c`` both give ``a``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``: about
+    # 10 ms of every uncached ``import superalg.cli``
+    assert "dataclasses" not in _imported_roots(path.read_text(encoding="utf-8"))
+
+
+def test_the_root_scan_sees_every_absolute_import_at_any_scope():
+    source = (
+        "import os.path, json\n"
+        "from dataclasses import dataclass\n"
+        "from . import core\n"
+        "def f():\n"
+        "    import argparse as ap\n"
+        "    class C:\n"
+        "        from collections.abc import Iterable\n"
+    )
+    assert _imported_roots(source) == {"os", "json", "dataclasses", "argparse", "collections"}
 
 
 def _called_names(source: str) -> set[str]:

@@ -4,17 +4,15 @@ defines, and a submodule is imported only when one of its names is first used.""
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from importlib import import_module
-from pathlib import Path
 
 import pytest
 
 import superalg
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
 
 # the names ``superalg/__init__.py`` imported eagerly before the namespace
 # became lazy, by the submodule that defines each
@@ -77,14 +75,22 @@ def test_star_import_binds_every_exported_name():
         assert namespace[name] is getattr(import_module(f"superalg.{module}"), name)
 
 
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``, the package on its path."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``statement``."""
+    done = _fresh("-c", f"import json, sys\n{statement}\nprint(json.dumps(list(sys.modules)))")
+    done.check_returncode()
+    return set(json.loads(done.stdout))
+
+
 def _loaded_after(statement: str) -> list[str]:
     """The ``superalg`` submodules a fresh interpreter holds after ``statement``."""
-    code = (f"import json, sys\n{statement}\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('superalg.'))))")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
-    return json.loads(done.stdout)
+    return sorted(m for m in _modules_after(statement) if m.startswith("superalg."))
 
 
 def test_package_import_loads_no_submodule():
@@ -97,3 +103,29 @@ def test_point_layer_loads_only_its_own_modules(statement):
     assert _loaded_after(statement) == [
         "superalg.core", "superalg.grassmann", "superalg.linalg", "superalg.table",
     ]
+
+
+def test_cli_import_loads_no_point_layer_argparse_or_dataclasses():
+    # the Hopf-side suites run without them; ``dataclasses`` would bring ``inspect``
+    deferred = {"superalg.grassmann", "superalg.decomposition", "dataclasses", "inspect",
+                "argparse"}
+    assert not _modules_after("import superalg.cli") & deferred
+
+
+def test_cli_names_the_point_layer_classes():
+    from superalg import cli, grassmann
+
+    assert cli.SuperMatrix is grassmann.SuperMatrix
+    assert cli.PointSampler is grassmann.PointSampler
+    with pytest.raises(AttributeError, match="no attribute 'SuperMatrx'"):
+        cli.SuperMatrx
+
+
+@pytest.mark.parametrize("command, suite", [(["verify", "gl"], "verify-gl"),
+                                            (["decompose"], "decompose")])
+def test_point_suites_run_in_a_fresh_interpreter(command, suite):
+    # ``cli`` starts without the point layer and imports it when the suite runs
+    done = _fresh("-m", "superalg", *command, "--m", "1", "--n", "1", "--thetas", "3",
+                  "--points", "6", "--seed", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"suite {suite}: PASS\n")

@@ -1,6 +1,5 @@
 import functools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -14,7 +13,7 @@ from superalg.hopf import exterior_hopf, glmn_presentation
 from superalg.hyper import truncated_dual
 from superalg.liealg import StructureError
 
-from conftest import brute_force_bad_triples
+from conftest import brute_force_bad_triples, replace
 
 # k[x]/(x^3) on 1, x, x^2: e_i e_j = e_{i+j}, zero past degree 2
 
