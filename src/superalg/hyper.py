@@ -6,8 +6,10 @@ normal monomials of total degree < n as a basis (every generator lies in A+
 and has degree 1, so the total degree of a monomial is its word length), and
 the dual carries the convolution product (truncated back to the basis) and
 the coproduct dual to multiplication.  Products of functionals whose
-degrees sum below the order are exact; the chain of truncations represents
-the union.
+degrees sum below the order are exact: the true products of
+Dist(G) = union of the (A/(A+)^n)*, as degrees add in Dist(G).  Associativity
+is checked on that range only (``check_associative_unital``), and
+``exact_only`` builds only those cells.
 
 The product table is built in basis-index space: Delta(m) of each basis
 monomial comes from the coproduct of an earlier one and of one generator,
@@ -47,7 +49,7 @@ class TruncatedDual:
 
     def __init__(self, order: int, basis: list[SuperMonomial], labels: list[str],
                  parity: list[int], degree: list[int], product: dict[tuple[int, int], Vec],
-                 coproduct: dict[int, Vec2]) -> None:
+                 coproduct: dict[int, Vec2], exact_only: bool = False) -> None:
         self.order = order
         self.basis = basis
         self.labels = labels
@@ -55,30 +57,34 @@ class TruncatedDual:
         self.degree = degree
         self.product = product
         self.coproduct = coproduct
+        self.exact_only = exact_only
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def check_associative_unital(self) -> None:
-        """Unit scan, and associativity certified from the degree-1 duals by the
-        lemma of ``superalg.table`` (every triple is compared where it does
-        not apply).
+        """Unit scan, then associativity on the exact range
+        deg i + deg j + deg k < n, certified from the degree-1 duals by the
+        graded lemma of ``superalg.table`` (the triples of the range are
+        compared where it does not apply, and the first failing one is the
+        witness).
 
-        It tests every triple of the truncated table.  That is sound when each
-        Delta(g) has slots of degree <= 1, so that the monomials of degree < n
-        span a subcoalgebra and the truncation is an algebra map; every ``hy``
-        target is such.  Otherwise a cell with deg i + deg j >= n can make a
-        triple of an associative presentation fail; the check on the exact
-        range deg i + deg j + deg k < n is ROADMAP direction 10."""
+        On that range every product is the true product of Dist(G), so an
+        associative presentation passes whatever its Delta.  A cell with
+        deg i + deg j >= n is a truncated product: when some Delta(g) has a
+        slot of degree >= 2 the truncation is no algebra map, and such a cell
+        can break a triple of an associative presentation, so no triple
+        reads one.  At n <= 3 every triple of the range has a unit factor,
+        so only the unit law can fail."""
         dim, unit = self.dimension, {0: F1}
         bad = first_nonunital(self.product, dim, unit)
         if bad is not None:
             raise StructureError(f"unit law fails at {self.labels[bad]}")
         gens = [i for i, d in enumerate(self.degree) if d == 1]
-        if certify_associative(self.product, dim, unit, gens):
+        if certify_associative(self.product, dim, unit, gens, self.degree, self.order):
             return
-        triple = first_nonassociative(self.product, dim)
+        triple = first_nonassociative(self.product, dim, self.degree, self.order)
         if triple is not None:
             names = ", ".join(self.labels[t] for t in triple)
             raise StructureError(f"associativity fails at ({names})")
@@ -114,7 +120,10 @@ class TruncatedDual:
         acceptance criterion 6 and the tests on edited tables call it.  Each
         order drops the terms with a slot of degree >= order, which never come
         back since degrees only add, so order k is order k + 1 below degree k.
+        An ``exact_only`` dual on either side is refused.
         """
+        if self.exact_only or larger.exact_only:
+            raise ValueError("embeds_in compares full tables, not an exact_only dual")
         dim = self.dimension
         if larger.order < self.order or larger.basis[:dim] != self.basis:
             return False
@@ -135,8 +144,14 @@ class TruncatedDual:
 Vec2 = dict[tuple[int, int], Fraction | int]
 
 
-def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
-    """Build (A/(A+)^n)* on the dual monomial basis of degree < n."""
+def truncated_dual(pres: HopfPresentation, order: int, *, exact_only: bool = False) -> TruncatedDual:
+    """Build (A/(A+)^n)* on the dual monomial basis of degree < n.
+
+    With ``exact_only`` the product table holds only the exact cells, those
+    with deg i + deg j < n: all that ``check_associative_unital`` and
+    ``primitives`` read.  ``embeds_in`` and ``export_structure``, which need
+    the full table, refuse such a dual.
+    """
     if order <= 0:
         raise ValueError("order must be positive")
     gens = pres.gens
@@ -199,7 +214,9 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
     # table as column t, in increasing t as a transpose would, and kept only
     # while it can be a split head (deg t <= order - 2: the prefix below
     # ``heads``).  Non-whole presentations store each whole coefficient as an
-    # ``int``, so a cell's type does not depend on the split.
+    # ``int``, so a cell's type does not depend on the split.  ``exact_only``
+    # drops the finished terms with deg a + deg b >= order: a term of a head
+    # only feeds terms of a larger degree sum.
     whole = not any(isinstance(c, Fraction) for terms in gen_terms.values() for *_, c in terms)
     heads = bisect_right(degree, order - 2)
     deltas: list[Vec2] = [{(0, 0): 1}]
@@ -228,6 +245,8 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
                     del out[key]
         if not whole:
             out = whole_as_int(out)
+        if exact_only:
+            out = {key: c for key, c in out.items() if degree[key[0]] + degree[key[1]] < order}
         if t < heads:
             deltas.append(out)
         for key, c in out.items():
@@ -239,7 +258,7 @@ def truncated_dual(pres: HopfPresentation, order: int) -> TruncatedDual:
 
     return TruncatedDual(
         order=order, basis=basis, labels=labels, parity=parity,
-        degree=degree, product=table, coproduct=coproduct,
+        degree=degree, product=table, coproduct=coproduct, exact_only=exact_only,
     )
 
 
@@ -285,6 +304,8 @@ def vec_json(vec: Vec) -> list:
 
 def export_structure(dual: TruncatedDual) -> dict:
     """JSON-ready structure constants (basis labels, parity, tables)."""
+    if dual.exact_only:
+        raise ValueError("export_structure needs the full table, not an exact_only dual")
     return {
         "order": dual.order,
         "labels": dual.labels,

@@ -28,6 +28,20 @@ parity so that the Koszul-signed tensor square is associative.  The dense
 scan ``first_nonassociative`` stays as the fallback, the witness finder and
 the test oracle.
 
+*Graded form.*  Let each index carry a degree, 1 of degree 0, and let every
+cell (i, j) with deg i + deg j < n lie in degrees <= deg i + deg j.  Let the
+closure admit a new index m from g e_b only when deg g + deg b < n and
+deg m = deg g + deg b.  If (g e_b) e_k = g (e_b e_k) for every g in G and
+all b, k with deg g + deg b + deg k < n, every triple with
+deg i + deg j + deg k < n is associative.  *Proof.*  Let T_d be the set of x
+of degree <= d with (xy)z = x(yz) whenever d + deg y + deg z < n: a subspace
+holding 1 for d = 0, with T_d inside T_d' for d <= d'.  For x in T_d the
+four steps above pass through generator triples and one triple of x, all in
+range, so gx is in T_{deg g + d}; each e_m the closure reaches is
+(g e_b - reached terms of degree <= deg m) / c, so by induction e_m is in
+T_{deg m}.  The truncated hyperalgebra needs this form: there only the
+products of degree sum < n are true products (``hyper``).
+
 Two more corollaries decide the rest of a Hopf table's multiplicative axioms
 from G (``finite.check_finite_hopf_axioms``).  *Coassociativity.*  Let Delta
 be multiplicative and even: each term e_a (x) e_b of Delta(e_i) has
@@ -139,34 +153,47 @@ def first_nonunital(table: Table, dim: int, unit: Vec) -> int | None:
     return None
 
 
-def first_nonassociative(table: Table, dim: int) -> tuple[int, int, int] | None:
-    """The first (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k)."""
-    return next(_failing_triples(table, range(dim), dim), None)
+def first_nonassociative(table: Table, dim: int, degree: list[int] | None = None,
+                         bound: int | None = None) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k);
+    given ``degree`` and ``bound``, among the triples with
+    degree[i] + degree[j] + degree[k] < bound only."""
+    return next(_failing_triples(table, range(dim), dim, degree, bound), None)
 
 
-def _failing_triples(table: Table, lefts: Iterable[int], dim: int):
+def _failing_triples(table: Table, lefts: Iterable[int], dim: int,
+                     degree: list[int] | None = None, bound: int | None = None):
     """The triples (i, j, k) with i in ``lefts`` and (e_i e_j) e_k != e_i (e_j e_k),
-    in lexicographic order.  Both sides are empty unless k lies in the row
-    support of j or of some t in supp(e_i e_j), so k runs over that union only."""
+    in lexicographic order, within the degree range of ``first_nonassociative``.
+    Both sides are empty unless k lies in the row support of j or of some t in
+    supp(e_i e_j), so k runs over that union only."""
     rows: dict[int, set[int]] = {}
     for t, k in table:
         rows.setdefault(t, set()).add(k)
     get = table.get
     for i in lefts:
-        for j in range(dim):
+        js = range(dim) if bound is None else [j for j in range(dim) if degree[i] + degree[j] < bound]
+        for j in js:
             ij = get((i, j), _EMPTY)
-            for k in sorted(set().union(rows.get(j, ()), *(rows.get(t, ()) for t in ij))):
+            ks = set().union(rows.get(j, ()), *(rows.get(t, ()) for t in ij))
+            if bound is not None:
+                room = bound - degree[i] - degree[j]
+                ks = [k for k in ks if degree[k] < room]
+            for k in sorted(ks):
                 if times_basis(table, ij, k) != basis_times(table, i, get((j, k), _EMPTY)):
                     yield i, j, k
 
 
-def certify_associative(table: Table, dim: int, unit: Vec, gens: list[int]) -> bool:
-    """True when the lemma above proves ``table`` associative from ``gens``.
+def certify_associative(table: Table, dim: int, unit: Vec, gens: list[int],
+                        degree: list[int] | None = None, bound: int | None = None) -> bool:
+    """True when the lemma above proves ``table`` associative from ``gens``;
+    given ``degree`` and ``bound``, the graded lemma proves it on the triples
+    with degree[i] + degree[j] + degree[k] < bound.
 
     False says only that the certificate does not apply (``unit`` is not one
-    basis index with coefficient 1, the left unit law fails, or the closure
-    of 1 under ``gens`` misses an index) or that a generator triple fails:
-    the dense scan then decides.
+    basis index with coefficient 1, the left unit law fails, a cell of the
+    range raises degree, or the closure of 1 under ``gens`` misses an index)
+    or that a generator triple fails: the dense scan then decides.
     """
     if len(unit) != 1:
         return False
@@ -176,11 +203,17 @@ def certify_associative(table: Table, dim: int, unit: Vec, gens: list[int]) -> b
     get = table.get
     if any(get((one, y)) != {y: 1} for y in range(dim)):
         return False
+    if bound is not None and any(degree[k] > degree[i] + degree[j] for (i, j), cell in table.items()
+                                 if degree[i] + degree[j] < bound for k in cell):
+        return False
     # triangular closure: e_x is reached when some g e_b, with b reached, has
-    # x as its only unreached index
+    # x as its only unreached index (of degree deg g + deg b, given a bound)
+    def spread(m):
+        return [(h, m) for h in gens if bound is None or degree[h] + degree[m] < bound]
+
     reached = [False] * dim
     reached[one] = True
-    stuck = [(g, one) for g in gens]
+    stuck = spread(one)
     progress = True
     while progress:
         progress = False
@@ -188,11 +221,11 @@ def certify_associative(table: Table, dim: int, unit: Vec, gens: list[int]) -> b
         while queue:
             g, b = queue.pop()
             new = [k for k in get((g, b), _EMPTY) if not reached[k]]
-            if len(new) > 1:
+            if len(new) > 1 or new and bound is not None and degree[new[0]] != degree[g] + degree[b]:
                 stuck.append((g, b))
             elif new:
                 reached[new[0]] = progress = True
-                queue.extend((h, new[0]) for h in gens)
+                queue.extend(spread(new[0]))
     if not all(reached):
         return False
-    return next(_failing_triples(table, gens, dim), None) is None
+    return next(_failing_triples(table, gens, dim, degree, bound), None) is None

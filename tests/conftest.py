@@ -657,6 +657,15 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def associativity_outcome(dual):
+    """The witness ``check_associative_unital`` raises on ``dual``, else None."""
+    try:
+        dual.check_associative_unital()
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
 def replace(obj, **changes):
     """A shallow copy of ``obj`` with the attributes in ``changes`` set."""
     out = copy.copy(obj)

@@ -545,6 +545,10 @@ GOLDEN = {
     "verify bosonize --dim 4": "1247e66f2fd607eb78c91c53d583344aa9b6a0325061c73c7865bc7c705890b1",
     "verify exterior --dim 7 --max-dual 7":
         "cc0f984660cb09b0a45383e06a6d3f266b1f394e6f9e201cb63b21e13a06919e",
+    # taken before associativity was checked on the exact range only and the
+    # order-n dual held only its exact cells (order 6 took about 13 s then)
+    "hy --target gl21 --order 5": "5b55a1d8d9068f8321fc857251b7af6eae7c840ca71c4a1953d7f6b81dc40894",
+    "hy --target gl21 --order 6": "0091e62fdd56e7574e4a9aea2c458f4449846ab51e9bd62410533f53e61309c6",
 }
 
 

@@ -23,12 +23,13 @@ from superalg import (
 )
 from superalg.core import mul_monomials
 from superalg.hopf import _monomials_up_to
+from superalg.hyper import export_structure
 from superalg.liealg import StructureError
 from superalg.presfile import builtin_presentation_path, load_presentation, parse_presentation
 
 from conftest import (
-    check_lie_even, coefficients, delta_of, is_one, nullspace_primitives, oracle_mul_monomials,
-    replace, super_pbw_count, support_of,
+    associativity_outcome, check_lie_even, coefficients, delta_of, is_one, nullspace_primitives,
+    oracle_mul_monomials, replace, super_pbw_count, support_of,
 )
 
 GA11 = additive_presentation(1, 1)
@@ -143,27 +144,50 @@ def test_product_tables_associative_unital(pres):
     truncated_dual(pres, 4).check_associative_unital()
 
 
-@pytest.mark.xfail(strict=True, raises=StructureError, reason=(
-    "the scan tests every cell of the truncated table, and a cell with "
-    "deg i + deg j >= n is a truncated product (ROADMAP direction 10)"))
-@pytest.mark.parametrize("order", range(3, 7))
-def test_coboundary_dual_is_associative(order):
-    # raises "associativity fails at (D[b], D[a^2], D[a])" at order 3
-    truncated_dual(COBOUNDARY, order).check_associative_unital()
+@pytest.mark.parametrize("exact_only", [False, True])
+@pytest.mark.parametrize("order", range(2, 8))
+def test_coboundary_dual_is_associative(order, exact_only):
+    # the full table's cell (D[b], D[a^2]) at order 3 is a truncated product,
+    # and the triple (D[b], D[a^2], D[a]) that reads it lies past the range
+    truncated_dual(COBOUNDARY, order, exact_only=exact_only).check_associative_unital()
 
 
 @pytest.mark.parametrize("key, cell, message", [
-    # D[p11] D[y11] = D[p11] + D[y11*p11], with the first constant tripled
+    # D[p11] D[y11] = D[p11] + D[y11*p11], with the first constant tripled; at
+    # order 3 every triple of the range has a unit factor, so the cell lies
+    # outside every checked triple there, and order 4 is the first to read it
     ((1, 3), {1: Fraction(3), 6: Fraction(1)}, "associativity fails at (D[p11], D[q11], D[p11])"),
     ((0, 2), {2: Fraction(2)}, "unit law fails at D[q11]"),
     ((2, 0), {2: Fraction(-1)}, "unit law fails at D[q11]"),
 ])
 def test_corrupted_product_raises_with_first_triple(key, cell, message):
+    for exact_only in (False, True):
+        dual = truncated_dual(GL11, 4, exact_only=exact_only)
+        assert dual.labels[6] == "D[y11*p11]"
+        dual.product[key] = cell
+        with pytest.raises(StructureError) as info:
+            dual.check_associative_unital()
+        assert str(info.value) == message
+
+
+def test_order_3_checks_only_the_unit_law():
+    # the corruption above breaks no triple of the order-3 range
     dual = truncated_dual(GL11, 3)
-    dual.product[key] = cell
-    with pytest.raises(StructureError) as info:
-        dual.check_associative_unital()
-    assert str(info.value) == message
+    dual.product[(1, 3)] = {1: Fraction(3), 6: Fraction(1)}
+    dual.check_associative_unital()
+
+
+def test_an_exact_only_dual_is_neither_compared_nor_exported():
+    full, exact = truncated_dual(GL11, 4), truncated_dual(GL11, 4, exact_only=True)
+    small = truncated_dual(GL11, 3)
+    assert small.embeds_in(full)
+    with pytest.raises(ValueError, match="exact_only"):
+        small.embeds_in(exact)
+    with pytest.raises(ValueError, match="exact_only"):
+        exact.embeds_in(truncated_dual(GL11, 5))
+    export_structure(full)
+    with pytest.raises(ValueError, match="exact_only"):
+        export_structure(exact)
 
 
 @pytest.mark.parametrize("pres", [GA11, GL11])
@@ -305,6 +329,27 @@ def shifted_presentations(draw):
 @given(shifted_presentations(), st.integers(1, 4))
 def test_random_presentation_tables_match_all_pairs_oracle(pres, order):
     assert_tables_match_oracle(pres, order)
+
+
+def exact_cells(dual):
+    order, degree = dual.order, dual.degree
+    return {(i, j): cell for (i, j), cell in dual.product.items() if degree[i] + degree[j] < order}
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_presentations(), st.integers(1, 5))
+def test_exact_only_build_is_the_full_build_on_the_exact_range(pres, order):
+    full = truncated_dual(pres, order)
+    exact = truncated_dual(pres, order, exact_only=True)
+    assert exact.basis == full.basis
+    assert exact.coproduct == full.coproduct
+    assert exact.product == exact_cells(full)
+    assert associativity_outcome(exact) == associativity_outcome(full)
+
+
+@pytest.mark.parametrize("pres, order", [(GL11, 6), (glmn_presentation(2, 1), 5), (COBOUNDARY, 7)])
+def test_exact_only_build_of_a_target_is_the_full_build_on_the_exact_range(pres, order):
+    assert truncated_dual(pres, order, exact_only=True).product == exact_cells(truncated_dual(pres, order))
 
 
 def test_truncated_dual_expands_no_monomial_coproduct(monkeypatch):

@@ -11,9 +11,8 @@ from superalg.core import F1
 from superalg.finite import FiniteDimHopf, check_finite_hopf_axioms, dual_hopf, finite_from_presentation
 from superalg.hopf import exterior_hopf, glmn_presentation
 from superalg.hyper import truncated_dual
-from superalg.liealg import StructureError
 
-from conftest import brute_force_bad_triples, replace
+from conftest import associativity_outcome, brute_force_bad_triples, replace
 
 # k[x]/(x^3) on 1, x, x^2: e_i e_j = e_{i+j}, zero past degree 2
 
@@ -151,7 +150,7 @@ def corrupted(case, kind, rng):
     tab = {key: dict(cell) for key, cell in case["tab"].items() if cell}
     dim = case["dim"]
     if kind == "extra term":
-        key = rng.choice([(i, j) for i in range(dim) for j in range(dim)])
+        key = rng.choice(case.get("pairs") or [(i, j) for i in range(dim) for j in range(dim)])
         cell = tab.setdefault(key, {})
         k = rng.randrange(dim)
         cell[k] = cell.get(k, 0) + rng.choice([1, -1, Fraction(1, 2)])
@@ -186,14 +185,6 @@ def assert_certified_report_is_dense(hopf, monkeypatch):
     with monkeypatch.context() as patch:
         dense_path(finite, patch)
         assert check_finite_hopf_axioms(hopf).checks == certified
-
-
-def associativity_outcome(dual):
-    try:
-        dual.check_associative_unital()
-    except StructureError as exc:
-        return str(exc)
-    return None
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -297,6 +288,113 @@ def test_closure_returns_to_a_cell_once_its_other_terms_are_reached():
     assert table.first_nonassociative(tab, 4) is None
     assert table.certify_associative(tab, 4, {0: 1}, [3, 1])
     assert not table.certify_associative(tab, 4, {0: 1}, [1])
+
+
+# --- the graded certificate on the exact range of the truncated hyperalgebra
+
+
+@functools.cache
+def exact_case(name):
+    pres, order = {"hy gl(1|1) order 5": (glmn_presentation(1, 1), 5),
+                   "hy gl(2|1) order 4": (glmn_presentation(2, 1), 4)}[name]
+    dual = truncated_dual(pres, order, exact_only=True)
+    return {**dual_case(dual), "degree": dual.degree, "bound": order,
+            "pairs": [(i, j) for i in range(dual.dimension) for j in range(dual.dimension)
+                      if dual.degree[i] + dual.degree[j] < order]}
+
+
+EXACT_CASES = ["hy gl(1|1) order 5", "hy gl(2|1) order 4"]
+
+
+def range_args(case):
+    return {k: case[k] for k in ("dim", "unit", "gens", "degree", "bound")}
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_exact_range_is_certified(name):
+    case = exact_case(name)
+    assert table.certify_associative(case["tab"], **range_args(case))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_bounded_scan_lists_every_failing_triple_of_the_range(name, kind):
+    case = exact_case(name)
+    dim, degree, bound, gens = case["dim"], case["degree"], case["bound"], case["gens"]
+    for seed in range(3):
+        tab = corrupted(case, kind, random.Random(f"range/{name}/{kind}/{seed}"))
+        bad = brute_force_bad_triples(tab, dim, degree, bound - 1)
+        assert list(table._failing_triples(tab, range(dim), dim, degree, bound)) == bad
+        assert list(table._failing_triples(tab, gens, dim, degree, bound)) == [
+            t for t in bad if t[0] in gens]
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_graded_certificate_is_sound_on_corrupted_exact_cells(name, monkeypatch):
+    # whenever the certificate holds, the dense scan of the range finds nothing;
+    # corruptions that keep the unit law are all caught, and the report's
+    # witness is the dense scan's
+    case = exact_case(name)
+    dim, degree, bound = case["dim"], case["degree"], case["bound"]
+    caught = 0
+    for seed in range(60):
+        tab = corrupted(case, KINDS[seed % 3], random.Random(f"exact/{name}/{seed}"))
+        if table.first_nonunital(tab, dim, case["unit"]) is not None:
+            continue
+        first = table.first_nonassociative(tab, dim, degree, bound)
+        if table.certify_associative(tab, **range_args(case)):
+            assert first is None
+        else:
+            caught += first is not None
+        mutant = replace(case["dual"], product=tab)
+        witness = associativity_outcome(mutant)
+        with monkeypatch.context() as patch:
+            dense_path(hyper, patch)
+            assert associativity_outcome(mutant) == witness
+    assert caught >= 30
+
+
+def test_closure_refuses_an_index_of_the_wrong_degree():
+    # k[x]/(x^3) with x^2 labelled degree 1: x x has x^2 as its only new index,
+    # of degree 1 where 2 is due, so the closure under G = {x} stays stuck and
+    # the dense scan of the range decides
+    tab = truncated_polynomials()
+    assert table.certify_associative(tab, 3, {0: F1}, [1])
+    assert table.certify_associative(tab, 3, {0: F1}, [1], [0, 1, 2], 3)
+    assert not table.certify_associative(tab, 3, {0: F1}, [1], [0, 1, 1], 3)
+    assert table.first_nonassociative(tab, 3, [0, 1, 1], 3) is None
+
+
+def test_a_cell_that_raises_degree_is_no_certificate():
+    # k[x, y]/(x, y)^4 on its monomials, with x^2 replaced by X = x^2 + y^3,
+    # still of degree 2: associative, and the closure under G = {x, y} reaches
+    # every index, but x x = X - y^3 leaves degree 2
+    monos = [(a, d - a) for d in range(4) for a in range(d, -1, -1)]
+    index = {m: i for i, m in enumerate(monos)}
+    degree = [sum(m) for m in monos]
+    big_x, y3 = index[(2, 0)], index[(0, 3)]
+    vecs = [{m: 1} for m in monos]
+    vecs[big_x] = {(2, 0): 1, (0, 3): 1}
+
+    def coords(m):
+        if m not in index:
+            return {}
+        return {big_x: 1, y3: -1} if m == (2, 0) else {index[m]: 1}
+
+    tab = {}
+    for i, u in enumerate(vecs):
+        for j, v in enumerate(vecs):
+            cell = {}
+            for p, a in u.items():
+                for q, b in v.items():
+                    table.add_into(cell, coords((p[0] + q[0], p[1] + q[1])), a * b)
+            if cell:
+                tab[(i, j)] = cell
+    dim, x, y = len(monos), index[(1, 0)], index[(0, 1)]
+    assert tab[(x, x)] == {big_x: 1, y3: -1}
+    assert table.first_nonassociative(tab, dim) is None
+    assert table.certify_associative(tab, dim, {0: F1}, [x, y])
+    assert not table.certify_associative(tab, dim, {0: F1}, [x, y], degree, 4)
 
 
 # --- the generating set and the certificates of ``check_finite_hopf_axioms``
