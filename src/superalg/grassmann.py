@@ -9,19 +9,21 @@ is a sum of products of lower-degree parts; it is exact because every part
 is homogeneous and the degrees of blades only add in a product
 (``grassmann_matrix_inv``).
 
-A point is held in one form, the integer kernel's.  A blade
-t_{i1}...t_{ir} (0-based i1 < ... < ir) is the int bitmask with bits i1..ir
-set, an entry is a dict from bitmask to int numerator, and one positive
-denominator is shared by the whole matrix and reduced by a gcd after each
-product, so equal points have equal integer forms.  The bitmask is the
-``odds`` field of ``SuperMonomial`` itself, so entries cross to and from
-``SuperPoly`` without re-encoding.  They cross only at the API edge: the
-constructor reads ``SuperPoly`` rows, and ``rows``, the blocks,
-``map_entries`` and ``decomposition_coords`` are read-only views; products,
-inverses, equality and ``to_json`` stay on the integers.  Two blades with a
-common bit multiply to zero; otherwise m1 * m2 = (-1)^popcount(m2 &
-cross(m1)) * (m1 | m2), the sign rule of ``core.cross``.  Nothing is sized
-by 2^k.
+A point is held in one form, the integer kernel's, and nothing writes to it
+after construction.  A blade t_{i1}...t_{ir} (0-based i1 < ... < ir) is the
+int bitmask with bits i1..ir set, an entry is a dict from bitmask to int
+numerator, and one positive denominator is shared by the whole matrix and
+reduced by a gcd after each product, so equal points have equal integer
+forms.  The bitmask is ``SuperMonomial.odds``, so entries cross to and from
+``SuperPoly`` without re-encoding, and only at the API edge: the constructor,
+``rows``, the blocks, ``map_entries`` and ``decomposition_coords``.  Two
+blades with a common bit multiply to zero; otherwise m1 * m2 =
+(-1)^popcount(m2 & cross(m1)) * (m1 | m2), the sign rule of ``core.cross``.
+Nothing is sized by 2^k.  Being immutable, a point keeps its body inverses
+and its coordinates (X, P, Q, Y, X^-1 P, Y^-1 Q) once computed, and
+``is_gl_point``, ``inv``, ``antipode_blocks`` and ``decomposition_coords``
+share them; the uncached ``grassmann_matrix_inv`` and the group law
+g g^-1 = 1 stay the oracles for those shared inverses.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import partialmethod
 from math import gcd, lcm
 
 from . import linalg
@@ -256,7 +259,7 @@ def _join(x: IntMatrix, p: IntMatrix, q: IntMatrix, y: IntMatrix) -> IntMatrix:
     return _reduced([a + b for a, b in zip(x, p)] + [a + b for a, b in zip(q, y)], den)
 
 
-def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
+def grassmann_matrix_inv(a: IntMatrix, body_inv=None) -> IntMatrix:
     """Inverse of a square integer-form matrix with invertible body B.
 
     With soul S and N = B^-1 S, the inverse X = (1 + N)^-1 B^-1 solves
@@ -270,11 +273,12 @@ def grassmann_matrix_inv(a: IntMatrix) -> IntMatrix:
     ``linalg.invert``, its denominators cleared to bden; -N has denominator
     nden.  X_d is held over bden * nden^d, so -N_e enters scaled by
     nden^(e-1); the parts are summed over the last one's denominator and
-    gcd-reduced once.
+    gcd-reduced once.  A caller that knows B^-1 passes it as ``body_inv``.
     """
     rows, den = a
     size = len(rows)
-    body_inv = linalg.invert(_body(a))
+    if body_inv is None:
+        body_inv = linalg.invert(_body(a))
     if body_inv is None:
         raise NotAPoint("matrix body is singular")
     bden, cleared_inv = cleared(body_inv)
@@ -329,7 +333,7 @@ def _check_blocks(blocks) -> None:
 class SuperMatrix:
     """(m|n)-patterned block matrix over a Grassmann algebra, held as ``ints``."""
 
-    __slots__ = ("m", "n", "alg", "ints")
+    __slots__ = ("m", "n", "alg", "ints", "_body_invs", "_coord_blocks")
 
     def __init__(self, m: int, n: int, alg: GrassmannAlgebra, rows):
         size = m + n
@@ -337,12 +341,14 @@ class SuperMatrix:
             raise ValueError("matrix has the wrong shape")
         self.m, self.n, self.alg = m, n, alg
         self.ints = _to_ints(rows, alg.gens)
+        self._body_invs = self._coord_blocks = None
 
     @classmethod
     def _of(cls, m: int, n: int, alg: GrassmannAlgebra, ints: IntMatrix) -> SuperMatrix:
         """The matrix whose gcd-reduced integer form is ``ints``."""
         point = cls.__new__(cls)
         point.m, point.n, point.alg, point.ints = m, n, alg, ints
+        point._body_invs = point._coord_blocks = None
         return point
 
     @classmethod
@@ -363,17 +369,13 @@ class SuperMatrix:
     def rows(self) -> list[list[SuperPoly]]:
         return _from_ints(self.ints, self.alg.gens)
 
-    def block_x(self):
-        return _from_ints(_split(self.ints, self.m)[0], self.alg.gens)
+    def _block(self, index: int) -> list[list[SuperPoly]]:
+        return _from_ints(_split(self.ints, self.m)[index], self.alg.gens)
 
-    def block_p(self):
-        return _from_ints(_split(self.ints, self.m)[1], self.alg.gens)
-
-    def block_q(self):
-        return _from_ints(_split(self.ints, self.m)[2], self.alg.gens)
-
-    def block_y(self):
-        return _from_ints(_split(self.ints, self.m)[3], self.alg.gens)
+    block_x = partialmethod(_block, 0)
+    block_p = partialmethod(_block, 1)
+    block_q = partialmethod(_block, 2)
+    block_y = partialmethod(_block, 3)
 
     def __mul__(self, other: SuperMatrix) -> SuperMatrix:
         if (self.m, self.n) != (other.m, other.n) or self.alg != other.alg:
@@ -405,18 +407,33 @@ class SuperMatrix:
             for mask in terms
         )
 
+    def _body_inverses(self) -> tuple[dict, dict]:
+        """The inverses of the X and Y bodies, as ``linalg.invert`` returns them,
+        computed once; raise ``NotAPoint`` unless this is a GL(m|n) point."""
+        if not self.parity_pattern_ok():
+            raise NotAPoint("not a GL(m|n) point")
+        if self._body_invs is None:
+            x, _, _, y = _split(self.ints, self.m)
+            self._body_invs = linalg.invert(_body(x)), linalg.invert(_body(y))
+        if None in self._body_invs:
+            raise NotAPoint("matrix body is singular")
+        return self._body_invs
+
     def is_gl_point(self) -> bool:
         """Parity pattern holds and both diagonal body blocks are invertible."""
-        if not self.parity_pattern_ok():
+        try:
+            self._body_inverses()
+        except NotAPoint:
             return False
-        x, _, _, y = _split(self.ints, self.m)
-        return linalg.invert(_body(x)) is not None and linalg.invert(_body(y)) is not None
+        return True
 
     def inv(self) -> SuperMatrix:
         """Exact two-sided inverse (body inversion, then one soul degree at a time)."""
-        if not self.parity_pattern_ok():
-            raise NotAPoint("not a GL(m|n) point")
-        return self._of(self.m, self.n, self.alg, grassmann_matrix_inv(self.ints))
+        bx, by = self._body_inverses()
+        m = self.m
+        # P and Q have no body, so the body inverse is diag(B_X^-1, B_Y^-1)
+        body_inv = {**bx, **{m + i: {m + j: c for j, c in row.items()} for i, row in by.items()}}
+        return self._of(m, self.n, self.alg, grassmann_matrix_inv(self.ints, body_inv))
 
     def antipode_blocks(self) -> SuperMatrix:
         """Matrix assembled from the closed-form antipode blocks.
@@ -424,13 +441,15 @@ class SuperMatrix:
         With p' = X^-1 P and q' = Y^-1 Q (``decomposition_coords``):
         S(X) = (X - P q')^-1,   S(Y) = (Y - Q p')^-1,
         S(P) = -p' S(Y),        S(Q) = -q' S(X).
-        Must equal ``inv()`` exactly.
+        Must equal ``inv()`` exactly.  P q' and Q p' are products of odd
+        entries, so X - P q' and Y - Q p' have the bodies of X and Y.
         """
         m, n = self.m, self.n
         x, p, q, y, pprime, qprime = self._coords()
+        bx, by = self._body_invs  # set by _coords
         mul, inv = _poly_mat_mul, grassmann_matrix_inv
-        s_x = inv(_int_add(x, _int_neg(mul(p, qprime, m))))
-        s_y = inv(_int_add(y, _int_neg(mul(q, pprime, n))))
+        s_x = inv(_int_add(x, _int_neg(mul(p, qprime, m))), bx)
+        s_y = inv(_int_add(y, _int_neg(mul(q, pprime, n))), by)
         s_p, s_q = _int_neg(mul(pprime, s_y, n)), _int_neg(mul(qprime, s_x, m))
         return self._of(m, n, self.alg, _join(s_x, s_p, s_q, s_y))
 
@@ -447,13 +466,14 @@ class SuperMatrix:
         return None
 
     def _coords(self) -> tuple[IntMatrix, ...]:
-        """The blocks (X, P, Q, Y) and the odd coordinates p' = X^-1 P, q' = Y^-1 Q."""
-        if not self.parity_pattern_ok():
-            raise NotAPoint("not a GL(m|n) point")
-        x, p, q, y = _split(self.ints, self.m)
-        pprime = _poly_mat_mul(grassmann_matrix_inv(x), p, self.n)
-        qprime = _poly_mat_mul(grassmann_matrix_inv(y), q, self.m)
-        return x, p, q, y, pprime, qprime
+        """The blocks (X, P, Q, Y) and odd coordinates p' = X^-1 P, q' = Y^-1 Q, kept."""
+        if self._coord_blocks is None:
+            bx, by = self._body_inverses()
+            x, p, q, y = _split(self.ints, self.m)
+            pprime = _poly_mat_mul(grassmann_matrix_inv(x, bx), p, self.n)
+            qprime = _poly_mat_mul(grassmann_matrix_inv(y, by), q, self.m)
+            self._coord_blocks = x, p, q, y, pprime, qprime
+        return self._coord_blocks
 
     def decomposition_coords(self):
         """Split a point into (X, Y, p', q') with p' = X^-1 P and q' = Y^-1 Q.

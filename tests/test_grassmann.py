@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -19,9 +21,10 @@ from superalg import (
     SuperMatrix,
     invert_element,
 )
+from superalg import grassmann, linalg
 from superalg.core import SuperMonomial, SuperPoly
 from superalg.grassmann import (
-    _int_add, _int_neg, _poly_mat_mul, _split, _to_ints, grassmann_matrix_inv,
+    _body, _int_add, _int_neg, _poly_mat_mul, _split, _to_ints, grassmann_matrix_inv,
 )
 
 ALG = GrassmannAlgebra(4)
@@ -117,22 +120,102 @@ def test_is_gl_point():
     t = ALG.theta
     nilpotent = t(1) * t(2)  # even, with zero body
     rank_one = [[ALG.one() + t(3) * t(4), ALG.one()], [ALG.one(), ALG.one()]]
+    parity, singular = "not a GL(m|n) point", "matrix body is singular"
     not_points = [
-        point_1_1(ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero()),  # bad parity
-        point_1_1(ALG.one(), ALG.one(), ALG.scalar(2), ALG.zero()),  # bad parity
-        point_1_1(ALG.one() + ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero()),  # mixed parity
-        point_1_1(ALG.zero(), ALG.one(), ALG.zero(), ALG.zero()),  # singular X body
-        point_1_1(nilpotent, ALG.one(), t(3), t(4)),  # singular X body
-        point_1_1(ALG.one(), nilpotent, t(3), t(4)),  # singular Y body
-        point_1_1(ALG.scalar(2), ALG.zero(), ALG.zero(), t(1)),  # singular Y body
-        SuperMatrix.from_blocks(rank_one, [[], []], [], [], ALG),  # singular X, n = 0
-        SuperMatrix.from_blocks([], [], [[], []], rank_one, ALG),  # singular Y, m = 0
+        (point_1_1(ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero()), parity),  # bad parity
+        (point_1_1(ALG.one(), ALG.one(), ALG.scalar(2), ALG.zero()), parity),  # bad parity
+        (point_1_1(ALG.one() + ALG.theta(1), ALG.one(), ALG.zero(), ALG.zero()), parity),  # mixed
+        (point_1_1(ALG.zero(), ALG.one(), ALG.zero(), ALG.zero()), singular),  # X body
+        (point_1_1(nilpotent, ALG.one(), t(3), t(4)), singular),  # X body
+        (point_1_1(ALG.one(), nilpotent, t(3), t(4)), singular),  # Y body
+        (point_1_1(ALG.scalar(2), ALG.zero(), ALG.zero(), t(1)), singular),  # Y body
+        (SuperMatrix.from_blocks(rank_one, [[], []], [], [], ALG), singular),  # X, n = 0
+        (SuperMatrix.from_blocks([], [], [[], []], rank_one, ALG), singular),  # Y, m = 0
     ]
-    for point in not_points:
+    # a point keeps its body inverses, None for a singular block: every later
+    # call must raise the same NotAPoint, never a TypeError
+    for point, reason in not_points:
         assert not point.is_gl_point()
-        for method in (point.inv, point.antipode_blocks, point.decomposition_coords):
-            with pytest.raises(NotAPoint):
+        for method in (point.inv, point.antipode_blocks, point.decomposition_coords) * 2:
+            with pytest.raises(NotAPoint, match=re.escape(reason)):
                 method()
+        assert not point.is_gl_point()
+
+
+def cold(point):
+    """A copy of ``point`` that has computed nothing yet."""
+    return SuperMatrix._of(point.m, point.n, point.alg, point.ints)
+
+
+POINT_CALLS = ("is_gl_point", "inv", "antipode_blocks", "decomposition_coords")
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_kept_values_agree_with_a_cold_copy_in_every_call_order(m, n):
+    # the uncached inverse is the oracle for inv() and antipode_blocks(); a cold
+    # copy's decomposition is the oracle for the warm one
+    sampler = PointSampler(m, n, 4 + (m + n) % 3, seed=300 + 10 * m + n)
+    for index in range(2):
+        point = sampler.sample(index)
+        inverse = SuperMatrix._of(m, n, sampler.alg, grassmann_matrix_inv(point.ints))
+        want = {"is_gl_point": True, "inv": inverse, "antipode_blocks": inverse,
+                "decomposition_coords": cold(point).decomposition_coords()}
+        for order in itertools.permutations(POINT_CALLS):
+            warm = cold(point)
+            for name in order:
+                assert getattr(warm, name)() == want[name], (index, order, name)
+            assert warm == point and hash(warm) == hash(point)
+
+
+def count_inversions(monkeypatch) -> dict[str, int]:
+    """Count the calls of ``linalg.invert`` and ``grassmann_matrix_inv`` from now on."""
+    counts = {"invert": 0, "grassmann_matrix_inv": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "invert", counting("invert", linalg.invert))
+    monkeypatch.setattr(grassmann, "grassmann_matrix_inv",
+                        counting("grassmann_matrix_inv", grassmann.grassmann_matrix_inv))
+    return counts
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 3), (3, 3)])
+def test_a_point_inverts_each_body_block_once(monkeypatch, m, n):
+    # one gl-points operation: two body inversions, and one Grassmann inverse
+    # each for the point, X, Y, X - P q' and Y - Q p'
+    sampler = PointSampler(m, n, 6, seed=m + 7 * n)
+    point = sampler.sample(0)
+    counts = count_inversions(monkeypatch)
+    assert point.is_gl_point()
+    inverse = point.inv()
+    assert point.antipode_blocks() == inverse
+    rebuilt = SuperMatrix.from_decomposition(*point.decomposition_coords(), sampler.alg)
+    ident = SuperMatrix.identity(m, n, sampler.alg)
+    assert point * inverse == ident and inverse * point == ident and rebuilt == point
+    assert counts == {"invert": 2, "grassmann_matrix_inv": 5}
+    assert point == cold(point) and hash(point) == hash(cold(point))
+
+
+def test_derived_points_start_with_nothing_kept():
+    sampler = PointSampler(2, 1, 5, seed=11)
+    point, other = sampler.sample(0), sampler.sample(1)
+    for warm in (point, other):
+        warm.antipode_blocks()
+    derived = [
+        point * other,
+        point.map_entries(lambda e: e),
+        sampler.sample_even(0),
+        SuperMatrix.from_decomposition(*point.decomposition_coords(), sampler.alg),
+        point.inv(),
+        point.antipode_blocks(),
+        SuperMatrix.from_json(point.to_json()),
+    ]
+    for fresh in derived:
+        assert fresh._body_invs is None and fresh._coord_blocks is None
 
 
 def test_entries_over_another_algebra_are_rejected():
@@ -511,6 +594,8 @@ def test_degree_recurrence_matches_series_on_generated_matrices(a):
     # souls of every degree and parity, in any entry: no parity pattern
     ints = _to_ints(a, HYP_ALG.gens)
     assert grassmann_matrix_inv(ints) == series_matrix_inv(ints)
+    # a given body inverse changes nothing; the uncached call stays the oracle
+    assert grassmann_matrix_inv(ints, linalg.invert(_body(ints))) == grassmann_matrix_inv(ints)
 
 
 @settings(max_examples=60, deadline=None)
