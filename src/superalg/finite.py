@@ -247,7 +247,6 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
         raise PresentationError("only purely odd presentations are finite-dimensional")
     gens = pres.gens
     dual = truncated_dual(pres, len(gens.odds) + 1)
-    delta = transpose(dual.product, range(dual.dimension))
     antipode = None
     if pres.has_symbolic_antipode:
         index = {m: i for i, m in enumerate(dual.basis)}
@@ -258,7 +257,7 @@ def finite_from_presentation(pres: HopfPresentation) -> FiniteDimHopf:
         labels=["".join(gens.odds[i] for i in odd_positions(m.odds)) or "1" for m in dual.basis],
         parity=dual.parity, unit={0: 1},
         mult=transpose(dual.coproduct),
-        delta={a: whole_as_int(row) for a, row in delta.items()},
+        delta=transpose(dual.product, range(dual.dimension)),
         counit=[pres.counit_monomial(m) for m in dual.basis],
         antipode=antipode,
     )
@@ -288,8 +287,9 @@ def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, A
     The pairing-induced map sends f_I to (v_I)*, so it is bijective by
     construction and is not reported as a check.  It must be an algebra
     morphism onto the convolution-dual algebra and must intertwine
-    coproducts, counits, units and antipodes; the dual itself must pass all
-    super Hopf axioms.
+    coproducts and antipodes; the dual itself must pass all super Hopf
+    axioms.  Units and counits are unique, so they are not compared: once the
+    products (coproducts) agree, a wrong dual unit (counit) fails its axiom.
     """
     report = AxiomReport()
     if primal is None:
@@ -313,8 +313,6 @@ def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, A
         for i in range(dim) if covector.delta[i] != dual.delta.get(i, {})
     ))
 
-    report.add("unit-preserved", covector.unit == dual.unit)
-    report.add("counit-preserved", all(covector.counit[i] == dual.counit[i] for i in range(dim)))
     ok = dual.antipode is not None and all(
         covector.antipode[i] == dual.antipode.get(i, {}) for i in range(dim)
     )

@@ -43,7 +43,6 @@ from .core import (
     SuperMonomial,
     SuperPoly,
     cross,
-    evaluate_hom,
     odd_positions,
     one_monomial,
 )
@@ -604,12 +603,15 @@ class PointSampler:
         return SuperMatrix._of(self.m, self.n, self.alg, _join(x, zero_p, zero_q, y))
 
 
-def truncate_map(source: GrassmannAlgebra, target: GrassmannAlgebra):
-    """Algebra map Λ(t1..tk) -> Λ(t1..tk') sending surplus generators to 0."""
-    images = {f"t{i}": target.theta(i) if i <= target.k else target.zero()
-              for i in range(1, source.k + 1)}
+def truncate_map(target: GrassmannAlgebra):
+    """Algebra map Λ(t1..tk) -> Λ(t1..tk') sending t_j to 0 for j > k'.
+
+    It keeps the blades on t1..tk' with their coefficients: their factors
+    keep their order, so no sign changes.
+    """
+    limit = 1 << target.k
 
     def apply(p: SuperPoly) -> SuperPoly:
-        return evaluate_hom(p, images, target.one())
+        return SuperPoly(target.gens, {m: c for m, c in p.terms.items() if m.odds < limit})
 
     return apply

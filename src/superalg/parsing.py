@@ -84,10 +84,7 @@ class _Parser:
                 return total
 
     def parse_rational(self) -> Fraction:
-        kind, value, pos = self.take()
-        if kind != "num":
-            raise ParseError("expected a number", pos)
-        num = int(value)
+        num = int(self.take()[1])  # parse_factor calls it on a number token
         kind, value, _ = self.peek()
         if kind == "op" and value == "/":
             self.take()

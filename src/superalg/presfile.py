@@ -75,14 +75,7 @@ def parse_presentation(text: str, name: str = "") -> HopfPresentation:
 
     if pointwise and antipode:
         raise PresentationError("antipode is marked pointwise but images were given")
-    try:
-        return HopfPresentation(
-            gens, delta, counit,
-            None if pointwise else antipode,
-            name=name,
-        )
-    except KeyError as exc:
-        raise PresentationError(f"incomplete presentation: missing data for {exc}") from exc
+    return HopfPresentation(gens, delta, counit, None if pointwise else antipode, name=name)
 
 
 def load_presentation(path: str) -> HopfPresentation:

@@ -293,6 +293,24 @@ def test_unknown_symbol_has_position():
      ParseError, "zero denominator"),
     ("odd v1;\ndelta v1 = v1 @ 1 + 1 @ v1;\neps v1 = 0;\n",
      PresentationError, "missing antipode image for v1"),
+    ("odd v;\neps v = 0;\nantipode v = -v;\n",
+     PresentationError, "missing coproduct image for v"),
+    ("odd v;\ndelta v = v @ 1 + 1 @ v;\nantipode v = -v;\n",
+     PresentationError, "missing counit image for v"),
+    ("even x;\ndelta x = x @ 1 + 1 @ x;\neps x = x;\nantipode x = -x;\n",
+     PresentationError, "counit of x must be a scalar"),
+    ("odd v;\ndelta v = v @ 1 + 1 @ v;\neps v = 0;\nantipode pointwise;\nantipode v = -v;\n",
+     PresentationError, "antipode is marked pointwise but images were given"),
+    ("odd v;\ndelta v = v @ 1 + 1 @ v;\neps v = 0;\nantipode v = 1;\n",
+     PresentationError, "antipode image of v has wrong parity"),
+    ("odd v;\ndelta v = v @ 1 + 1 @ v;\neps v = 0;\nantipode v = 1/v*v;\n",
+     ParseError, "expected a denominator"),
+    ("odd v;\ndelta v = v @ 1 + 1 @ v;\neps v = 0;\nantipode v = -v^v;\n",
+     ParseError, "expected an integer exponent"),
+    ("odd v;\ndelta v = v @ 1 + 1 @ v;\neps v = 0;\nantipode v = -v);\n",
+     ParseError, "trailing input"),
+    ("odd v;\ndelta v = v @ 1 + (1 @ v);\neps v = 0;\nantipode v = -v;\n",
+     ParseError, "expected ')'"),
 ])
 def test_malformed_file_is_exit_2(text, error, message, tmp_path, capsys):
     path = tmp_path / "bad.shp"
@@ -335,6 +353,14 @@ def test_parse_errors_carry_file_offsets(text, at):
     with pytest.raises(ParseError) as info:
         parse_presentation(text)
     assert text[info.value.position:].startswith(at), (info.value, text[info.value.position:])
+
+
+def test_parenthesised_file_passes(tmp_path):
+    text = "odd v;\ndelta v = (v + 0) @ 1 + 1 @ (2*(v) - v);\neps v = (1 - 1);\nantipode v = -(v);\n"
+    assert parse_presentation(text) == parse_presentation(VALID)
+    path = tmp_path / "parenthesised.shp"
+    path.write_text(text)
+    assert run(["verify", "exterior", "--file", str(path)], tmp_path)[0] == 0
 
 
 def test_keyword_ends_at_any_whitespace():
@@ -492,10 +518,17 @@ def test_repeated_statement_is_exit_2(kind, tmp_path, capsys):
 # counit law keeps every term of Delta(m) at total degree >= deg m), each
 # report otherwise unchanged; the n = 0 decompose digest was re-taken when
 # ``negative-control-naive-coordinates-not-left-invariant`` was dropped for
-# m n k = 0, where P = Q = 0 and the control cannot fail, report otherwise unchanged)
+# m n k = 0, where P = Q = 0 and the control cannot fail, report otherwise unchanged;
+# the exterior and decompose digests were re-taken when four more such entries
+# were removed: ``unit-preserved`` and ``counit-preserved`` (the primal's unit
+# and counit are fixed by construction, and a unit or counit is unique, so a
+# wrong one already fails the dual's own unit or counit axiom),
+# ``identity-maps-to-(identity,0,0)`` (P = Q = 0 gives p' = q' = 0) and
+# ``odd-coordinates-are-odd`` (X^-1 and Y^-1 are even, P and Q odd), each
+# report otherwise unchanged)
 
 GOLDEN = {
-    "verify exterior --dim 3": "e3304a8a0bed693743e6d35ff13871faac03cfed9e0e8fa184895144ae4d4fcd",
+    "verify exterior --dim 3": "d9c2680f54c281809b43294e5a5ec65cc70a2b277c6a062de31def865a2e5df0",
     "verify integrals --dim 3": "cf1037d68cd9ecb88a31e88bbc3cdd3b3eec28d2f696accd79ce5b1b0293bda5",
     "hy --target gl11 --order 4": "54536c558360b0001e910f34e69fde051a5cd71b5ac5a2af8ad196649937d0dd",
     "hcpair --r 1 --seed 1": "4fda4ac0aeb3533d2cd391188a379221554ce3f153d834aa72333fd582bdf3c9",
@@ -505,10 +538,10 @@ GOLDEN = {
     "verify gl --m 2 --n 1 --thetas 4 --points 30 --seed 7":
         "c6bf22ea61674c943d1674c1e5c52138fd2517338d8fe337a069e0433afe60de",
     "decompose --m 2 --n 1 --thetas 4 --points 30 --seed 11":
-        "cac230cebd344dd7538971ea7f5e6aa290d108fab7712dec0ec5478addb52217",
+        "2ea28b921bca928e01755d7274c098f7995dafa9ae336e2e5cb5ec24e4ee5d1b",
     # taken before associativity and coproduct multiplicativity were
     # certified from generators, so these two pin the certified reports
-    "verify exterior --dim 6": "967dc32217a43410ebeb79bef789c01494797946ac5677a9e1d243da9f6c9184",
+    "verify exterior --dim 6": "b79087a41efeea4f0ab26f3ccef258d0ceb553be619c8a4c8a9fb938caf743fe",
     "envelope --r 1 --d 4": "28fd188fbce874c8d0c3be5ed6e3f737188b153e3e6050085d071d6ee1bfb7b1",
     # taken before the dim-0 branch of the integrals suite and the symbolic
     # expansion of the cubic pair axiom were removed
@@ -537,14 +570,14 @@ GOLDEN = {
     "verify gl --m 0 --n 2 --thetas 4 --points 30 --seed 7":
         "c208534a693f06f024c0a7aa14059407f4e3f4bbf652b2e88fd77f5d7768036a",
     "decompose --m 2 --n 0 --thetas 4 --points 30 --seed 11":
-        "cc6d0439a284af423c75233d82ba63dbf5ae86e680c9e9583ac5b70541a1be88",
+        "51fed9eeb2be5fa92b7293d08d88adaec6e6576947ea78f450e6bf8ceba9aef6",
     "hcpair --r 4 --seed 1": "c009d1c09b502ee0ab2ae50b37501524730ab9df857559cae55391fe76a82517",
     # taken before every multiplicative Hopf axiom was certified from the
     # group-likes and skew-primitives: the bosonization, certified from
     # {g, v_i, g.v_i}, and the largest exterior dual the suite checks
     "verify bosonize --dim 4": "1247e66f2fd607eb78c91c53d583344aa9b6a0325061c73c7865bc7c705890b1",
     "verify exterior --dim 7 --max-dual 7":
-        "cc0f984660cb09b0a45383e06a6d3f266b1f394e6f9e201cb63b21e13a06919e",
+        "f0d530e7ddb2e8f28bead3499527efce51e37b941e3bea3fc3498877272afd4c",
     # taken before associativity was checked on the exact range only and the
     # order-n dual held only its exact cells (order 6 took about 13 s then)
     "hy --target gl21 --order 5": "5b55a1d8d9068f8321fc857251b7af6eae7c840ca71c4a1953d7f6b81dc40894",
@@ -571,7 +604,7 @@ def test_exterior_dim_5_report_is_golden(tmp_path):
     data.pop("timings")
     text = json.dumps(data, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0b59fa315c99f294eead38626f10b89828d6ebaac87e6ce17936965d318ea9ff"
+        "702d56281b2bcbfd6684a1fbf8d6314c755ac1af278b6afc236110d385da4b55"
     )
 
 
@@ -581,7 +614,7 @@ def test_builtin_file_checks_are_golden(tmp_path):
     assert code == 0
     text = json.dumps(data["checks"], sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "045705cbb0119e1a6fdf8dcbccf03aff1c33111af6e37628e99356856b89a73e"
+        "5a6afb8fde7350c57926010b78c3f4ad48227e4cc4b2530f88c60d3031664a18"
     )
 
 
@@ -614,8 +647,38 @@ def test_noncoassociative_file_checks_are_golden(tmp_path):
     assert "duality[n=2]:algebra-morphism" in failed
     text = json.dumps(data["checks"], sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "fbcd06b4f851f43b35f20969d82de38bac1e962a38d6d2dc1079791bdca8f372"
+        "37191257f3e32d19c5eb5f3885fc3e0cc36c137cb2d97cd070afe3cc0c582004"
     )
+
+
+LAMBDA_2_CHECKS = [
+    "axioms:coassociativity[v1]", "axioms:counit-left[v1]", "axioms:counit-right[v1]",
+    "axioms:coassociativity[v2]", "axioms:counit-left[v2]", "axioms:counit-right[v2]",
+    "axioms:antipode-left[v1]", "axioms:antipode-right[v1]",
+    "axioms:antipode-left[v2]", "axioms:antipode-right[v2]",
+    "duality[n=2]:algebra-morphism", "duality[n=2]:coalgebra-morphism",
+    "duality[n=2]:antipode-preserved", "duality[n=2]:dual-satisfies-super-hopf-axioms",
+]
+
+
+# a report lists only checks that some input can fail: no unit or counit
+# comparison of the duality, no identity coordinates and no parity of p', q'
+def test_reports_list_exactly_these_checks(tmp_path):
+    def names(argv):
+        code, data = run(argv, tmp_path)
+        assert code == 0
+        return [c["name"] for c in data["checks"]]
+
+    assert names(["verify", "exterior", "--dim", "2"]) == ["print-parse-round-trip",
+                                                           *LAMBDA_2_CHECKS]
+    path = builtin_presentation_path("exterior_2.shp")
+    assert names(["verify", "exterior", "--file", path]) == ["file-round-trip", *LAMBDA_2_CHECKS]
+    argv = "decompose --m 1 --n 1 --thetas 3 --points 4 --seed 2".split()
+    assert names(argv) == [
+        "round-trip[4 points]", "naturality-under-base-change",
+        "even-projection-intertwines-even-quotient", "primed-coordinates-left-invariant",
+        "negative-control-naive-coordinates-not-left-invariant",
+    ]
 
 
 # --- the check ledger
@@ -743,6 +806,22 @@ def test_hy_oracle_witness_names_the_corrupted_bracket(tmp_path, monkeypatch):
         "status": "fail",
         "witness": "[D[p11], D[q11]] = {'D[y11]': Fraction(2, 1), 'D[x11]': Fraction(2, 1)}, "
                    "oracle {'D[x11]': 1, 'D[y11]': 1}",
+    }
+
+
+def test_hy_abelian_oracle_witness_names_the_nonzero_bracket(tmp_path, monkeypatch):
+    # ga(1|1) runs the same scan as gl(m|n), against the zero bracket
+    def odd_square(lie):
+        lie.bracket[(0, 0)] = {1: Fraction(2)}
+
+    _corrupt_primitives(monkeypatch, odd_square)
+    code, data = run(["hy", "--target", "ga11", "--order", "3"], tmp_path)
+    assert code == 1
+    checks = {c["name"]: c for c in data["checks"]}
+    assert checks["oracle-abelian-(1|1)"] == {
+        "name": "oracle-abelian-(1|1)",
+        "status": "fail",
+        "witness": "[D[tau1], D[tau1]] = {'D[t1]': Fraction(2, 1)}, oracle {}",
     }
 
 

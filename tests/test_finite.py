@@ -116,12 +116,11 @@ def _no_antipode(p):
         "dual-satisfies-super-hopf-axioms":
             "coproduct-multiplicative: coproduct is not an algebra map at (v1*, v2*)",
     }),
+    # units and counits are unique, so a wrong one fails the dual's own axiom
     (_halve_counit_of_one, {
-        "unit-preserved": "",
         "dual-satisfies-super-hopf-axioms": "unit: unit law fails at 1*",
     }),
     (_extra_unit_term, {
-        "counit-preserved": "",
         "dual-satisfies-super-hopf-axioms": "counit: counit law fails at v1*",
     }),
     (_wrong_antipode_row, {
@@ -134,14 +133,30 @@ def _no_antipode(p):
     }),
 ])
 def test_corrupted_primal_fails_its_morphism_check(corrupt, failures):
-    # the primal Lambda(2) has blades 1, v1, v2, v1v2; each corruption breaks
-    # exactly one morphism check of the pairing, with this witness
+    # the primal Lambda(2) has blades 1, v1, v2, v1v2; each corruption fails
+    # at most one morphism check of the pairing and the dual's axioms, with
+    # these witnesses
     primal = finite_from_presentation(exterior_hopf(2))
     assert primal.labels == ["1", "v1", "v2", "v1v2"]
     corrupt(primal)
     ok, report = dual_iso_check(2, primal)
     assert not ok
     assert {c["name"]: c.get("witness", "") for c in report.failures()} == failures
+
+
+def test_primal_with_a_wrong_square_fails_only_the_coalgebra_morphism():
+    # v1 v1 = 3 v1 on Lambda(1) passes every Hopf axiom check, and so does its
+    # dual: only the comparison of coproducts with the covectors sees it (on
+    # Lambda(2) the same cell also breaks associativity)
+    primal = finite_from_presentation(exterior_hopf(1))
+    assert primal.labels == ["1", "v1"]
+    primal.mult[(1, 1)] = {1: 3}
+    assert check_finite_hopf_axioms(primal).ok
+    ok, report = dual_iso_check(1, primal)
+    assert not ok
+    assert [(c["name"], c["witness"]) for c in report.failures()] == [
+        ("coalgebra-morphism", "coproducts differ at f1"),
+    ]
 
 
 def test_dual_of_dual_tables_are_consistent():

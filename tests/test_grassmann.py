@@ -22,7 +22,7 @@ from superalg import (
     invert_element,
 )
 from superalg import grassmann, linalg
-from superalg.core import SuperMonomial, SuperPoly
+from superalg.core import SuperMonomial, SuperPoly, evaluate_hom
 from superalg.grassmann import (
     _body, _int_add, _int_neg, _poly_mat_mul, _split, _to_ints, grassmann_matrix_inv,
 )
@@ -333,6 +333,20 @@ def test_decomposition_round_trip_and_parity():
             for row in block:
                 for e in row:
                     assert e.is_zero() or e.parity_of() == "odd"
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_truncate_map_is_the_algebra_map_killing_surplus_generators(k):
+    # the blade filter against evaluating the algebra map t_j -> 0 (j > k')
+    entries = [e for i in range(6) for row in PointSampler(2, 1, k, seed=k).sample(i).rows
+               for e in row]
+    for smaller in range(k + 1):
+        target = GrassmannAlgebra(smaller)
+        images = {f"t{i}": target.theta(i) if i <= smaller else target.zero()
+                  for i in range(1, k + 1)}
+        shrink = grassmann.truncate_map(target)
+        for e in entries:
+            assert shrink(e) == evaluate_hom(e, images, target.one())
 
 
 def test_even_subgroup_closed():

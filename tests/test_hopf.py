@@ -12,6 +12,7 @@ from superalg import (
     PointSampler,
     PresentationError,
     SuperMatrix,
+    SuperMonomial,
     SuperPoly,
     TensorPoly,
     additive_presentation,
@@ -24,7 +25,7 @@ from superalg import (
     load_presentation,
 )
 from superalg.hopf import primitive_presentation
-from superalg.presfile import builtin_presentation_path
+from superalg.presfile import builtin_presentation_path, parse_presentation
 
 
 def test_exterior_trivial():
@@ -76,6 +77,16 @@ def test_corrupted_coproduct_reports_counit_failure():
 def test_glmn_counit_vanishes_on_shifted_generators():
     pres = glmn_presentation(2, 1)
     assert all(value == 0 for value in pres.counit.values())
+
+
+def test_counit_of_a_group_like_generator_is_one_on_its_powers():
+    # eps(g) = 1 for the group-like g, so eps(g^k) = 1, and an odd factor gives 0
+    pres = parse_presentation("even g; odd v;\ndelta g = g @ g;\ndelta v = v @ 1 + g @ v;\n"
+                              "eps g = 1;\neps v = 0;\nantipode pointwise;\n")
+    assert pres.counit_monomial(SuperMonomial((3,), 0)) == 1
+    assert pres.counit_monomial(SuperMonomial((2,), 1)) == 0
+    # the counit laws contract the slots g (x) g through it
+    assert [c["name"] for c in check_hopf_axioms(pres).failures()] == ["antipode"]
 
 
 def test_glmn_1_1_coproduct_of_p():

@@ -237,6 +237,16 @@ def test_embedding_detects_a_corrupted_product_cell():
     assert not small.embeds_in(replace(large, product=product))
 
 
+def test_embedding_detects_a_product_cell_wrong_only_past_the_order():
+    small, large = truncated_dual(GL11, 2), truncated_dual(GL11, 3)
+    product = {key: dict(cell) for key, cell in large.product.items()}
+    # 1 * e_1 has degree 1 < 2, so the cell is exact in the smaller dual and
+    # must agree in full; the added degree-2 term is cut by the truncation
+    assert large.degree[5] == 2
+    product[(0, 1)] = {**product[(0, 1)], 5: 1}
+    assert not small.embeds_in(replace(large, product=product))
+
+
 def test_embedding_detects_a_corrupted_coproduct_cell():
     small, large = truncated_dual(GL11, 2), truncated_dual(GL11, 3)
     coproduct = {i: dict(cell) for i, cell in large.coproduct.items()}
