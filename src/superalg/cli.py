@@ -121,8 +121,7 @@ def run_exterior_suite(dim: int, path: str | None, max_dual: int) -> Report:
 
     n = len(pres.gens.odds)
     if n <= max_dual:
-        ok, detail = dual_iso_check(n, finite_from_presentation(pres))
-        report.extend(detail, prefix=f"duality[n={n}]")
+        report.extend(dual_iso_check(n, finite_from_presentation(pres)), prefix=f"duality[n={n}]")
     return report
 
 

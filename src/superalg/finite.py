@@ -85,36 +85,17 @@ class FiniteDimHopf:
         return out
 
 
-def hopf_generators(hopf: FiniteDimHopf) -> list[int]:
-    """G for the certificates of ``check_finite_hopf_axioms``: the non-unit
-    group-likes, Delta(e) = e (x) e, and the skew-primitives,
-    Delta(e) = e (x) e_a + e_b (x) e with e_a and e_b group-like, all with
-    coefficient 1.  The primitives are the case e_a = e_b = 1; so G is the
-    degree-1 blades of Lambda(n) and Lambda(n)*, and {g, v_i, g.v_i} on
-    bosonize(Lambda(n)).  Any G is sound: the certificates check that the
-    closure of 1 under G spans the algebra.
-    """
-    delta = hopf.delta
-    one = next(iter(hopf.unit), None)
-    group_like = {i for i in range(hopf.dimension) if delta.get(i) == {(i, i): 1}}
-
-    def skew_primitive(i: int) -> bool:
-        terms = delta.get(i)
-        return any(terms == {(i, a): 1, (b, i): 1} for a in group_like for b in group_like)
-
-    return [i for i in range(hopf.dimension) if i != one and (i in group_like or skew_primitive(i))]
-
-
 def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     """Table check of all Hopf axioms (signs per ``hopf.parity``).
 
     Associativity, coassociativity and the multiplicativity of the coproduct
-    and of the counit are certified from G = ``hopf_generators(hopf)`` by the
-    lemma of ``superalg.table`` and its corollaries for coassociativity and
-    counit multiplicativity, proved in that module's docstring; where a
-    certificate does not apply or fails, every triple, element or pair is
-    compared.  Either way each witness is the first failing case of the
-    dense scan.
+    and of the counit are certified from the G that ``certify_associative``
+    picks, by the lemma of ``superalg.table`` and its corollaries for
+    coassociativity and counit multiplicativity, proved in that module's
+    docstring; where a certificate does not apply or fails, every triple,
+    element or pair is compared.  Either way each witness is the first
+    failing case of the dense scan.  The checks assume a graded table: the
+    Lambda(1) table with v1 v1 = 3 v1 passes all seven.
     """
     report = AxiomReport()
     dim = hopf.dimension
@@ -126,8 +107,8 @@ def check_finite_hopf_axioms(hopf: FiniteDimHopf) -> AxiomReport:
     report.add("unit", bad is None, "" if bad is None else f"unit law fails at {labels[bad]}")
 
     one = next(iter(hopf.unit), None)
-    gens = hopf_generators(hopf)
-    certified = certify_associative(mult, dim, hopf.unit, gens)
+    gens = certify_associative(mult, dim, hopf.unit)
+    certified = gens is not None
     triple = None if certified else first_nonassociative(mult, dim)
     names = ", ".join(labels[t] for t in triple or ())
     report.add("associativity", triple is None, f"associativity fails at ({names})" if triple else "")
@@ -279,8 +260,8 @@ def dual_hopf(hopf: FiniteDimHopf) -> FiniteDimHopf:
     )
 
 
-def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, AxiomReport]:
-    """Verify L(V*) = primal* as super Hopf algebras via the exterior pairing.
+def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> AxiomReport:
+    """The report of L(V*) = primal* as super Hopf algebras via the exterior pairing.
 
     ``primal`` defaults to L(V) built from its presentation, independently of
     the blade tables of L(V*); any other table on the same 2^n blades is checked as given.
@@ -322,7 +303,7 @@ def dual_iso_check(n: int, primal: FiniteDimHopf | None = None) -> tuple[bool, A
     report.first("dual-satisfies-super-hopf-axioms", (
         f"{c['name']}: {c['witness']}" for c in check_finite_hopf_axioms(dual).failures()
     ))
-    return report.ok, report
+    return report
 
 
 # --- bosonization ---------------------------------------------------------------

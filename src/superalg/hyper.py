@@ -65,10 +65,10 @@ class TruncatedDual:
 
     def check_associative_unital(self) -> None:
         """Unit scan, then associativity on the exact range
-        deg i + deg j + deg k < n, certified from the degree-1 duals by the
-        graded lemma of ``superalg.table`` (the triples of the range are
-        compared where it does not apply, and the first failing one is the
-        witness).
+        deg i + deg j + deg k < n, certified by the graded lemma of
+        ``superalg.table`` from the degree-1 duals, which no product of the
+        range reaches (the triples of the range are compared where it does
+        not apply, and the first failing one is the witness).
 
         On that range every product is the true product of Dist(G), so an
         associative presentation passes whatever its Delta.  A cell with
@@ -81,8 +81,7 @@ class TruncatedDual:
         bad = first_nonunital(self.product, dim, unit)
         if bad is not None:
             raise StructureError(f"unit law fails at {self.labels[bad]}")
-        gens = [i for i, d in enumerate(self.degree) if d == 1]
-        if certify_associative(self.product, dim, unit, gens, self.degree, self.order):
+        if certify_associative(self.product, dim, unit, self.degree, self.order) is not None:
             return
         triple = first_nonassociative(self.product, dim, self.degree, self.order)
         if triple is not None:

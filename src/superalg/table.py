@@ -21,12 +21,15 @@ triple (``certify_associative``).  *Lemma.*  Let the table have a left unit
 associative.  *Proof.*  Let S be the set of x with (xy)z = x(yz) for all y
 and z.  S is a subspace, it holds 1, and for x in S and g in G,
 ((gx)y)z = (g(xy))z = g((xy)z) = g(x(yz)) = (gx)(yz), so gx is in S; hence
-S is everything.  The same induction shows that once the algebra is
-associative, a coproduct that is multiplicative on the pairs (g, b) with g
-in G or g = 1 is multiplicative everywhere, when the product respects
-parity so that the Koszul-signed tensor square is associative.  The dense
-scan ``first_nonassociative`` stays as the fallback, the witness finder and
-the test oracle.
+S is everything.  ``certify_associative`` picks G itself: it walks the
+indices in order, and each one that the closure of 1 under the G so far has
+not reached joins G, so the closure spans; g = g 1 is in S by the step
+above.  The same induction shows that once the algebra is associative, a
+coproduct that is multiplicative on the pairs (g, b) with g in G or g = 1 is
+multiplicative everywhere, when the product respects parity so that the
+Koszul-signed tensor square is associative.  The dense scan
+``first_nonassociative`` stays as the fallback, the witness finder and the
+test oracle.
 
 *Graded form.*  Let each index carry a degree, 1 of degree 0, and let every
 cell (i, j) with deg i + deg j < n lie in degrees <= deg i + deg j.  Let the
@@ -39,8 +42,9 @@ holding 1 for d = 0, with T_d inside T_d' for d <= d'.  For x in T_d the
 four steps above pass through generator triples and one triple of x, all in
 range, so gx is in T_{deg g + d}; each e_m the closure reaches is
 (g e_b - reached terms of degree <= deg m) / c, so by induction e_m is in
-T_{deg m}.  The truncated hyperalgebra needs this form: there only the
-products of degree sum < n are true products (``hyper``).
+T_{deg m}, as is each g = g 1 of G.  The truncated hyperalgebra needs this
+form: there only the products of degree sum < n are true products
+(``hyper``).
 
 Two more corollaries decide the rest of a Hopf table's multiplicative axioms
 from G (``finite.check_finite_hopf_axioms``).  *Coassociativity.*  Let Delta
@@ -184,48 +188,53 @@ def _failing_triples(table: Table, lefts: Iterable[int], dim: int,
                     yield i, j, k
 
 
-def certify_associative(table: Table, dim: int, unit: Vec, gens: list[int],
-                        degree: list[int] | None = None, bound: int | None = None) -> bool:
-    """True when the lemma above proves ``table`` associative from ``gens``;
-    given ``degree`` and ``bound``, the graded lemma proves it on the triples
-    with degree[i] + degree[j] + degree[k] < bound.
+def certify_associative(table: Table, dim: int, unit: Vec, degree: list[int] | None = None,
+                        bound: int | None = None) -> list[int] | None:
+    """G when the lemma above proves ``table`` associative from G; given
+    ``degree`` and ``bound``, the graded lemma proves it on the triples with
+    degree[i] + degree[j] + degree[k] < bound.
 
-    False says only that the certificate does not apply (``unit`` is not one
-    basis index with coefficient 1, the left unit law fails, a cell of the
-    range raises degree, or the closure of 1 under ``gens`` misses an index)
-    or that a generator triple fails: the dense scan then decides.
+    Each index that the closure of 1 under the G chosen so far has not
+    reached joins G, in index order, so the closure spans.  None says only
+    that the certificate does not apply (``unit`` is not one basis index with
+    coefficient 1, the left unit law fails, or a cell of the range raises
+    degree) or that a generator triple fails: the dense scan then decides.
     """
     if len(unit) != 1:
-        return False
+        return None
     ((one, c),) = unit.items()
     if c != 1:
-        return False
+        return None
     get = table.get
     if any(get((one, y)) != {y: 1} for y in range(dim)):
-        return False
+        return None
     if bound is not None and any(degree[k] > degree[i] + degree[j] for (i, j), cell in table.items()
                                  if degree[i] + degree[j] < bound for k in cell):
-        return False
+        return None
     # triangular closure: e_x is reached when some g e_b, with b reached, has
     # x as its only unreached index (of degree deg g + deg b, given a bound)
-    def spread(m):
-        return [(h, m) for h in gens if bound is None or degree[h] + degree[m] < bound]
-
+    gens: list[int] = []
     reached = [False] * dim
     reached[one] = True
-    stuck = spread(one)
-    progress = True
-    while progress:
-        progress = False
-        queue, stuck = stuck, []
-        while queue:
-            g, b = queue.pop()
-            new = [k for k in get((g, b), _EMPTY) if not reached[k]]
-            if len(new) > 1 or new and bound is not None and degree[new[0]] != degree[g] + degree[b]:
-                stuck.append((g, b))
-            elif new:
-                reached[new[0]] = progress = True
-                queue.extend(spread(new[0]))
-    if not all(reached):
-        return False
-    return next(_failing_triples(table, gens, dim, degree, bound), None) is None
+    stuck: list[tuple[int, int]] = []
+    for x in range(dim):
+        if reached[x]:
+            continue
+        gens.append(x)
+        reached[x] = True
+        stuck += [(x, b) for b in range(dim) if reached[b]] + [(h, x) for h in gens[:-1]]
+        progress = True
+        while progress:
+            progress = False
+            queue, stuck = stuck, []
+            while queue:
+                g, b = queue.pop()
+                if bound is not None and degree[g] + degree[b] >= bound:
+                    continue
+                new = [k for k in get((g, b), _EMPTY) if not reached[k]]
+                if len(new) > 1 or new and bound is not None and degree[new[0]] != degree[g] + degree[b]:
+                    stuck.append((g, b))
+                elif new:
+                    reached[new[0]] = progress = True
+                    queue += [(h, new[0]) for h in gens]
+    return gens if next(_failing_triples(table, gens, dim, degree, bound), None) is None else None

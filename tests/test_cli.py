@@ -582,6 +582,10 @@ GOLDEN = {
     # order-n dual held only its exact cells (order 6 took about 13 s then)
     "hy --target gl21 --order 5": "5b55a1d8d9068f8321fc857251b7af6eae7c840ca71c4a1953d7f6b81dc40894",
     "hy --target gl21 --order 6": "0091e62fdd56e7574e4a9aea2c458f4449846ab51e9bd62410533f53e61309c6",
+    # taken before the certificate picked its own generators, when the
+    # bosonization was certified from the 2n + 1 elements {g, v_i, g.v_i}
+    "verify bosonize --dim 5": "c090c9dc3ab586d94c1428a692ef8af28dd375168c54971b75c0380b0481dedb",
+    "verify bosonize --dim 7": "a1309302278b5b7ac14cd3f748545a5c29c26c6c7c969a1b38e6cc377fed6c31",
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from superalg import bosonize, exterior_finite, finite, hyper, parse_presentation, table
 from superalg.core import F1
 from superalg.finite import FiniteDimHopf, check_finite_hopf_axioms, dual_hopf, finite_from_presentation
-from superalg.hopf import exterior_hopf, glmn_presentation
+from superalg.hopf import additive_presentation, exterior_hopf, glmn_presentation
 from superalg.hyper import truncated_dual
 
 from conftest import associativity_outcome, brute_force_bad_triples, replace
@@ -115,14 +115,19 @@ def test_transpose_of_a_product_is_its_dual_coproduct():
 # --- the generator certificate against the dense scans
 
 
+def generators(hopf):
+    return table.certify_associative(hopf.mult, hopf.dimension, hopf.unit)
+
+
 def hopf_case(hopf):
     return {"tab": hopf.mult, "dim": hopf.dimension, "unit": hopf.unit,
-            "gens": finite.hopf_generators(hopf), "hopf": hopf}
+            "gens": generators(hopf), "hopf": hopf}
 
 
-def dual_case(dual):
-    return {"tab": dual.product, "dim": dual.dimension, "unit": {0: F1},
-            "gens": [i for i, d in enumerate(dual.degree) if d == 1], "dual": dual}
+def dual_case(dual, degree=None, bound=None):
+    unit = {0: F1}
+    return {"tab": dual.product, "dim": dual.dimension, "unit": unit, "dual": dual,
+            "gens": table.certify_associative(dual.product, dual.dimension, unit, degree, bound)}
 
 
 @functools.cache
@@ -133,7 +138,7 @@ def certificate_case(name):
         "Lambda(5)": lambda: hopf_case(exterior_finite(5)),
         "Lambda(5)*": lambda: hopf_case(dual_hopf(finite_from_presentation(exterior_hopf(5)))),
         "hy gl(1|1) order 4": lambda: dual_case(truncated_dual(glmn_presentation(1, 1), 4)),
-        # no primitives, but the closure of 1 under {g, v_i, g.v_i} spans the algebra
+        # no primitives: G is the skew-primitive v_i and the group-like g
         "bosonize(Lambda(2))": lambda: hopf_case(bosonize(exterior_finite(2))),
         "bosonize(Lambda(3))": lambda: hopf_case(bosonize(exterior_finite(3))),
     }
@@ -164,8 +169,8 @@ def corrupted(case, kind, rng):
 
 def certified_first(tab, case, **overrides):
     """What the callers compute: None when certified, else the dense scan's first triple."""
-    args = {**{k: case[k] for k in ("dim", "unit", "gens")}, **overrides}
-    if table.certify_associative(tab, **args):
+    args = {**{k: case[k] for k in ("dim", "unit")}, **overrides}
+    if table.certify_associative(tab, **args) is not None:
         return None
     return table.first_nonassociative(tab, args["dim"])
 
@@ -177,7 +182,7 @@ def dense_first(tab, case):
 def dense_path(module, monkeypatch):
     """Force ``module``'s callers onto the dense scans (in ``finite`` every
     certificate rests on the associativity one, so all four checks scan)."""
-    monkeypatch.setattr(module, "certify_associative", lambda *args: False)
+    monkeypatch.setattr(module, "certify_associative", lambda *args: None)
 
 
 def assert_certified_report_is_dense(hopf, monkeypatch):
@@ -189,9 +194,15 @@ def assert_certified_report_is_dense(hopf, monkeypatch):
 
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_uncorrupted_tables_are_certified(name):
+    # G is the degree-1 elements, and g on a bosonization; on the full,
+    # ungraded hy table the closure reaches D[x11] through D[p11] D[q11], so
+    # there only that the certificate applies is asserted
     case = certificate_case(name)
     assert case["gens"]
-    assert table.certify_associative(case["tab"], case["dim"], case["unit"], case["gens"])
+    if "hopf" in case:
+        labels = case["hopf"].labels
+        degree_one = [label for label in labels if label.count("v") == 1 and "." not in label]
+        assert [labels[g] for g in case["gens"]] == degree_one + ["g"] * ("g" in labels)
 
 
 @pytest.mark.parametrize("name", ["Lambda(4)", "Lambda(5)*", "bosonize(Lambda(3))"])
@@ -200,6 +211,7 @@ def test_certified_coproduct_check_compares_only_generator_pairs(name, monkeypat
     # one more counit call reads eps(1)
     case = certificate_case(name)
     dim, gens = case["dim"], case["gens"]
+    assert len(gens) + 1 == {"Lambda(4)": 5, "Lambda(5)*": 6, "bosonize(Lambda(3))": 5}[name]
     calls = {"tensor_mul": 0, "vec_counit": 0}
     for method in calls:
         original = getattr(FiniteDimHopf, method)
@@ -252,26 +264,17 @@ def test_certificate_is_sound_on_generated_corruptions(name, kind, rng):
     assert certified_first(tab, case) == dense_first(tab, case)
 
 
-def test_generators_that_do_not_span_fall_back():
-    case = certificate_case("Lambda(4)")
-    fewer = case["gens"][:-1]
-    assert not table.certify_associative(case["tab"], case["dim"], case["unit"], fewer)
-    for seed in range(5):
-        tab = corrupted(case, "negated", random.Random(seed))
-        assert certified_first(tab, case, gens=fewer) == dense_first(tab, case)
-
-
 @pytest.mark.parametrize("unit", [{1: F1}, {0: Fraction(2)}, {0: F1, 1: F1}, {}])
 def test_a_unit_that_is_not_one_basis_index_falls_back(unit):
     case = certificate_case("Lambda(5)*")
-    assert not table.certify_associative(case["tab"], case["dim"], unit, case["gens"])
+    assert table.certify_associative(case["tab"], case["dim"], unit) is None
     tab = corrupted(case, "doubled", random.Random(3))
     assert certified_first(tab, case, unit=unit) == dense_first(tab, case)
 
 
 def test_closure_returns_to_a_cell_once_its_other_terms_are_reached():
-    # k[x]/(x^4) on 1, x, x^2 + x^3, x^3, with G = {x^3, x}: x x = e_2 - e_3
-    # has two unreached terms until x^3 = x^3 1 is reached
+    # k[x]/(x^4) on 1, x, x^2 + x^3, x^3: x x = e_2 - e_3 has two unreached
+    # terms, so e_2 joins G; then x x reaches x^3
     basis = [{0: 1}, {1: 1}, {2: 1, 3: 1}, {3: 1}]
     coords = {0: {0: 1}, 1: {1: 1}, 2: {2: 1, 3: -1}, 3: {3: 1}}  # x^p in the basis
     tab = {}
@@ -286,8 +289,7 @@ def test_closure_returns_to_a_cell_once_its_other_terms_are_reached():
                 tab[(i, j)] = cell
     assert tab[(1, 1)] == {2: 1, 3: -1}
     assert table.first_nonassociative(tab, 4) is None
-    assert table.certify_associative(tab, 4, {0: 1}, [3, 1])
-    assert not table.certify_associative(tab, 4, {0: 1}, [1])
+    assert table.certify_associative(tab, 4, {0: 1}) == [1, 2]
 
 
 # --- the graded certificate on the exact range of the truncated hyperalgebra
@@ -298,7 +300,7 @@ def exact_case(name):
     pres, order = {"hy gl(1|1) order 5": (glmn_presentation(1, 1), 5),
                    "hy gl(2|1) order 4": (glmn_presentation(2, 1), 4)}[name]
     dual = truncated_dual(pres, order, exact_only=True)
-    return {**dual_case(dual), "degree": dual.degree, "bound": order,
+    return {**dual_case(dual, dual.degree, order), "degree": dual.degree, "bound": order,
             "pairs": [(i, j) for i in range(dual.dimension) for j in range(dual.dimension)
                       if dual.degree[i] + dual.degree[j] < order]}
 
@@ -307,13 +309,25 @@ EXACT_CASES = ["hy gl(1|1) order 5", "hy gl(2|1) order 4"]
 
 
 def range_args(case):
-    return {k: case[k] for k in ("dim", "unit", "gens", "degree", "bound")}
+    return {k: case[k] for k in ("dim", "unit", "degree", "bound")}
 
 
 @pytest.mark.parametrize("name", EXACT_CASES)
 def test_exact_range_is_certified(name):
     case = exact_case(name)
-    assert table.certify_associative(case["tab"], **range_args(case))
+    assert table.certify_associative(case["tab"], **range_args(case)) is not None
+
+
+@pytest.mark.parametrize("target", ["ga11", "gl11", "gl21"])
+def test_graded_generators_of_hy_are_the_degree_1_duals(target):
+    # no product of the exact range reaches a degree-1 index, and the closure
+    # under those reaches every other index of the duals the hy suite builds
+    pres = {"ga11": additive_presentation(1, 1), "gl11": glmn_presentation(1, 1),
+            "gl21": glmn_presentation(2, 1)}[target]
+    for order in range(1, 7):
+        dual = truncated_dual(pres, order, exact_only=order > 3)
+        gens = table.certify_associative(dual.product, dual.dimension, {0: F1}, dual.degree, order)
+        assert gens == [i for i, d in enumerate(dual.degree) if d == 1]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -342,7 +356,7 @@ def test_graded_certificate_is_sound_on_corrupted_exact_cells(name, monkeypatch)
         if table.first_nonunital(tab, dim, case["unit"]) is not None:
             continue
         first = table.first_nonassociative(tab, dim, degree, bound)
-        if table.certify_associative(tab, **range_args(case)):
+        if table.certify_associative(tab, **range_args(case)) is not None:
             assert first is None
         else:
             caught += first is not None
@@ -357,18 +371,18 @@ def test_graded_certificate_is_sound_on_corrupted_exact_cells(name, monkeypatch)
 def test_closure_refuses_an_index_of_the_wrong_degree():
     # k[x]/(x^3) with x^2 labelled degree 1: x x has x^2 as its only new index,
     # of degree 1 where 2 is due, so the closure under G = {x} stays stuck and
-    # the dense scan of the range decides
+    # x^2 joins G
     tab = truncated_polynomials()
-    assert table.certify_associative(tab, 3, {0: F1}, [1])
-    assert table.certify_associative(tab, 3, {0: F1}, [1], [0, 1, 2], 3)
-    assert not table.certify_associative(tab, 3, {0: F1}, [1], [0, 1, 1], 3)
+    assert table.certify_associative(tab, 3, {0: F1}) == [1]
+    assert table.certify_associative(tab, 3, {0: F1}, [0, 1, 2], 3) == [1]
+    assert table.certify_associative(tab, 3, {0: F1}, [0, 1, 1], 3) == [1, 2]
     assert table.first_nonassociative(tab, 3, [0, 1, 1], 3) is None
 
 
 def test_a_cell_that_raises_degree_is_no_certificate():
     # k[x, y]/(x, y)^4 on its monomials, with x^2 replaced by X = x^2 + y^3,
     # still of degree 2: associative, and the closure under G = {x, y} reaches
-    # every index, but x x = X - y^3 leaves degree 2
+    # every index (X once y^3 is reached), but x x = X - y^3 leaves degree 2
     monos = [(a, d - a) for d in range(4) for a in range(d, -1, -1)]
     index = {m: i for i, m in enumerate(monos)}
     degree = [sum(m) for m in monos]
@@ -393,11 +407,11 @@ def test_a_cell_that_raises_degree_is_no_certificate():
     dim, x, y = len(monos), index[(1, 0)], index[(0, 1)]
     assert tab[(x, x)] == {big_x: 1, y3: -1}
     assert table.first_nonassociative(tab, dim) is None
-    assert table.certify_associative(tab, dim, {0: F1}, [x, y])
-    assert not table.certify_associative(tab, dim, {0: F1}, [x, y], degree, 4)
+    assert table.certify_associative(tab, dim, {0: F1}) == [x, y]
+    assert table.certify_associative(tab, dim, {0: F1}, degree, 4) is None
 
 
-# --- the generating set and the certificates of ``check_finite_hopf_axioms``
+# --- the generators and the certificates of ``check_finite_hopf_axioms``
 # against the forced-dense report
 
 
@@ -409,33 +423,29 @@ def test_generating_set_of_exterior_tables_is_the_primitives(n):
         primitives = [i for i in range(tables.dimension)
                       if i != 0 and tables.delta.get(i) == {(i, 0): 1, (0, i): 1}]
         degree_one = [i for i, label in enumerate(tables.labels) if label.count("v") == 1]
-        assert finite.hopf_generators(tables) == primitives == degree_one
-    assert [dual.labels[i] for i in finite.hopf_generators(dual)] == [f"v{a + 1}*" for a in range(n)]
+        assert generators(tables) == primitives == degree_one
+    assert [dual.labels[i] for i in generators(dual)] == [f"v{a + 1}*" for a in range(n)]
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_generating_set_of_a_bosonization_is_g_and_the_skew_primitives(n):
-    # Delta(g) = g (x) g, Delta(v_i) = v_i (x) g + 1 (x) v_i and
-    # Delta(g.v_i) = g.v_i (x) 1 + g (x) g.v_i
+    # Delta(v_i) = v_i (x) g + 1 (x) v_i and Delta(g) = g (x) g; the closure
+    # reaches each g.v_I as g times v_I, so no g.v_i joins G
     hopf = bosonize(exterior_finite(n))
-    vs = [f"v{a + 1}" for a in range(n)]
-    assert sorted(hopf.labels[i] for i in finite.hopf_generators(hopf)) == sorted(
-        ["g", *vs, *(f"g.{v}" for v in vs)])
+    assert [hopf.labels[i] for i in generators(hopf)] == [f"v{a + 1}" for a in range(n)] + ["g"]
 
 
-def test_a_generating_set_that_does_not_span_takes_the_dense_path(monkeypatch):
-    # doubling Delta(v1) leaves v1 neither group-like nor skew-primitive, so
-    # the closure of 1 under G = {v2, v3} misses v1; with eps(v1) = 1 every
-    # pair (g, y) with g in G still passes, but (v1, v1) does not
+def test_a_corrupted_generator_coproduct_takes_the_dense_path(monkeypatch):
+    # doubling Delta(v1) leaves the product, so G = {v1, v2, v3} still
+    # certifies associativity; with eps(v1) = 1 the pairs (v1, y) fail the
+    # coproduct and counit comparisons, and the dense scans give the witnesses
     hopf = exterior_finite(3)
     v1 = hopf.labels.index("v1")
     counit = list(hopf.counit)
     counit[v1] = 1
     mutant = replace(hopf, counit=counit, delta={
         **hopf.delta, v1: {key: 2 * c for key, c in hopf.delta[v1].items()}})
-    gens = finite.hopf_generators(mutant)
-    assert [mutant.labels[i] for i in gens] == ["v2", "v3"]
-    assert not table.certify_associative(mutant.mult, mutant.dimension, mutant.unit, gens)
+    assert [mutant.labels[i] for i in generators(mutant)] == ["v1", "v2", "v3"]
     report = check_finite_hopf_axioms(mutant)
     assert {c["name"]: c["witness"] for c in report.failures()} == {
         "counit": "counit law fails at v1",
@@ -459,13 +469,11 @@ antipode v2 = -v2;
 
 def test_coassociativity_is_compared_on_each_generator(monkeypatch):
     # Delta extends multiplicatively from the generators, so it is an algebra
-    # map, but Delta(v1) is not coassociative; v1 is not primitive, so only a
-    # G that holds it by hand certifies the product, and then the comparison
-    # at v1 sends coassociativity to the dense scan
+    # map, but Delta(v1) is not coassociative; the product is that of
+    # Lambda(2), so G = {v1, v2} certifies it, and then the comparison at v1
+    # sends coassociativity to the dense scan
     hopf = finite_from_presentation(parse_presentation(NONCOASSOCIATIVE))
-    assert finite.hopf_generators(hopf) == [2]
-    monkeypatch.setattr(finite, "hopf_generators", lambda _: [1, 2])
-    assert table.certify_associative(hopf.mult, hopf.dimension, hopf.unit, [1, 2])
+    assert generators(hopf) == [1, 2]
     failed = {c["name"]: c.get("witness") for c in check_finite_hopf_axioms(hopf).failures()}
     assert failed == {"coassociativity": "coassociativity fails at v1"}
     assert_certified_report_is_dense(hopf, monkeypatch)
